@@ -208,25 +208,14 @@ RegionAnswer Session::query_region(double y_lo, double y_hi) {
   }
 
   // Row-order fold over the band — the exact reduction of the serial scan
-  // (see sim/parallel_region.cpp), so cached and computed tiles are
+  // (GridRowStats::fold), so cached and computed tiles are
   // indistinguishable and a whole-grid query matches evaluate_region
   // bit-for-bit.
-  ans.stats.total_points = (row_end - row_begin) * side;
+  core::GridRowStats acc;
   for (std::size_t i = 0; i < tiles.size(); ++i) {
-    const core::GridRowStats& bs = tiles[i].stats;
-    ans.stats.covered_1 += bs.covered_1;
-    ans.stats.necessary_ok += bs.necessary_ok;
-    ans.stats.full_view_ok += bs.full_view_ok;
-    ans.stats.sufficient_ok += bs.sufficient_ok;
-    ans.stats.k_covered_ok += bs.k_covered_ok;
-    if (i == 0) {
-      ans.stats.min_max_gap = bs.min_max_gap;
-      ans.stats.max_max_gap = bs.max_max_gap;
-    } else {
-      ans.stats.min_max_gap = std::min(ans.stats.min_max_gap, bs.min_max_gap);
-      ans.stats.max_max_gap = std::max(ans.stats.max_max_gap, bs.max_max_gap);
-    }
+    acc.fold(tiles[i].stats, i == 0);
   }
+  ans.stats = acc.region((row_end - row_begin) * side);
   if (metrics_ != nullptr) {
     metrics_->add("region_queries", 1.0);
     metrics_->add("tiles_cached", static_cast<double>(ans.tiles_cached));

@@ -34,14 +34,12 @@
 /// region query, where missing tiles are evaluated concurrently through
 /// `sim::parallel_for_blocked` into the SIMD kernel.
 ///
-/// The engine behind a session resolves its candidate index
-/// (candidate_index.hpp: flat / hier / stream) like any other engine, so
-/// `--index` / `FVC_FORCE_INDEX` pins apply to serve too, and the metrics
-/// node exported at construction carries the index name, resolution
-/// (`cells_target` / `cells_clamped`) and heap footprint (`index_bytes`).
-/// Tile evaluation uses per-worker scratches, so the stream index's
-/// row-slice cache works the same under serve as in batch scans; point
-/// queries go through the scalar oracles and never touch a row slice.
+/// The engine behind a session is an ordinary GridEvalEngine, so the
+/// metrics node exported at construction carries the candidate index's
+/// resolution (`cells_target` / `cells_clamped`) and heap footprint
+/// (`index_bytes`).  Tile evaluation uses per-worker scratches, so the
+/// index's row-slice cache works the same under serve as in batch scans;
+/// point queries never touch a row slice.
 
 #pragma once
 

@@ -198,9 +198,6 @@ const std::vector<FlagSpec>& global_flags() {
       {"kernel", "NAME", "",
        "pin the grid-eval kernel variant (scalar|generic|avx2|neon); "
        "results are bit-identical, only speed changes"},
-      {"index", "NAME", "",
-       "pin the grid-eval candidate index (flat|hier|stream); "
-       "results are bit-identical, only speed and memory change"},
       {"grain", "G", "",
        "indices per parallel-scheduler claim: rows per block for grid "
        "scans (0 or unset = auto: rows/(4*threads)), trials per claim for "

@@ -1,64 +1,25 @@
 /// \file candidate_index.hpp
-/// \brief Candidate-index variants and runtime dispatch for grid_eval.
+/// \brief Sizing constants of the grid-eval candidate index.
 ///
 /// The batched grid-evaluation engine (grid_eval.hpp) answers one question
-/// per grid point: *which cameras might cover this point?*  How that
-/// candidate set is materialised is an implementation detail the engine
-/// hides behind interchangeable *index variants*:
-///
-///   flat    a uniform fine-grid CSR: every camera is replicated into each
-///           cell its disc overlaps, so a point lookup is a single span.
-///           Resolution follows the radius-derived sizing rule (cell side
-///           ~ radius / kCellsPerRadius) up to a 4*grid_side cap — the
-///           historical kMaxCellsPerSide = 256 clamp is gone.
-///   hier    a two-level index: cameras are binned into coarse tiles
-///           (kHierSubdiv fine cells per tile side) and only *occupied*
-///           tiles dense enough to be worth it are subdivided into a
-///           pooled tile-local fine CSR.  Empty regions cost one offset
-///           per tile instead of kHierSubdiv^2 — memory stays bounded on
-///           clustered / non-uniform deployments where a uniform fine
-///           grid would be mostly empty.
-///   stream  a row-streamed gather: cameras are binned once by position
-///           (no replication, O(n) build), and each grid row materialises
-///           a compacted SoA slice of the cameras whose disc can reach the
-///           row's y band.  The slice is built once per (engine, row) and
-///           reused across the row's points and across block_stats blocks.
-///
-/// Every variant is bit-identical by construction: an index only decides
-/// which *superset* of the covering cameras the classify kernel inspects,
-/// and the kernel's exact radius/sector tests decide coverage — so the
-/// per-point direction multiset, and therefore every downstream statistic,
-/// is independent of the index (see docs/ARCHITECTURE.md, "Candidate
-/// index").  Dispatch mirrors the kernel seam (cpu_features.hpp) and is
-/// resolved once per engine construction:
-///
-///   1. a programmatic pin (`set_forced_index`, used by the CLI's
-///      `--index` flag and the differential tests), else
-///   2. the `FVC_FORCE_INDEX` environment variable (re-read on every
-///      resolve; a set-but-empty value counts as unset), else
-///   3. the preferred variant (stream).
+/// per grid point: *which cameras might cover this point?*  It answers it
+/// with one index, the row-streamed gather: cameras are binned once by
+/// position into y strips (no replication, O(n) build), and each grid row
+/// materialises a compacted SoA slice of the cameras whose disc can reach
+/// the row's y band (see docs/ARCHITECTURE.md, "The candidate index").
+/// The index only decides which *superset* of the covering cameras the
+/// classify kernel inspects; the kernel's exact radius/sector tests decide
+/// coverage, so results never depend on the index.
 
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
-#include <optional>
 #include <string_view>
 
 namespace fvc::core {
 
-/// The candidate-index variants.
-enum class IndexVariant : std::uint8_t {
-  kFlat = 0,
-  kHier = 1,
-  kStream = 2,
-};
-inline constexpr std::size_t kIndexVariantCount = 3;
-
-/// Radius-derived sizing rule shared by every index variant (and
-/// cross-referenced by the legacy per-query SpatialIndex): the bin cell
-/// side targets max_radius / kCellsPerRadius so a candidate span rarely
-/// spans more than a handful of cells per axis.
+/// Radius-derived sizing rule shared with the legacy per-query
+/// SpatialIndex: the strip side targets max_radius / kCellsPerRadius so a
+/// candidate window rarely spans more than a handful of cells per axis.
 inline constexpr double kCellsPerRadius = 3.0;
 
 /// Radii below this floor are treated as this floor by the sizing rules —
@@ -66,36 +27,9 @@ inline constexpr double kCellsPerRadius = 3.0;
 /// request an unbounded resolution.
 inline constexpr double kMinSizingRadius = 1e-6;
 
-/// Fine cells per coarse-tile side in the hierarchical index.
-inline constexpr std::size_t kHierSubdiv = 8;
-
-/// Occupied tiles with at most this many entries stay unsubdivided (the
-/// whole-tile span is already small enough to hand to the kernel).
-inline constexpr std::size_t kHierSubdivideThreshold = 16;
-
-/// Stable lower-case name ("flat", "hier", "stream").
-[[nodiscard]] std::string_view index_name(IndexVariant v);
-
-/// Inverse of index_name; nullopt for unknown names.
-[[nodiscard]] std::optional<IndexVariant> index_from_name(std::string_view name);
-
-/// The auto-dispatch choice (stream: fastest on every measured workload).
-[[nodiscard]] IndexVariant preferred_index();
-
-/// Programmatic pin: overrides both the environment and auto-dispatch
-/// until reset with nullopt.  Takes effect at the next engine
-/// construction; validity is checked by resolve_index, not here.
-void set_forced_index(std::optional<IndexVariant> v);
-[[nodiscard]] std::optional<IndexVariant> forced_index();
-
-/// The variant the next engine will use: programmatic pin, else
-/// FVC_FORCE_INDEX, else preferred_index().  Throws std::runtime_error
-/// when the environment names an unknown variant.
-[[nodiscard]] IndexVariant resolve_index();
-
-/// Process-wide dispatch counters: engines constructed per variant.
-/// Exported under the engine metrics node next to the kernel counters.
-void note_index_dispatch(IndexVariant v);
-[[nodiscard]] std::uint64_t index_dispatch_count(IndexVariant v);
+// The one index left; kept so benchmark records can still label the index.
+enum class IndexVariant : unsigned char { kStream };
+[[nodiscard]] constexpr IndexVariant resolve_index() { return IndexVariant::kStream; }
+[[nodiscard]] constexpr std::string_view index_name(IndexVariant) { return "stream"; }
 
 }  // namespace fvc::core

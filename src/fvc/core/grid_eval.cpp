@@ -4,11 +4,11 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <string>
 
+#include "fvc/core/candidate_index.hpp"
 #include "fvc/core/grid_eval_kernel.hpp"
 #include "fvc/geometry/angle.hpp"
 #include "fvc/geometry/sector.hpp"
@@ -19,8 +19,8 @@ namespace fvc::core {
 
 namespace {
 
-/// Absolute ceiling on index cells per side: keeps the fine-cell bucket
-/// key (cells^2) within the 32-bit counting-sort keys.  Far above any
+/// Absolute ceiling on index cells per side, bounding the strip table and
+/// the row slices' x-cell offsets for degenerate radii.  Far above any
 /// radius the sizing rule meets in practice (it binds only below
 /// max_radius ~ 5e-5); the per-grid 4 * side cap binds first on real
 /// configurations.
@@ -148,7 +148,96 @@ inline FullViewResult full_view_from_sorted(std::span<const double> sorted_dirs,
   return res;
 }
 
+/// One candidate's scalar classification against a point.
+struct EntryClass {
+  double dx = 0.0;  ///< unwrapped displacement point - camera
+  double dy = 0.0;
+  double n2 = 0.0;  ///< squared distance
+  bool covered = false;
+  bool band_hit = false;  ///< decided by the exact-arithmetic fallback
+};
+
+/// The engine's scalar classify: the one definition of its coverage
+/// arithmetic, which the lane template in grid_eval_kernel.hpp replicates
+/// operation for operation.  Displacement via the per-point torus unwrap
+/// (the subtraction, `d -= round(d)`, and the d >= 0.5 boundary fixup are
+/// `geom::wrap_delta` bit-for-bit; wrap_delta's d < -0.5 fixup is dead
+/// code, since a round-to-nearest remainder lies in [-0.5, +0.5]), hence
+/// bit-identical to geom::displacement; then the radius test on the
+/// squared distance and the trig-free field-of-view classifier — the
+/// real-math condition
+///     angular_distance(angle(d), orientation) <= fov/2
+///       <=>  dot(d, u) >= |d| * cos(fov/2)        (u = unit orientation)
+///       <=>  dot*|dot| >= q * |d|^2               (x*|x| is monotone)
+/// decided outside a 1e-9 relative band around the threshold.  Inside the
+/// band the scalar oracle's exact arithmetic decides (a point at the
+/// camera itself is covered), so the covered SET always matches `covers`.
+template <class View>
+inline EntryClass classify_scalar(const View& view, std::size_t e, const geom::Vec2& p,
+                                  bool torus, std::span<const Camera> cams) {
+  EntryClass c;
+  c.dx = p.x - view.sx()[e];
+  c.dy = p.y - view.sy()[e];
+  if (torus) {
+    c.dx -= std::round(c.dx);
+    if (c.dx >= 0.5) {
+      c.dx -= 1.0;
+    }
+    c.dy -= std::round(c.dy);
+    if (c.dy >= 0.5) {
+      c.dy -= 1.0;
+    }
+  }
+  c.n2 = c.dx * c.dx + c.dy * c.dy;
+  const double dot = c.dx * view.cu()[e] + c.dy * view.su()[e];
+  const double lhs = dot * std::abs(dot);
+  const double rhs = view.q()[e] * c.n2;
+  const double band = 1e-9 * c.n2;
+  const bool in_radius = c.n2 <= view.r2()[e];
+  const bool omni = std::bit_cast<std::uint64_t>(view.omni()[e]) != 0;
+  c.covered = in_radius & (omni | (lhs - rhs > band));
+  c.band_hit = in_radius & !omni & (std::abs(lhs - rhs) <= band);
+  if (c.band_hit) [[unlikely]] {
+    if (c.n2 == 0.0) {
+      c.covered = true;  // point coincides with the camera
+    } else {
+      const Camera& cam = cams[view.ids[e]];
+      c.covered = geom::angular_distance(std::atan2(c.dy, c.dx), cam.orientation) <=
+                  0.5 * cam.fov;
+    }
+  }
+  return c;
+}
+
 }  // namespace
+
+void GridRowStats::fold(const GridRowStats& next, bool first) {
+  covered_1 += next.covered_1;
+  necessary_ok += next.necessary_ok;
+  full_view_ok += next.full_view_ok;
+  sufficient_ok += next.sufficient_ok;
+  k_covered_ok += next.k_covered_ok;
+  if (first) {
+    min_max_gap = next.min_max_gap;
+    max_max_gap = next.max_max_gap;
+  } else {
+    min_max_gap = std::min(min_max_gap, next.min_max_gap);
+    max_max_gap = std::max(max_max_gap, next.max_max_gap);
+  }
+}
+
+RegionCoverageStats GridRowStats::region(std::size_t total_points) const {
+  RegionCoverageStats stats;
+  stats.total_points = total_points;
+  stats.covered_1 = covered_1;
+  stats.necessary_ok = necessary_ok;
+  stats.full_view_ok = full_view_ok;
+  stats.sufficient_ok = sufficient_ok;
+  stats.k_covered_ok = k_covered_ok;
+  stats.min_max_gap = min_max_gap;
+  stats.max_max_gap = max_max_gap;
+  return stats;
+}
 
 void GridEvalCounters::describe(obs::MetricsNode& node) const {
   node.add("points", static_cast<double>(points));
@@ -166,8 +255,6 @@ GridEvalEngine::GridEvalEngine(const Network& net, const DenseGrid& grid, double
   kernel_ = resolve_kernel();
   classify_ = classify_for(kernel_);
   note_kernel_dispatch(kernel_);
-  index_ = resolve_index();
-  note_index_dispatch(index_);
   generation_ = next_generation();
   necessary_arcs_ = geom::sector_partition(2.0 * theta);
   sufficient_arcs_ = geom::sector_partition(theta);
@@ -175,17 +262,7 @@ GridEvalEngine::GridEvalEngine(const Network& net, const DenseGrid& grid, double
                               "cameras", net.size());
   const std::uint64_t t0 = obs::monotonic_ns();
   compute_cells();
-  switch (index_) {
-    case IndexVariant::kFlat:
-      build_flat();
-      break;
-    case IndexVariant::kHier:
-      build_hier();
-      break;
-    case IndexVariant::kStream:
-      build_stream();
-      break;
-  }
+  build_index();
   build_ns_ = obs::monotonic_ns() - t0;
 }
 
@@ -202,45 +279,12 @@ GridEvalEngine::BinOccupancy GridEvalEngine::occupancy() const {
     }
     occ.max_per_cell = std::max(occ.max_per_cell, count);
   };
-  switch (index_) {
-    case IndexVariant::kFlat: {
-      occ.cells = cells_ * cells_;
-      occ.entries = cell_entries_.size();
-      for (std::size_t b = 0; b < occ.cells; ++b) {
-        tally(cell_offsets_[b + 1] - cell_offsets_[b]);
-      }
-      break;
-    }
-    case IndexVariant::kHier: {
-      // Bins are the index's leaves: whole tiles where unsubdivided, the
-      // tile-local fine cells where subdivided.
-      occ.entries = cell_entries_.size();
-      constexpr std::size_t kLocals = kHierSubdiv * kHierSubdiv;
-      for (std::size_t t = 0; t < tiles_ * tiles_; ++t) {
-        if (tile_slot_[t] == 0) {
-          ++occ.cells;
-          tally(tile_offsets_[t + 1] - tile_offsets_[t]);
-        } else {
-          occ.cells += kLocals;
-          const std::uint32_t* fo =
-              fine_offsets_.data() + (tile_slot_[t] - 1) * (kLocals + 1);
-          for (std::size_t i = 0; i < kLocals; ++i) {
-            tally(fo[i + 1] - fo[i]);
-          }
-        }
-      }
-      break;
-    }
-    case IndexVariant::kStream: {
-      // Bins are the y strips: the build-time structure (row slices are
-      // per-scratch and transient).
-      occ.cells = cells_;
-      occ.entries = strip_entries_.size();
-      for (std::size_t s = 0; s < cells_; ++s) {
-        tally(strip_offsets_[s + 1] - strip_offsets_[s]);
-      }
-      break;
-    }
+  // Bins are the y strips: the build-time structure (row slices are
+  // per-scratch and transient).
+  occ.cells = cells_;
+  occ.entries = strip_entries_.size();
+  for (std::size_t s = 0; s < cells_; ++s) {
+    tally(strip_offsets_[s + 1] - strip_offsets_[s]);
   }
   occ.mean_per_cell = occ.cells == 0
                           ? 0.0
@@ -251,10 +295,7 @@ GridEvalEngine::BinOccupancy GridEvalEngine::occupancy() const {
 
 std::size_t GridEvalEngine::index_bytes() const {
   const std::size_t u32 = sizeof(std::uint32_t);
-  return cell_offsets_.size() * u32 + cell_entries_.size() * u32 +
-         soa_.data.size() * sizeof(double) + tile_offsets_.size() * u32 +
-         tile_slot_.size() * u32 + fine_offsets_.size() * u32 +
-         strip_offsets_.size() * u32 + strip_entries_.size() * u32 +
+  return strip_offsets_.size() * u32 + strip_entries_.size() * u32 +
          cam_soa_.data.size() * sizeof(double);
 }
 
@@ -276,7 +317,6 @@ void GridEvalEngine::describe(obs::MetricsNode& node) const {
   node.add_elapsed_ns(build_ns_);
   node.child("build").add_elapsed_ns(build_ns_);
   describe_kernel_dispatch(kernel_, node);
-  describe_index_dispatch(index_, node);
 }
 
 void describe_kernel_dispatch(KernelVariant active, obs::MetricsNode& node) {
@@ -290,38 +330,20 @@ void describe_kernel_dispatch(KernelVariant active, obs::MetricsNode& node) {
   }
 }
 
-void describe_index_dispatch(IndexVariant active, obs::MetricsNode& node) {
-  node.set(std::string("index_") += index_name(active), 1.0);
-  obs::MetricsNode& disp = node.child("index_dispatch");
-  for (std::size_t i = 0; i < kIndexVariantCount; ++i) {
-    const auto v = static_cast<IndexVariant>(i);
-    disp.set(std::string("engines_") += index_name(v),
-             static_cast<double>(index_dispatch_count(v)));
-  }
-}
-
 void GridEvalEngine::compute_cells() {
   if (net_->cameras().size() > static_cast<std::size_t>(~std::uint32_t{0})) {
     throw std::invalid_argument("GridEvalEngine: too many cameras");
   }
-  // Cell sizing: correctness is set-based (every index answer is a superset
-  // of the covering cameras), so the cell count only trades build cost
-  // against candidate-list tightness.  Cells of about a third of the
+  // Cell sizing: correctness is set-based (every candidate span is a
+  // superset of the covering cameras), so the cell count only trades build
+  // cost against candidate-list tightness.  Cells of about a third of the
   // sensing radius keep the per-point candidate list within ~1.5x of the
   // true in-radius count; the caps bound construction cost on tiny grids
-  // and degenerate radii.  FVC_INDEX_CELL_CAP is a diagnostic override
-  // (benchmarks use it to reproduce the historical 256-cell clamp).
+  // and degenerate radii.
   const double r = std::max(net_->max_radius(), kMinSizingRadius);
   cells_target_ = static_cast<std::size_t>(std::ceil(kCellsPerRadius / r));
-  std::size_t cap = std::min<std::size_t>(
+  const std::size_t cap = std::min<std::size_t>(
       kAbsoluteMaxCells, 4 * std::max<std::size_t>(1, grid_.side()));
-  if (const char* env = std::getenv("FVC_INDEX_CELL_CAP");
-      env != nullptr && env[0] != '\0') {
-    const unsigned long v = std::strtoul(env, nullptr, 10);
-    if (v > 0) {
-      cap = std::min<std::size_t>(cap, v);
-    }
-  }
   cells_ = std::clamp<std::size_t>(cells_target_, 1, cap);
   if (net_->cameras().empty()) {
     cells_ = 1;
@@ -329,254 +351,7 @@ void GridEvalEngine::compute_cells() {
   cells_clamped_ = cells_ < cells_target_;
 }
 
-void GridEvalEngine::enumerate_cell_pairs(std::vector<CellPair>& pairs) const {
-  const std::span<const Camera> cams = net_->cameras();
-  const double h = 1.0 / static_cast<double>(cells_);
-  const auto c = static_cast<std::ptrdiff_t>(cells_);
-
-  // Enumerate, for each camera, the cells whose rectangle is within its
-  // sensing radius.  Positions are pre-wrapped into [0,1) (torus) or lie in
-  // [0,1] (plane), so the unwrapped window [pos - r, pos + r] is exact: on
-  // the torus a cell at axis distance <= r < 1/2 appears in the window with
-  // its short-way displacement, and windows spanning the whole circle are
-  // clamped to one copy of each cell.
-  pairs.clear();
-  // Reserve the worst-case window area so the push_back loop never
-  // reallocates (regrowth copies megabytes mid-enumeration).
-  const double rmax = std::max(net_->max_radius(), kMinSizingRadius);
-  const auto span_bound = std::min<std::size_t>(
-      cells_,
-      static_cast<std::size_t>(2.0 * rmax * static_cast<double>(cells_)) + 2);
-  pairs.reserve(cams.size() * span_bound * span_bound);
-  // Everything that depends on one axis only — wrapped index, squared
-  // rectangle distance — is hoisted out of the column x row product (the
-  // per-cell modulo by a runtime divisor otherwise dominates enumeration).
-  // Heap scratch sized to the actual resolution: the sizing rule is no
-  // longer clamped to a fixed array bound (y_span <= c <= cells_).
-  std::vector<std::uint32_t> by_arr(cells_);
-  std::vector<double> dy2_arr(cells_);
-  auto for_each_cell = [&](std::size_t i, const auto& emit) {
-    const Camera& cam = cams[i];
-    const double cr = cam.radius;
-    // In plane mode there is no wraparound coverage, so the window is
-    // clamped to the unit square; on the torus a window spanning the whole
-    // axis is clamped to one copy of each cell.
-    auto axis_range = [&](double pos, std::ptrdiff_t& lo, std::ptrdiff_t& span) {
-      lo = static_cast<std::ptrdiff_t>(std::floor((pos - cr) / h));
-      auto hi = static_cast<std::ptrdiff_t>(std::floor((pos + cr) / h));
-      if (mode_ == geom::SpaceMode::kPlane) {
-        lo = std::clamp<std::ptrdiff_t>(lo, 0, c - 1);
-        hi = std::clamp<std::ptrdiff_t>(hi, 0, c - 1);
-        span = hi - lo + 1;
-      } else {
-        span = std::min<std::ptrdiff_t>(hi - lo + 1, c);
-      }
-    };
-    std::ptrdiff_t x_lo = 0, x_span = 0, y_lo = 0, y_span = 0;
-    axis_range(cam.position.x, x_lo, x_span);
-    axis_range(cam.position.y, y_lo, y_span);
-    // The exact rectangle-distance prune is valid whenever the unwrapped
-    // cell coordinates are the short-way displacement: always in plane
-    // mode, and on the torus when neither axis window wraps fully.
-    const bool prune = mode_ == geom::SpaceMode::kPlane || (x_span < c && y_span < c);
-    const double r2 = cr * cr;
-    for (std::ptrdiff_t iy = 0; iy < y_span; ++iy) {
-      const std::ptrdiff_t cy = y_lo + iy;
-      const double cell_y_lo = static_cast<double>(cy) * h;
-      const double dy = std::max({0.0, cell_y_lo - cam.position.y,
-                                  cam.position.y - (cell_y_lo + h)});
-      dy2_arr[static_cast<std::size_t>(iy)] = dy * dy;
-      by_arr[static_cast<std::size_t>(iy)] =
-          static_cast<std::uint32_t>(((cy % c) + c) % c);
-    }
-    for (std::ptrdiff_t ix = 0; ix < x_span; ++ix) {
-      const std::ptrdiff_t cx = x_lo + ix;
-      const double cell_x_lo = static_cast<double>(cx) * h;
-      const double dx = std::max({0.0, cell_x_lo - cam.position.x,
-                                  cam.position.x - (cell_x_lo + h)});
-      const double dx2 = dx * dx;
-      const std::size_t bx = static_cast<std::size_t>(((cx % c) + c) % c);
-      const std::size_t row_base = bx * cells_;
-      for (std::ptrdiff_t iy = 0; iy < y_span; ++iy) {
-        if (prune && dx2 + dy2_arr[static_cast<std::size_t>(iy)] > r2) {
-          continue;
-        }
-        emit(row_base + by_arr[static_cast<std::size_t>(iy)]);
-      }
-    }
-  };
-
-  for (std::size_t i = 0; i < cams.size(); ++i) {
-    for_each_cell(i, [&](std::size_t bucket) {
-      pairs.push_back(
-          {static_cast<std::uint32_t>(bucket), static_cast<std::uint32_t>(i)});
-    });
-  }
-  if (pairs.size() > static_cast<std::size_t>(~std::uint32_t{0})) {
-    throw std::invalid_argument("GridEvalEngine: candidate index overflow");
-  }
-}
-
-void GridEvalEngine::fill_soa(CandSoA& soa, std::span<const std::uint32_t> ids) const {
-  const std::span<const Camera> cams = net_->cameras();
-  // Precompute one fused-kernel record per camera, not per entry — a
-  // camera typically appears in tens of cells, and the trig calls dominate
-  // the record.
-  struct CamRec {
-    double sx, sy, r2, cu, su, q, omni;
-  };
-  // The omni marker is an all-bits-set double so the lane kernel can OR it
-  // straight into its comparison masks; it is never used arithmetically.
-  const double omni_mask = std::bit_cast<double>(~std::uint64_t{0});
-  std::vector<CamRec> cam_recs(cams.size());
-  for (std::size_t i = 0; i < cams.size(); ++i) {
-    const Camera& cam = cams[i];
-    CamRec& rec = cam_recs[i];
-    rec.sx = cam.position.x;
-    rec.sy = cam.position.y;
-    rec.r2 = cam.radius * cam.radius;
-    rec.cu = std::cos(cam.orientation);
-    rec.su = std::sin(cam.orientation);
-    const double chs = std::cos(0.5 * cam.fov);
-    rec.q = chs * std::abs(chs);
-    rec.omni = 0.5 * cam.fov >= geom::kPi ? omni_mask : 0.0;
-  }
-  // Sequential writes to seven streams beat one scatter of 56-byte records
-  // by a wide margin.
-  soa.resize(ids.size());
-  double* const f_sx = soa.mut(0);
-  double* const f_sy = soa.mut(1);
-  double* const f_r2 = soa.mut(2);
-  double* const f_cu = soa.mut(3);
-  double* const f_su = soa.mut(4);
-  double* const f_q = soa.mut(5);
-  double* const f_om = soa.mut(6);
-  for (std::size_t w = 0; w < ids.size(); ++w) {
-    const CamRec& rec = cam_recs[ids[w]];
-    f_sx[w] = rec.sx;
-    f_sy[w] = rec.sy;
-    f_r2[w] = rec.r2;
-    f_cu[w] = rec.cu;
-    f_su[w] = rec.su;
-    f_q[w] = rec.q;
-    f_om[w] = rec.omni;
-  }
-}
-
-void GridEvalEngine::build_flat() {
-  std::vector<CellPair> pairs;
-  enumerate_cell_pairs(pairs);
-  const std::size_t buckets = cells_ * cells_;
-  // Counting-sort the pairs by cell so each cell's entries are one dense
-  // range the vectorized kernel consumes in whole lane groups.  Only the
-  // 4-byte camera ids are scattered; the SoA fields are then filled in a
-  // separate sequential pass.
-  cell_offsets_.assign(buckets + 1, 0);
-  for (const CellPair& pr : pairs) {
-    ++cell_offsets_[pr.key + 1];
-  }
-  for (std::size_t b = 0; b < buckets; ++b) {
-    cell_offsets_[b + 1] += cell_offsets_[b];
-  }
-  cell_entries_.resize(pairs.size());
-  std::vector<std::uint32_t> cursor(cell_offsets_.begin(), cell_offsets_.end() - 1);
-  for (const CellPair& pr : pairs) {
-    cell_entries_[cursor[pr.key]++] = pr.cam;
-  }
-  fill_soa(soa_, cell_entries_);
-}
-
-void GridEvalEngine::build_hier() {
-  std::vector<CellPair> pairs;
-  enumerate_cell_pairs(pairs);
-  tiles_ = (cells_ + kHierSubdiv - 1) / kHierSubdiv;
-  const std::size_t tcount = tiles_ * tiles_;
-  constexpr std::size_t kLocals = kHierSubdiv * kHierSubdiv;
-  // The fine-cell windows are the flat index's, but offsets exist only at
-  // tile granularity plus a pooled (sub^2+1)-slot table per *subdivided*
-  // tile — empty regions cost one offset per tile instead of kLocals, so
-  // memory tracks the occupied area on clustered deployments.
-  auto tile_of = [this](std::uint32_t key, std::size_t& local) {
-    const std::size_t bx = key / cells_;
-    const std::size_t by = key % cells_;
-    local = (bx % kHierSubdiv) * kHierSubdiv + (by % kHierSubdiv);
-    return (bx / kHierSubdiv) * tiles_ + (by / kHierSubdiv);
-  };
-  std::vector<std::uint32_t> raw_offsets(tcount + 1, 0);
-  std::size_t scratch_local = 0;
-  for (const CellPair& pr : pairs) {
-    ++raw_offsets[tile_of(pr.key, scratch_local) + 1];
-  }
-  for (std::size_t t = 0; t < tcount; ++t) {
-    raw_offsets[t + 1] += raw_offsets[t];
-  }
-  // Subdivide only tiles dense enough to repay 64 fine spans (measured on
-  // the replicated pair count — the cost a whole-tile span would hand the
-  // kernel).
-  tile_slot_.assign(tcount, 0);
-  std::uint32_t nsub = 0;
-  for (std::size_t t = 0; t < tcount; ++t) {
-    if (raw_offsets[t + 1] - raw_offsets[t] > kHierSubdivideThreshold) {
-      tile_slot_[t] = ++nsub;
-    }
-  }
-  // Scatter entries by tile, remembering each entry's tile-local cell.
-  std::vector<std::uint32_t> raw_entries(pairs.size());
-  std::vector<std::uint32_t> local(pairs.size());
-  std::vector<std::uint32_t> cursor(raw_offsets.begin(), raw_offsets.end() - 1);
-  for (const CellPair& pr : pairs) {
-    std::size_t li = 0;
-    const std::size_t t = tile_of(pr.key, li);
-    const std::uint32_t w = cursor[t]++;
-    raw_entries[w] = pr.cam;
-    local[w] = static_cast<std::uint32_t>(li);
-  }
-  // Compact per tile.  A subdivided tile keeps every (cell, camera) pair,
-  // counting-sorted by local cell (stable, so within a fine cell entries
-  // keep enumeration order like the flat index) with absolute pooled
-  // offsets.  An unsubdivided tile's WHOLE span goes to the kernel, so a
-  // camera overlapping several fine cells of the same tile must appear
-  // once, not once per cell — its range is deduplicated by camera id
-  // (candidate order is free: directions are sorted downstream).
-  cell_entries_.clear();
-  cell_entries_.reserve(pairs.size());
-  tile_offsets_.assign(tcount + 1, 0);
-  fine_offsets_.assign(static_cast<std::size_t>(nsub) * (kLocals + 1), 0);
-  std::vector<std::uint32_t> tmp_ids;
-  for (std::size_t t = 0; t < tcount; ++t) {
-    const std::uint32_t lo = raw_offsets[t];
-    const std::uint32_t hi = raw_offsets[t + 1];
-    const auto base = static_cast<std::uint32_t>(cell_entries_.size());
-    tile_offsets_[t] = base;
-    if (tile_slot_[t] == 0) {
-      tmp_ids.assign(raw_entries.begin() + lo, raw_entries.begin() + hi);
-      std::sort(tmp_ids.begin(), tmp_ids.end());
-      tmp_ids.erase(std::unique(tmp_ids.begin(), tmp_ids.end()), tmp_ids.end());
-      cell_entries_.insert(cell_entries_.end(), tmp_ids.begin(), tmp_ids.end());
-    } else {
-      std::uint32_t* fo =
-          fine_offsets_.data() + (tile_slot_[t] - 1) * (kLocals + 1);
-      std::uint32_t counts[kLocals + 1] = {0};
-      for (std::uint32_t w = lo; w < hi; ++w) {
-        ++counts[local[w] + 1];
-      }
-      for (std::size_t i = 0; i < kLocals; ++i) {
-        counts[i + 1] += counts[i];
-      }
-      for (std::size_t i = 0; i <= kLocals; ++i) {
-        fo[i] = base + counts[i];
-      }
-      cell_entries_.resize(base + (hi - lo));
-      for (std::uint32_t w = lo; w < hi; ++w) {
-        cell_entries_[base + counts[local[w]]++] = raw_entries[w];
-      }
-    }
-  }
-  tile_offsets_[tcount] = static_cast<std::uint32_t>(cell_entries_.size());
-  fill_soa(soa_, cell_entries_);
-}
-
-void GridEvalEngine::build_stream() {
+void GridEvalEngine::build_index() {
   const std::span<const Camera> cams = net_->cameras();
   const std::size_t n = cams.size();
   max_r_ = net_->max_radius();
@@ -600,11 +375,30 @@ void GridEvalEngine::build_stream() {
   for (std::size_t i = 0; i < n; ++i) {
     strip_entries_[cursor[strip[i]]++] = static_cast<std::uint32_t>(i);
   }
-  std::vector<std::uint32_t> identity(n);
+  // One fused-kernel record per camera, written as seven sequential field
+  // streams.  The omni marker is an all-bits-set double so the lane kernel
+  // can OR it straight into its comparison masks; it is never used
+  // arithmetically.
+  const double omni_mask = std::bit_cast<double>(~std::uint64_t{0});
+  cam_soa_.resize(n);
+  double* const f_sx = cam_soa_.mut(0);
+  double* const f_sy = cam_soa_.mut(1);
+  double* const f_r2 = cam_soa_.mut(2);
+  double* const f_cu = cam_soa_.mut(3);
+  double* const f_su = cam_soa_.mut(4);
+  double* const f_q = cam_soa_.mut(5);
+  double* const f_om = cam_soa_.mut(6);
   for (std::size_t i = 0; i < n; ++i) {
-    identity[i] = static_cast<std::uint32_t>(i);
+    const Camera& cam = cams[i];
+    f_sx[i] = cam.position.x;
+    f_sy[i] = cam.position.y;
+    f_r2[i] = cam.radius * cam.radius;
+    f_cu[i] = std::cos(cam.orientation);
+    f_su[i] = std::sin(cam.orientation);
+    const double chs = std::cos(0.5 * cam.fov);
+    f_q[i] = chs * std::abs(chs);
+    f_om[i] = 0.5 * cam.fov >= geom::kPi ? omni_mask : 0.0;
   }
-  fill_soa(cam_soa_, identity);
   // Slice window geometry.  The per-point x window is the real interval
   // [px - R, px + R] padded by one cell per side; the pad (>= 1/cells_)
   // swallows every floor-rounding discrepancy between the kernel's wrapped
@@ -614,30 +408,26 @@ void GridEvalEngine::build_stream() {
   // window then never contains both images of one camera (they are exactly
   // cells_ ext-cells apart, and the window is at most 2*ghost_ + 1 <
   // cells_ cells wide) — unless the band is too wide, in which case
-  // `stream_whole_` degrades every window to the whole slice (still
+  // `whole_row_` degrades every window to the whole slice (still
   // duplicate-free: one image per camera).
   ghost_ = static_cast<std::ptrdiff_t>(std::floor(max_r_ * sd)) + 2;
-  stream_whole_ = 2.0 * max_r_ + 2.0 / sd >= 1.0 ||
-                  static_cast<std::ptrdiff_t>(cells_) <= 2 * ghost_ + 2;
+  whole_row_ = 2.0 * max_r_ + 2.0 / sd >= 1.0 ||
+               static_cast<std::ptrdiff_t>(cells_) <= 2 * ghost_ + 2;
   if (mode_ == geom::SpaceMode::kPlane) {
     // No wraparound coverage: windows clamp to [0, cells_) instead.
     ghost_ = 0;
-    stream_whole_ = false;
+    whole_row_ = false;
   }
 }
 
-void GridEvalEngine::build_row_slice(std::size_t row, GridEvalScratch& scratch) const {
-  GridEvalScratch::RowSlice& sl = scratch.slice;
-  const double py = grid_.point(row, 0).y;
+void GridEvalEngine::gather_y_band(double y, std::vector<std::uint32_t>& out) const {
   const auto s_count = static_cast<std::ptrdiff_t>(cells_);
   const auto sd = static_cast<double>(cells_);
   const bool torus = mode_ == geom::SpaceMode::kTorus;
-  // 1. Walk the strips whose cameras could be within max_r_ of the row's y
-  //    (padded one strip per side; the per-camera prune decides exactly).
-  std::ptrdiff_t s_lo =
-      static_cast<std::ptrdiff_t>(std::floor((py - max_r_) * sd)) - 1;
-  std::ptrdiff_t s_hi =
-      static_cast<std::ptrdiff_t>(std::floor((py + max_r_) * sd)) + 1;
+  // Walk the strips whose cameras could be within max_r_ of y (padded one
+  // strip per side; the per-camera prune decides exactly).
+  std::ptrdiff_t s_lo = static_cast<std::ptrdiff_t>(std::floor((y - max_r_) * sd)) - 1;
+  std::ptrdiff_t s_hi = static_cast<std::ptrdiff_t>(std::floor((y + max_r_) * sd)) + 1;
   std::ptrdiff_t s_span;
   if (torus) {
     s_span = std::min(s_hi - s_lo + 1, s_count);
@@ -646,8 +436,6 @@ void GridEvalEngine::build_row_slice(std::size_t row, GridEvalScratch& scratch) 
     s_hi = std::clamp<std::ptrdiff_t>(s_hi, 0, s_count - 1);
     s_span = s_hi - s_lo + 1;
   }
-  std::vector<std::uint32_t>& surv = sl.survivors;
-  surv.clear();
   const double* const cam_sy = cam_soa_.sy();
   const double* const cam_r2 = cam_soa_.r2();
   for (std::ptrdiff_t is = 0; is < s_span; ++is) {
@@ -660,9 +448,9 @@ void GridEvalEngine::build_row_slice(std::size_t row, GridEvalScratch& scratch) 
       // Exact y prune, using the kernel's own displacement sequence: the
       // fused distance test satisfies fl(fl(dx^2) + fl(dy^2)) >= fl(dy^2)
       // (rounding is monotone, fl(dx^2) >= 0), so fl(dy^2) > r^2 implies
-      // the kernel rejects this camera at every point of the row —
-      // dropping it cannot change any covered set.
-      double dy = py - cam_sy[cam];
+      // the kernel rejects this camera at every point at this y — dropping
+      // it cannot change any covered set.
+      double dy = y - cam_sy[cam];
       if (torus) {
         dy -= std::round(dy);
         if (dy >= 0.5) {
@@ -672,22 +460,33 @@ void GridEvalEngine::build_row_slice(std::size_t row, GridEvalScratch& scratch) 
       if (dy * dy > cam_r2[cam]) {
         continue;
       }
-      surv.push_back(cam);
+      out.push_back(cam);
     }
   }
+}
+
+void GridEvalEngine::build_row_slice(std::size_t row, GridEvalScratch& scratch) const {
+  GridEvalScratch::RowSlice& sl = scratch.slice;
+  const double py = grid_.point(row, 0).y;
+  const auto s_count = static_cast<std::ptrdiff_t>(cells_);
+  const auto sd = static_cast<double>(cells_);
+  const bool torus = mode_ == geom::SpaceMode::kTorus;
+  // 1. The cameras whose disc can reach the row's y.
+  std::vector<std::uint32_t>& surv = sl.survivors;
+  surv.clear();
+  gather_y_band(py, surv);
   // 2. Bucket survivors by extended x cell (main image + at most one ghost
   //    image per seam side) so every point window is one contiguous,
   //    duplicate-free range.
-  const std::ptrdiff_t g = (torus && !stream_whole_) ? ghost_ : 0;
-  const std::size_t ecells =
-      stream_whole_ ? 1 : cells_ + static_cast<std::size_t>(2 * g);
+  const std::ptrdiff_t g = (torus && !whole_row_) ? ghost_ : 0;
+  const std::size_t ecells = whole_row_ ? 1 : cells_ + static_cast<std::size_t>(2 * g);
   sl.offsets.assign(ecells + 1, 0);
   const double* const cam_sx = cam_soa_.sx();
   auto xcell_of = [&](std::uint32_t cam) {
     return static_cast<std::ptrdiff_t>(std::min<std::size_t>(
         static_cast<std::size_t>(std::max(cam_sx[cam], 0.0) * sd), cells_ - 1));
   };
-  if (stream_whole_) {
+  if (whole_row_) {
     sl.offsets[1] = static_cast<std::uint32_t>(surv.size());
     sl.ids.assign(surv.begin(), surv.end());
   } else {
@@ -733,46 +532,16 @@ void GridEvalEngine::build_row_slice(std::size_t row, GridEvalScratch& scratch) 
   sl.row = row;
 }
 
-GridEvalEngine::CandView GridEvalEngine::flat_view(const geom::Vec2& p) const {
-  const std::size_t b = point_cell(p);
-  const std::uint32_t lo = cell_offsets_[b];
-  return {soa_.data.data() + lo, soa_.stride, cell_entries_.data() + lo,
-          cell_offsets_[b + 1] - lo};
-}
-
-GridEvalEngine::CandView GridEvalEngine::hier_view(const geom::Vec2& p) const {
-  const auto c = static_cast<double>(cells_);
-  const auto fx = std::min<std::size_t>(
-      static_cast<std::size_t>(std::max(p.x, 0.0) * c), cells_ - 1);
-  const auto fy = std::min<std::size_t>(
-      static_cast<std::size_t>(std::max(p.y, 0.0) * c), cells_ - 1);
-  const std::size_t t = (fx / kHierSubdiv) * tiles_ + (fy / kHierSubdiv);
-  std::uint32_t lo = 0;
-  std::uint32_t hi = 0;
-  if (tile_slot_[t] == 0) {
-    lo = tile_offsets_[t];
-    hi = tile_offsets_[t + 1];
-  } else {
-    constexpr std::size_t kLocals = kHierSubdiv * kHierSubdiv;
-    const std::size_t li = (fx % kHierSubdiv) * kHierSubdiv + (fy % kHierSubdiv);
-    const std::uint32_t* fo =
-        fine_offsets_.data() + (tile_slot_[t] - 1) * (kLocals + 1);
-    lo = fo[li];
-    hi = fo[li + 1];
-  }
-  return {soa_.data.data() + lo, soa_.stride, cell_entries_.data() + lo, hi - lo};
-}
-
-GridEvalEngine::CandView GridEvalEngine::stream_view(std::size_t row,
-                                                     const geom::Vec2& p,
-                                                     GridEvalScratch& scratch) const {
+GridEvalEngine::CandView GridEvalEngine::point_view(std::size_t row,
+                                                    const geom::Vec2& p,
+                                                    GridEvalScratch& scratch) const {
   GridEvalScratch::RowSlice& sl = scratch.slice;
   if (sl.engine_gen != generation_ || sl.row != row) {
     build_row_slice(row, scratch);
   }
   std::size_t lo = 0;
   std::size_t hi = 0;
-  if (stream_whole_) {
+  if (whole_row_) {
     hi = sl.ids.size();
   } else {
     const auto sd = static_cast<double>(cells_);
@@ -793,82 +562,13 @@ GridEvalEngine::CandView GridEvalEngine::stream_view(std::size_t row,
   return {sl.soa.data() + lo, sl.stride, sl.ids.data() + lo, hi - lo};
 }
 
-GridEvalEngine::CandView GridEvalEngine::point_view(std::size_t row,
-                                                    const geom::Vec2& p,
-                                                    GridEvalScratch& scratch) const {
-  switch (index_) {
-    case IndexVariant::kFlat:
-      return flat_view(p);
-    case IndexVariant::kHier:
-      return hier_view(p);
-    case IndexVariant::kStream:
-      return stream_view(row, p, scratch);
-  }
-  return {};
-}
-
-std::size_t GridEvalEngine::point_cell(const geom::Vec2& p) const {
-  const auto c = static_cast<double>(cells_);
-  const auto cx = std::min<std::size_t>(static_cast<std::size_t>(std::max(p.x, 0.0) * c),
-                                        cells_ - 1);
-  const auto cy = std::min<std::size_t>(static_cast<std::size_t>(std::max(p.y, 0.0) * c),
-                                        cells_ - 1);
-  return cx * cells_ + cy;
-}
-
 std::span<const std::uint32_t> GridEvalEngine::candidates(const geom::Vec2& p) const {
-  switch (index_) {
-    case IndexVariant::kFlat: {
-      const CandView v = flat_view(p);
-      return {v.ids, v.count};
-    }
-    case IndexVariant::kHier: {
-      const CandView v = hier_view(p);
-      return {v.ids, v.count};
-    }
-    case IndexVariant::kStream:
-      break;
-  }
-  // Stream: no per-cell table exists; answer from the strip index with the
-  // exact y prune at p (the kernel's own displacement sequence, so every
-  // covering camera survives).  Unfiltered in x — still a duplicate-free
-  // superset, each camera is binned exactly once.
+  // No per-point table exists: answer from the strip index with the exact
+  // y prune at p (so every covering camera survives).  Unfiltered in x —
+  // still a duplicate-free superset, each camera is binned exactly once.
   static thread_local std::vector<std::uint32_t> buf;
   buf.clear();
-  const auto s_count = static_cast<std::ptrdiff_t>(cells_);
-  const auto sd = static_cast<double>(cells_);
-  const bool torus = mode_ == geom::SpaceMode::kTorus;
-  std::ptrdiff_t s_lo =
-      static_cast<std::ptrdiff_t>(std::floor((p.y - max_r_) * sd)) - 1;
-  std::ptrdiff_t s_hi =
-      static_cast<std::ptrdiff_t>(std::floor((p.y + max_r_) * sd)) + 1;
-  std::ptrdiff_t s_span;
-  if (torus) {
-    s_span = std::min(s_hi - s_lo + 1, s_count);
-  } else {
-    s_lo = std::clamp<std::ptrdiff_t>(s_lo, 0, s_count - 1);
-    s_hi = std::clamp<std::ptrdiff_t>(s_hi, 0, s_count - 1);
-    s_span = s_hi - s_lo + 1;
-  }
-  const double* const cam_sy = cam_soa_.sy();
-  const double* const cam_r2 = cam_soa_.r2();
-  for (std::ptrdiff_t is = 0; is < s_span; ++is) {
-    const auto s =
-        static_cast<std::size_t>((((s_lo + is) % s_count) + s_count) % s_count);
-    for (std::uint32_t e = strip_offsets_[s]; e < strip_offsets_[s + 1]; ++e) {
-      const std::uint32_t cam = strip_entries_[e];
-      double dy = p.y - cam_sy[cam];
-      if (torus) {
-        dy -= std::round(dy);
-        if (dy >= 0.5) {
-          dy -= 1.0;
-        }
-      }
-      if (dy * dy <= cam_r2[cam]) {
-        buf.push_back(cam);
-      }
-    }
-  }
+  gather_y_band(p.y, buf);
   return {buf.data(), buf.size()};
 }
 
@@ -881,63 +581,19 @@ void GridEvalEngine::classify_entry(const CandView& view, std::size_t e,
                                     const geom::Vec2& p, GridEvalScratch& scratch,
                                     std::vector<double>& out, double* xs, double* ys,
                                     std::size_t& m) const {
-  // The scalar oracle path, one entry at a time: displacement via the
-  // per-point torus unwrap — the subtraction, `d -= round(d)`, and the
-  // d >= 0.5 boundary fixup are `geom::wrap_delta` bit-for-bit
-  // (wrap_delta's d < -0.5 fixup is dead code: a round-to-nearest
-  // remainder lies in [-0.5, +0.5]), hence bit-identical to
-  // geom::displacement — then the radius test on the squared distance and
-  // trig-free field-of-view classifier — the real-math condition
-  //     angular_distance(angle(d), orientation) <= fov/2
-  //       <=>  dot(d, u) >= |d| * cos(fov/2)        (u = unit orientation)
-  //       <=>  dot*|dot| >= q * |d|^2               (x*|x| is monotone)
-  // decided outside a 1e-9 relative band around the threshold; inside the
-  // band the scalar oracle's exact arithmetic is used, so the covered SET
-  // always matches `covers`.  The vectorized kernels replicate exactly
-  // this operation sequence per lane and route band/zero-distance lanes
-  // back here, so every variant stays bit-identical.  The rare-branch
-  // counters sit inside already-[[unlikely]] blocks.
-  GridEvalCounters* const ctr = scratch.counters;
-  double dx = p.x - view.sx()[e];
-  double dy = p.y - view.sy()[e];
-  if (mode_ == geom::SpaceMode::kTorus) {
-    dx -= std::round(dx);
-    if (dx >= 0.5) {
-      dx -= 1.0;
-    }
-    dy -= std::round(dy);
-    if (dy >= 0.5) {
-      dy -= 1.0;
-    }
+  const EntryClass c =
+      classify_scalar(view, e, p, mode_ == geom::SpaceMode::kTorus, net_->cameras());
+  if (c.band_hit && scratch.counters != nullptr) [[unlikely]] {
+    ++scratch.counters->trig_fallbacks;
   }
-  const double n2 = dx * dx + dy * dy;
-  const double dot = dx * view.cu()[e] + dy * view.su()[e];
-  const double lhs = dot * std::abs(dot);
-  const double rhs = view.q()[e] * n2;
-  const double band = 1e-9 * n2;
-  const bool in_radius = n2 <= view.r2()[e];
-  const bool omni = std::bit_cast<std::uint64_t>(view.omni()[e]) != 0;
-  bool covered = in_radius & (omni | (lhs - rhs > band));
-  if (in_radius & !omni & (std::abs(lhs - rhs) <= band)) [[unlikely]] {
-    if (ctr != nullptr) {
-      ++ctr->trig_fallbacks;
-    }
-    if (n2 == 0.0) {
-      out.push_back(0.0);  // point coincides with the camera
-      return;
-    }
-    const Camera& cam = net_->cameras()[view.ids[e]];
-    covered =
-        geom::angular_distance(std::atan2(dy, dx), cam.orientation) <= 0.5 * cam.fov;
-  }
-  if (covered & (n2 == 0.0)) [[unlikely]] {  // omni camera at the point
+  if (c.covered & (c.n2 == 0.0)) [[unlikely]] {  // point at the camera
     out.push_back(0.0);
     return;
   }
   // Branchless compaction: always write, advance on coverage.
-  xs[m] = dx;
-  ys[m] = dy;
-  m += static_cast<std::size_t>(covered);
+  xs[m] = c.dx;
+  ys[m] = c.dy;
+  m += static_cast<std::size_t>(c.covered);
 }
 
 void GridEvalEngine::gather_directions(const geom::Vec2& p, const CandView& view,
@@ -1015,36 +671,7 @@ std::size_t GridEvalEngine::covered_count_at_least(const geom::Vec2& p,
   const bool torus = mode_ == geom::SpaceMode::kTorus;
   std::size_t count = 0;
   for (std::size_t e = 0; e < view.count && count < k; ++e) {
-    double dx = p.x - view.sx()[e];
-    double dy = p.y - view.sy()[e];
-    if (torus) {
-      dx -= std::round(dx);
-      if (dx >= 0.5) {
-        dx -= 1.0;
-      }
-      dy -= std::round(dy);
-      if (dy >= 0.5) {
-        dy -= 1.0;
-      }
-    }
-    const double n2 = dx * dx + dy * dy;
-    const double dot = dx * view.cu()[e] + dy * view.su()[e];
-    const double lhs = dot * std::abs(dot);
-    const double rhs = view.q()[e] * n2;
-    const double band = 1e-9 * n2;
-    const bool in_radius = n2 <= view.r2()[e];
-    const bool omni = std::bit_cast<std::uint64_t>(view.omni()[e]) != 0;
-    bool covered = in_radius & (omni | (lhs - rhs > band));
-    if (in_radius & !omni & (std::abs(lhs - rhs) <= band)) [[unlikely]] {
-      if (n2 == 0.0) {
-        ++count;  // point coincides with the camera: always covered
-        continue;
-      }
-      const Camera& cam = cams[view.ids[e]];
-      covered =
-          geom::angular_distance(std::atan2(dy, dx), cam.orientation) <= 0.5 * cam.fov;
-    }
-    count += static_cast<std::size_t>(covered);
+    count += static_cast<std::size_t>(classify_scalar(view, e, p, torus, cams).covered);
   }
   return count;
 }
@@ -1107,18 +734,10 @@ void GridEvalEngine::sort_directions(GridEvalScratch& scratch) {
 
 GridEvalEngine::CandView GridEvalEngine::arbitrary_view(
     const geom::Vec2& p, GridEvalScratch& scratch) const {
-  switch (index_) {
-    case IndexVariant::kFlat:
-      return flat_view(p);
-    case IndexVariant::kHier:
-      return hier_view(p);
-    case IndexVariant::kStream:
-      break;
-  }
-  // Stream: `candidates(p)` prunes the strip bins by exact y distance —
-  // still a duplicate-free superset of the covering set — and the per-id
-  // records are copied field-by-field out of the per-camera pool, so the
-  // classify pipeline sees the exact bits `fill_soa` wrote.
+  // `candidates(p)` prunes the strip bins by exact y distance — still a
+  // duplicate-free superset of the covering set — and the per-id records
+  // are copied field-by-field out of the per-camera pool, so the classify
+  // pipeline sees the exact bits `build_index` wrote.
   const std::span<const std::uint32_t> ids = candidates(p);
   const std::size_t n = ids.size();
   scratch.point_ids.assign(ids.begin(), ids.end());
@@ -1197,24 +816,9 @@ GridRowStats GridEvalEngine::row_stats(std::size_t row, GridEvalScratch& scratch
 
 GridRowStats GridEvalEngine::block_stats(std::size_t row_begin, std::size_t row_end,
                                          GridEvalScratch& scratch) const {
-  // Row-order fold, initialized from the first row: identical to the slice
-  // [row_begin, row_end) of the serial reduction in `evaluate`, so block
-  // partitions recombine bit-exactly.
   GridRowStats acc;
   for (std::size_t row = row_begin; row < row_end; ++row) {
-    const GridRowStats rs = row_stats(row, scratch);
-    acc.covered_1 += rs.covered_1;
-    acc.necessary_ok += rs.necessary_ok;
-    acc.full_view_ok += rs.full_view_ok;
-    acc.sufficient_ok += rs.sufficient_ok;
-    acc.k_covered_ok += rs.k_covered_ok;
-    if (row == row_begin) {
-      acc.min_max_gap = rs.min_max_gap;
-      acc.max_max_gap = rs.max_max_gap;
-    } else {
-      acc.min_max_gap = std::min(acc.min_max_gap, rs.min_max_gap);
-      acc.max_max_gap = std::max(acc.max_max_gap, rs.max_max_gap);
-    }
+    acc.fold(row_stats(row, scratch), row == row_begin);
   }
   return acc;
 }
@@ -1223,24 +827,7 @@ RegionCoverageStats GridEvalEngine::evaluate(GridEvalScratch& scratch) const {
   const obs::TraceScope scope("engine.evaluate", obs::TraceCategory::kEngine,
                               "points", grid_.size(), "kernel_lanes",
                               kernel_lanes(kernel_));
-  RegionCoverageStats stats;
-  stats.total_points = grid_.size();
-  for (std::size_t row = 0; row < rows(); ++row) {
-    const GridRowStats rs = row_stats(row, scratch);
-    stats.covered_1 += rs.covered_1;
-    stats.necessary_ok += rs.necessary_ok;
-    stats.full_view_ok += rs.full_view_ok;
-    stats.sufficient_ok += rs.sufficient_ok;
-    stats.k_covered_ok += rs.k_covered_ok;
-    if (row == 0) {
-      stats.min_max_gap = rs.min_max_gap;
-      stats.max_max_gap = rs.max_max_gap;
-    } else {
-      stats.min_max_gap = std::min(stats.min_max_gap, rs.min_max_gap);
-      stats.max_max_gap = std::max(stats.max_max_gap, rs.max_max_gap);
-    }
-  }
-  return stats;
+  return block_stats(0, rows(), scratch).region(grid_.size());
 }
 
 GridRowEvents GridEvalEngine::row_events(std::size_t row, GridEvalScratch& scratch,

@@ -9,14 +9,12 @@
 /// partition and re-sort the directions.  This engine restructures that
 /// work into a cache-friendly pipeline:
 ///
-///   1. *Candidate indexing* — one pass over the cameras builds a spatial
-///      index that answers "which cameras might cover this point?" with a
-///      contiguous span per grid point.  Three interchangeable variants
-///      (candidate_index.hpp: flat uniform CSR, hier two-level tiles,
-///      stream row-sliced — selectable via FVC_FORCE_INDEX or the CLI's
-///      --index) trade build cost, memory, and lookup tightness; all are
-///      supersets of the covering set, so results never depend on the
-///      choice.
+///   1. *Candidate indexing* — one pass over the cameras bins them by y
+///      strip (candidate_index.hpp); each grid row then materialises a
+///      compacted slice of the cameras that can reach it, bucketed by x
+///      cell, so "which cameras might cover this point?" is one contiguous
+///      span per grid point.  Every span is a superset of the covering
+///      set, so results never depend on the index.
 ///   2. *Fused kernel* — per point, the viewed angles of covering cameras
 ///      are gathered into a reusable scratch buffer and sorted in place
 ///      once; the exact max-gap test and both sector conditions are then
@@ -38,10 +36,10 @@
 ///      to `sim::parallel_for_blocked` via `block_stats` and merge the
 ///      per-block results in block order (`sim::evaluate_region_parallel`),
 ///      which keeps results bit-identical for any thread count and grain.
-///      The stream index piggybacks on this shape: each worker's scratch
-///      caches the current row's candidate slice, built once per
-///      (engine, row) and reused across the row's points and across the
-///      blocks a worker claims.
+///      The index piggybacks on this shape: each worker's scratch caches
+///      the current row's candidate slice, built once per (engine, row)
+///      and reused across the row's points and across the blocks a worker
+///      claims.
 ///
 /// Determinism contract: for a fixed (network, grid, theta) every method is
 /// a pure function of its arguments, and every result is **bit-identical**
@@ -50,8 +48,7 @@
 /// gathers exactly the same set of covering cameras and replicates the
 /// oracle's floating-point arithmetic.  `tests/core/test_grid_eval.cpp`
 /// enforces this differentially over randomized deployments, and
-/// `tests/core/test_candidate_index.cpp` over index variants and
-/// clustered deployments.
+/// `tests/core/test_candidate_index.cpp` over clustered deployments.
 
 #pragma once
 
@@ -59,7 +56,6 @@
 #include <span>
 #include <vector>
 
-#include "fvc/core/candidate_index.hpp"
 #include "fvc/core/cpu_features.hpp"
 #include "fvc/core/full_view.hpp"
 #include "fvc/core/grid.hpp"
@@ -92,8 +88,8 @@ using ClassifyFn = ClassifyResult (*)(const CandSpans& c, std::size_t count,
 /// the kernel pays one pointer test per grid *point*, never per
 /// candidate, and results are unchanged either way (counting does not
 /// touch the arithmetic).  `candidates_total` / `candidates_per_point`
-/// describe the active index's candidate spans, so they legitimately
-/// differ across index variants; every other field is index-invariant.
+/// describe the index's candidate spans (a superset of the covering set);
+/// every other field depends only on the covering set.
 struct GridEvalCounters {
   std::uint64_t points = 0;            ///< grid points gathered
   std::uint64_t candidates_total = 0;  ///< indexed candidates scanned
@@ -126,17 +122,15 @@ struct GridEvalScratch {
   /// Optional metrics destination; null (the default) disables counting.
   GridEvalCounters* counters = nullptr;
 
-  /// Arbitrary-point candidate view (stream index only): the compacted
-  /// SoA records of the candidates near one off-lattice point, copied out
-  /// of the per-camera pool, plus the parallel camera ids.  `eval_point`
-  /// materialises these; the table indexes answer from their own pools
-  /// and never touch them.
+  /// Arbitrary-point candidate view: the compacted SoA records of the
+  /// candidates near one off-lattice point, copied out of the per-camera
+  /// pool, plus the parallel camera ids.  `eval_point` materialises these.
   std::vector<double> point_soa;
   std::vector<std::uint32_t> point_ids;
 
-  /// Stream-index row slice: the compacted SoA of cameras whose disc can
-  /// reach one grid row's y band, bucketed by extended x cell (ghost
-  /// columns replicate near-seam cameras so every per-point window is one
+  /// Row slice: the compacted SoA of cameras whose disc can reach one
+  /// grid row's y band, bucketed by extended x cell (ghost columns
+  /// replicate near-seam cameras so every per-point window is one
   /// contiguous, duplicate-free range).  Built lazily, keyed by
   /// (engine generation, row) so a scratch can serve many engines and a
   /// worker revisits a row's slice for free across block_stats blocks.
@@ -162,6 +156,17 @@ struct GridRowStats {
   std::size_t k_covered_ok = 0;
   double min_max_gap = 0.0;  ///< over the row's points
   double max_max_gap = 0.0;
+
+  /// Fold `next` — the stats of the rows that follow, in scan order — into
+  /// this: counts add, and the gap extremes start from the first folded
+  /// value (`first`) then take min/max.  The one reduction behind serial,
+  /// blocked and cached scans: folding the per-block results of any row
+  /// partition in block order replays the row-order fold exactly, which
+  /// is the bit-identity contract between them.
+  void fold(const GridRowStats& next, bool first);
+
+  /// The region-level view of a fold over `total_points` points.
+  [[nodiscard]] RegionCoverageStats region(std::size_t total_points) const;
 };
 
 /// Fused three-predicate answer at one (possibly off-lattice) point.
@@ -258,20 +263,19 @@ class GridEvalEngine {
                                      GridEvalScratch& scratch) const;
 
   /// Candidate camera indices for the point `p` — a duplicate-free
-  /// superset of the cameras covering `p` (for the table indexes: of any
-  /// point in `p`'s cell).  With the stream index the span aliases a
-  /// thread-local buffer and is invalidated by the next call on the same
-  /// thread; the table indexes return a stable span into the engine.
+  /// superset of the cameras covering `p` (pruned by y distance only).
+  /// The span aliases a thread-local buffer and is invalidated by the next
+  /// call on the same thread.
   [[nodiscard]] std::span<const std::uint32_t> candidates(const geom::Vec2& p) const;
 
-  /// Exact candidate-span width the active index hands the kernel for
+  /// Exact candidate-span width the index hands the kernel for
   /// grid point (row, col) — the per-point cost the candidates-per-point
   /// budget gates (tools/bench_scale).
   [[nodiscard]] std::size_t point_candidate_count(std::size_t row, std::size_t col,
                                                   GridEvalScratch& scratch) const;
 
-  /// Index resolution per side (diagnostics / tests).  All variants size
-  /// by the same radius-derived rule, so this is index-invariant.
+  /// Index resolution per side (diagnostics / tests): the y strips and
+  /// the row slices' x cells, sized by the radius-derived rule.
   [[nodiscard]] std::size_t cells_per_side() const { return cells_; }
 
   /// The sizing rule's pre-cap target, and whether the cap bit (so a
@@ -279,17 +283,16 @@ class GridEvalEngine {
   [[nodiscard]] std::size_t cells_target() const { return cells_target_; }
   [[nodiscard]] bool cells_clamped() const { return cells_clamped_; }
 
-  /// Heap bytes held by the candidate index (offsets + entries + SoA
-  /// pools).  The hierarchical index's memory-bound contract is asserted
-  /// against this in tests/core/test_candidate_index.cpp.
+  /// Heap bytes held by the candidate index (strip offsets + entries +
+  /// the per-camera SoA pool; row slices are per scratch).
   [[nodiscard]] std::size_t index_bytes() const;
 
   /// Wall time spent building the candidate index in the constructor (the
   /// "build" stage; always measured — one clock pair per construction).
   [[nodiscard]] std::uint64_t build_ns() const { return build_ns_; }
 
-  /// Candidate-bin shape, computed on demand.  Bins are the active
-  /// index's leaves: flat cells, hier tiles/fine cells, stream strips.
+  /// Candidate-bin shape, computed on demand.  Bins are the index's y
+  /// strips (row slices are per scratch and transient).
   struct BinOccupancy {
     std::size_t cells = 0;         ///< total bins
     std::size_t entries = 0;       ///< (bin, camera) entries
@@ -300,16 +303,13 @@ class GridEvalEngine {
   [[nodiscard]] BinOccupancy occupancy() const;
 
   /// Export the engine's static shape (bin occupancy, build time, camera
-  /// count, active kernel/index and dispatch counters) into a metrics
+  /// count, active kernel and its dispatch counters) into a metrics
   /// node; dynamic counters come from the scratch's `GridEvalCounters`
   /// and are merged in by the caller.
   void describe(obs::MetricsNode& node) const;
 
   /// The kernel variant runtime dispatch selected for this engine.
   [[nodiscard]] KernelVariant kernel() const { return kernel_; }
-
-  /// The candidate-index variant runtime dispatch selected for this engine.
-  [[nodiscard]] IndexVariant index() const { return index_; }
 
  private:
   /// Candidate records in structure-of-arrays layout: one parallel span
@@ -341,11 +341,10 @@ class GridEvalEngine {
     // NOLINTEND(readability-identifier-naming)
   };
 
-  /// A resolved candidate span for one grid point, independent of which
-  /// index produced it: SoA field pointers pre-offset to the span start
-  /// (field f at `base + f * stride`), plus the parallel camera ids the
-  /// exact-arithmetic fallback needs.  This is the one seam between the
-  /// index variants and the (index-agnostic) classify/gather pipeline.
+  /// A resolved candidate span for one point: SoA field pointers
+  /// pre-offset to the span start (field f at `base + f * stride`), plus
+  /// the parallel camera ids the exact-arithmetic fallback needs.  This is
+  /// the seam between the index and the classify/gather pipeline.
   struct CandView {
     const double* base = nullptr;
     std::size_t stride = 0;
@@ -362,40 +361,27 @@ class GridEvalEngine {
     // NOLINTEND(readability-identifier-naming)
   };
 
-  /// Shared sizing: cells_ / cells_target_ / cells_clamped_ from the
+  /// Sizing: cells_ / cells_target_ / cells_clamped_ from the
   /// radius-derived rule (candidate_index.hpp).
   void compute_cells();
 
-  /// Index builders (exactly one runs, per the dispatched variant).
-  void build_flat();
-  void build_hier();
-  void build_stream();
+  /// Bin the cameras into y strips and fill the per-camera SoA pool.
+  void build_index();
 
-  /// (camera, fine cell) window enumeration shared by flat and hier.
-  struct CellPair {
-    std::uint32_t key;  ///< fine-cell bucket (counting-sort key)
-    std::uint32_t cam;
-  };
-  void enumerate_cell_pairs(std::vector<CellPair>& pairs) const;
+  /// Append to `out` the ids of the cameras whose y distance to `y` passes
+  /// the kernel's exact y prune — the strip walk shared by row slices and
+  /// `candidates(p)`.
+  void gather_y_band(double y, std::vector<std::uint32_t>& out) const;
 
-  /// Fill `soa` with the per-camera fused-kernel record of each id in
-  /// `ids` (flat/hier: one per entry; stream: one per camera).
-  void fill_soa(CandSoA& soa, std::span<const std::uint32_t> ids) const;
-
-  /// Per-variant span resolution.  `stream_view` materialises (or reuses)
+  /// Span resolution for grid point `p` on `row`: materialises (or reuses)
   /// the row slice in `scratch`.
-  [[nodiscard]] CandView flat_view(const geom::Vec2& p) const;
-  [[nodiscard]] CandView hier_view(const geom::Vec2& p) const;
-  [[nodiscard]] CandView stream_view(std::size_t row, const geom::Vec2& p,
-                                     GridEvalScratch& scratch) const;
   [[nodiscard]] CandView point_view(std::size_t row, const geom::Vec2& p,
                                     GridEvalScratch& scratch) const;
   void build_row_slice(std::size_t row, GridEvalScratch& scratch) const;
 
-  /// Row-independent span resolution for `eval_point`: table indexes
-  /// answer positionally; the stream index compacts the `candidates(p)`
-  /// ids into `scratch.point_soa` / `scratch.point_ids` (no row slice —
-  /// an off-lattice y has no grid row).
+  /// Row-independent span resolution for `eval_point`: compacts the
+  /// `candidates(p)` ids into `scratch.point_soa` / `scratch.point_ids`
+  /// (no row slice — an off-lattice y has no grid row).
   [[nodiscard]] CandView arbitrary_view(const geom::Vec2& p,
                                         GridEvalScratch& scratch) const;
 
@@ -404,13 +390,12 @@ class GridEvalEngine {
   /// 32-bucket counting presort for mid-sized ones, std::sort above.
   static void sort_directions(GridEvalScratch& scratch);
 
-  [[nodiscard]] std::size_t point_cell(const geom::Vec2& p) const;
-
-  /// The scalar per-entry classify path (also the oracle): classifies view
-  /// entry `e` against `p`, appending immediate directions (fallback-band
-  /// and zero-distance hits) to `out` and compacting covered displacements
-  /// into xs/ys at m.  Shared by the scalar kernel loop, the vectorized
-  /// kernel's remainder tail, and its special-lane replay.
+  /// The scalar per-entry classify path: classifies view entry `e`
+  /// against `p` (via the engine's one scalar classify definition),
+  /// appending immediate directions (zero-distance hits) to `out` and
+  /// compacting covered displacements into xs/ys at m.  Shared by the
+  /// scalar kernel loop, the vectorized kernel's remainder tail, and its
+  /// special-lane replay.
   void classify_entry(const CandView& view, std::size_t e, const geom::Vec2& p,
                       GridEvalScratch& scratch, std::vector<double>& out, double* xs,
                       double* ys, std::size_t& m) const;
@@ -434,40 +419,23 @@ class GridEvalEngine {
   std::size_t implied_k_ = 0;
   geom::SpaceMode mode_ = geom::SpaceMode::kTorus;
   KernelVariant kernel_ = KernelVariant::kScalar;
-  IndexVariant index_ = IndexVariant::kFlat;
   detail::ClassifyFn classify_ = nullptr;  ///< non-null for vector variants
   std::uint64_t generation_ = 0;  ///< process-unique; keys scratch row slices
   std::vector<geom::Arc> necessary_arcs_;   ///< 2*theta partition, start 0
   std::vector<geom::Arc> sufficient_arcs_;  ///< theta partition, start 0
 
-  // Shared sizing (all variants use the same rule, so cells_per_side() is
-  // index-invariant for a given network/grid).
   std::size_t cells_ = 1;
   std::size_t cells_target_ = 1;
   bool cells_clamped_ = false;
 
-  // flat: uniform fine-grid CSR — cameras per cell, one SoA record per
-  // (cell, camera) entry.  hier reuses the entry pool (cell_entries_,
-  // soa_) with its own offset structures.
-  std::vector<std::uint32_t> cell_offsets_;  ///< flat: size cells_^2 + 1
-  std::vector<std::uint32_t> cell_entries_;  ///< camera indices per bin
-  CandSoA soa_;                              ///< parallel to cell_entries_
-
-  // hier: coarse tiles of kHierSubdiv^2 fine cells; only occupied tiles
-  // above the subdivision threshold get a pooled tile-local fine CSR.
-  std::size_t tiles_ = 0;                    ///< coarse tiles per side
-  std::vector<std::uint32_t> tile_offsets_;  ///< size tiles_^2 + 1
-  std::vector<std::uint32_t> tile_slot_;     ///< fine slot + 1; 0 = whole tile
-  std::vector<std::uint32_t> fine_offsets_;  ///< (sub^2+1) absolute offsets/slot
-
-  // stream: cameras binned once by position (no replication); row slices
-  // are materialised per scratch.
+  // Cameras binned once by y strip (no replication); row slices are
+  // materialised per scratch.
   std::vector<std::uint32_t> strip_offsets_;  ///< size cells_ + 1
   std::vector<std::uint32_t> strip_entries_;  ///< size n (camera ids)
   CandSoA cam_soa_;                           ///< per camera (stride = n)
   double max_r_ = 0.0;        ///< net max radius (slice band half-height)
   std::ptrdiff_t ghost_ = 0;  ///< ghost x cells per slice side (torus)
-  bool stream_whole_ = false;  ///< degenerate: window spans the whole axis
+  bool whole_row_ = false;    ///< degenerate: window spans the whole axis
 };
 
 /// Export the active kernel choice (name, lane width) and the process-wide
@@ -475,9 +443,5 @@ class GridEvalEngine {
 /// cpu_features.hpp, shared by GridEvalEngine::describe and the sim
 /// layer's trial metering.
 void describe_kernel_dispatch(KernelVariant active, obs::MetricsNode& node);
-
-/// The candidate-index counterpart: active index flag plus process-wide
-/// per-variant engine counts (candidate_index.hpp).
-void describe_index_dispatch(IndexVariant active, obs::MetricsNode& node);
 
 }  // namespace fvc::core

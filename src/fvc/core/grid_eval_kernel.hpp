@@ -72,7 +72,7 @@ ClassifyResult classify_neon(const CandSpans& c, std::size_t count, double px,
 /// batch ops and raw pointers, so an ISA-specific instantiation emits no
 /// shared inline symbols a baseline TU could accidentally link against.
 ///
-/// Per lane this is the scalar classify loop of grid_eval.cpp verbatim:
+/// Per lane this is grid_eval.cpp's `classify_scalar` verbatim:
 ///   dx = p.x - sx; [torus: dx -= round(dx); half-torus boundary fixup]
 ///   n2 = dx*dx + dy*dy;   dot = dx*cu + dy*su
 ///   lhs = dot*|dot|;      diff = lhs - q*n2;    band = 1e-9*n2

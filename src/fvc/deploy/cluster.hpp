@@ -14,10 +14,10 @@
 ///
 /// Two further generators exist as adversarial inputs for the candidate
 /// index (core/candidate_index.hpp): the **Gaussian cluster** (exact-count
-/// heaps around a few centres, the memory-bound stress for the
-/// hierarchical index — nearly all coarse tiles stay empty) and the
-/// **strip hotspot** (a dense horizontal band, the worst case for the
-/// row-streamed index, whose y-strips all land in a handful of slices).
+/// heaps around a few centres, so most y strips are empty and a few are
+/// very dense) and the **strip hotspot** (a dense horizontal band, the
+/// worst case for the row-streamed index, whose y-strips all land in a
+/// handful of slices).
 /// Both take an exact `count` rather than an intensity so differential
 /// suites compare identical population sizes across deployment families.
 

@@ -70,11 +70,13 @@ TraceRing::DrainResult TraceRing::drain_into(std::vector<TraceEvent>& out) {
   }
   for (std::uint64_t seq = from; seq < head; ++seq) {
     TraceEvent ev = slots_[seq & mask_];
-    // A slot is torn only if the writer wrapped past it *while* we copied:
-    // re-reading head after the copy detects that (the writer publishes
-    // with release order, so a head that still covers seq proves the slot
-    // held a fully-written event when we read it).
-    if (head_.load(std::memory_order_acquire) > seq + cap) {
+    // A slot is torn only if the writer started overwriting it (claimed
+    // seq + cap) before our copy finished.  The writer claims before it
+    // writes (release fence), and the acquire fence here orders the copy
+    // before the claim read, so a claim that has not passed seq + cap
+    // proves the copy saw no byte of the overwrite.
+    std::atomic_thread_fence(std::memory_order_acquire);
+    if (claim_.load(std::memory_order_relaxed) > seq + cap) {
       ++res.evicted;
       continue;
     }
@@ -92,9 +94,10 @@ bool TraceRing::last_event(TraceEvent& out) const {
   }
   const std::uint64_t seq = head - 1;
   out = slots_[seq & mask_];
-  // Discard if the writer lapped the slot mid-copy (same tear rule as
-  // drain_into).
-  return head_.load(std::memory_order_acquire) <=
+  // Discard if the writer claimed the slot again mid-copy (same tear rule
+  // as drain_into).
+  std::atomic_thread_fence(std::memory_order_acquire);
+  return claim_.load(std::memory_order_relaxed) <=
          seq + static_cast<std::uint64_t>(slots_.size());
 }
 

@@ -107,6 +107,12 @@ class TraceRing {
   void push(TraceEvent ev) {
     const std::uint64_t seq = head_.load(std::memory_order_relaxed);
     ev.tid = tid_;
+    // Claim the slot before touching it (seqlock-style): a reader whose
+    // copy overlapped this write sees claim_ > its seq + capacity after
+    // its acquire fence and discards the copy.  `head_` alone cannot tell
+    // that: it still reads seq + capacity while slot seq is overwritten.
+    claim_.store(seq + 1, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_release);
     slots_[seq & mask_] = ev;
     head_.store(seq + 1, std::memory_order_release);
   }
@@ -137,7 +143,8 @@ class TraceRing {
   std::vector<TraceEvent> slots_;
   std::uint64_t mask_ = 0;
   std::uint32_t tid_ = 0;
-  std::atomic<std::uint64_t> head_{0};
+  std::atomic<std::uint64_t> head_{0};   ///< events published
+  std::atomic<std::uint64_t> claim_{0};  ///< events whose write has begun
   std::uint64_t tail_ = 0;  ///< consumer-owned: drained up to here
 };
 

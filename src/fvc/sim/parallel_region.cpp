@@ -50,7 +50,7 @@ core::RegionCoverageStats scan_rows(const core::GridEvalEngine& engine,
   parallel_for_blocked(
       rows, plan.workers, plan.grain,
       [&](std::size_t begin, std::size_t end, std::size_t worker) {
-        // The scratch also carries the stream index's row-slice cache,
+        // The scratch also carries the candidate index's row-slice cache,
         // keyed by (engine generation, row): each row's candidate slice is
         // built once per worker and reused across the row's points and
         // across blocks, with no cross-thread sharing.
@@ -65,24 +65,11 @@ core::RegionCoverageStats scan_rows(const core::GridEvalEngine& engine,
   // order, so this fold replays the serial scan's row-order reduction
   // exactly (regrouped associatively): bit-identical totals regardless of
   // which worker ran which block.
-  core::RegionCoverageStats stats;
-  stats.total_points = grid.size();
+  core::GridRowStats acc;
   for (std::size_t block = 0; block < plan.blocks; ++block) {
-    const core::GridRowStats& bs = block_stats[block];
-    stats.covered_1 += bs.covered_1;
-    stats.necessary_ok += bs.necessary_ok;
-    stats.full_view_ok += bs.full_view_ok;
-    stats.sufficient_ok += bs.sufficient_ok;
-    stats.k_covered_ok += bs.k_covered_ok;
-    if (block == 0) {
-      stats.min_max_gap = bs.min_max_gap;
-      stats.max_max_gap = bs.max_max_gap;
-    } else {
-      stats.min_max_gap = std::min(stats.min_max_gap, bs.min_max_gap);
-      stats.max_max_gap = std::max(stats.max_max_gap, bs.max_max_gap);
-    }
+    acc.fold(block_stats[block], block == 0);
   }
-  return stats;
+  return acc.region(grid.size());
 }
 
 }  // namespace

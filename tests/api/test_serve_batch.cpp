@@ -13,7 +13,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <thread>
@@ -170,27 +169,17 @@ void expect_same_answer(const api::PointAnswer& got, const api::PointAnswer& wan
 // --- Session::query_points vs the scalar oracle ----------------------------
 
 /// The batched evaluation path must be bit-identical to the per-point
-/// scalar oracle path, under every candidate index variant.
+/// scalar oracle path.
 TEST(QueryPoints, MatchesScalarOracleUnderEveryIndex) {
   std::vector<double> xs;
   std::vector<double> ys;
   probe_points(xs, ys);
-  const char* orig = std::getenv("FVC_FORCE_INDEX");
-  const std::string saved = orig != nullptr ? orig : "";
-  for (const char* index : {"flat", "hier", "stream"}) {
-    ASSERT_EQ(setenv("FVC_FORCE_INDEX", index, 1), 0);
-    api::Session session(lattice_config());
-    std::vector<api::PointAnswer> bulk(xs.size());
-    session.query_points(xs.data(), ys.data(), xs.size(), bulk.data());
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      const api::PointAnswer oracle = session.query_point(xs[i], ys[i]);
-      expect_same_answer(bulk[i], oracle, i);
-    }
-  }
-  if (orig != nullptr) {
-    ASSERT_EQ(setenv("FVC_FORCE_INDEX", saved.c_str(), 1), 0);
-  } else {
-    ASSERT_EQ(unsetenv("FVC_FORCE_INDEX"), 0);
+  api::Session session(lattice_config());
+  std::vector<api::PointAnswer> bulk(xs.size());
+  session.query_points(xs.data(), ys.data(), xs.size(), bulk.data());
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const api::PointAnswer oracle = session.query_point(xs[i], ys[i]);
+    expect_same_answer(bulk[i], oracle, i);
   }
 }
 

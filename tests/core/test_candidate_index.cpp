@@ -1,17 +1,13 @@
-// Differential tests across the candidate-index variants
-// (candidate_index.hpp: flat / hier / stream).  The contract under test is
-// the index seam's core promise: an index only decides which duplicate-free
-// *superset* of the covering cameras the classify kernel inspects, so
-// pinning any variant changes only speed and memory — every per-point
-// direction list and every aggregate statistic is bit-identical to the
-// flat+scalar reference, across deployment families (uniform, Matern,
-// Gaussian cluster, strip hotspot), kernels, thread counts and grains.
-// Double comparisons go through std::bit_cast<uint64_t> so even a
-// sign-of-zero divergence would fail.  The hierarchical index additionally
-// carries a memory-bound contract on clustered deployments, asserted here
-// against index_bytes().
-
-#include "fvc/core/candidate_index.hpp"
+// Differential tests of the candidate index over clustered and uniform
+// deployments.  The contract under test is the index's core promise: it
+// only decides which duplicate-free *superset* of the covering cameras the
+// classify kernel inspects, so every per-point direction list and every
+// aggregate statistic is bit-identical to the scalar oracles
+// (`full_view_covered`, `meets_*_condition`, `evaluate_region_scalar`),
+// across deployment families (uniform, Matern, Gaussian cluster, strip
+// hotspot), kernels, thread counts and grains.  Double comparisons go
+// through std::bit_cast<uint64_t> so even a sign-of-zero divergence would
+// fail.
 
 #include <gtest/gtest.h>
 
@@ -19,15 +15,14 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <optional>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "fvc/core/coverage.hpp"
 #include "fvc/core/cpu_features.hpp"
+#include "fvc/core/full_view.hpp"
 #include "fvc/core/grid_eval.hpp"
 #include "fvc/core/region_coverage.hpp"
 #include "fvc/deploy/cluster.hpp"
@@ -44,17 +39,8 @@ namespace {
 using geom::kPi;
 using geom::kTwoPi;
 
-// RAII pin: tests must never leak a forced index into later tests (the pin
-// is process-global), even when an ASSERT unwinds mid-test.
-class ForcedIndex {
- public:
-  explicit ForcedIndex(IndexVariant v) { set_forced_index(v); }
-  ~ForcedIndex() { set_forced_index(std::nullopt); }
-  ForcedIndex(const ForcedIndex&) = delete;
-  ForcedIndex& operator=(const ForcedIndex&) = delete;
-};
-
-// RAII pin for the kernel seam, so the sweep can cross indexes x kernels.
+// RAII pin for the kernel seam, so the sweep can cross families x kernels
+// without leaking a forced kernel into later tests.
 class ForcedKernel {
  public:
   explicit ForcedKernel(KernelVariant v) { set_forced_kernel(v); }
@@ -62,14 +48,6 @@ class ForcedKernel {
   ForcedKernel(const ForcedKernel&) = delete;
   ForcedKernel& operator=(const ForcedKernel&) = delete;
 };
-
-std::vector<IndexVariant> all_indexes() {
-  std::vector<IndexVariant> out;
-  for (std::size_t i = 0; i < kIndexVariantCount; ++i) {
-    out.push_back(static_cast<IndexVariant>(i));
-  }
-  return out;
-}
 
 // Heterogeneous profile with an omnidirectional group (same shape as
 // test_grid_eval_kernels.cpp) so omni and sector lanes share batches.
@@ -140,30 +118,6 @@ Network deploy_family(Family f, std::uint64_t seed) {
   return Network();
 }
 
-// Evaluate `net` with the index pinned to `v`: every sorted per-point
-// direction list plus the whole-grid aggregate, flattened for comparison.
-struct PinnedRun {
-  std::vector<std::vector<double>> directions;  // per grid point, row-major
-  RegionCoverageStats stats;
-};
-
-PinnedRun run_pinned(IndexVariant v, const Network& net, const DenseGrid& grid,
-                     double theta) {
-  ForcedIndex pin(v);
-  const GridEvalEngine engine(net, grid, theta);
-  EXPECT_EQ(engine.index(), v);
-  GridEvalScratch scratch;
-  PinnedRun run;
-  for (std::size_t row = 0; row < grid.side(); ++row) {
-    for (std::size_t col = 0; col < grid.side(); ++col) {
-      const std::span<const double> dirs = engine.sorted_directions(row, col, scratch);
-      run.directions.emplace_back(dirs.begin(), dirs.end());
-    }
-  }
-  run.stats = engine.evaluate(scratch);
-  return run;
-}
-
 void expect_stats_identical(const RegionCoverageStats& ref,
                             const RegionCoverageStats& got, const std::string& what) {
   EXPECT_EQ(ref.total_points, got.total_points) << what;
@@ -180,24 +134,47 @@ void expect_stats_identical(const RegionCoverageStats& ref,
       << what;
 }
 
-void expect_runs_identical(const PinnedRun& ref, const PinnedRun& got,
-                           const std::string& what) {
-  ASSERT_EQ(ref.directions.size(), got.directions.size()) << what;
-  for (std::size_t p = 0; p < ref.directions.size(); ++p) {
-    ASSERT_EQ(ref.directions[p].size(), got.directions[p].size())
-        << what << " point=" << p;
-    for (std::size_t j = 0; j < ref.directions[p].size(); ++j) {
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(ref.directions[p][j]),
-                std::bit_cast<std::uint64_t>(got.directions[p][j]))
-          << what << " point=" << p << " dir=" << j;
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Assert the engine reproduces every scalar oracle bit-for-bit on `net`:
+// the sorted direction list and the three predicates at every grid point,
+// and the whole-grid aggregate.
+void expect_matches_oracles(const Network& net, const DenseGrid& grid, double theta,
+                            const std::string& what) {
+  const GridEvalEngine engine(net, grid, theta);
+  GridEvalScratch scratch;
+  for (std::size_t row = 0; row < grid.side(); ++row) {
+    for (std::size_t col = 0; col < grid.side(); ++col) {
+      const geom::Vec2 p = grid.point(row, col);
+      const std::string at =
+          what + " row=" + std::to_string(row) + " col=" + std::to_string(col);
+      std::vector<double> want_dirs = net.viewed_directions(p);
+      std::sort(want_dirs.begin(), want_dirs.end());
+      const std::span<const double> got_dirs = engine.sorted_directions(row, col, scratch);
+      ASSERT_EQ(got_dirs.size(), want_dirs.size()) << at;
+      for (std::size_t j = 0; j < want_dirs.size(); ++j) {
+        ASSERT_EQ(bits(got_dirs[j]), bits(want_dirs[j])) << at << " dir=" << j;
+      }
+      const FullViewResult got = engine.point_full_view(row, col, scratch);
+      const FullViewResult want = full_view_covered(net, p, theta);
+      ASSERT_EQ(got.covered, want.covered) << at;
+      ASSERT_EQ(bits(got.max_gap), bits(want.max_gap)) << at;
+      ASSERT_EQ(got.covering_count, want.covering_count) << at;
+      ASSERT_EQ(engine.point_necessary(row, col, scratch),
+                meets_necessary_condition(net, p, theta))
+          << at;
+      ASSERT_EQ(engine.point_sufficient(row, col, scratch),
+                meets_sufficient_condition(net, p, theta))
+          << at;
     }
   }
-  expect_stats_identical(ref.stats, got.stats, what);
+  expect_stats_identical(evaluate_region_scalar(net, grid, theta),
+                         engine.evaluate(scratch), what);
 }
 
-// The full differential sweep: deployment families x index variants x
-// kernel variants (scalar reference, every supported alternative), at a
-// theta that keeps the full-view predicate non-trivial.  8 seeds per
+// The full differential sweep: deployment families x kernel variants
+// (scalar and every supported alternative) against the scalar oracles, at
+// a theta that keeps the full-view predicate non-trivial.  8 seeds per
 // family keep cluster geometry varied (wrap-straddling clusters, empty
 // bands, single-cluster piles) while the suite stays fast.
 TEST(CandidateIndex, BitIdenticalAcrossFamiliesIndexesAndKernels) {
@@ -206,33 +183,24 @@ TEST(CandidateIndex, BitIdenticalAcrossFamiliesIndexesAndKernels) {
   for (const Family fam : kFamilies) {
     for (std::uint64_t seed = 0; seed < 8; ++seed) {
       const Network net = deploy_family(fam, seed);
-      const PinnedRun ref = [&] {
-        ForcedKernel k(KernelVariant::kScalar);
-        return run_pinned(IndexVariant::kFlat, net, grid, theta);
-      }();
       for (std::size_t kv = 0; kv < kKernelVariantCount; ++kv) {
-        const KernelVariant kernel = static_cast<KernelVariant>(kv);
+        const auto kernel = static_cast<KernelVariant>(kv);
         if (!kernel_supported(kernel)) {
           continue;
         }
         ForcedKernel pin_kernel(kernel);
-        for (const IndexVariant index : all_indexes()) {
-          const PinnedRun got = run_pinned(index, net, grid, theta);
-          expect_runs_identical(
-              ref, got,
-              std::string("family=") + family_name(fam) + " seed=" +
-                  std::to_string(seed) + " index=" +
-                  std::string(index_name(index)) + " kernel=" +
-                  std::string(kernel_name(kernel)));
-        }
+        expect_matches_oracles(net, grid, theta,
+                               std::string("family=") + family_name(fam) +
+                                   " seed=" + std::to_string(seed) +
+                                   " kernel=" + std::string(kernel_name(kernel)));
       }
     }
   }
 }
 
 // The parallel scan reuses one engine (and its row-slice scratch) across
-// blocks; every (index, threads, grain) combination must still fold to the
-// flat serial result bitwise.  Threads 3 with grain 1 maximises slice
+// blocks; every (threads, grain) combination must still fold to the
+// scalar oracle's result bitwise.  Threads 3 with grain 1 maximises slice
 // rebuilds (rows interleave across workers); grain 0 exercises
 // choose_grain's big blocks.
 TEST(CandidateIndex, ParallelScansBitIdenticalAcrossThreadsAndGrains) {
@@ -240,104 +208,62 @@ TEST(CandidateIndex, ParallelScansBitIdenticalAcrossThreadsAndGrains) {
   const double theta = kPi / 3.0;
   for (const Family fam : {Family::kUniform, Family::kGaussian, Family::kStrip}) {
     const Network net = deploy_family(fam, 3);
-    const RegionCoverageStats ref = [&] {
-      ForcedIndex pin(IndexVariant::kFlat);
-      return sim::evaluate_region_parallel(net, grid, theta, 1, 1);
-    }();
-    for (const IndexVariant index : all_indexes()) {
-      ForcedIndex pin(index);
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-        for (const std::size_t grain : {std::size_t{1}, std::size_t{0}}) {
-          const RegionCoverageStats got =
-              sim::evaluate_region_parallel(net, grid, theta, threads, grain);
-          expect_stats_identical(
-              ref, got,
-              std::string("family=") + family_name(fam) + " index=" +
-                  std::string(index_name(index)) + " threads=" +
-                  std::to_string(threads) + " grain=" + std::to_string(grain));
-        }
+    const RegionCoverageStats ref = evaluate_region_scalar(net, grid, theta);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      for (const std::size_t grain : {std::size_t{1}, std::size_t{0}}) {
+        const RegionCoverageStats got =
+            sim::evaluate_region_parallel(net, grid, theta, threads, grain);
+        expect_stats_identical(ref, got,
+                               std::string("family=") + family_name(fam) +
+                                   " threads=" + std::to_string(threads) +
+                                   " grain=" + std::to_string(grain));
       }
     }
   }
 }
 
 // candidates(p) must be a duplicate-free superset of the cameras covering
-// p, for every index variant — the structural half of the bit-identity
-// argument (the kernel's exact tests do the rest).
+// p — the structural half of the bit-identity argument (the kernel's exact
+// tests do the rest).
 TEST(CandidateIndex, CandidatesAreDuplicateFreeSupersets) {
   const DenseGrid grid(9);
   for (const Family fam : kFamilies) {
     const Network net = deploy_family(fam, 5);
-    for (const IndexVariant index : all_indexes()) {
-      ForcedIndex pin(index);
-      const GridEvalEngine engine(net, grid, kPi / 4.0);
-      GridEvalScratch scratch;
-      for (std::size_t row = 0; row < grid.side(); ++row) {
-        for (std::size_t col = 0; col < grid.side(); ++col) {
-          const geom::Vec2 p = grid.point(row, col);
-          const std::span<const std::uint32_t> cand = engine.candidates(p);
-          std::vector<std::uint32_t> sorted(cand.begin(), cand.end());
-          std::sort(sorted.begin(), sorted.end());
-          EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end())
-              << "duplicate candidate, index=" << index_name(index);
-          for (std::uint32_t i = 0; i < net.size(); ++i) {
-            if (covers(net.cameras()[i], p)) {
-              EXPECT_TRUE(std::binary_search(sorted.begin(), sorted.end(), i))
-                  << "covering camera " << i << " missing, index="
-                  << index_name(index) << " family=" << family_name(fam);
-            }
+    const GridEvalEngine engine(net, grid, kPi / 4.0);
+    GridEvalScratch scratch;
+    for (std::size_t row = 0; row < grid.side(); ++row) {
+      for (std::size_t col = 0; col < grid.side(); ++col) {
+        const geom::Vec2 p = grid.point(row, col);
+        const std::span<const std::uint32_t> cand = engine.candidates(p);
+        std::vector<std::uint32_t> sorted(cand.begin(), cand.end());
+        std::sort(sorted.begin(), sorted.end());
+        EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end())
+            << "duplicate candidate, family=" << family_name(fam);
+        for (std::uint32_t i = 0; i < net.size(); ++i) {
+          if (covers(net.cameras()[i], p)) {
+            EXPECT_TRUE(std::binary_search(sorted.begin(), sorted.end(), i))
+                << "covering camera " << i << " missing, family=" << family_name(fam);
           }
-          // The kernel-facing span is at least as selective a superset.
-          const std::size_t width = engine.point_candidate_count(row, col, scratch);
-          EXPECT_LE(width, net.size());
         }
+        // The kernel-facing span is at least as selective a superset.
+        const std::size_t width = engine.point_candidate_count(row, col, scratch);
+        EXPECT_LE(width, net.size());
       }
     }
   }
 }
 
-// The hierarchical index's reason to exist: on a clustered deployment
-// whose radii demand a fine resolution, subdividing only occupied tiles
-// must keep the index dramatically smaller than the flat fine grid.
-TEST(CandidateIndex, HierIndexMemoryBoundedOnClusteredDeployment) {
-  stats::Pcg32 rng = stats::make_child_rng(8102, 0);
-  const HeterogeneousProfile profile(
-      std::vector<CameraGroupSpec>{{1.0, 0.004, kTwoPi}});
-  deploy::GaussianClusterConfig cfg;
-  cfg.count = 50;
-  cfg.clusters = 2;
-  cfg.sigma = 0.005;
-  const Network net = deploy::deploy_gaussian_cluster_network(profile, cfg, rng);
-  const DenseGrid grid(200);  // cap = 4 * 200 = 800 > 750 target
-
-  const auto bytes_for = [&](IndexVariant v) {
-    ForcedIndex pin(v);
-    const GridEvalEngine engine(net, grid, kPi / 4.0);
-    EXPECT_FALSE(engine.cells_clamped());
-    return engine.index_bytes();
-  };
-  const std::size_t flat_bytes = bytes_for(IndexVariant::kFlat);
-  const std::size_t hier_bytes = bytes_for(IndexVariant::kHier);
-  // r = 0.004 sizes 750 cells/side: the flat offset table alone is
-  // ~2.25 MB, while two tight clusters occupy a handful of coarse tiles
-  // and the replicated entries stay a few thousand.
-  EXPECT_LT(hier_bytes * 4, flat_bytes)
-      << "hier=" << hier_bytes << " flat=" << flat_bytes;
-}
-
-// Sizing diagnostics: the pre-cap target, the clamp bit, and the
-// FVC_INDEX_CELL_CAP escape hatch that reproduces the historical 256-cell
-// clamp for before/after benchmarking.
-TEST(CandidateIndex, CellCapEnvClampsAndIsReported) {
+// Sizing diagnostics: the pre-cap target, and the clamp bit raised (and
+// exported) when the 4 * grid_side cap binds.
+TEST(CandidateIndex, GridCapClampsAndIsReported) {
   stats::Pcg32 rng = stats::make_child_rng(8103, 0);
   const HeterogeneousProfile profile(
       std::vector<CameraGroupSpec>{{1.0, 0.05, kTwoPi}});
   const Network net = deploy::deploy_uniform_network(profile, 50, rng);
-  const DenseGrid grid(32);
 
-  // Unclamped: r = 0.05 targets 60 cells/side, under every cap.
+  // Unclamped: r = 0.05 targets 60 cells/side, under the 4 * 32 cap.
   {
-    const GridEvalEngine engine(net, grid, kPi / 4.0);
+    const GridEvalEngine engine(net, DenseGrid(32), kPi / 4.0);
     EXPECT_EQ(engine.cells_target(), 60u);
     EXPECT_EQ(engine.cells_per_side(), 60u);
     EXPECT_FALSE(engine.cells_clamped());
@@ -347,17 +273,16 @@ TEST(CandidateIndex, CellCapEnvClampsAndIsReported) {
     EXPECT_DOUBLE_EQ(node.counter("cells_clamped"), 0.0);
     EXPECT_GT(node.counter("index_bytes"), 0.0);
   }
-  // Diagnostic cap: the engine must honour it and raise the clamp bit.
-  ASSERT_EQ(setenv("FVC_INDEX_CELL_CAP", "8", 1), 0);
+  // A 4-point grid caps the index at 16 cells/side: the engine must honour
+  // the cap and raise the clamp bit.
   {
-    const GridEvalEngine engine(net, grid, kPi / 4.0);
-    EXPECT_EQ(engine.cells_per_side(), 8u);
+    const GridEvalEngine engine(net, DenseGrid(4), kPi / 4.0);
+    EXPECT_EQ(engine.cells_per_side(), 16u);
     EXPECT_TRUE(engine.cells_clamped());
     obs::MetricsNode node("engine");
     engine.describe(node);
     EXPECT_DOUBLE_EQ(node.counter("cells_clamped"), 1.0);
   }
-  ASSERT_EQ(unsetenv("FVC_INDEX_CELL_CAP"), 0);
 }
 
 // Beyond the historical clamp: a small-radius network must size past 256
@@ -373,60 +298,6 @@ TEST(CandidateIndex, ResolutionExceedsHistoricalClamp) {
   EXPECT_EQ(engine.cells_per_side(), 375u);
   EXPECT_FALSE(engine.cells_clamped());
   EXPECT_GT(engine.cells_per_side(), 256u);
-}
-
-// Dispatch-seam plumbing, mirroring the kernel seam's guarantees.
-TEST(CandidateIndex, NamesRoundTrip) {
-  for (const IndexVariant v : all_indexes()) {
-    const auto back = index_from_name(index_name(v));
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(*back, v);
-  }
-  EXPECT_FALSE(index_from_name("quadtree").has_value());
-  EXPECT_FALSE(index_from_name("").has_value());
-}
-
-TEST(CandidateIndex, EnvironmentPinRespectedAndValidated) {
-  const char* orig_env = std::getenv("FVC_FORCE_INDEX");
-  const std::string orig = orig_env != nullptr ? orig_env : "";
-  const bool had_orig = orig_env != nullptr;
-  set_forced_index(std::nullopt);
-  ASSERT_FALSE(forced_index().has_value());
-  ASSERT_EQ(setenv("FVC_FORCE_INDEX", "hier", 1), 0);
-  EXPECT_EQ(resolve_index(), IndexVariant::kHier);
-  {
-    const Network net;
-    const DenseGrid grid(4);
-    const GridEvalEngine engine(net, grid, kPi / 4.0);
-    EXPECT_EQ(engine.index(), IndexVariant::kHier);
-  }
-  ASSERT_EQ(setenv("FVC_FORCE_INDEX", "quadtree", 1), 0);
-  EXPECT_THROW((void)resolve_index(), std::runtime_error);
-  // Set-but-empty counts as unset (CI matrix legs export "" for auto).
-  ASSERT_EQ(setenv("FVC_FORCE_INDEX", "", 1), 0);
-  EXPECT_EQ(resolve_index(), preferred_index());
-  // A programmatic pin outranks the environment.
-  {
-    ForcedIndex pin(IndexVariant::kFlat);
-    ASSERT_EQ(setenv("FVC_FORCE_INDEX", "stream", 1), 0);
-    EXPECT_EQ(resolve_index(), IndexVariant::kFlat);
-  }
-  if (had_orig) {
-    ASSERT_EQ(setenv("FVC_FORCE_INDEX", orig.c_str(), 1), 0);
-  } else {
-    ASSERT_EQ(unsetenv("FVC_FORCE_INDEX"), 0);
-    EXPECT_EQ(resolve_index(), preferred_index());
-  }
-}
-
-TEST(CandidateIndex, DispatchCountersTrackConstruction) {
-  const Network net;
-  const DenseGrid grid(4);
-  ForcedIndex pin(IndexVariant::kHier);
-  const std::uint64_t before = index_dispatch_count(IndexVariant::kHier);
-  const GridEvalEngine engine(net, grid, kPi / 4.0);
-  EXPECT_EQ(engine.index(), IndexVariant::kHier);
-  EXPECT_EQ(index_dispatch_count(IndexVariant::kHier), before + 1);
 }
 
 }  // namespace

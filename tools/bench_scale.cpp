@@ -1,29 +1,27 @@
-/// bench_scale — thread/grain/index scaling harness for the blocked
-/// parallel grid scan.
+/// bench_scale — thread/grain scaling harness for the blocked parallel
+/// grid scan.
 ///
 /// Sweeps a (grid side, population) ladder through the block-parallel
-/// entry point `sim::evaluate_region_parallel` over an index x threads x
-/// grain x kernel matrix, timing each cell against the serial batched
-/// engine (`core::evaluate_region`) under the same index and kernel pins.
+/// entry point `sim::evaluate_region_parallel` over a threads x grain x
+/// kernel matrix, timing each cell against the serial batched engine
+/// (`core::evaluate_region`) under the same kernel pin.
 /// Every cell's statistics must be bit-identical to the serial scan — a
 /// mismatch is a nonzero exit, not a footnote.  Worker utilization per
 /// cell comes from a metered pass taken outside the timed reps, so the
 /// timings stay those of the unmetered hot path.
 ///
-/// Per index the record also captures the candidate-span distribution the
+/// Per config the record also captures the candidate index: its build
+/// time, its heap footprint, and the candidate-span distribution the
 /// engine hands the kernel (`point_candidate_count` over every grid
-/// point): mean and p99 candidates per point, plus the index's heap
-/// footprint.  The p99 is what the CI budget gate holds steady — it is
-/// the per-point work the clamped 256-cell flat index used to inflate on
-/// million-camera configs (reproduce that history with
-/// FVC_INDEX_CELL_CAP=256 and index=flat).
+/// point): mean and p99 candidates per point.  The p99 is what the CI
+/// budget gate holds steady, catching a sizing-rule regression.
 ///
 /// The deployment radius is scaled ~ 1/sqrt(n) so the expected candidate
 /// count per grid point stays constant across the ladder: the sweep then
 /// isolates *scheduling and index* behaviour, not density effects.
 ///
 /// Usage:
-///   bench_scale [out.json] [sides] [ns] [threads] [grains] [reps] [kernels] [indexes]
+///   bench_scale [out.json] [sides] [ns] [threads] [grains] [reps] [kernels]
 ///     out.json  output path                    default BENCH_scale.json
 ///     sides     comma list of grid sides       default 512,1024,2048
 ///     ns        comma list of populations,     default 10000,100000,1000000
@@ -32,9 +30,8 @@
 ///     grains    comma list of grains (0=auto)  default 1,0
 ///     reps      best-of repetitions per cell   default 3
 ///     kernels   comma list of kernel variants  default auto (resolved)
-///     indexes   comma list of index variants   default auto (resolved)
 ///
-/// The JSON record (schema fvc.bench_scale/2) embeds hardware_concurrency
+/// The JSON record (schema fvc.bench_scale/3) embeds hardware_concurrency
 /// and a `degenerate_host` flag (<= 1 core): speedups are only meaningful
 /// relative to the cores the run actually had.  When the output path
 /// already holds a record produced on MORE cores than this host offers,
@@ -60,7 +57,6 @@
 #include <thread>
 #include <vector>
 
-#include "fvc/core/candidate_index.hpp"
 #include "fvc/core/cpu_features.hpp"
 #include "fvc/core/grid_eval.hpp"
 #include "fvc/core/region_coverage.hpp"
@@ -152,21 +148,16 @@ struct KernelRecord {
   std::vector<Cell> cells;
 };
 
-struct IndexRecord {
-  std::string name;
-  double build_ms = 0.0;
-  double cand_mean = 0.0;
-  double cand_p99 = 0.0;
-  std::size_t index_bytes = 0;
-  std::vector<KernelRecord> kernels;
-};
-
 struct ConfigRecord {
   std::size_t side = 0;
   std::size_t n = 0;
   double radius_omni = 0.0;
   double radius_sector = 0.0;
-  std::vector<IndexRecord> indexes;
+  double build_ms = 0.0;
+  double cand_mean = 0.0;
+  double cand_p99 = 0.0;
+  std::size_t index_bytes = 0;
+  std::vector<KernelRecord> kernels;
 };
 
 }  // namespace
@@ -184,7 +175,6 @@ int main(int argc, char** argv) {
   const std::size_t reps =
       std::max<std::size_t>(1, argc > 6 ? static_cast<std::size_t>(std::atoll(argv[6])) : 3);
   const std::string kernels_arg = argc > 7 ? argv[7] : "auto";
-  const std::string indexes_arg = argc > 8 ? argv[8] : "auto";
   const double theta = geom::kPi / 4.0;
 
   const unsigned cores = std::thread::hardware_concurrency();
@@ -236,33 +226,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Index matrix, mirroring the kernel resolution ("auto" honours
-  // FVC_FORCE_INDEX; every named variant is runnable everywhere).
-  std::vector<core::IndexVariant> indexes;
-  {
-    std::stringstream ss(indexes_arg);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-      if (item.empty()) {
-        continue;
-      }
-      if (item == "auto") {
-        indexes.push_back(core::resolve_index());
-        continue;
-      }
-      const std::optional<core::IndexVariant> v = core::index_from_name(item);
-      if (!v.has_value()) {
-        std::fprintf(stderr, "bench_scale: unknown index '%s'\n", item.c_str());
-        return 1;
-      }
-      indexes.push_back(*v);
-    }
-  }
-  if (indexes.empty()) {
-    std::fprintf(stderr, "bench_scale: no indexes in '%s'\n", indexes_arg.c_str());
-    return 1;
-  }
-
   const std::size_t config_count = std::max(sides.size(), ns.size());
   std::vector<ConfigRecord> configs;
   bool all_identical = true;
@@ -288,96 +251,82 @@ int main(int argc, char** argv) {
     std::printf("config: grid=%zux%zu n=%zu (r=%.4f/%.4f)\n", rec.side, rec.side,
                 rec.n, rec.radius_omni, rec.radius_sector);
 
-    for (const core::IndexVariant iv : indexes) {
-      core::set_forced_index(iv);
-      IndexRecord irec;
-      irec.name = std::string(core::index_name(iv));
-      // Index shape: build wall time, heap bytes, and the candidate-span
-      // distribution the kernel sees (mean + p99 over every grid point).
-      {
-        const auto t0 = Clock::now();
-        const core::GridEvalEngine engine(net, grid, theta);
-        irec.build_ms =
-            std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-        irec.index_bytes = engine.index_bytes();
-        core::GridEvalScratch scratch;
-        std::vector<std::uint32_t> counts;
-        counts.reserve(rec.side * rec.side);
-        std::uint64_t total = 0;
-        for (std::size_t row = 0; row < rec.side; ++row) {
-          for (std::size_t col = 0; col < rec.side; ++col) {
-            const std::size_t w = engine.point_candidate_count(row, col, scratch);
-            counts.push_back(static_cast<std::uint32_t>(w));
-            total += w;
-          }
+    // Index shape: build wall time, heap bytes, and the candidate-span
+    // distribution the kernel sees (mean + p99 over every grid point).
+    {
+      const auto t0 = Clock::now();
+      const core::GridEvalEngine engine(net, grid, theta);
+      rec.build_ms = std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+      rec.index_bytes = engine.index_bytes();
+      core::GridEvalScratch scratch;
+      std::vector<std::uint32_t> counts;
+      counts.reserve(rec.side * rec.side);
+      std::uint64_t total = 0;
+      for (std::size_t row = 0; row < rec.side; ++row) {
+        for (std::size_t col = 0; col < rec.side; ++col) {
+          const std::size_t w = engine.point_candidate_count(row, col, scratch);
+          counts.push_back(static_cast<std::uint32_t>(w));
+          total += w;
         }
-        std::sort(counts.begin(), counts.end());
-        irec.cand_mean = static_cast<double>(total) / static_cast<double>(counts.size());
-        irec.cand_p99 =
-            static_cast<double>(counts[(counts.size() - 1) * 99 / 100]);
       }
-      std::printf("  index=%-6s build %8.3f ms, %.1f cand/pt mean, %.0f p99, %zu KiB\n",
-                  irec.name.c_str(), irec.build_ms, irec.cand_mean, irec.cand_p99,
-                  irec.index_bytes / 1024);
-
-      for (const core::KernelVariant kv : kernels) {
-        core::set_forced_kernel(kv);
-        KernelRecord krec;
-        krec.name = std::string(core::kernel_name(kv));
-        core::RegionCoverageStats serial_stats;
-        krec.serial_ms = best_of_ms(
-            reps, [&] { serial_stats = core::evaluate_region(net, grid, theta); });
-        std::printf("    kernel=%-7s serial %9.3f ms\n", krec.name.c_str(),
-                    krec.serial_ms);
-
-        for (const std::size_t threads : thread_list) {
-          for (const std::size_t grain : grain_list) {
-            Cell cell;
-            cell.threads = threads;
-            cell.grain = grain;
-            core::RegionCoverageStats par_stats;
-            cell.ms = best_of_ms(reps, [&] {
-              par_stats =
-                  sim::evaluate_region_parallel(net, grid, theta, threads, grain);
-            });
-            if (!same_stats(serial_stats, par_stats)) {
-              std::fprintf(stderr,
-                           "bench_scale: FAIL — threads=%zu grain=%zu kernel=%s "
-                           "index=%s differs from the serial scan\n",
-                           threads, grain, krec.name.c_str(), irec.name.c_str());
-              all_identical = false;
-            }
-            // Metered pass, outside the timed reps: utilization + the
-            // grain the scheduler actually used; must still be
-            // bit-identical.
-            obs::MetricsNode node("scan");
-            const core::RegionCoverageStats metered_stats =
-                sim::evaluate_region_parallel(net, grid, theta, threads, grain, &node);
-            if (!same_stats(serial_stats, metered_stats)) {
-              std::fprintf(stderr,
-                           "bench_scale: FAIL — metered threads=%zu grain=%zu "
-                           "kernel=%s index=%s differs from the serial scan\n",
-                           threads, grain, krec.name.c_str(), irec.name.c_str());
-              all_identical = false;
-            }
-            const obs::MetricsNode* pool = node.find_child("pool");
-            cell.utilization = pool != nullptr ? pool->counter("utilization") : 0.0;
-            cell.grain_used =
-                pool != nullptr ? static_cast<std::size_t>(pool->counter("grain")) : 0;
-            cell.speedup = cell.ms > 0.0 ? krec.serial_ms / cell.ms : 0.0;
-            std::printf(
-                "      threads=%zu grain=%zu(->%zu): %9.3f ms  (%.2fx, util %.2f)\n",
-                threads, grain, cell.grain_used, cell.ms, cell.speedup,
-                cell.utilization);
-            krec.cells.push_back(cell);
-          }
-        }
-        irec.kernels.push_back(std::move(krec));
-      }
-      core::set_forced_kernel(std::nullopt);
-      rec.indexes.push_back(std::move(irec));
+      std::sort(counts.begin(), counts.end());
+      rec.cand_mean = static_cast<double>(total) / static_cast<double>(counts.size());
+      rec.cand_p99 = static_cast<double>(counts[(counts.size() - 1) * 99 / 100]);
     }
-    core::set_forced_index(std::nullopt);
+    std::printf("  index build %8.3f ms, %.1f cand/pt mean, %.0f p99, %zu KiB\n",
+                rec.build_ms, rec.cand_mean, rec.cand_p99, rec.index_bytes / 1024);
+
+    for (const core::KernelVariant kv : kernels) {
+      core::set_forced_kernel(kv);
+      KernelRecord krec;
+      krec.name = std::string(core::kernel_name(kv));
+      core::RegionCoverageStats serial_stats;
+      krec.serial_ms = best_of_ms(
+          reps, [&] { serial_stats = core::evaluate_region(net, grid, theta); });
+      std::printf("    kernel=%-7s serial %9.3f ms\n", krec.name.c_str(), krec.serial_ms);
+
+      for (const std::size_t threads : thread_list) {
+        for (const std::size_t grain : grain_list) {
+          Cell cell;
+          cell.threads = threads;
+          cell.grain = grain;
+          core::RegionCoverageStats par_stats;
+          cell.ms = best_of_ms(reps, [&] {
+            par_stats = sim::evaluate_region_parallel(net, grid, theta, threads, grain);
+          });
+          if (!same_stats(serial_stats, par_stats)) {
+            std::fprintf(stderr,
+                         "bench_scale: FAIL — threads=%zu grain=%zu kernel=%s "
+                         "differs from the serial scan\n",
+                         threads, grain, krec.name.c_str());
+            all_identical = false;
+          }
+          // Metered pass, outside the timed reps: utilization + the grain
+          // the scheduler actually used; must still be bit-identical.
+          obs::MetricsNode node("scan");
+          const core::RegionCoverageStats metered_stats =
+              sim::evaluate_region_parallel(net, grid, theta, threads, grain, &node);
+          if (!same_stats(serial_stats, metered_stats)) {
+            std::fprintf(stderr,
+                         "bench_scale: FAIL — metered threads=%zu grain=%zu "
+                         "kernel=%s differs from the serial scan\n",
+                         threads, grain, krec.name.c_str());
+            all_identical = false;
+          }
+          const obs::MetricsNode* pool = node.find_child("pool");
+          cell.utilization = pool != nullptr ? pool->counter("utilization") : 0.0;
+          cell.grain_used =
+              pool != nullptr ? static_cast<std::size_t>(pool->counter("grain")) : 0;
+          cell.speedup = cell.ms > 0.0 ? krec.serial_ms / cell.ms : 0.0;
+          std::printf("      threads=%zu grain=%zu(->%zu): %9.3f ms  (%.2fx, util %.2f)\n",
+                      threads, grain, cell.grain_used, cell.ms, cell.speedup,
+                      cell.utilization);
+          krec.cells.push_back(cell);
+        }
+      }
+      rec.kernels.push_back(std::move(krec));
+    }
+    core::set_forced_kernel(std::nullopt);
     configs.push_back(std::move(rec));
   }
 
@@ -385,7 +334,7 @@ int main(int argc, char** argv) {
   char buf[512];
   record << "{\n";
   std::snprintf(buf, sizeof(buf),
-                "  \"schema\": \"fvc.bench_scale/2\",\n"
+                "  \"schema\": \"fvc.bench_scale/3\",\n"
                 "  \"bench\": \"blocked_parallel_grid_scan\",\n"
                 "  \"theta\": \"pi/4\",\n"
                 "  \"reps\": %zu,\n"
@@ -405,39 +354,32 @@ int main(int argc, char** argv) {
                   "      \"grid_side\": %zu,\n"
                   "      \"n\": %zu,\n"
                   "      \"radius_omni\": %.6f,\n"
-                  "      \"radius_sector\": %.6f,\n",
-                  rec.side, rec.n, rec.radius_omni, rec.radius_sector);
+                  "      \"radius_sector\": %.6f,\n"
+                  "      \"build_ms\": %.3f,\n"
+                  "      \"cand_mean\": %.2f,\n"
+                  "      \"cand_p99\": %.0f,\n"
+                  "      \"index_bytes\": %zu,\n",
+                  rec.side, rec.n, rec.radius_omni, rec.radius_sector, rec.build_ms,
+                  rec.cand_mean, rec.cand_p99, rec.index_bytes);
     record << buf;
-    record << "      \"indexes\": [\n";
-    for (std::size_t x = 0; x < rec.indexes.size(); ++x) {
-      const IndexRecord& irec = rec.indexes[x];
+    record << "      \"kernels\": [\n";
+    for (std::size_t k = 0; k < rec.kernels.size(); ++k) {
+      const KernelRecord& krec = rec.kernels[k];
       std::snprintf(buf, sizeof(buf),
-                    "        {\"index\": \"%s\", \"build_ms\": %.3f, "
-                    "\"cand_mean\": %.2f, \"cand_p99\": %.0f, "
-                    "\"index_bytes\": %zu, \"kernels\": [\n",
-                    irec.name.c_str(), irec.build_ms, irec.cand_mean, irec.cand_p99,
-                    irec.index_bytes);
+                    "        {\"kernel\": \"%s\", \"serial_ms\": %.3f, \"cells\": [\n",
+                    krec.name.c_str(), krec.serial_ms);
       record << buf;
-      for (std::size_t k = 0; k < irec.kernels.size(); ++k) {
-        const KernelRecord& krec = irec.kernels[k];
+      for (std::size_t i = 0; i < krec.cells.size(); ++i) {
+        const Cell& cell = krec.cells[i];
         std::snprintf(buf, sizeof(buf),
-                      "          {\"kernel\": \"%s\", \"serial_ms\": %.3f, \"cells\": [\n",
-                      krec.name.c_str(), krec.serial_ms);
+                      "          {\"threads\": %zu, \"grain\": %zu, "
+                      "\"grain_used\": %zu, \"ms\": %.3f, \"speedup\": %.2f, "
+                      "\"utilization\": %.3f}%s\n",
+                      cell.threads, cell.grain, cell.grain_used, cell.ms, cell.speedup,
+                      cell.utilization, i + 1 < krec.cells.size() ? "," : "");
         record << buf;
-        for (std::size_t i = 0; i < krec.cells.size(); ++i) {
-          const Cell& cell = krec.cells[i];
-          std::snprintf(buf, sizeof(buf),
-                        "            {\"threads\": %zu, \"grain\": %zu, "
-                        "\"grain_used\": %zu, \"ms\": %.3f, \"speedup\": %.2f, "
-                        "\"utilization\": %.3f}%s\n",
-                        cell.threads, cell.grain, cell.grain_used, cell.ms,
-                        cell.speedup, cell.utilization,
-                        i + 1 < krec.cells.size() ? "," : "");
-          record << buf;
-        }
-        record << "          ]}" << (k + 1 < irec.kernels.size() ? "," : "") << "\n";
       }
-      record << "        ]}" << (x + 1 < rec.indexes.size() ? "," : "") << "\n";
+      record << "        ]}" << (k + 1 < rec.kernels.size() ? "," : "") << "\n";
     }
     record << "      ]\n";
     record << "    }" << (c + 1 < configs.size() ? "," : "") << "\n";
