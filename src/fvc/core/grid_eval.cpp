@@ -71,6 +71,106 @@ inline double ccw_from_normalized(double from, double to) {
   return d;
 }
 
+/// Diamond pseudo-angle of a nonzero vector: a monotone map of its polar
+/// angle [0, 2*pi) onto [0, 4), one unit per quadrant (y/(|x|+|y|) in the
+/// first).  Its slope against the angle lies in [1/2, 1], so a pseudo-angle
+/// difference never exceeds the angle difference, and the computed value
+/// is within 1e-15 of the exact one.  Signed zeros land on the same value
+/// as unsigned ones (axis directions give exactly 0, 1, 2 and 3).
+inline double pseudo_angle(double x, double y) {
+  const double ax = std::abs(x);
+  const double ay = std::abs(y);
+  // Quadrant q = 0..3 counter-clockwise from +x, plus the fraction of it
+  // swept: |y| / (|x| + |y|) in the even quadrants, 1 minus that in the
+  // odd ones.  Written as 2 * (lower + odd) -/+ frac, with no select, so
+  // directions arriving in random quadrants cost no branch mispredicts.
+  const bool lower = y < 0.0;
+  const bool odd = (lower & (x >= 0.0)) | (!lower & (x <= 0.0));
+  const int odd_i = static_cast<int>(odd);
+  const double frac = ay / (ax + ay);
+  return static_cast<double>(2 * (static_cast<int>(lower) + odd_i)) +
+         static_cast<double>(1 - 2 * odd_i) * frac;
+}
+
+/// A vector whose pseudo-angle is `t` in [0, 4) (the inverse map, up to
+/// scale).
+inline geom::Vec2 pseudo_direction(double t) {
+  const double q = std::floor(t);
+  const double u = t - q;
+  if (q < 1.0) {
+    return {1.0 - u, u};
+  }
+  if (q < 2.0) {
+    return {-u, 1.0 - u};
+  }
+  if (q < 3.0) {
+    return {u - 1.0, -u};
+  }
+  return {u, u - 1.0};
+}
+
+/// Boundary band of the occupancy decision, in pseudo-angle units: a
+/// direction farther than this from every arc boundary is at least 1e-9
+/// rad inside its interval, six orders of magnitude beyond the combined
+/// rounding of the oracle's atan2 direction, the arc arithmetic and the
+/// pseudo-angles (each ~1e-15).
+constexpr double kOccupancyBand = 1e-9;
+
+/// Candidates classified per occupancy step (at least; a span is cut into
+/// at most kMaxChunks chunks).  The masks are checked once per chunk, so
+/// the vector kernel keeps its batch width and the lookups run as one
+/// loop.
+constexpr std::size_t kOccupancyChunk = 32;
+constexpr std::size_t kMaxChunks = 64;
+
+/// The order in which the occupancy decision visits the chunks of a span
+/// cut into `chunks` (1..kMaxChunks) chunks: the middle, the chunks a
+/// sixth of the span in from either end, the thirds, then dyadic
+/// midpoints level by level (which reach the ends last).  Spans are
+/// sorted by x cell, so the middle holds the cameras above and below the
+/// point, and the sixths those well to its left and right that still
+/// reach it (the outermost cells hold few cameras within range).
+/// Visiting them first fills every sector after a few chunks.  The order
+/// changes no result, only how soon the masks fill.
+std::span<const std::uint8_t> chunk_order(std::size_t chunks) {
+  static const std::vector<std::uint8_t> table = [] {
+    std::vector<std::uint8_t> t;  // orders for 1, 2, ... chunks, concatenated
+    for (std::size_t c = 1; c <= kMaxChunks; ++c) {
+      std::vector<bool> seen(c, false);
+      std::size_t placed = 0;
+      auto visit = [&](double f) {
+        const auto k =
+            static_cast<std::size_t>(std::lround(f * static_cast<double>(c - 1)));
+        if (!seen[k]) {
+          seen[k] = true;
+          t.push_back(static_cast<std::uint8_t>(k));
+          ++placed;
+        }
+      };
+      for (const double f : {3.0, 1.0, 5.0, 2.0, 4.0}) {
+        visit(f / 6.0);
+      }
+      for (double den = 4.0; placed < c; den *= 2.0) {
+        for (double k = 1.0; k < den; k += 2.0) {
+          visit(k / den);
+        }
+      }
+    }
+    return t;
+  }();
+  return {table.data() + chunks * (chunks - 1) / 2, chunks};
+}
+
+/// Size the per-point classify buffers for a span of `count` candidates.
+void reserve_point(GridEvalScratch& scratch, std::size_t count) {
+  if (scratch.dxs.size() < count) {
+    scratch.dxs.resize(count);
+    scratch.dys.resize(count);
+    scratch.special.resize(count);
+    scratch.pseudo.resize(count);
+  }
+}
+
 /// `sectors_all_hit` of the scalar oracle, over precomputed arcs and the
 /// sorted angle buffer.  Arc containment is closed on both endpoints, as in
 /// `geom::angle_in_arc` (width is clamped to [0, 2*pi] by construction, so
@@ -244,6 +344,8 @@ void GridEvalCounters::describe(obs::MetricsNode& node) const {
   node.add("candidates_total", static_cast<double>(candidates_total));
   node.add("directions_total", static_cast<double>(directions_total));
   node.add("trig_fallbacks", static_cast<double>(trig_fallbacks));
+  node.add("atan2_calls", static_cast<double>(atan2_calls));
+  node.add("occupancy_points", static_cast<double>(occupancy_points));
   node.histogram("candidates_per_point").merge(candidates_per_point);
 }
 
@@ -258,12 +360,104 @@ GridEvalEngine::GridEvalEngine(const Network& net, const DenseGrid& grid, double
   generation_ = next_generation();
   necessary_arcs_ = geom::sector_partition(2.0 * theta);
   sufficient_arcs_ = geom::sector_partition(theta);
+  build_sector_table();
   const obs::TraceScope scope("engine.build", obs::TraceCategory::kEngine,
                               "cameras", net.size());
   const std::uint64_t t0 = obs::monotonic_ns();
   compute_cells();
   build_index();
   build_ns_ = obs::monotonic_ns() - t0;
+}
+
+void GridEvalEngine::build_sector_table() {
+  SectorTable& t = sectors_;
+  // Boundaries: every arc's start and (real) end, plus direction 0, where
+  // the oracle's directions wrap from 2*pi to 0.  Near-equal boundaries
+  // may land in either order or coincide; an interval narrower than the
+  // band is never used, since every direction in it is a band hit.
+  const std::size_t nn = necessary_arcs_.size();
+  const std::size_t ns = sufficient_arcs_.size();
+  std::vector<double>& b = t.bounds;
+  b.reserve(2 * (nn + ns) + 2);
+  b.assign(1, 0.0);
+  for (const auto* arcs : {&necessary_arcs_, &sufficient_arcs_}) {
+    for (const geom::Arc& a : *arcs) {
+      const double end = a.start + a.width;
+      b.push_back(a.start);
+      b.push_back(end >= geom::kTwoPi ? end - geom::kTwoPi : end);
+    }
+  }
+  // Most ends repeat the next arc's start: convert each distinct angle once.
+  std::sort(b.begin(), b.end());
+  b.erase(std::unique(b.begin(), b.end()), b.end());
+  for (double& ang : b) {
+    ang = pseudo_angle(std::cos(ang), std::sin(ang));
+  }
+  std::sort(b.begin(), b.end());
+  b.erase(std::unique(b.begin(), b.end()), b.end());
+  b.erase(std::lower_bound(b.begin(), b.end(), 4.0), b.end());
+  const std::size_t intervals = b.size();
+  b.push_back(4.0);
+  // Lookup buckets: a power-of-two count (so bucket starts are exact) of
+  // at least four per interval.
+  std::size_t k = 16;
+  while (k < 4 * intervals && k < (std::size_t{1} << 16)) {
+    k *= 2;
+  }
+  t.bucket_scale = static_cast<double>(k) / 4.0;
+  t.bucket.resize(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    const double start = static_cast<double>(i) / t.bucket_scale;
+    t.bucket[i] = static_cast<std::uint32_t>(
+        std::upper_bound(b.begin(), b.begin() + static_cast<std::ptrdiff_t>(intervals),
+                         start) -
+        b.begin() - 1);
+  }
+  // Arc bits per interval, from the oracle's own arc predicate at the
+  // interval's midpoint.  The predicate is constant across an interval
+  // (no arc boundary lies inside), so this also covers the remainder arc
+  // T_{k+1} and arcs wider than pi without special cases.
+  t.nec_words = (nn + 63) / 64;
+  t.suf_words = (ns + 63) / 64;
+  const std::size_t words = t.nec_words + 2 * t.suf_words;
+  t.full.assign(words, 0);
+  auto bit = [](std::size_t j) { return std::uint64_t{1} << (j % 64); };
+  for (std::size_t j = 0; j < nn; ++j) {
+    t.full[j / 64] |= bit(j);
+  }
+  for (std::size_t j = 0; j < ns; ++j) {
+    t.full[t.nec_words + j / 64] |= bit(j);
+    t.full[t.nec_words + t.suf_words + j / 64] |= bit(j);
+  }
+  t.row_begin.reserve(intervals + 1);
+  t.row_begin.assign(1, 0);
+  t.bits.clear();
+  t.bits.reserve(3 * intervals);  // typical: one word of each mask
+  std::vector<std::uint64_t> row(words);
+  for (std::size_t i = 0; i < intervals; ++i) {
+    const geom::Vec2 v = pseudo_direction(0.5 * (b[i] + b[i + 1]));
+    const double d = geom::normalize_angle(std::atan2(v.y, v.x));
+    std::fill(row.begin(), row.end(), 0);
+    for (std::size_t j = 0; j < nn; ++j) {
+      const geom::Arc& a = necessary_arcs_[j];
+      if (ccw_from_normalized(a.start, d) <= a.width) {
+        row[j / 64] |= bit(j);
+      }
+    }
+    for (std::size_t j = 0; j < ns; ++j) {
+      const geom::Arc& a = sufficient_arcs_[j];
+      if (ccw_from_normalized(a.start, d) <= a.width) {
+        row[t.nec_words + j / 64] |= bit(j);
+        row[t.nec_words + t.suf_words + j / 64] |= bit(j);
+      }
+    }
+    for (std::size_t w = 0; w < words; ++w) {
+      if (row[w] != 0) {
+        t.bits.push_back({static_cast<std::uint32_t>(w), row[w]});
+      }
+    }
+    t.row_begin.push_back(static_cast<std::uint32_t>(t.bits.size()));
+  }
 }
 
 void GridEvalEngine::CandSoA::resize(std::size_t n) {
@@ -579,7 +773,6 @@ std::size_t GridEvalEngine::point_candidate_count(std::size_t row, std::size_t c
 
 void GridEvalEngine::classify_entry(const CandView& view, std::size_t e,
                                     const geom::Vec2& p, GridEvalScratch& scratch,
-                                    std::vector<double>& out, double* xs, double* ys,
                                     std::size_t& m) const {
   const EntryClass c =
       classify_scalar(view, e, p, mode_ == geom::SpaceMode::kTorus, net_->cameras());
@@ -587,69 +780,60 @@ void GridEvalEngine::classify_entry(const CandView& view, std::size_t e,
     ++scratch.counters->trig_fallbacks;
   }
   if (c.covered & (c.n2 == 0.0)) [[unlikely]] {  // point at the camera
-    out.push_back(0.0);
+    scratch.angles.push_back(0.0);
     return;
   }
   // Branchless compaction: always write, advance on coverage.
-  xs[m] = c.dx;
-  ys[m] = c.dy;
+  scratch.dxs[m] = c.dx;
+  scratch.dys[m] = c.dy;
   m += static_cast<std::size_t>(c.covered);
 }
 
-void GridEvalEngine::gather_directions(const geom::Vec2& p, const CandView& view,
-                                       GridEvalScratch& scratch) const {
-  std::vector<double>& out = scratch.angles;
-  const std::size_t cnt = view.count;
-  // Metrics are per point (one pointer test), never per candidate.
-  GridEvalCounters* const ctr = scratch.counters;
-  const std::size_t out_before = out.size();
-  if (ctr != nullptr) [[unlikely]] {
-    ++ctr->points;
-    ctr->candidates_total += cnt;
-    ctr->candidates_per_point.add(cnt);
-  }
-  std::vector<double>& xs = scratch.dxs;
-  std::vector<double>& ys = scratch.dys;
-  if (xs.size() < cnt) {
-    xs.resize(cnt);
-    ys.resize(cnt);
-  }
-  std::size_t m = 0;
-  std::size_t e = 0;
-  // Lane-parallel classify over whole lane groups of the span's entries.
-  // Lanes the kernel flags as special — exact-arithmetic band hits and
-  // zero-distance hits — are replayed through the scalar path, which
-  // re-derives their classification (and counters) exactly as the scalar
-  // kernel would.
+void GridEvalEngine::classify_range(const geom::Vec2& p, const CandView& view,
+                                    std::size_t begin, std::size_t end,
+                                    GridEvalScratch& scratch, std::size_t& m) const {
+  std::size_t e = begin;
+  // Lane-parallel classify over whole lane groups of the range.  Lanes the
+  // kernel flags as special — exact-arithmetic band hits and zero-distance
+  // hits — are replayed through the scalar path, which re-derives their
+  // classification (and counters) exactly as the scalar kernel would.
+  // The kernel's full-width left-pack writes stay inside dxs/dys: m never
+  // exceeds the entries classified so far (at most one displacement per
+  // entry), and those plus this range fit in the span.
   if (classify_ != nullptr) {
-    const std::size_t vec_n = cnt & ~std::size_t{3};
+    const std::size_t vec_n = (end - begin) & ~std::size_t{3};
     if (vec_n != 0) {
-      if (scratch.special.size() < cnt) {
-        scratch.special.resize(cnt);
-      }
-      const detail::CandSpans spans{view.sx(), view.sy(), view.r2(), view.cu(),
-                                    view.su(), view.q(), view.omni()};
+      const detail::CandSpans spans{view.sx() + begin, view.sy() + begin,
+                                    view.r2() + begin, view.cu() + begin,
+                                    view.su() + begin, view.q() + begin,
+                                    view.omni() + begin};
       const detail::ClassifyResult res =
           classify_(spans, vec_n, p.x, p.y, mode_ == geom::SpaceMode::kTorus,
-                    xs.data(), ys.data(), scratch.special.data());
-      m = res.covered;
+                    scratch.dxs.data() + m, scratch.dys.data() + m,
+                    scratch.special.data());
+      m += res.covered;
       for (std::size_t j = 0; j < res.special; ++j) {
-        classify_entry(view, scratch.special[j], p, scratch, out, xs.data(),
-                       ys.data(), m);
+        classify_entry(view, begin + scratch.special[j], p, scratch, m);
       }
-      e = vec_n;
+      e = begin + vec_n;
     }
   }
-  // Scalar path: the whole span (scalar variant), or the remainder tail
+  // Scalar path: the whole range (scalar variant), or the remainder tail
   // (vector variants).
-  for (; e < cnt; ++e) {
-    classify_entry(view, e, p, scratch, out, xs.data(), ys.data(), m);
+  for (; e < end; ++e) {
+    classify_entry(view, e, p, scratch, m);
   }
+}
+
+void GridEvalEngine::emit_directions(GridEvalScratch& scratch, std::size_t m) {
   // atan2 (the single most expensive operation) runs in its own tight loop
-  // over the ~covered survivors instead of stalling the classify pipeline.
+  // over the covered survivors instead of stalling the classify pipeline.
   // The oracle's `normalize_angle(dir_sp + pi)` reduces to a branch because
   // fmod is the identity on [0, 2*pi).  One resize + raw writes, so the
   // loop carries no per-element capacity check.
+  std::vector<double>& out = scratch.angles;
+  const double* const xs = scratch.dxs.data();
+  const double* const ys = scratch.dys.data();
   const std::size_t base = out.size();
   out.resize(base + m);
   double* const emit = out.data() + base;
@@ -657,9 +841,154 @@ void GridEvalEngine::gather_directions(const geom::Vec2& p, const CandView& view
     const double v = std::atan2(ys[j], xs[j]) + geom::kPi;
     emit[j] = v >= geom::kTwoPi ? 0.0 : v;
   }
-  if (ctr != nullptr) [[unlikely]] {
-    ctr->directions_total += out.size() - out_before;
+  if (scratch.counters != nullptr) [[unlikely]] {
+    scratch.counters->atan2_calls += m;
   }
+}
+
+void GridEvalEngine::gather_directions(const geom::Vec2& p, const CandView& view,
+                                       GridEvalScratch& scratch) const {
+  const std::size_t cnt = view.count;
+  // Metrics are per point (one pointer test), never per candidate.
+  GridEvalCounters* const ctr = scratch.counters;
+  const std::size_t out_before = scratch.angles.size();
+  if (ctr != nullptr) [[unlikely]] {
+    ++ctr->points;
+    ctr->candidates_total += cnt;
+    ctr->candidates_per_point.add(cnt);
+  }
+  reserve_point(scratch, cnt);
+  std::size_t m = 0;
+  classify_range(p, view, 0, cnt, scratch, m);
+  emit_directions(scratch, m);
+  if (ctr != nullptr) [[unlikely]] {
+    ctr->directions_total += scratch.angles.size() - out_before;
+  }
+}
+
+GridEvalEngine::Predicates GridEvalEngine::decide_point(
+    const geom::Vec2& p, const CandView& view, Predicates need,
+    GridEvalScratch& scratch) const {
+  const SectorTable& t = sectors_;
+  const std::size_t wn = t.nec_words;
+  const std::size_t ws = t.suf_words;
+  const std::size_t words = wn + 2 * ws;
+  const std::uint64_t* const full = t.full.data();
+  std::vector<std::uint64_t>& masks = scratch.masks;
+  masks.resize(words);
+  std::uint64_t* const mask = masks.data();
+  // A word the caller does not need starts full, so "every word full"
+  // means every needed mask is full.
+  auto init = [&](std::size_t lo, std::size_t hi, bool needed) {
+    for (std::size_t w = lo; w < hi; ++w) {
+      mask[w] = needed ? 0 : full[w];
+    }
+  };
+  init(0, wn, need.necessary);
+  init(wn, wn + ws, need.sufficient);
+  init(wn + ws, words, need.full_view);
+  auto all_full = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t w = lo; w < hi; ++w) {
+      if (mask[w] != full[w]) {
+        return false;
+      }
+    }
+    return true;
+  };
+  // The oracle's arc predicate on an exact viewed direction: necessary and
+  // sufficient bits only, never the certified ones.
+  auto occupy_exact = [&](double d) {
+    for (std::size_t j = 0; j < necessary_arcs_.size(); ++j) {
+      const geom::Arc& a = necessary_arcs_[j];
+      if (ccw_from_normalized(a.start, d) <= a.width) {
+        mask[j / 64] |= std::uint64_t{1} << (j % 64);
+      }
+    }
+    for (std::size_t j = 0; j < sufficient_arcs_.size(); ++j) {
+      const geom::Arc& a = sufficient_arcs_[j];
+      if (ccw_from_normalized(a.start, d) <= a.width) {
+        mask[wn + j / 64] |= std::uint64_t{1} << (j % 64);
+      }
+    }
+  };
+  const std::size_t cnt = view.count;
+  reserve_point(scratch, cnt);
+  scratch.angles.clear();
+  const double* const xs = scratch.dxs.data();
+  const double* const ys = scratch.dys.data();
+  const double* const bounds = t.bounds.data();
+  const std::size_t last = t.bounds.size() - 2;  // index of the last interval
+  const auto last_bucket = static_cast<double>(t.bucket.size() - 1);
+  std::size_t m = 0;        // covered displacements classified (and mapped)
+  std::size_t e = 0;        // candidates classified
+  std::uint64_t exact = 0;  // band directions given an exact atan2
+  const std::size_t chunk = std::max(
+      kOccupancyChunk, ((cnt + kMaxChunks - 1) / kMaxChunks + 3) & ~std::size_t{3});
+  const std::span<const std::uint8_t> order = chunk_order((cnt + chunk - 1) / chunk);
+  bool decided = all_full(0, words);
+  for (std::size_t k = 0; k < order.size() && !decided; ++k) {
+    const std::size_t begin = order[k] * chunk;
+    const std::size_t end = std::min(cnt, begin + chunk);
+    const std::size_t m0 = m;
+    const std::size_t at_point = scratch.angles.size();
+    classify_range(p, view, begin, end, scratch, m);
+    e += end - begin;
+    if (scratch.angles.size() != at_point) {  // a camera at the point: direction 0
+      occupy_exact(0.0);
+    }
+    // Pseudo-angles first, in a loop with independent iterations, then
+    // the table lookups.  The viewed direction is the angle of the
+    // point -> camera vector.
+    double* const pa = scratch.pseudo.data();
+    for (std::size_t j = m0; j < m; ++j) {
+      pa[j - m0] = pseudo_angle(-xs[j], -ys[j]);
+    }
+    for (std::size_t j = m0; j < m; ++j) {
+      const double v = pa[j - m0];
+      std::size_t i = t.bucket[static_cast<std::size_t>(
+          std::min(v * t.bucket_scale, last_bucket))];
+      while (i < last && v >= bounds[i + 1]) {
+        ++i;
+      }
+      if (v - bounds[i] <= kOccupancyBand || bounds[i + 1] - v <= kOccupancyBand)
+          [[unlikely]] {
+        const double a = std::atan2(ys[j], xs[j]) + geom::kPi;
+        occupy_exact(a >= geom::kTwoPi ? 0.0 : a);
+        ++exact;
+        continue;
+      }
+      for (std::uint32_t r = t.row_begin[i]; r < t.row_begin[i + 1]; ++r) {
+        mask[t.bits[r].word] |= t.bits[r].bits;
+      }
+    }
+    decided = all_full(0, words);
+  }
+  Predicates d;
+  d.necessary = all_full(0, wn);
+  d.sufficient = all_full(wn, wn + ws);
+  d.full_view = all_full(wn + ws, words);
+  // Full view not proven by occupancy (and still asked for): every
+  // candidate has been classified, since a needed mask is open, so the
+  // compacted displacements are the whole covering set.  Skipped when a
+  // needed necessary bit already failed: the caller then ignores it.
+  const bool sorted_path =
+      need.full_view && !d.full_view && (d.necessary || !need.necessary);
+  const std::size_t zeros = scratch.angles.size();  // cameras at the point
+  if (sorted_path) {
+    emit_directions(scratch, m);
+    sort_directions(scratch);
+    const std::span<const double> dirs = scratch.angles;
+    d.full_view = !dirs.empty() && max_gap_sorted(dirs).width <= 2.0 * theta_;
+  }
+  if (GridEvalCounters* const ctr = scratch.counters; ctr != nullptr) [[unlikely]] {
+    ++ctr->points;
+    ctr->candidates_total += e;
+    ctr->candidates_per_point.add(cnt);
+    ctr->directions_total += m + zeros;
+    ctr->atan2_calls += exact;
+    ctr->occupancy_points += static_cast<std::uint64_t>(!sorted_path && exact == 0);
+  }
+  return d;
 }
 
 std::size_t GridEvalEngine::covered_count_at_least(const geom::Vec2& p,
@@ -837,50 +1166,46 @@ GridRowEvents GridEvalEngine::row_events(std::size_t row, GridEvalScratch& scrat
   ev.all_full_view = need_full_view;
   ev.all_sufficient = need_sufficient;
   for (std::size_t col = 0; col < cols(); ++col) {
-    const std::span<const double> dirs = sorted_directions(row, col, scratch);
-    if (!arcs_all_hit(dirs, necessary_arcs_)) {
+    const geom::Vec2 p = grid_.point(row, col);
+    const Predicates need{true, ev.all_full_view, ev.all_sufficient};
+    const Predicates d = decide_point(p, point_view(row, p, scratch), need, scratch);
+    if (!d.necessary) {
       return {false, false, false};
     }
-    if (ev.all_full_view) {
-      const SortedGap gap = max_gap_sorted(dirs);
-      if (dirs.empty() || gap.width > 2.0 * theta_) {
-        ev.all_full_view = false;
-        ev.all_sufficient = false;  // sufficient implies full view
-      }
+    if (ev.all_full_view && !d.full_view) {
+      ev.all_full_view = false;
+      ev.all_sufficient = false;  // sufficient implies full view
     }
-    if (ev.all_sufficient && !arcs_all_hit(dirs, sufficient_arcs_)) {
+    if (ev.all_sufficient && !d.sufficient) {
       ev.all_sufficient = false;
     }
   }
   return ev;
 }
 
-bool GridEvalEngine::row_all_necessary(std::size_t row, GridEvalScratch& scratch) const {
+bool GridEvalEngine::row_all(std::size_t row, GridEvalScratch& scratch,
+                             bool Predicates::*pred) const {
+  Predicates need;
+  need.*pred = true;
   for (std::size_t col = 0; col < cols(); ++col) {
-    if (!arcs_all_hit(sorted_directions(row, col, scratch), necessary_arcs_)) {
+    const geom::Vec2 p = grid_.point(row, col);
+    if (!(decide_point(p, point_view(row, p, scratch), need, scratch).*pred)) {
       return false;
     }
   }
   return true;
+}
+
+bool GridEvalEngine::row_all_necessary(std::size_t row, GridEvalScratch& scratch) const {
+  return row_all(row, scratch, &Predicates::necessary);
 }
 
 bool GridEvalEngine::row_all_sufficient(std::size_t row, GridEvalScratch& scratch) const {
-  for (std::size_t col = 0; col < cols(); ++col) {
-    if (!arcs_all_hit(sorted_directions(row, col, scratch), sufficient_arcs_)) {
-      return false;
-    }
-  }
-  return true;
+  return row_all(row, scratch, &Predicates::sufficient);
 }
 
 bool GridEvalEngine::row_all_full_view(std::size_t row, GridEvalScratch& scratch) const {
-  for (std::size_t col = 0; col < cols(); ++col) {
-    const std::span<const double> dirs = sorted_directions(row, col, scratch);
-    if (dirs.empty() || max_gap_sorted(dirs).width > 2.0 * theta_) {
-      return false;
-    }
-  }
-  return true;
+  return row_all(row, scratch, &Predicates::full_view);
 }
 
 bool GridEvalEngine::row_all_k_covered(std::size_t row, std::size_t k,

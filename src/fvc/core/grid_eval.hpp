@@ -19,7 +19,11 @@
 ///      are gathered into a reusable scratch buffer and sorted in place
 ///      once; the exact max-gap test and both sector conditions are then
 ///      evaluated from that same sorted buffer with zero per-point heap
-///      allocations (sector partitions are precomputed per scan).
+///      allocations (sector partitions are precomputed per scan).  The
+///      boolean scans (`row_events`, `row_all_*`) skip the angles: they
+///      decide the predicates from which sectors hold a covering camera
+///      (see `decide_point`), and take the sorted path only for a point
+///      whose full view the sector masks cannot prove.
 ///   3. *Lane-parallel classify* — candidate records are stored as
 ///      structure-of-arrays spans and classified 4 lanes at a time by an
 ///      explicitly vectorized kernel (grid_eval_kernel.hpp) selected by
@@ -87,14 +91,22 @@ using ClassifyFn = ClassifyResult (*)(const CandSpans& c, std::size_t count,
 /// hot path stays synchronization-free.  When no counters are attached
 /// the kernel pays one pointer test per grid *point*, never per
 /// candidate, and results are unchanged either way (counting does not
-/// touch the arithmetic).  `candidates_total` / `candidates_per_point`
-/// describe the index's candidate spans (a superset of the covering set);
-/// every other field depends only on the covering set.
+/// touch the arithmetic).  `candidates_per_point` describes the index's
+/// candidate spans (a superset of the covering set).  On the sorted path
+/// (`row_stats`, `evaluate`, `block_stats`, `eval_point`, the `point_*`
+/// accessors) every candidate is classified and every covering direction
+/// emitted, so `candidates_total` is the span total and
+/// `directions_total` the covering-set total.  On the boolean path
+/// (`row_events`, `row_all_*`) the sector-occupancy decision stops as
+/// soon as its masks are full, so both count only the candidates
+/// classified and the directions consumed before the point was decided.
 struct GridEvalCounters {
   std::uint64_t points = 0;            ///< grid points gathered
-  std::uint64_t candidates_total = 0;  ///< indexed candidates scanned
-  std::uint64_t directions_total = 0;  ///< covering directions emitted
-  std::uint64_t trig_fallbacks = 0;    ///< exact-arithmetic band fallbacks
+  std::uint64_t candidates_total = 0;  ///< indexed candidates classified
+  std::uint64_t directions_total = 0;  ///< covering directions consumed
+  std::uint64_t trig_fallbacks = 0;    ///< field-of-view band fallbacks
+  std::uint64_t atan2_calls = 0;       ///< viewed-direction atan2 evaluations
+  std::uint64_t occupancy_points = 0;  ///< points decided with no atan2 or sort
   obs::LogHistogram candidates_per_point;
 
   void merge(const GridEvalCounters& other) {
@@ -102,6 +114,8 @@ struct GridEvalCounters {
     candidates_total += other.candidates_total;
     directions_total += other.directions_total;
     trig_fallbacks += other.trig_fallbacks;
+    atan2_calls += other.atan2_calls;
+    occupancy_points += other.occupancy_points;
     candidates_per_point.merge(other.candidates_per_point);
   }
 
@@ -119,6 +133,11 @@ struct GridEvalScratch {
   /// Lane indices the vectorized kernel routes back to the scalar path
   /// (exact-arithmetic band hits, zero-distance hits).
   std::vector<std::uint32_t> special;
+  /// Sector-occupancy state of the point being decided (see
+  /// GridEvalEngine::row_events): the masks, and the pseudo-angles of one
+  /// chunk's covered directions.
+  std::vector<std::uint64_t> masks;
+  std::vector<double> pseudo;
   /// Optional metrics destination; null (the default) disables counting.
   GridEvalCounters* counters = nullptr;
 
@@ -234,12 +253,14 @@ class GridEvalEngine {
   /// first necessary-condition failure (with every bit false, matching the
   /// trial semantics: the necessary condition is necessary, so nothing can
   /// hold).  `need_full_view` / `need_sufficient` skip predicates the
-  /// caller has already falsified on earlier rows.
+  /// caller has already falsified on earlier rows.  Decided per point by
+  /// sector occupancy (`decide_point`); bit-identical to the oracles.
   [[nodiscard]] GridRowEvents row_events(std::size_t row, GridEvalScratch& scratch,
                                          bool need_full_view,
                                          bool need_sufficient) const;
 
-  /// Early-exit single-predicate row scans backing the `grid_all_*` API.
+  /// Early-exit single-predicate row scans backing the `grid_all_*` API,
+  /// decided per point by sector occupancy like `row_events`.
   [[nodiscard]] bool row_all_necessary(std::size_t row, GridEvalScratch& scratch) const;
   [[nodiscard]] bool row_all_sufficient(std::size_t row, GridEvalScratch& scratch) const;
   [[nodiscard]] bool row_all_full_view(std::size_t row, GridEvalScratch& scratch) const;
@@ -392,19 +413,66 @@ class GridEvalEngine {
 
   /// The scalar per-entry classify path: classifies view entry `e`
   /// against `p` (via the engine's one scalar classify definition),
-  /// appending immediate directions (zero-distance hits) to `out` and
-  /// compacting covered displacements into xs/ys at m.  Shared by the
-  /// scalar kernel loop, the vectorized kernel's remainder tail, and its
-  /// special-lane replay.
+  /// appending immediate directions (zero-distance hits) to
+  /// `scratch.angles` and compacting covered displacements into
+  /// `scratch.dxs/dys` at m.  Shared by the scalar kernel loop, the
+  /// vectorized kernel's remainder tail, and its special-lane replay.
   void classify_entry(const CandView& view, std::size_t e, const geom::Vec2& p,
-                      GridEvalScratch& scratch, std::vector<double>& out, double* xs,
-                      double* ys, std::size_t& m) const;
+                      GridEvalScratch& scratch, std::size_t& m) const;
+
+  /// Classify view entries [begin, end): covered displacements are
+  /// compacted into `scratch.dxs/dys` at m (advancing it), zero-distance
+  /// hits append direction 0 to `scratch.angles`.  Lane groups go through
+  /// the dispatched vector kernel, special lanes and the remainder tail
+  /// through `classify_entry`.  \pre dxs/dys/special hold >= view.count
+  void classify_range(const geom::Vec2& p, const CandView& view, std::size_t begin,
+                      std::size_t end, GridEvalScratch& scratch, std::size_t& m) const;
+
+  /// Append the viewed directions of the m compacted displacements to
+  /// `scratch.angles` (the oracle's `normalize_angle(atan2 + pi)`).
+  static void emit_directions(GridEvalScratch& scratch, std::size_t m);
 
   /// Fused gather: viewed directions of all covering cameras into
   /// `scratch.angles` (unsorted); the allocation-free core of
   /// `sorted_directions`.
   void gather_directions(const geom::Vec2& p, const CandView& view,
                          GridEvalScratch& scratch) const;
+
+  /// The three point predicates: which ones a boolean scan still needs
+  /// at a point, or `decide_point`'s answer to them.
+  struct Predicates {
+    bool necessary = false;
+    bool full_view = false;
+    bool sufficient = false;
+  };
+
+  /// Sector-occupancy decision of the needed predicates at grid point `p`.
+  /// Candidates are classified in chunks; each covered displacement's
+  /// viewed direction is located in `sectors_` by pseudo-angle and ORs its
+  /// interval's arc bits into three masks — necessary (2*theta arcs),
+  /// sufficient (theta arcs), and *certified* sufficient (theta arcs hit
+  /// by directions outside the boundary band).  A direction inside the
+  /// band gets the oracle's exact angle and arc test instead, and counts
+  /// toward the first two masks only.  Stops after the first chunk that
+  /// leaves every needed mask full.  Necessary and sufficient are exact
+  /// set tests.  Full view holds when the certified mask is full (each
+  /// theta arc then holds a direction at least the band inside it, so
+  /// every real gap is below 2*theta by at least the band, far more than
+  /// the oracle's rounding); otherwise the already-classified
+  /// displacements take the atan2 -> sort -> max-gap path.  Bits not
+  /// needed are unspecified, and so is full_view when a needed necessary
+  /// bit is false.
+  [[nodiscard]] Predicates decide_point(const geom::Vec2& p, const CandView& view,
+                                        Predicates need,
+                                        GridEvalScratch& scratch) const;
+
+  /// True when predicate `pred` holds at every point of `row`, stopping
+  /// at the first point where it fails.
+  [[nodiscard]] bool row_all(std::size_t row, GridEvalScratch& scratch,
+                             bool Predicates::*pred) const;
+
+  /// Build `sectors_` from the two arc partitions.
+  void build_sector_table();
 
   /// Covering-camera count with early exit at `k` (no angle computation on
   /// the fast path).
@@ -423,6 +491,33 @@ class GridEvalEngine {
   std::uint64_t generation_ = 0;  ///< process-unique; keys scratch row slices
   std::vector<geom::Arc> necessary_arcs_;   ///< 2*theta partition, start 0
   std::vector<geom::Arc> sufficient_arcs_;  ///< theta partition, start 0
+
+  /// Occupancy lookup over the union of both partitions' arc boundaries.
+  /// Mask words: [0, nec_words) necessary arcs, then suf_words sufficient
+  /// arcs, then suf_words certified-sufficient arcs (bit j of a family =
+  /// word j / 64, bit j % 64).
+  struct SectorTable {
+    struct Bits {
+      std::uint32_t word = 0;
+      std::uint64_t bits = 0;
+    };
+    /// Boundary pseudo-angles, ascending and distinct; bounds[0] == 0
+    /// (direction 0 is always a boundary) and a trailing sentinel 4.
+    std::vector<double> bounds;
+    /// Interval holding each bucket's start: a direction's pseudo-angle v
+    /// lies in bucket floor(v * bucket_scale), and its interval is found
+    /// by advancing from that bucket's interval.
+    std::vector<std::uint32_t> bucket;
+    double bucket_scale = 0.0;
+    /// Per interval i (between bounds[i] and bounds[i + 1]): the mask
+    /// words a certified direction there ORs, as CSR rows.
+    std::vector<std::uint32_t> row_begin;
+    std::vector<Bits> bits;
+    std::vector<std::uint64_t> full;  ///< every bit of each mask word
+    std::size_t nec_words = 0;
+    std::size_t suf_words = 0;
+  };
+  SectorTable sectors_;
 
   std::size_t cells_ = 1;
   std::size_t cells_target_ = 1;

@@ -7,7 +7,8 @@
 /// the (torus-wrapped) displacement, the radius test and the trig-free
 /// field-of-view classifier with exactly the IEEE operation sequence of
 /// the scalar oracle, compacts the displacements of cleanly-covered lanes
-/// into xs/ys for the caller's scalar atan2 loop, and reports *special*
+/// into xs/ys for the caller's direction stage (the scalar atan2 loop, or
+/// the sector-occupancy lookup of the boolean scans), and reports *special*
 /// lanes — exact-arithmetic band hits and zero-distance hits — back to
 /// the caller, which reruns them through the scalar per-entry path (so
 /// fallback counting and classification stay bit-identical to the scalar

@@ -112,6 +112,9 @@ GridEvents grid_events_parallel(const core::Network& net, const core::DenseGrid&
   // the whole result, so later rows (checked between the rows of a block
   // too) may be skipped.  Skipped rows default to all-true and cannot flip
   // the AND-reduction, which keeps the result independent of scheduling.
+  // Within a block, predicates already falsified on earlier rows are not
+  // asked again (as in run_trial_events): the block's AND is false either
+  // way, so the result is unchanged.
   std::atomic<bool> necessary_failed{false};
   parallel_for_blocked(rows, plan.workers, plan.grain,
                        [&](std::size_t begin, std::size_t end, std::size_t) {
@@ -121,8 +124,8 @@ GridEvents grid_events_parallel(const core::Network& net, const core::DenseGrid&
                            if (necessary_failed.load(std::memory_order_relaxed)) {
                              break;
                            }
-                           const core::GridRowEvents re =
-                               engine.row_events(row, scratch, true, true);
+                           const core::GridRowEvents re = engine.row_events(
+                               row, scratch, acc.all_full_view, acc.all_sufficient);
                            acc.all_necessary = acc.all_necessary && re.all_necessary;
                            acc.all_full_view = acc.all_full_view && re.all_full_view;
                            acc.all_sufficient =

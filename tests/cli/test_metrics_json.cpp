@@ -196,6 +196,9 @@ TEST(MetricsJson, SimulateEstimateSubtree) {
       engine.at("histograms").at("candidates_per_point").at("total").number(), points);
   EXPECT_GE(engine.at("counters").at("candidates_total").number(),
             engine.at("counters").at("directions_total").number());
+  // Points the sector-occupancy decision settled without atan2 or sort.
+  EXPECT_TRUE(engine.at("counters").contains("atan2_calls"));
+  EXPECT_LE(engine.at("counters").at("occupancy_points").number(), points);
   // Regression: the engine node used to export "elapsed_ns": 0 — it must
   // carry the attributed construction time (candidate binning, summed
   // across trials) and agree with the build_ns counter.

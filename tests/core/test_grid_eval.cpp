@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <iterator>
 #include <stdexcept>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "fvc/geometry/angle.hpp"
 #include "fvc/stats/distributions.hpp"
 #include "fvc/stats/rng.hpp"
+#include "support/point_booleans.hpp"
 
 namespace fvc::core {
 namespace {
@@ -315,6 +317,34 @@ TEST(GridEvalEngine, RowScansAgreeWithScalarCounts) {
       EXPECT_EQ(ev_suf, want.all_sufficient());
     }
   }
+}
+
+// The row-level test above compares grid-wide ANDs only, so a wrong point
+// can hide behind a failing one.  Check the boolean scans one probe point at
+// a time instead (each network translated so the probe is the single point
+// of a DenseGrid(1)), over the paper's angles plus a remainder-arc angle and
+// angles with 2*theta > pi.
+TEST(GridEvalEngine, BooleanScansMatchOraclesAtEveryProbePoint) {
+  constexpr double thetas[] = {kPi / 12.0, kPi / 6.0, kPi / 4.0, kPi / 3.0,
+                               0.3 * kPi,  0.7 * kPi, kPi};
+  stats::Pcg32 rng = stats::make_child_rng(6116, 0);
+  testsupport::PointOutcomes seen;
+  for (std::size_t trial = 0; trial < 14; ++trial) {
+    const HeterogeneousProfile profile = random_profile(rng);
+    const std::size_t n = 20 + stats::uniform_below(rng, 300);
+    const Network net = deploy::deploy_uniform_network(profile, n, rng);
+    const double theta = thetas[trial % std::size(thetas)];
+    for (int k = 0; k < 30; ++k) {
+      const geom::Vec2 p{stats::uniform01(rng), stats::uniform01(rng)};
+      SCOPED_TRACE(testing::Message() << "trial=" << trial << " theta=" << theta
+                                      << " p=(" << p.x << ", " << p.y << ")");
+      const Network centered = testsupport::centered_on(net, p);
+      testsupport::expect_point_booleans(centered, theta);
+      seen.add(testsupport::point_oracle(centered, theta));
+    }
+  }
+  // Both outcomes of every predicate occurred, so no check was vacuous.
+  seen.expect_both_outcomes();
 }
 
 TEST(GridEvalEngine, PublicEntryPointsUseTheEngine) {

@@ -8,6 +8,7 @@
 
 #include "fvc/geometry/angle.hpp"
 #include "fvc/obs/run_metrics.hpp"
+#include "fvc/sim/trial.hpp"
 
 namespace fvc::sim {
 namespace {
@@ -137,10 +138,33 @@ TEST(RunOptions, MetricsTreeHasTrialsEngineAndPool) {
   ASSERT_NE(engine, nullptr);
   EXPECT_GT(engine->counter("points"), 0.0);
   EXPECT_GE(engine->counter("candidates_total"), engine->counter("directions_total"));
+  // The boolean trial scan's sector-occupancy counters ride on the node.
+  EXPECT_TRUE(engine->has_counter("atan2_calls"));
+  EXPECT_TRUE(engine->has_counter("occupancy_points"));
+  EXPECT_LE(engine->counter("occupancy_points"), engine->counter("points"));
   const obs::MetricsNode* pool = node.find_child("pool");
   ASSERT_NE(pool, nullptr);
   EXPECT_GE(pool->counter("workers"), 1.0);
   EXPECT_DOUBLE_EQ(pool->counter("tasks"), 10.0);
+}
+
+// TrialMetrics carries the boolean scan's sector-occupancy counters, and
+// metering leaves the trial's events unchanged.
+TEST(TrialMetricsRecord, CarriesOccupancyCounters) {
+  const TrialConfig cfg = fast_config();
+  TrialMetrics m;
+  const TrialEvents metered = run_trial_events(cfg, 11, &m);
+  const TrialEvents plain = run_trial_events(cfg, 11);
+  EXPECT_EQ(metered.all_necessary, plain.all_necessary);
+  EXPECT_EQ(metered.all_full_view, plain.all_full_view);
+  EXPECT_EQ(metered.all_sufficient, plain.all_sufficient);
+  EXPECT_GT(m.engine.points, 0U);
+  EXPECT_GT(m.engine.occupancy_points, 0U);
+  EXPECT_LE(m.engine.occupancy_points, m.engine.points);
+  TrialMetrics twice = m;
+  twice.merge(m);
+  EXPECT_EQ(twice.engine.atan2_calls, 2 * m.engine.atan2_calls);
+  EXPECT_EQ(twice.engine.occupancy_points, 2 * m.engine.occupancy_points);
 }
 
 TEST(RunOptions, MetricsTotalsDeterministicAcrossThreadCounts) {
