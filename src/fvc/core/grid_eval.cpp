@@ -1,6 +1,7 @@
 #include "fvc/core/grid_eval.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -123,6 +124,71 @@ constexpr double kOccupancyBand = 1e-9;
 constexpr std::size_t kOccupancyChunk = 32;
 constexpr std::size_t kMaxChunks = 64;
 
+/// Gap-bound bins of the stats path: the pseudo-angle range [0, 4) cut
+/// into kGapBins equal bins (a direction's bin is floor(v * kGapBinScale),
+/// wrapping 4 to 0), held as a bitmap in `GridEvalScratch::gap_bins`.
+constexpr std::size_t kGapBins = 256;
+constexpr double kGapBinScale = static_cast<double>(kGapBins) / 4.0;
+
+/// Widening of the gap bounds: far above the error of the bin-angle table,
+/// the pseudo-angles, the bound arithmetic and the oracle's rounded
+/// `fl(atan2 + pi)` directions and gap differences (each ~1e-15 rad).
+constexpr double kGapSlack = 1e-9;
+
+/// Viewed direction of each gap-bin boundary: bin b spans the directions
+/// [A[b], A[b + 1]], with A[0] == 0 and A[kGapBins] == 2*pi.
+const std::array<double, kGapBins + 1>& gap_bin_angles() {
+  static const std::array<double, kGapBins + 1> table = [] {
+    std::array<double, kGapBins + 1> a{};
+    for (std::size_t b = 0; b < kGapBins; ++b) {
+      const geom::Vec2 v = pseudo_direction(static_cast<double>(b) / kGapBinScale);
+      a[b] = geom::normalize_angle(std::atan2(v.y, v.x));
+    }
+    a[kGapBins] = geom::kTwoPi;
+    return a;
+  }();
+  return table;
+}
+
+static_assert(std::tuple_size_v<decltype(GridEvalScratch::gap_bins)> * 64 == kGapBins);
+
+/// An interval holding a point's max gap.
+struct GapBounds {
+  double lo = 0.0;
+  double hi = 0.0;
+};
+
+/// Bounds on the max circular gap of the directions binned in `bins` (at
+/// least one bin set), given the bin-boundary angles `a`.  The directions
+/// of consecutive occupied bins x < y (and the wrap pair, last to first)
+/// are consecutive around the circle, so the gap between them lies in
+/// [a[y] - a[x + 1], a[y + 1] - a[x]]; a gap inside one bin is at most its
+/// width, below the upper bound of the pair the bin starts.  The max gap
+/// is the largest of these gaps, hence at least the largest lower bound
+/// and at most the largest upper bound.  Both are widened by kGapSlack.
+inline GapBounds gap_bounds(const std::array<std::uint64_t, kGapBins / 64>& bins,
+                            const double* a) {
+  std::size_t first = kGapBins;
+  std::size_t prev = 0;
+  double lo = 0.0;
+  double hi = 0.0;
+  for (std::size_t w = 0; w < bins.size(); ++w) {
+    for (std::uint64_t word = bins[w]; word != 0; word &= word - 1) {
+      const std::size_t b = 64 * w + static_cast<std::size_t>(std::countr_zero(word));
+      if (first == kGapBins) {
+        first = b;
+      } else {
+        lo = std::max(lo, a[b] - a[prev + 1]);
+        hi = std::max(hi, a[b + 1] - a[prev]);
+      }
+      prev = b;
+    }
+  }
+  lo = std::max(lo, a[first] + geom::kTwoPi - a[prev + 1]);
+  hi = std::max(hi, a[first + 1] + geom::kTwoPi - a[prev]);
+  return {lo - kGapSlack, hi + kGapSlack};
+}
+
 /// The order in which the occupancy decision visits the chunks of a span
 /// cut into `chunks` (1..kMaxChunks) chunks: the middle, the chunks a
 /// sixth of the span in from either end, the thirds, then dyadic
@@ -169,6 +235,17 @@ void reserve_point(GridEvalScratch& scratch, std::size_t count) {
     scratch.special.resize(count);
     scratch.pseudo.resize(count);
   }
+}
+
+/// True when mask words [lo, hi) equal the full words.
+inline bool words_full(const std::uint64_t* mask, const std::uint64_t* full,
+                       std::size_t lo, std::size_t hi) {
+  for (std::size_t w = lo; w < hi; ++w) {
+    if (mask[w] != full[w]) {
+      return false;
+    }
+  }
+  return true;
 }
 
 /// `sectors_all_hit` of the scalar oracle, over precomputed arcs and the
@@ -866,6 +943,66 @@ void GridEvalEngine::gather_directions(const geom::Vec2& p, const CandView& view
   }
 }
 
+void GridEvalEngine::occupy_exact(double d, std::uint64_t* mask) const {
+  const std::size_t wn = sectors_.nec_words;
+  for (std::size_t j = 0; j < necessary_arcs_.size(); ++j) {
+    const geom::Arc& a = necessary_arcs_[j];
+    if (ccw_from_normalized(a.start, d) <= a.width) {
+      mask[j / 64] |= std::uint64_t{1} << (j % 64);
+    }
+  }
+  for (std::size_t j = 0; j < sufficient_arcs_.size(); ++j) {
+    const geom::Arc& a = sufficient_arcs_[j];
+    if (ccw_from_normalized(a.start, d) <= a.width) {
+      mask[wn + j / 64] |= std::uint64_t{1} << (j % 64);
+    }
+  }
+}
+
+template <bool kBinned>
+std::uint64_t GridEvalEngine::occupy_directions(GridEvalScratch& scratch, std::size_t m0,
+                                                std::size_t m) const {
+  const SectorTable& t = sectors_;
+  std::uint64_t* const mask = scratch.masks.data();
+  const double* const xs = scratch.dxs.data();
+  const double* const ys = scratch.dys.data();
+  const double* const bounds = t.bounds.data();
+  const std::size_t last = t.bounds.size() - 2;  // index of the last interval
+  const auto last_bucket = static_cast<double>(t.bucket.size() - 1);
+  std::uint64_t exact = 0;
+  // Pseudo-angles first, in a loop with independent iterations, then the
+  // table lookups.  The viewed direction is the angle of the point ->
+  // camera vector.
+  double* const pa = scratch.pseudo.data();
+  for (std::size_t j = m0; j < m; ++j) {
+    pa[j - m0] = pseudo_angle(-xs[j], -ys[j]);
+  }
+  for (std::size_t j = m0; j < m; ++j) {
+    const double v = pa[j - m0];
+    if constexpr (kBinned) {
+      const std::size_t b =
+          static_cast<std::size_t>(v * kGapBinScale) & (kGapBins - 1);  // 4 wraps to 0
+      scratch.gap_bins[b / 64] |= std::uint64_t{1} << (b % 64);
+    }
+    std::size_t i = t.bucket[static_cast<std::size_t>(
+        std::min(v * t.bucket_scale, last_bucket))];
+    while (i < last && v >= bounds[i + 1]) {
+      ++i;
+    }
+    if (v - bounds[i] <= kOccupancyBand || bounds[i + 1] - v <= kOccupancyBand)
+        [[unlikely]] {
+      const double a = std::atan2(ys[j], xs[j]) + geom::kPi;
+      occupy_exact(a >= geom::kTwoPi ? 0.0 : a, mask);
+      ++exact;
+      continue;
+    }
+    for (std::uint32_t r = t.row_begin[i]; r < t.row_begin[i + 1]; ++r) {
+      mask[t.bits[r].word] |= t.bits[r].bits;
+    }
+  }
+  return exact;
+}
+
 GridEvalEngine::Predicates GridEvalEngine::decide_point(
     const geom::Vec2& p, const CandView& view, Predicates need,
     GridEvalScratch& scratch) const {
@@ -888,37 +1025,11 @@ GridEvalEngine::Predicates GridEvalEngine::decide_point(
   init(wn, wn + ws, need.sufficient);
   init(wn + ws, words, need.full_view);
   auto all_full = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t w = lo; w < hi; ++w) {
-      if (mask[w] != full[w]) {
-        return false;
-      }
-    }
-    return true;
-  };
-  // The oracle's arc predicate on an exact viewed direction: necessary and
-  // sufficient bits only, never the certified ones.
-  auto occupy_exact = [&](double d) {
-    for (std::size_t j = 0; j < necessary_arcs_.size(); ++j) {
-      const geom::Arc& a = necessary_arcs_[j];
-      if (ccw_from_normalized(a.start, d) <= a.width) {
-        mask[j / 64] |= std::uint64_t{1} << (j % 64);
-      }
-    }
-    for (std::size_t j = 0; j < sufficient_arcs_.size(); ++j) {
-      const geom::Arc& a = sufficient_arcs_[j];
-      if (ccw_from_normalized(a.start, d) <= a.width) {
-        mask[wn + j / 64] |= std::uint64_t{1} << (j % 64);
-      }
-    }
+    return words_full(mask, full, lo, hi);
   };
   const std::size_t cnt = view.count;
   reserve_point(scratch, cnt);
   scratch.angles.clear();
-  const double* const xs = scratch.dxs.data();
-  const double* const ys = scratch.dys.data();
-  const double* const bounds = t.bounds.data();
-  const std::size_t last = t.bounds.size() - 2;  // index of the last interval
-  const auto last_bucket = static_cast<double>(t.bucket.size() - 1);
   std::size_t m = 0;        // covered displacements classified (and mapped)
   std::size_t e = 0;        // candidates classified
   std::uint64_t exact = 0;  // band directions given an exact atan2
@@ -934,33 +1045,9 @@ GridEvalEngine::Predicates GridEvalEngine::decide_point(
     classify_range(p, view, begin, end, scratch, m);
     e += end - begin;
     if (scratch.angles.size() != at_point) {  // a camera at the point: direction 0
-      occupy_exact(0.0);
+      occupy_exact(0.0, mask);
     }
-    // Pseudo-angles first, in a loop with independent iterations, then
-    // the table lookups.  The viewed direction is the angle of the
-    // point -> camera vector.
-    double* const pa = scratch.pseudo.data();
-    for (std::size_t j = m0; j < m; ++j) {
-      pa[j - m0] = pseudo_angle(-xs[j], -ys[j]);
-    }
-    for (std::size_t j = m0; j < m; ++j) {
-      const double v = pa[j - m0];
-      std::size_t i = t.bucket[static_cast<std::size_t>(
-          std::min(v * t.bucket_scale, last_bucket))];
-      while (i < last && v >= bounds[i + 1]) {
-        ++i;
-      }
-      if (v - bounds[i] <= kOccupancyBand || bounds[i + 1] - v <= kOccupancyBand)
-          [[unlikely]] {
-        const double a = std::atan2(ys[j], xs[j]) + geom::kPi;
-        occupy_exact(a >= geom::kTwoPi ? 0.0 : a);
-        ++exact;
-        continue;
-      }
-      for (std::uint32_t r = t.row_begin[i]; r < t.row_begin[i + 1]; ++r) {
-        mask[t.bits[r].word] |= t.bits[r].bits;
-      }
-    }
+    exact += occupy_directions<false>(scratch, m0, m);
     decided = all_full(0, words);
   }
   Predicates d;
@@ -1112,44 +1199,84 @@ bool GridEvalEngine::point_sufficient(std::size_t row, std::size_t col,
 }
 
 GridRowStats GridEvalEngine::row_stats(std::size_t row, GridEvalScratch& scratch) const {
-  GridRowStats rs;
-  bool first = true;
-  for (std::size_t col = 0; col < cols(); ++col) {
-    const std::span<const double> dirs = sorted_directions(row, col, scratch);
-    if (!dirs.empty()) {
-      ++rs.covered_1;
-    }
-    if (dirs.size() >= implied_k_) {
-      ++rs.k_covered_ok;
-    }
-    const SortedGap gap = max_gap_sorted(dirs);
-    if (!dirs.empty() && gap.width <= 2.0 * theta_) {
-      ++rs.full_view_ok;
-    }
-    if (arcs_all_hit(dirs, necessary_arcs_)) {
-      ++rs.necessary_ok;
-    }
-    if (arcs_all_hit(dirs, sufficient_arcs_)) {
-      ++rs.sufficient_ok;
-    }
-    if (first) {
-      rs.min_max_gap = rs.max_max_gap = gap.width;
-      first = false;
-    } else {
-      rs.min_max_gap = std::min(rs.min_max_gap, gap.width);
-      rs.max_max_gap = std::max(rs.max_max_gap, gap.width);
-    }
-  }
-  return rs;
+  return block_stats(row, row + 1, scratch);
 }
 
 GridRowStats GridEvalEngine::block_stats(std::size_t row_begin, std::size_t row_end,
                                          GridEvalScratch& scratch) const {
   GridRowStats acc;
   for (std::size_t row = row_begin; row < row_end; ++row) {
-    acc.fold(row_stats(row, scratch), row == row_begin);
+    for (std::size_t col = 0; col < cols(); ++col) {
+      const geom::Vec2 p = grid_.point(row, col);
+      stats_point(p, point_view(row, p, scratch), row == row_begin && col == 0, acc,
+                  scratch);
+    }
   }
   return acc;
+}
+
+void GridEvalEngine::stats_point(const geom::Vec2& p, const CandView& view, bool first,
+                                 GridRowStats& acc, GridEvalScratch& scratch) const {
+  const SectorTable& t = sectors_;
+  const std::size_t wn = t.nec_words;
+  const std::size_t ws = t.suf_words;
+  const std::size_t words = wn + 2 * ws;
+  const std::uint64_t* const full = t.full.data();
+  scratch.masks.assign(words, 0);
+  scratch.gap_bins.fill(0);
+  scratch.angles.clear();
+  const std::size_t cnt = view.count;
+  reserve_point(scratch, cnt);
+  std::size_t m = 0;
+  classify_range(p, view, 0, cnt, scratch, m);
+  const std::size_t zeros = scratch.angles.size();  // cameras at the point
+  if (zeros != 0) {
+    occupy_exact(0.0, scratch.masks.data());
+    scratch.gap_bins[0] |= 1;
+  }
+  const std::uint64_t exact = occupy_directions<true>(scratch, 0, m);
+  const std::uint64_t* const mask = scratch.masks.data();
+  const std::size_t count = m + zeros;
+  acc.covered_1 += static_cast<std::size_t>(count != 0);
+  acc.k_covered_ok += static_cast<std::size_t>(count >= implied_k_);
+  acc.necessary_ok += static_cast<std::size_t>(words_full(mask, full, 0, wn));
+  acc.sufficient_ok += static_cast<std::size_t>(words_full(mask, full, wn, wn + ws));
+  const double two_theta = 2.0 * theta_;
+  // With at most one direction the oracle's gap is 2*pi - (d - d) = 2*pi.
+  double gap = geom::kTwoPi;
+  bool full_view = count != 0 && gap <= two_theta;
+  bool gap_known = true;
+  bool sorted_path = false;
+  if (count >= 2) {
+    const bool certified = words_full(mask, full, wn + ws, words);
+    const GapBounds b = gap_bounds(scratch.gap_bins, gap_bin_angles().data());
+    const bool open = !certified && b.lo <= two_theta && two_theta < b.hi;
+    sorted_path = open || first || b.lo <= acc.min_max_gap || b.hi >= acc.max_max_gap;
+    if (sorted_path) {
+      emit_directions(scratch, m);
+      sort_directions(scratch);
+      gap = max_gap_sorted(scratch.angles).width;
+      full_view = gap <= two_theta;
+    } else {
+      full_view = certified || b.hi <= two_theta;
+      gap_known = false;
+    }
+  }
+  acc.full_view_ok += static_cast<std::size_t>(full_view);
+  if (first) {
+    acc.min_max_gap = acc.max_max_gap = gap;
+  } else if (gap_known) {
+    acc.min_max_gap = std::min(acc.min_max_gap, gap);
+    acc.max_max_gap = std::max(acc.max_max_gap, gap);
+  }
+  if (GridEvalCounters* const ctr = scratch.counters; ctr != nullptr) [[unlikely]] {
+    ++ctr->points;
+    ctr->candidates_total += cnt;
+    ctr->candidates_per_point.add(cnt);
+    ctr->directions_total += count;
+    ctr->atan2_calls += exact;
+    ctr->occupancy_points += static_cast<std::uint64_t>(!sorted_path && exact == 0);
+  }
 }
 
 RegionCoverageStats GridEvalEngine::evaluate(GridEvalScratch& scratch) const {

@@ -15,15 +15,21 @@
 ///      cell, so "which cameras might cover this point?" is one contiguous
 ///      span per grid point.  Every span is a superset of the covering
 ///      set, so results never depend on the index.
-///   2. *Fused kernel* — per point, the viewed angles of covering cameras
-///      are gathered into a reusable scratch buffer and sorted in place
-///      once; the exact max-gap test and both sector conditions are then
-///      evaluated from that same sorted buffer with zero per-point heap
-///      allocations (sector partitions are precomputed per scan).  The
-///      boolean scans (`row_events`, `row_all_*`) skip the angles: they
-///      decide the predicates from which sectors hold a covering camera
-///      (see `decide_point`), and take the sorted path only for a point
-///      whose full view the sector masks cannot prove.
+///   2. *Fused kernel* — per point, the covering cameras' displacements
+///      are compacted into reusable scratch buffers with zero per-point
+///      heap allocations (sector partitions are precomputed per engine).
+///      Every scan decides the predicates from which sectors hold a
+///      covering camera (sector occupancy, see `decide_point`), with no
+///      atan2 and no sort.  The boolean scans (`row_events`, `row_all_*`)
+///      stop as soon as the masks decide; the stats path (`block_stats`,
+///      `row_stats`, `evaluate`) also bins the directions into a
+///      pseudo-angle bitmap that bounds the point's max gap (see
+///      `stats_point`).  Either takes the exact path — one atan2 per
+///      covering camera, an in-place sort, the oracle's gap scan — only
+///      for a point whose full view the masks and bounds leave open, or
+///      whose max gap could set a new extreme of the scan.  The per-point
+///      accessors (`eval_point`, `point_*`, `sorted_directions`) report a
+///      point's own max gap and always take the exact path.
 ///   3. *Lane-parallel classify* — candidate records are stored as
 ///      structure-of-arrays spans and classified 4 lanes at a time by an
 ///      explicitly vectorized kernel (grid_eval_kernel.hpp) selected by
@@ -56,6 +62,7 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -92,14 +99,18 @@ using ClassifyFn = ClassifyResult (*)(const CandSpans& c, std::size_t count,
 /// the kernel pays one pointer test per grid *point*, never per
 /// candidate, and results are unchanged either way (counting does not
 /// touch the arithmetic).  `candidates_per_point` describes the index's
-/// candidate spans (a superset of the covering set).  On the sorted path
-/// (`row_stats`, `evaluate`, `block_stats`, `eval_point`, the `point_*`
-/// accessors) every candidate is classified and every covering direction
-/// emitted, so `candidates_total` is the span total and
-/// `directions_total` the covering-set total.  On the boolean path
-/// (`row_events`, `row_all_*`) the sector-occupancy decision stops as
-/// soon as its masks are full, so both count only the candidates
+/// candidate spans (a superset of the covering set).  On the stats path
+/// (`row_stats`, `evaluate`, `block_stats`) and the per-point sorted path
+/// (`eval_point`, the `point_*` accessors) every candidate is classified
+/// and every covering direction consumed, so `candidates_total` is the
+/// span total and `directions_total` the covering-set total.  On the
+/// boolean path (`row_events`, `row_all_*`) the sector-occupancy decision
+/// stops as soon as its masks are full, so both count only the candidates
 /// classified and the directions consumed before the point was decided.
+/// `atan2_calls` counts the calls made on any path: on the stats and
+/// boolean paths only band hits and points that took the exact path pay
+/// them, and `occupancy_points` counts the points of those two paths that
+/// paid neither an atan2 nor a sort.
 struct GridEvalCounters {
   std::uint64_t points = 0;            ///< grid points gathered
   std::uint64_t candidates_total = 0;  ///< indexed candidates classified
@@ -138,6 +149,10 @@ struct GridEvalScratch {
   /// chunk's covered directions.
   std::vector<std::uint64_t> masks;
   std::vector<double> pseudo;
+  /// Gap-bound bitmap of the stats path: bit b is set when a covering
+  /// direction's pseudo-angle lies in bin b of 256 (see
+  /// GridEvalEngine::block_stats).
+  std::array<std::uint64_t, 4> gap_bins{};
   /// Optional metrics destination; null (the default) disables counting.
   GridEvalCounters* counters = nullptr;
 
@@ -232,7 +247,8 @@ class GridEvalEngine {
   [[nodiscard]] bool point_sufficient(std::size_t row, std::size_t col,
                                       GridEvalScratch& scratch) const;
 
-  /// All predicates fused over one row.  \pre row < rows()
+  /// All predicates fused over one row: `block_stats(row, row + 1)`.
+  /// \pre row < rows()
   [[nodiscard]] GridRowStats row_stats(std::size_t row, GridEvalScratch& scratch) const;
 
   /// All predicates fused over the contiguous row block
@@ -241,7 +257,10 @@ class GridEvalEngine {
   /// serial scan's reduction exactly (the blocked scheduler's bit-identity
   /// contract; see sim/parallel_region.hpp).  One engine call per block
   /// keeps the parallel scan's callback cost at one indirection per block
-  /// rather than per row.  \pre row_begin < row_end <= rows()
+  /// rather than per row.  Each point is decided by `stats_point`, which
+  /// computes a point's exact max gap only when it could move the block's
+  /// running extremes, so the result is the same for any partition.
+  /// \pre row_begin < row_end <= rows()
   [[nodiscard]] GridRowStats block_stats(std::size_t row_begin, std::size_t row_end,
                                          GridEvalScratch& scratch) const;
 
@@ -407,7 +426,7 @@ class GridEvalEngine {
                                         GridEvalScratch& scratch) const;
 
   /// In-place sort of `scratch.angles` (the tail of `sorted_directions`,
-  /// shared with `eval_point`): insertion sort for small buffers, a
+  /// shared by every exact path): insertion sort for small buffers, a
   /// 32-bucket counting presort for mid-sized ones, std::sort above.
   static void sort_directions(GridEvalScratch& scratch);
 
@@ -446,6 +465,22 @@ class GridEvalEngine {
     bool sufficient = false;
   };
 
+  /// The occupancy step of both scans, for the compacted displacements
+  /// [m0, m) of `scratch.dxs/dys`: each direction's pseudo-angle locates
+  /// its interval in `sectors_`, whose arc bits it ORs into
+  /// `scratch.masks`; a direction inside the boundary band takes
+  /// `occupy_exact` on its exact viewed direction instead.  With `kBinned`
+  /// it also sets its bin in `scratch.gap_bins`.  Returns the number of
+  /// band directions (each one atan2).
+  template <bool kBinned>
+  std::uint64_t occupy_directions(GridEvalScratch& scratch, std::size_t m0,
+                                  std::size_t m) const;
+
+  /// The oracle's arc predicate on an exact viewed direction `d`: ORs the
+  /// necessary and sufficient bits of the arcs holding `d` into `mask`,
+  /// never the certified ones.
+  void occupy_exact(double d, std::uint64_t* mask) const;
+
   /// Sector-occupancy decision of the needed predicates at grid point `p`.
   /// Candidates are classified in chunks; each covered displacement's
   /// viewed direction is located in `sectors_` by pseudo-angle and ORs its
@@ -465,6 +500,21 @@ class GridEvalEngine {
   [[nodiscard]] Predicates decide_point(const geom::Vec2& p, const CandView& view,
                                         Predicates need,
                                         GridEvalScratch& scratch) const;
+
+  /// Fold grid point `p` into the block accumulator `acc` (`first`: the
+  /// block's first point).  Every candidate is classified, and the
+  /// counts and both sector conditions come from the occupancy masks, as
+  /// in `decide_point`.  The directions are also binned by pseudo-angle:
+  /// consecutive occupied bins bound the point's max gap to [lo, hi]
+  /// (widened by a slack far above every rounding involved).  A point
+  /// with at most one direction has a max gap of exactly 2*pi.  Any other
+  /// point takes the exact atan2 -> sort -> max-gap path only when full
+  /// view is still open (certified mask not full and [lo, hi] holds
+  /// 2*theta) or when it could set a new extreme: it is the first point,
+  /// lo <= the running min, or hi >= the running max.  A pruned point
+  /// provably leaves both extremes unchanged.
+  void stats_point(const geom::Vec2& p, const CandView& view, bool first,
+                   GridRowStats& acc, GridEvalScratch& scratch) const;
 
   /// True when predicate `pred` holds at every point of `row`, stopping
   /// at the first point where it fails.

@@ -94,17 +94,21 @@ TEST(ApiSession, WholeGridQueryMatchesOneShotEvaluation) {
   const core::Network net(test_cameras());
   const core::DenseGrid grid(kSide);
   const core::RegionCoverageStats want = core::evaluate_region(net, grid, kTheta);
+  // The point-at-a-time oracle too, not only the engine the session runs.
+  const core::RegionCoverageStats oracle = core::evaluate_region_scalar(net, grid, kTheta);
   const api::RegionAnswer got = session.query_region(0.0, 1.0);
   EXPECT_EQ(got.row_begin, 0u);
   EXPECT_EQ(got.row_end, kSide);
   EXPECT_EQ(got.tiles_total, kSide / kTileRows);
   EXPECT_EQ(got.tiles_computed, kSide / kTileRows);
   expect_same_stats(got.stats, want);
+  expect_same_stats(got.stats, oracle);
   // Re-query: answered entirely from the cache, still bit-identical.
   const api::RegionAnswer again = session.query_region(0.0, 1.0);
   EXPECT_EQ(again.tiles_cached, kSide / kTileRows);
   EXPECT_EQ(again.tiles_computed, 0u);
   expect_same_stats(again.stats, want);
+  expect_same_stats(again.stats, oracle);
 }
 
 TEST(ApiSession, StripWidensToWholeTilesAndReportsRows) {

@@ -65,12 +65,18 @@ TEST(ParallelIdentity, RandomDeploymentsAcrossThreadsAndGrains) {
     const core::Network net = random_network(rng, n);
     const core::DenseGrid grid(side);
     const core::RegionCoverageStats serial = core::evaluate_region(net, grid, theta);
+    // The engine's serial scan against the point-at-a-time oracle, so a
+    // defect shared by the serial and blocked scans cannot hide.
+    const core::RegionCoverageStats oracle = core::evaluate_region_scalar(net, grid, theta);
+    expect_bitwise_equal(oracle, serial);
     for (const std::size_t threads : kThreadCounts) {
       for (const std::size_t grain : kGrains) {
         SCOPED_TRACE("threads=" + std::to_string(threads) + " grain=" +
                      std::to_string(grain));
-        expect_bitwise_equal(
-            serial, evaluate_region_parallel(net, grid, theta, threads, grain));
+        const core::RegionCoverageStats parallel =
+            evaluate_region_parallel(net, grid, theta, threads, grain);
+        expect_bitwise_equal(serial, parallel);
+        expect_bitwise_equal(oracle, parallel);
       }
     }
   }
