@@ -1,5 +1,5 @@
 /// \file client.hpp
-/// \brief Minimal blocking fvc.query/1 client (tests, bench_serve).
+/// \brief Minimal blocking fvc.query/1 client (tests, perfbench, fvc top).
 ///
 /// One connection, synchronous request/response.  The daemon serializes
 /// Session access anyway, so a caller that wants concurrency opens more

@@ -1,6 +1,6 @@
 /// \file socket_io.hpp
 /// \brief Blocking AF_UNIX socket plumbing shared by the serve daemon and
-/// its clients (tests, bench_serve).
+/// its clients (tests, perfbench, fvc top).
 ///
 /// Frames are read and written whole (read_frame / write_frame), with the
 /// length prefix validated by wire.hpp before any body allocation.  All

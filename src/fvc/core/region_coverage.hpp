@@ -47,8 +47,8 @@ struct RegionCoverageStats {
                                                   double theta);
 
 /// The original point-at-a-time evaluation.  Kept as the reference oracle
-/// for the batched engine's differential tests and the bench_compare
-/// regression harness; prefer `evaluate_region` everywhere else.
+/// for the batched engine's differential tests; prefer `evaluate_region`
+/// everywhere else.
 [[nodiscard]] RegionCoverageStats evaluate_region_scalar(const Network& net,
                                                          const DenseGrid& grid,
                                                          double theta);

@@ -15,8 +15,7 @@
 /// and whose per-unit cost dwarfs one atomic claim) pass grain 1
 /// explicitly; grid-row scans use grain 0 to get `choose_grain` (see
 /// parallel_region.hpp): at 64-row grids the per-row claim overhead is what
-/// made 4 threads *slower* than 1 (BENCH_grid_eval.json before the blocked
-/// scheduler).  The historical per-index `parallel_for(count, threads, fn)`
+/// made 4 threads *slower* than 1 before the blocked scheduler.  The historical per-index `parallel_for(count, threads, fn)`
 /// adapter has been removed — `parallel_for_blocked` is the only entry
 /// point.
 ///

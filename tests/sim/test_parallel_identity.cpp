@@ -19,6 +19,7 @@
 #include "fvc/deploy/uniform.hpp"
 #include "fvc/geometry/angle.hpp"
 #include "fvc/obs/run_metrics.hpp"
+#include "fvc/obs/trace.hpp"
 #include "fvc/sim/parallel_region.hpp"
 #include "fvc/stats/rng.hpp"
 
@@ -54,6 +55,34 @@ core::Network random_network(stats::Pcg32& rng, std::size_t n) {
   return deploy::deploy_uniform_network(profile, n, rng);
 }
 
+// Every whole-grid entry point against the point-at-a-time oracle, so a
+// defect shared by the serial and blocked scans cannot hide: the batched
+// engine, the blocked scan across the thread/grain matrix, the batched scan
+// under a live trace session, and a metered blocked scan (tracing and
+// metering never touch arithmetic).
+void expect_every_scan_matches_oracle(const core::Network& net, const core::DenseGrid& grid,
+                                      double theta) {
+  const core::RegionCoverageStats oracle = core::evaluate_region_scalar(net, grid, theta);
+  expect_bitwise_equal(oracle, core::evaluate_region(net, grid, theta));
+  for (const std::size_t threads : kThreadCounts) {
+    for (const std::size_t grain : kGrains) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " grain=" + std::to_string(grain));
+      expect_bitwise_equal(oracle, evaluate_region_parallel(net, grid, theta, threads, grain));
+    }
+  }
+  {
+    obs::TraceSession session(1 << 16);
+    session.install();
+    const core::RegionCoverageStats traced = core::evaluate_region(net, grid, theta);
+    session.uninstall();
+    SCOPED_TRACE("traced");
+    expect_bitwise_equal(oracle, traced);
+  }
+  obs::MetricsNode node("region");
+  SCOPED_TRACE("metered");
+  expect_bitwise_equal(oracle, evaluate_region_parallel(net, grid, theta, 4, 0, &node));
+}
+
 TEST(ParallelIdentity, RandomDeploymentsAcrossThreadsAndGrains) {
   stats::Pcg32 rng(0x1de27171);
   for (int it = 0; it < 8; ++it) {
@@ -62,24 +91,19 @@ TEST(ParallelIdentity, RandomDeploymentsAcrossThreadsAndGrains) {
     const double theta = 0.2 + 0.8 * geom::kHalfPi * (rng() / 4294967296.0);
     SCOPED_TRACE("it=" + std::to_string(it) + " n=" + std::to_string(n) +
                  " side=" + std::to_string(side) + " theta=" + std::to_string(theta));
-    const core::Network net = random_network(rng, n);
-    const core::DenseGrid grid(side);
-    const core::RegionCoverageStats serial = core::evaluate_region(net, grid, theta);
-    // The engine's serial scan against the point-at-a-time oracle, so a
-    // defect shared by the serial and blocked scans cannot hide.
-    const core::RegionCoverageStats oracle = core::evaluate_region_scalar(net, grid, theta);
-    expect_bitwise_equal(oracle, serial);
-    for (const std::size_t threads : kThreadCounts) {
-      for (const std::size_t grain : kGrains) {
-        SCOPED_TRACE("threads=" + std::to_string(threads) + " grain=" +
-                     std::to_string(grain));
-        const core::RegionCoverageStats parallel =
-            evaluate_region_parallel(net, grid, theta, threads, grain);
-        expect_bitwise_equal(serial, parallel);
-        expect_bitwise_equal(oracle, parallel);
-      }
-    }
+    expect_every_scan_matches_oracle(random_network(rng, n), core::DenseGrid(side), theta);
   }
+}
+
+TEST(ParallelIdentity, ReferenceDeploymentEveryScanPathMatchesScalar) {
+  // One fixed deployment of realistic size beside the random ones: n = 1000
+  // on 64^2 at theta = pi/4, an omnidirectional and a 2.0 rad group.
+  constexpr std::size_t n = 1000;
+  const core::HeterogeneousProfile profile(std::vector<core::CameraGroupSpec>{
+      {0.5, 0.08, geom::kTwoPi}, {0.5, 0.12, 2.0}});
+  stats::Pcg32 rng = stats::make_child_rng(20240805, n);
+  expect_every_scan_matches_oracle(deploy::deploy_uniform_network(profile, n, rng),
+                                   core::DenseGrid(64), geom::kPi / 4.0);
 }
 
 TEST(ParallelIdentity, GrainLargerThanRows) {

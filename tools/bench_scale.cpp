@@ -239,7 +239,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     // Constant expected candidates per grid point across the ladder:
-    // r ~ 1/sqrt(n), anchored at the bench_compare profile (n = 1000).
+    // r ~ 1/sqrt(n), anchored at the n = 1000 reference deployment of
+    // ParallelIdentity.ReferenceDeploymentEveryScanPathMatchesScalar.
     const double scale = std::sqrt(1000.0 / static_cast<double>(rec.n));
     rec.radius_omni = 0.08 * scale;
     rec.radius_sector = 0.12 * scale;
