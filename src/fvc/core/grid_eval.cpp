@@ -642,14 +642,14 @@ void GridEvalEngine::build_index() {
   for (std::size_t s = 0; s < cells_; ++s) {
     strip_offsets_[s + 1] += strip_offsets_[s];
   }
-  std::vector<std::uint32_t> cursor(strip_offsets_.begin(), strip_offsets_.end() - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    strip_entries_[cursor[strip[i]]++] = static_cast<std::uint32_t>(i);
-  }
-  // One fused-kernel record per camera, written as seven sequential field
-  // streams.  The omni marker is an all-bits-set double so the lane kernel
-  // can OR it straight into its comparison masks; it is never used
-  // arithmetically.
+  // The scatter also writes each camera's fused-kernel record to its pool
+  // slot, so the pool is in y-strip order: a row slice reads the slot
+  // ranges of the few strips its band spans instead of gathering through
+  // random camera ids.  Cameras are scattered in camera order, so a strip's
+  // slots stay in camera-id order, and every slice and candidate list holds
+  // the same cameras in the same order whatever the pool layout.  The omni
+  // marker is an all-bits-set double so the lane kernel can OR it straight
+  // into its comparison masks; it is never used arithmetically.
   const double omni_mask = std::bit_cast<double>(~std::uint64_t{0});
   cam_soa_.resize(n);
   double* const f_sx = cam_soa_.mut(0);
@@ -659,16 +659,28 @@ void GridEvalEngine::build_index() {
   double* const f_su = cam_soa_.mut(4);
   double* const f_q = cam_soa_.mut(5);
   double* const f_om = cam_soa_.mut(6);
+  std::vector<std::uint32_t> cursor(strip_offsets_.begin(), strip_offsets_.end() - 1);
+  // Lean fill (see CandSoA): no orientation trig for omni cameras, and
+  // one cos(fov/2) per run of bit-equal fovs.
+  std::uint64_t fov_bits = 0;
+  double q = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t slot = cursor[strip[i]]++;
+    strip_entries_[slot] = static_cast<std::uint32_t>(i);
     const Camera& cam = cams[i];
-    f_sx[i] = cam.position.x;
-    f_sy[i] = cam.position.y;
-    f_r2[i] = cam.radius * cam.radius;
-    f_cu[i] = std::cos(cam.orientation);
-    f_su[i] = std::sin(cam.orientation);
-    const double chs = std::cos(0.5 * cam.fov);
-    f_q[i] = chs * std::abs(chs);
-    f_om[i] = 0.5 * cam.fov >= geom::kPi ? omni_mask : 0.0;
+    f_sx[slot] = cam.position.x;
+    f_sy[slot] = cam.position.y;
+    f_r2[slot] = cam.radius * cam.radius;
+    const bool omni = 0.5 * cam.fov >= geom::kPi;
+    f_cu[slot] = omni ? 0.0 : std::cos(cam.orientation);
+    f_su[slot] = omni ? 0.0 : std::sin(cam.orientation);
+    if (i == 0 || std::bit_cast<std::uint64_t>(cam.fov) != fov_bits) {
+      fov_bits = std::bit_cast<std::uint64_t>(cam.fov);
+      const double chs = std::cos(0.5 * cam.fov);
+      q = chs * std::abs(chs);
+    }
+    f_q[slot] = q;
+    f_om[slot] = omni ? omni_mask : 0.0;
   }
   // Slice window geometry.  The per-point x window is the real interval
   // [px - R, px + R] padded by one cell per side; the pad (>= 1/cells_)
@@ -715,23 +727,22 @@ void GridEvalEngine::gather_y_band(double y, std::vector<std::uint32_t>& out) co
     const std::uint32_t lo = strip_offsets_[s];
     const std::uint32_t hi = strip_offsets_[s + 1];
     for (std::uint32_t e = lo; e < hi; ++e) {
-      const std::uint32_t cam = strip_entries_[e];
       // Exact y prune, using the kernel's own displacement sequence: the
       // fused distance test satisfies fl(fl(dx^2) + fl(dy^2)) >= fl(dy^2)
       // (rounding is monotone, fl(dx^2) >= 0), so fl(dy^2) > r^2 implies
       // the kernel rejects this camera at every point at this y — dropping
       // it cannot change any covered set.
-      double dy = y - cam_sy[cam];
+      double dy = y - cam_sy[e];
       if (torus) {
         dy -= std::round(dy);
         if (dy >= 0.5) {
           dy -= 1.0;
         }
       }
-      if (dy * dy > cam_r2[cam]) {
+      if (dy * dy > cam_r2[e]) {
         continue;
       }
-      out.push_back(cam);
+      out.push_back(e);
     }
   }
 }
@@ -742,7 +753,7 @@ void GridEvalEngine::build_row_slice(std::size_t row, GridEvalScratch& scratch) 
   const auto s_count = static_cast<std::ptrdiff_t>(cells_);
   const auto sd = static_cast<double>(cells_);
   const bool torus = mode_ == geom::SpaceMode::kTorus;
-  // 1. The cameras whose disc can reach the row's y.
+  // 1. The pool slots of the cameras whose disc can reach the row's y.
   std::vector<std::uint32_t>& surv = sl.survivors;
   surv.clear();
   gather_y_band(py, surv);
@@ -753,16 +764,16 @@ void GridEvalEngine::build_row_slice(std::size_t row, GridEvalScratch& scratch) 
   const std::size_t ecells = whole_row_ ? 1 : cells_ + static_cast<std::size_t>(2 * g);
   sl.offsets.assign(ecells + 1, 0);
   const double* const cam_sx = cam_soa_.sx();
-  auto xcell_of = [&](std::uint32_t cam) {
+  auto xcell_of = [&](std::uint32_t slot) {
     return static_cast<std::ptrdiff_t>(std::min<std::size_t>(
-        static_cast<std::size_t>(std::max(cam_sx[cam], 0.0) * sd), cells_ - 1));
+        static_cast<std::size_t>(std::max(cam_sx[slot], 0.0) * sd), cells_ - 1));
   };
   if (whole_row_) {
     sl.offsets[1] = static_cast<std::uint32_t>(surv.size());
     sl.ids.assign(surv.begin(), surv.end());
   } else {
-    for (const std::uint32_t cam : surv) {
-      const std::ptrdiff_t cx = xcell_of(cam);
+    for (const std::uint32_t slot : surv) {
+      const std::ptrdiff_t cx = xcell_of(slot);
       ++sl.offsets[static_cast<std::size_t>(cx + g) + 1];
       if (g != 0 && cx < g) {
         ++sl.offsets[static_cast<std::size_t>(cx + g + s_count) + 1];
@@ -776,31 +787,40 @@ void GridEvalEngine::build_row_slice(std::size_t row, GridEvalScratch& scratch) 
     }
     sl.ids.resize(sl.offsets[ecells]);
     sl.cursors.assign(sl.offsets.begin(), sl.offsets.end() - 1);
-    for (const std::uint32_t cam : surv) {
-      const std::ptrdiff_t cx = xcell_of(cam);
-      sl.ids[sl.cursors[static_cast<std::size_t>(cx + g)]++] = cam;
+    for (const std::uint32_t slot : surv) {
+      const std::ptrdiff_t cx = xcell_of(slot);
+      sl.ids[sl.cursors[static_cast<std::size_t>(cx + g)]++] = slot;
       if (g != 0 && cx < g) {
-        sl.ids[sl.cursors[static_cast<std::size_t>(cx + g + s_count)]++] = cam;
+        sl.ids[sl.cursors[static_cast<std::size_t>(cx + g + s_count)]++] = slot;
       }
       if (g != 0 && cx >= s_count - g) {
-        sl.ids[sl.cursors[static_cast<std::size_t>(cx + g - s_count)]++] = cam;
+        sl.ids[sl.cursors[static_cast<std::size_t>(cx + g - s_count)]++] = slot;
       }
     }
   }
-  // 3. Gather the slice's compact SoA from the per-camera pool, field by
-  //    field (sequential writes, one random-read stream per field).
-  const std::size_t total = sl.ids.size();
-  sl.stride = total;
-  sl.soa.resize(7 * total);
-  for (std::size_t f = 0; f < 7; ++f) {
-    double* const dst = sl.soa.data() + f * total;
-    const double* const src = cam_soa_.data.data() + f * cam_soa_.stride;
-    for (std::size_t w = 0; w < total; ++w) {
-      dst[w] = src[sl.ids[w]];
-    }
-  }
+  // 3. Copy the slice's compact SoA out of the band's strips of the pool.
+  sl.stride = sl.ids.size();
+  copy_records(sl.ids, sl.soa);
   sl.engine_gen = generation_;
   sl.row = row;
+}
+
+void GridEvalEngine::copy_records(std::vector<std::uint32_t>& ids,
+                                  std::vector<double>& soa) const {
+  // Field by field: sequential writes, and reads that run forward through
+  // the few strips a band spans.
+  const std::size_t total = ids.size();
+  soa.resize(7 * total);
+  for (std::size_t f = 0; f < 7; ++f) {
+    double* const dst = soa.data() + f * total;
+    const double* const src = cam_soa_.data.data() + f * cam_soa_.stride;
+    for (std::size_t w = 0; w < total; ++w) {
+      dst[w] = src[ids[w]];
+    }
+  }
+  for (std::uint32_t& id : ids) {
+    id = strip_entries_[id];
+  }
 }
 
 GridEvalEngine::CandView GridEvalEngine::point_view(std::size_t row,
@@ -840,6 +860,9 @@ std::span<const std::uint32_t> GridEvalEngine::candidates(const geom::Vec2& p) c
   static thread_local std::vector<std::uint32_t> buf;
   buf.clear();
   gather_y_band(p.y, buf);
+  for (std::uint32_t& id : buf) {
+    id = strip_entries_[id];
+  }
   return {buf.data(), buf.size()};
 }
 
@@ -1150,23 +1173,14 @@ void GridEvalEngine::sort_directions(GridEvalScratch& scratch) {
 
 GridEvalEngine::CandView GridEvalEngine::arbitrary_view(
     const geom::Vec2& p, GridEvalScratch& scratch) const {
-  // `candidates(p)` prunes the strip bins by exact y distance — still a
-  // duplicate-free superset of the covering set — and the per-id records
-  // are copied field-by-field out of the per-camera pool, so the classify
-  // pipeline sees the exact bits `build_index` wrote.
-  const std::span<const std::uint32_t> ids = candidates(p);
-  const std::size_t n = ids.size();
-  scratch.point_ids.assign(ids.begin(), ids.end());
-  scratch.point_soa.resize(7 * n);
-  const std::size_t cam_stride = cam_soa_.stride;
-  const double* const pool = cam_soa_.data.data();
-  for (std::size_t f = 0; f < 7; ++f) {
-    double* const dst = scratch.point_soa.data() + f * n;
-    const double* const src = pool + f * cam_stride;
-    for (std::size_t i = 0; i < n; ++i) {
-      dst[i] = src[scratch.point_ids[i]];
-    }
-  }
+  // The strip walk of `candidates(p)` — an exact y prune, still a
+  // duplicate-free superset of the covering set — whose records are copied
+  // out of the pool, so the classify pipeline sees the exact bits
+  // `build_index` wrote.
+  scratch.point_ids.clear();
+  gather_y_band(p.y, scratch.point_ids);
+  copy_records(scratch.point_ids, scratch.point_soa);
+  const std::size_t n = scratch.point_ids.size();
   return {scratch.point_soa.data(), n, scratch.point_ids.data(), n};
 }
 

@@ -10,11 +10,13 @@
 /// work into a cache-friendly pipeline:
 ///
 ///   1. *Candidate indexing* — one pass over the cameras bins them by y
-///      strip (candidate_index.hpp); each grid row then materialises a
-///      compacted slice of the cameras that can reach it, bucketed by x
-///      cell, so "which cameras might cover this point?" is one contiguous
-///      span per grid point.  Every span is a superset of the covering
-///      set, so results never depend on the index.
+///      strip (candidate_index.hpp) and writes their kernel records into a
+///      pool in strip order; each grid row then materialises a compacted
+///      slice of the cameras that can reach it, copied from the few pool
+///      strips its band spans and bucketed by x cell, so "which cameras
+///      might cover this point?" is one contiguous span per grid point.
+///      Every span is a superset of the covering set, so results never
+///      depend on the index.
 ///   2. *Fused kernel* — per point, the covering cameras' displacements
 ///      are compacted into reusable scratch buffers with zero per-point
 ///      heap allocations (sector partitions are precomputed per engine).
@@ -157,8 +159,8 @@ struct GridEvalScratch {
   GridEvalCounters* counters = nullptr;
 
   /// Arbitrary-point candidate view: the compacted SoA records of the
-  /// candidates near one off-lattice point, copied out of the per-camera
-  /// pool, plus the parallel camera ids.  `eval_point` materialises these.
+  /// candidates near one off-lattice point, copied out of the engine's
+  /// strip-ordered pool, plus the parallel camera ids.  `eval_point` materialises these.
   std::vector<double> point_soa;
   std::vector<std::uint32_t> point_ids;
 
@@ -176,7 +178,7 @@ struct GridEvalScratch {
     std::vector<std::uint32_t> ids;      ///< camera ids parallel to soa
     std::vector<std::uint32_t> offsets;  ///< per extended-x-cell CSR
     std::vector<std::uint32_t> cursors;  ///< build scratch: scatter cursors
-    std::vector<std::uint32_t> survivors;  ///< build scratch: y-band hits
+    std::vector<std::uint32_t> survivors;  ///< build scratch: y-band pool slots
   };
   RowSlice slice;
 };
@@ -324,7 +326,8 @@ class GridEvalEngine {
   [[nodiscard]] bool cells_clamped() const { return cells_clamped_; }
 
   /// Heap bytes held by the candidate index (strip offsets + entries +
-  /// the per-camera SoA pool; row slices are per scratch).
+  /// the SoA pool, 4 * (cells + 1) + 60 * cameras; row slices are per
+  /// scratch).
   [[nodiscard]] std::size_t index_bytes() const;
 
   /// Wall time spent building the candidate index in the constructor (the
@@ -364,7 +367,11 @@ class GridEvalEngine {
   /// One contiguous buffer of seven field blocks (`stride` doubles each) —
   /// a single allocation, because engine construction is on the hot path
   /// of Monte-Carlo trials and separate quarter-megabyte vectors cost
-  /// ~1 ms of page faults per engine.
+  /// ~1 ms of page faults per engine.  The fill is lean: an omnidirectional
+  /// camera stores cu = su = 0 and skips its orientation's cos/sin (both
+  /// classify paths mask cu and su with `omni` before any use, and a band
+  /// hit excludes `omni`), and `q` is reused while consecutive cameras
+  /// have a bit-equal fov (deployments are written group by group).
   struct CandSoA {
     std::vector<double> data;
     std::size_t stride = 0;
@@ -405,13 +412,18 @@ class GridEvalEngine {
   /// radius-derived rule (candidate_index.hpp).
   void compute_cells();
 
-  /// Bin the cameras into y strips and fill the per-camera SoA pool.
+  /// Bin the cameras into y strips and fill the SoA pool in strip order.
   void build_index();
 
-  /// Append to `out` the ids of the cameras whose y distance to `y` passes
-  /// the kernel's exact y prune — the strip walk shared by row slices and
-  /// `candidates(p)`.
+  /// Append to `out` the pool slots of the cameras whose y distance to `y`
+  /// passes the kernel's exact y prune, in slot order — the strip walk
+  /// shared by row slices, `arbitrary_view` and `candidates(p)`.
   void gather_y_band(double y, std::vector<std::uint32_t>& out) const;
+
+  /// Copy the pool records at the slots in `ids` into `soa` (seven field
+  /// blocks of `ids.size()` doubles each), then rewrite `ids` in place to
+  /// the slots' camera ids.
+  void copy_records(std::vector<std::uint32_t>& ids, std::vector<double>& soa) const;
 
   /// Span resolution for grid point `p` on `row`: materialises (or reuses)
   /// the row slice in `scratch`.
@@ -573,11 +585,12 @@ class GridEvalEngine {
   std::size_t cells_target_ = 1;
   bool cells_clamped_ = false;
 
-  // Cameras binned once by y strip (no replication); row slices are
-  // materialised per scratch.
-  std::vector<std::uint32_t> strip_offsets_;  ///< size cells_ + 1
-  std::vector<std::uint32_t> strip_entries_;  ///< size n (camera ids)
-  CandSoA cam_soa_;                           ///< per camera (stride = n)
+  // Cameras binned once by y strip (no replication), their records pooled
+  // in strip order, camera order within a strip; row slices are
+  // materialised per scratch and hold camera ids.
+  std::vector<std::uint32_t> strip_offsets_;  ///< size cells_ + 1 (slot CSR)
+  std::vector<std::uint32_t> strip_entries_;  ///< size n: pool slot -> camera id
+  CandSoA cam_soa_;                           ///< per pool slot (stride = n)
   double max_r_ = 0.0;        ///< net max radius (slice band half-height)
   std::ptrdiff_t ghost_ = 0;  ///< ghost x cells per slice side (torus)
   bool whole_row_ = false;    ///< degenerate: window spans the whole axis
