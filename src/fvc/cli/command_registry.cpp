@@ -195,9 +195,6 @@ const std::vector<FlagSpec>& global_flags() {
   static const std::vector<FlagSpec> flags = {
       {"metrics", "FILE", "",
        "write a fvc.metrics/1 JSON report of the run to FILE"},
-      {"kernel", "NAME", "",
-       "pin the grid-eval kernel variant (scalar|generic|avx2|neon); "
-       "results are bit-identical, only speed changes"},
       {"grain", "G", "",
        "indices per parallel-scheduler claim: rows per block for grid "
        "scans (0 or unset = auto: rows/(4*threads)), trials per claim for "

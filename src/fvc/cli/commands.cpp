@@ -24,7 +24,6 @@
 #include "fvc/barrier/barrier.hpp"
 #include "fvc/cli/checkpointing.hpp"
 #include "fvc/cli/command_registry.hpp"
-#include "fvc/core/cpu_features.hpp"
 #include "fvc/core/full_view.hpp"
 #include "fvc/deploy/uniform.hpp"
 #include "fvc/geometry/angle.hpp"
@@ -829,31 +828,9 @@ int run_command(const Args& args, std::ostream& out) {
     return kExitFailure;
   }
   args.expect_only(allowed_flags(*spec));
-  // --kernel pins the grid-eval kernel variant for every engine the command
-  // constructs.  Validation (unknown name, variant not compiled in or not
-  // executable on this CPU) happens at engine construction via
-  // resolve_kernel, which throws rather than silently falling back.  The
-  // pin is process-global, so it is cleared on every exit path — callers
-  // (tests) may invoke run_command repeatedly.
-  struct KernelPinGuard {
-    ~KernelPinGuard() { core::set_forced_kernel(std::nullopt); }
-  } kernel_pin_guard;
-  if (args.has("kernel")) {
-    const std::string name = args.get_string("kernel", "");
-    const auto variant = core::kernel_from_name(name);
-    if (!variant.has_value()) {
-      throw std::invalid_argument(
-          "--kernel: unknown variant '" + name +
-          "' (expected scalar, generic, avx2, or neon)");
-    }
-    core::set_forced_kernel(*variant);
-  }
   CommandContext ctx(args, out);
   ctx.metrics().set_label("tool", "fvc_sim");
   ctx.metrics().set_label("command", cmd);
-  if (args.has("kernel")) {
-    ctx.metrics().set_label("kernel", args.get_string("kernel", ""));
-  }
   // Shard identity travels in the metrics labels so a merged document
   // (RunMetrics::merge keeps the merger's labels, adopts shard-only ones)
   // still says which slice each export described.
@@ -924,9 +901,6 @@ int run_command(const Args& args, std::ostream& out) {
     obs::TraceExportMeta meta;
     meta.process_name = "fvc_sim";
     meta.labels["command"] = cmd;
-    if (args.has("kernel")) {
-      meta.labels["kernel"] = args.get_string("kernel", "");
-    }
     if (cancelled) {
       meta.labels["cancelled"] = "1";
     }

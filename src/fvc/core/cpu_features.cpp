@@ -2,7 +2,6 @@
 
 #include <array>
 #include <atomic>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -11,11 +10,9 @@ namespace fvc::core {
 namespace {
 
 constexpr std::array<std::string_view, kKernelVariantCount> kNames = {
-    "scalar", "generic", "avx2", "neon"};
+    "scalar", "avx2", "neon"};
 
-std::atomic<std::uint64_t> g_dispatch_counts[kKernelVariantCount];
-
-/// The programmatic pin.  Encoded as variant index + 1 (0 = not pinned)
+/// The set_forced_kernel pin.  Encoded as variant index + 1 (0 = not pinned)
 /// so the whole state fits one lock-free atomic.
 std::atomic<int> g_forced{0};
 
@@ -45,15 +42,6 @@ std::string_view kernel_name(KernelVariant v) {
   return kNames.at(static_cast<std::size_t>(v));
 }
 
-std::optional<KernelVariant> kernel_from_name(std::string_view name) {
-  for (std::size_t i = 0; i < kKernelVariantCount; ++i) {
-    if (kNames[i] == name) {
-      return static_cast<KernelVariant>(i);
-    }
-  }
-  return std::nullopt;
-}
-
 std::size_t kernel_lanes(KernelVariant v) {
   return v == KernelVariant::kScalar ? 1 : 4;
 }
@@ -61,7 +49,6 @@ std::size_t kernel_lanes(KernelVariant v) {
 bool kernel_compiled(KernelVariant v) {
   switch (v) {
     case KernelVariant::kScalar:
-    case KernelVariant::kGeneric:
       return true;
     case KernelVariant::kAvx2:
 #if defined(FVC_KERNEL_AVX2)
@@ -85,7 +72,6 @@ bool kernel_supported(KernelVariant v) {
   }
   switch (v) {
     case KernelVariant::kScalar:
-    case KernelVariant::kGeneric:
       return true;
     case KernelVariant::kAvx2:
       return cpu_has_avx2();
@@ -102,7 +88,7 @@ KernelVariant preferred_kernel() {
   if (kernel_supported(KernelVariant::kNeon)) {
     return KernelVariant::kNeon;
   }
-  return KernelVariant::kGeneric;
+  return KernelVariant::kScalar;
 }
 
 void set_forced_kernel(std::optional<KernelVariant> v) {
@@ -110,57 +96,22 @@ void set_forced_kernel(std::optional<KernelVariant> v) {
                  std::memory_order_relaxed);
 }
 
-std::optional<KernelVariant> forced_kernel() {
+KernelVariant resolve_kernel() {
   const int raw = g_forced.load(std::memory_order_relaxed);
   if (raw == 0) {
-    return std::nullopt;
+    return preferred_kernel();
   }
-  return static_cast<KernelVariant>(raw - 1);
-}
-
-KernelVariant resolve_kernel() {
-  auto validate = [](KernelVariant v, const char* source) {
-    if (!kernel_compiled(v)) {
-      throw std::runtime_error(std::string(source) + ": kernel '" +
-                               std::string(kernel_name(v)) +
-                               "' is not compiled into this build");
-    }
-    if (!kernel_supported(v)) {
-      throw std::runtime_error(std::string(source) + ": kernel '" +
-                               std::string(kernel_name(v)) +
-                               "' is not executable on this CPU");
-    }
-    return v;
-  };
-  if (const std::optional<KernelVariant> pinned = forced_kernel()) {
-    return validate(*pinned, "forced kernel");
+  const auto pinned = static_cast<KernelVariant>(raw - 1);
+  const std::string name(kernel_name(pinned));
+  if (!kernel_compiled(pinned)) {
+    throw std::runtime_error("forced kernel: kernel '" + name +
+                             "' is not compiled into this build");
   }
-  // Re-read the environment on every resolve (engine constructions are
-  // rare next to the work an engine does) so harnesses can change it
-  // without restarting the process.  Set-but-empty means unset: CI matrix
-  // legs and shell harnesses export FVC_FORCE_KERNEL="" for the
-  // auto-dispatch configuration.
-  if (const char* env = std::getenv("FVC_FORCE_KERNEL");
-      env != nullptr && env[0] != '\0') {
-    const std::optional<KernelVariant> v = kernel_from_name(env);
-    if (!v.has_value()) {
-      throw std::runtime_error(
-          std::string("FVC_FORCE_KERNEL: unknown kernel '") + env +
-          "' (expected scalar|generic|avx2|neon)");
-    }
-    return validate(*v, "FVC_FORCE_KERNEL");
+  if (!kernel_supported(pinned)) {
+    throw std::runtime_error("forced kernel: kernel '" + name +
+                             "' is not executable on this CPU");
   }
-  return preferred_kernel();
-}
-
-void note_kernel_dispatch(KernelVariant v) {
-  g_dispatch_counts[static_cast<std::size_t>(v)].fetch_add(
-      1, std::memory_order_relaxed);
-}
-
-std::uint64_t kernel_dispatch_count(KernelVariant v) {
-  return g_dispatch_counts[static_cast<std::size_t>(v)].load(
-      std::memory_order_relaxed);
+  return pinned;
 }
 
 }  // namespace fvc::core

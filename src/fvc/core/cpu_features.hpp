@@ -5,12 +5,10 @@
 /// loop — the per-candidate classify — implemented as interchangeable
 /// *kernel variants*:
 ///
-///   scalar   the per-entry oracle loop (lane width 1); always available
-///            and the reference every other variant is tested against
-///   generic  the 4-wide batch kernel over the portable fallback backend
-///            of simd.hpp (plain per-lane double arithmetic the compiler
-///            may auto-vectorize); always available
-///   avx2     the same batch kernel over AVX2 intrinsics; compiled only
+///   scalar   the per-entry oracle loop (lane width 1); always available,
+///            the fallback on CPUs without a vector kernel, and the
+///            reference every other variant is tested against
+///   avx2     the 4-wide batch kernel over AVX2 intrinsics; compiled only
 ///            on x86-64 with GCC/Clang, runnable only when the CPU
 ///            reports AVX2
 ///   neon     the same batch kernel over NEON intrinsics; compiled only
@@ -19,18 +17,12 @@
 /// Every variant is bit-identical by construction: lane arithmetic is the
 /// same IEEE mul/add/compare sequence as the scalar oracle (see
 /// docs/ARCHITECTURE.md).  Dispatch therefore only affects speed, never
-/// results, and is resolved once per engine construction:
-///
-///   1. a programmatic pin (`set_forced_kernel`, used by the CLI's
-///      `--kernel` flag and the differential tests), else
-///   2. the `FVC_FORCE_KERNEL` environment variable (re-read on every
-///      resolve so tests and harnesses can change it; a set-but-empty
-///      value counts as unset), else
-///   3. the best variant the running CPU supports.
-///
-/// Pinning a variant the build does not contain or the CPU cannot execute
-/// is an error (std::runtime_error), not a silent fallback — CI legs that
-/// force a variant must fail loudly when the runner cannot execute it.
+/// results, and is a function of the CPU alone: each engine construction
+/// resolves to the widest variant the running CPU supports.  The one
+/// exception is `set_forced_kernel`, the test seam the per-variant
+/// differential suites use to run the same input under every supported
+/// variant.  Pinning a variant the build does not contain or the CPU
+/// cannot execute is an error (std::runtime_error), not a silent fallback.
 
 #pragma once
 
@@ -41,20 +33,16 @@
 
 namespace fvc::core {
 
-/// The grid-eval kernel variants, in preference order (later = wider ISA).
+/// The grid-eval kernel variants.
 enum class KernelVariant : std::uint8_t {
   kScalar = 0,
-  kGeneric = 1,
-  kAvx2 = 2,
-  kNeon = 3,
+  kAvx2 = 1,
+  kNeon = 2,
 };
-inline constexpr std::size_t kKernelVariantCount = 4;
+inline constexpr std::size_t kKernelVariantCount = 3;
 
-/// Stable lower-case name ("scalar", "generic", "avx2", "neon").
+/// Stable lower-case name ("scalar", "avx2", "neon").
 [[nodiscard]] std::string_view kernel_name(KernelVariant v);
-
-/// Inverse of kernel_name; nullopt for unknown names.
-[[nodiscard]] std::optional<KernelVariant> kernel_from_name(std::string_view name);
 
 /// Double lanes the variant processes per step (1 for scalar, else 4).
 [[nodiscard]] std::size_t kernel_lanes(KernelVariant v);
@@ -65,24 +53,17 @@ inline constexpr std::size_t kKernelVariantCount = 4;
 /// True when the variant is compiled AND the running CPU can execute it.
 [[nodiscard]] bool kernel_supported(KernelVariant v);
 
-/// The widest supported variant (the auto-dispatch choice).
+/// The widest supported variant: avx2, else neon, else scalar.
 [[nodiscard]] KernelVariant preferred_kernel();
 
-/// Programmatic pin: overrides both the environment and auto-dispatch
-/// until reset with nullopt.  Takes effect at the next engine
-/// construction; validity is checked by resolve_kernel, not here.
+/// Test seam: pin the variant every engine constructed from now on uses,
+/// until reset with nullopt.  Validity is checked by resolve_kernel, not
+/// here.
 void set_forced_kernel(std::optional<KernelVariant> v);
-[[nodiscard]] std::optional<KernelVariant> forced_kernel();
 
-/// The variant the next engine will use: programmatic pin, else
-/// FVC_FORCE_KERNEL, else preferred_kernel().  Throws std::runtime_error
-/// when a pinned variant is unknown, not compiled in, or not executable
-/// on this CPU.
+/// The variant the next engine will use: the pin, else preferred_kernel().
+/// Throws std::runtime_error when the pinned variant is not compiled in or
+/// not executable on this CPU.
 [[nodiscard]] KernelVariant resolve_kernel();
-
-/// Process-wide dispatch counters: engines constructed per variant.
-/// Exported under the engine metrics node by describe_kernel_dispatch.
-void note_kernel_dispatch(KernelVariant v);
-[[nodiscard]] std::uint64_t kernel_dispatch_count(KernelVariant v);
 
 }  // namespace fvc::core

@@ -41,8 +41,6 @@ std::uint64_t next_generation() {
 /// resolve_kernel already rejects those).
 detail::ClassifyFn classify_for(KernelVariant v) {
   switch (v) {
-    case KernelVariant::kGeneric:
-      return &detail::classify_generic;
 #if defined(FVC_KERNEL_AVX2)
     case KernelVariant::kAvx2:
       return &detail::classify_avx2;
@@ -433,7 +431,6 @@ GridEvalEngine::GridEvalEngine(const Network& net, const DenseGrid& grid, double
   mode_ = net.mode();
   kernel_ = resolve_kernel();
   classify_ = classify_for(kernel_);
-  note_kernel_dispatch(kernel_);
   generation_ = next_generation();
   necessary_arcs_ = geom::sector_partition(2.0 * theta);
   sufficient_arcs_ = geom::sector_partition(theta);
@@ -587,18 +584,12 @@ void GridEvalEngine::describe(obs::MetricsNode& node) const {
   // in by the caller (it is per scratch, not per engine).
   node.add_elapsed_ns(build_ns_);
   node.child("build").add_elapsed_ns(build_ns_);
-  describe_kernel_dispatch(kernel_, node);
+  describe_kernel(kernel_, node);
 }
 
-void describe_kernel_dispatch(KernelVariant active, obs::MetricsNode& node) {
+void describe_kernel(KernelVariant active, obs::MetricsNode& node) {
   node.set("kernel_lanes", static_cast<double>(kernel_lanes(active)));
   node.set(std::string("kernel_") += kernel_name(active), 1.0);
-  obs::MetricsNode& disp = node.child("kernel_dispatch");
-  for (std::size_t i = 0; i < kKernelVariantCount; ++i) {
-    const auto v = static_cast<KernelVariant>(i);
-    disp.set(std::string("engines_") += kernel_name(v),
-             static_cast<double>(kernel_dispatch_count(v)));
-  }
 }
 
 void GridEvalEngine::compute_cells() {

@@ -35,9 +35,9 @@
 ///   3. *Lane-parallel classify* — candidate records are stored as
 ///      structure-of-arrays spans and classified 4 lanes at a time by an
 ///      explicitly vectorized kernel (grid_eval_kernel.hpp) selected by
-///      runtime CPU dispatch (cpu_features.hpp: scalar / generic / avx2 /
-///      neon, pinnable via FVC_FORCE_KERNEL or the CLI's --kernel).  Lane
-///      arithmetic replicates the scalar IEEE operation sequence exactly
+///      runtime CPU dispatch (cpu_features.hpp: avx2 or neon where the CPU
+///      has it, else the scalar per-entry loop).  Lane arithmetic
+///      replicates the scalar IEEE operation sequence exactly
 ///      (including the per-point torus unwrap, which is `geom::wrap_delta`
 ///      lane-for-lane); the remainder tail and exact-arithmetic band hits
 ///      reuse the scalar per-entry path, and atan2-bearing direction
@@ -596,10 +596,9 @@ class GridEvalEngine {
   bool whole_row_ = false;    ///< degenerate: window spans the whole axis
 };
 
-/// Export the active kernel choice (name, lane width) and the process-wide
-/// dispatch counters into `node` — the observability face of
-/// cpu_features.hpp, shared by GridEvalEngine::describe and the sim
-/// layer's trial metering.
-void describe_kernel_dispatch(KernelVariant active, obs::MetricsNode& node);
+/// Export the active kernel choice into `node` as `kernel_lanes` and
+/// `kernel_<name>` = 1 — the observability face of cpu_features.hpp,
+/// shared by GridEvalEngine::describe and the sim layer's trial metering.
+void describe_kernel(KernelVariant active, obs::MetricsNode& node);
 
 }  // namespace fvc::core

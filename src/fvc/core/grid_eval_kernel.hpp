@@ -16,7 +16,7 @@
 /// kernel; the caller handles it with the same scalar per-entry path.
 ///
 /// Each backend instantiation lives in its own translation unit
-/// (grid_eval_kernel_{generic,avx2,neon}.cpp) so ISA-specific code can be
+/// (grid_eval_kernel_{avx2,neon}.cpp) so ISA-specific code can be
 /// compiled with ISA-specific flags without leaking wide instructions
 /// into baseline translation units: the only symbols such a TU exports
 /// are its non-inline classify_* entry points, and they are called only
@@ -55,9 +55,6 @@ using ClassifyFn = ClassifyResult (*)(const CandSpans& c, std::size_t count,
                                       double* xs, double* ys,
                                       std::uint32_t* special);
 
-ClassifyResult classify_generic(const CandSpans& c, std::size_t count, double px,
-                                double py, bool torus, double* xs, double* ys,
-                                std::uint32_t* special);
 #if defined(FVC_KERNEL_AVX2)
 ClassifyResult classify_avx2(const CandSpans& c, std::size_t count, double px,
                              double py, bool torus, double* xs, double* ys,

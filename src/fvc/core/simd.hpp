@@ -1,17 +1,16 @@
 /// \file simd.hpp
 /// \brief Portable fixed-width batch abstraction: 4 double lanes.
 ///
-/// One batch type per backend, all exposing the same static interface so
-/// the classify kernel (grid_eval_kernel.hpp) is written once as a
+/// One batch type per vector ISA, both exposing the same static interface
+/// so the classify kernel (grid_eval_kernel.hpp) is written once as a
 /// template and instantiated per backend in its own translation unit:
 ///
-///   GenericBatch  plain per-lane double arithmetic; compiles at the
-///                 baseline ISA everywhere (the compiler is free to
-///                 auto-vectorize the lane loops)
 ///   Avx2Batch     __m256d; only defined when the including TU is
 ///                 compiled with AVX2 (-mavx2), i.e. inside
 ///                 grid_eval_kernel_avx2.cpp
 ///   NeonBatch     two float64x2_t halves; only defined on AArch64
+///
+/// A CPU with neither runs the scalar per-entry loop instead.
 ///
 /// Bit-identity contract: every arithmetic op maps to exactly one IEEE-754
 /// binary64 operation per lane (add/sub/mul, round-to-nearest-even), `abs`
@@ -30,10 +29,8 @@
 #pragma once
 
 #include <bit>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 
 #if defined(__AVX2__)
 #include <immintrin.h>
@@ -45,155 +42,6 @@
 namespace fvc::core::simd {
 
 inline constexpr std::size_t kLanes = 4;
-
-/// Portable fallback backend: a fixed array of 4 doubles with per-lane
-/// loops.  Comparisons and bit ops go through uint64 bit casts.
-struct GenericBatch {
-  static constexpr std::size_t kWidth = kLanes;
-  double v[kWidth];
-
-  [[nodiscard]] static GenericBatch load(const double* p) {
-    GenericBatch b;
-    for (std::size_t i = 0; i < kWidth; ++i) {
-      b.v[i] = p[i];
-    }
-    return b;
-  }
-  [[nodiscard]] static GenericBatch broadcast(double x) {
-    GenericBatch b;
-    for (std::size_t i = 0; i < kWidth; ++i) {
-      b.v[i] = x;
-    }
-    return b;
-  }
-  void store(double* p) const {
-    for (std::size_t i = 0; i < kWidth; ++i) {
-      p[i] = v[i];
-    }
-  }
-
-  [[nodiscard]] friend GenericBatch operator+(GenericBatch a, GenericBatch b) {
-    GenericBatch r;
-    for (std::size_t i = 0; i < kWidth; ++i) {
-      r.v[i] = a.v[i] + b.v[i];
-    }
-    return r;
-  }
-  [[nodiscard]] friend GenericBatch operator-(GenericBatch a, GenericBatch b) {
-    GenericBatch r;
-    for (std::size_t i = 0; i < kWidth; ++i) {
-      r.v[i] = a.v[i] - b.v[i];
-    }
-    return r;
-  }
-  [[nodiscard]] friend GenericBatch operator*(GenericBatch a, GenericBatch b) {
-    GenericBatch r;
-    for (std::size_t i = 0; i < kWidth; ++i) {
-      r.v[i] = a.v[i] * b.v[i];
-    }
-    return r;
-  }
-
-  [[nodiscard]] static GenericBatch abs(GenericBatch a) {
-    GenericBatch r;
-    for (std::size_t i = 0; i < kWidth; ++i) {
-      r.v[i] = std::bit_cast<double>(std::bit_cast<std::uint64_t>(a.v[i]) &
-                                     0x7FFFFFFFFFFFFFFFULL);
-    }
-    return r;
-  }
-
-  /// Round each lane to the nearest integer.  Tie handling differs across
-  /// backends (here std::round: halves away from zero; the vector backends
-  /// round halves to even) — callers may only use round_nearest where the
-  /// tie difference is erased downstream, as in the torus unwrap of
-  /// grid_eval_kernel.hpp, whose boundary fixups map both tie results to
-  /// the same value.
-  [[nodiscard]] static GenericBatch round_nearest(GenericBatch a) {
-    GenericBatch r;
-    for (std::size_t i = 0; i < kWidth; ++i) {
-      r.v[i] = std::round(a.v[i]);
-    }
-    return r;
-  }
-
- private:
-  template <class Pred>
-  [[nodiscard]] static GenericBatch cmp(GenericBatch a, GenericBatch b, Pred pred) {
-    GenericBatch r;
-    for (std::size_t i = 0; i < kWidth; ++i) {
-      r.v[i] = std::bit_cast<double>(pred(a.v[i], b.v[i]) ? ~std::uint64_t{0}
-                                                          : std::uint64_t{0});
-    }
-    return r;
-  }
-  template <class Op>
-  [[nodiscard]] static GenericBatch bits(GenericBatch a, GenericBatch b, Op op) {
-    GenericBatch r;
-    for (std::size_t i = 0; i < kWidth; ++i) {
-      r.v[i] = std::bit_cast<double>(op(std::bit_cast<std::uint64_t>(a.v[i]),
-                                        std::bit_cast<std::uint64_t>(b.v[i])));
-    }
-    return r;
-  }
-
- public:
-  [[nodiscard]] static GenericBatch cmp_le(GenericBatch a, GenericBatch b) {
-    return cmp(a, b, [](double x, double y) { return x <= y; });
-  }
-  [[nodiscard]] static GenericBatch cmp_lt(GenericBatch a, GenericBatch b) {
-    return cmp(a, b, [](double x, double y) { return x < y; });
-  }
-  [[nodiscard]] static GenericBatch cmp_ge(GenericBatch a, GenericBatch b) {
-    return cmp(a, b, [](double x, double y) { return x >= y; });
-  }
-  [[nodiscard]] static GenericBatch cmp_gt(GenericBatch a, GenericBatch b) {
-    return cmp(a, b, [](double x, double y) { return x > y; });
-  }
-  [[nodiscard]] static GenericBatch cmp_eq(GenericBatch a, GenericBatch b) {
-    return cmp(a, b, [](double x, double y) { return x == y; });
-  }
-
-  [[nodiscard]] static GenericBatch bit_and(GenericBatch a, GenericBatch b) {
-    return bits(a, b, [](std::uint64_t x, std::uint64_t y) { return x & y; });
-  }
-  [[nodiscard]] static GenericBatch bit_or(GenericBatch a, GenericBatch b) {
-    return bits(a, b, [](std::uint64_t x, std::uint64_t y) { return x | y; });
-  }
-  /// a & ~b (keep a where b's mask is clear).
-  [[nodiscard]] static GenericBatch bit_andnot(GenericBatch a, GenericBatch b) {
-    return bits(a, b, [](std::uint64_t x, std::uint64_t y) { return x & ~y; });
-  }
-
-  /// mask ? a : b per lane; mask lanes must be all-ones or all-zero.
-  [[nodiscard]] static GenericBatch select(GenericBatch mask, GenericBatch a,
-                                           GenericBatch b) {
-    return bit_or(bit_and(a, mask), bit_andnot(b, mask));
-  }
-
-  /// Bit i set iff lane i's mask is all-ones (tests the sign bit, like
-  /// movemask on x86).
-  [[nodiscard]] int movemask() const {
-    int m = 0;
-    for (std::size_t i = 0; i < kWidth; ++i) {
-      m |= static_cast<int>(std::bit_cast<std::uint64_t>(v[i]) >> 63U)
-           << static_cast<int>(i);
-    }
-    return m;
-  }
-
-  /// Left-pack the lanes selected by `mask` to dst[0..popcount) and return
-  /// the popcount.  May write all kWidth slots of dst (the tail beyond the
-  /// popcount is garbage), so dst must have room for kWidth doubles.
-  static std::size_t compress_store(double* dst, GenericBatch a, int mask) {
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < kWidth; ++i) {
-      dst[n] = a.v[i];
-      n += static_cast<std::size_t>((mask >> i) & 1);
-    }
-    return n;
-  }
-};
 
 #if defined(__AVX2__)
 /// AVX2 backend: one 256-bit register of 4 doubles.  vmulpd/vaddpd/vsubpd
@@ -227,8 +75,12 @@ struct Avx2Batch {
     return {_mm256_andnot_pd(sign, a.v)};
   }
 
-  /// Round to nearest integer, halves to even (vroundpd; see the tie
-  /// caveat on GenericBatch::round_nearest).
+  /// Round to nearest integer, halves to even (vroundpd).  std::round,
+  /// which the scalar oracle's torus unwrap uses, rounds halves away from
+  /// zero instead; callers may only use round_nearest where the tie
+  /// difference is erased downstream, as in the torus unwrap of
+  /// grid_eval_kernel.hpp, whose boundary fixups map both tie results to
+  /// the same value.
   [[nodiscard]] static Avx2Batch round_nearest(Avx2Batch a) {
     return {_mm256_round_pd(a.v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC)};
   }
@@ -322,7 +174,7 @@ struct NeonBatch {
   }
 
   /// Round to nearest integer, halves to even (frintn; see the tie caveat
-  /// on GenericBatch::round_nearest).
+  /// on Avx2Batch::round_nearest).
   [[nodiscard]] static NeonBatch round_nearest(NeonBatch a) {
     return {vrndnq_f64(a.lo), vrndnq_f64(a.hi)};
   }
@@ -383,9 +235,10 @@ struct NeonBatch {
            (static_cast<int>(vgetq_lane_u64(h, 1)) << 3);
   }
 
-  /// Left-pack the lanes selected by `mask` (see GenericBatch); NEON has
-  /// no cross-register double permute, so spill and pack scalar-wise.
-  /// May write all kWidth slots of dst.
+  /// Left-pack the lanes selected by `mask` to dst[0..popcount) and return
+  /// the popcount.  NEON has no cross-register double permute, so spill
+  /// and pack scalar-wise.  May write all kWidth slots of dst (garbage
+  /// beyond the popcount).
   static std::size_t compress_store(double* dst, NeonBatch a, int mask) {
     double buf[kWidth];
     a.store(buf);

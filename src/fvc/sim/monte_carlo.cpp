@@ -185,11 +185,11 @@ GridEventsEstimate estimate_grid_events(const TrialConfig& cfg, std::size_t tria
     // paid a construction cost.
     engine_node.add_elapsed_ns(merged.engine_build_ns);
     // The variant captured from the trial engines themselves (every trial
-    // dispatches the same one: pin/env are fixed for the run).  Absent only
-    // when cancellation preceded every trial — then no engine existed and
-    // re-resolving here could even throw, discarding completed results.
+    // dispatches the same one: dispatch depends on the CPU alone).  Absent
+    // only when cancellation preceded every trial — then no engine existed
+    // and the node names no variant.
     if (merged.kernel.has_value()) {
-      core::describe_kernel_dispatch(*merged.kernel, engine_node);
+      core::describe_kernel(*merged.kernel, engine_node);
     }
     describe(pool, node.child("pool"));
   }

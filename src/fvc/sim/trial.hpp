@@ -62,8 +62,7 @@ struct TrialMetrics {
   bool early_exit = false;            ///< necessary condition failed mid-scan
   /// Kernel variant the trial's engine dispatched; nullopt until a trial
   /// runs.  Recorded so run-level exports name the variant the trials
-  /// actually used instead of re-resolving (which re-reads the
-  /// environment and can throw) after the results are in.
+  /// actually used instead of re-resolving after the results are in.
   std::optional<core::KernelVariant> kernel;
 
   void merge(const TrialMetrics& other) {

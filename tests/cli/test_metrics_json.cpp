@@ -18,6 +18,7 @@
 
 #include "fvc/cli/command_registry.hpp"
 #include "fvc/cli/commands.hpp"
+#include "fvc/core/cpu_features.hpp"
 #include "support/minijson.hpp"
 
 namespace fvc::cli {
@@ -206,12 +207,14 @@ TEST(MetricsJson, SimulateEstimateSubtree) {
   EXPECT_GT(engine.at("counters").at("build_ns").number(), 0.0);
   EXPECT_DOUBLE_EQ(engine.at("elapsed_ns").number(),
                    engine.at("counters").at("build_ns").number());
-  // The kernel dispatch record rides on the same node: lane width of the
-  // active variant plus process-wide engines-constructed counters.
-  EXPECT_GE(engine.at("counters").at("kernel_lanes").number(), 1.0);
-  const JsonValue& dispatch = child_named(engine, "kernel_dispatch");
-  EXPECT_TRUE(dispatch.at("counters").contains("engines_scalar"));
-  EXPECT_TRUE(dispatch.at("counters").contains("engines_generic"));
+  // The same node names the kernel variant the CPU dispatched and its
+  // lane width.
+  const core::KernelVariant kernel = core::resolve_kernel();
+  EXPECT_DOUBLE_EQ(engine.at("counters").at("kernel_lanes").number(),
+                   static_cast<double>(core::kernel_lanes(kernel)));
+  EXPECT_DOUBLE_EQ(
+      engine.at("counters").at("kernel_" + std::string(core::kernel_name(kernel))).number(),
+      1.0);
 
   const JsonValue& pool = child_named(est, "pool");
   EXPECT_DOUBLE_EQ(pool.at("counters").at("tasks").number(), 6.0);
@@ -256,25 +259,6 @@ TEST(MetricsJson, PhasePerPointSubtrees) {
     point_sum += child.at("elapsed_ns").number();
   }
   EXPECT_LE(point_sum, phase.at("elapsed_ns").number());
-}
-
-TEST(MetricsJson, KernelFlagPinsVariantAndLabelsTheRun) {
-  const RunResult r = run_with_metrics({"simulate", "--n", "100", "--radius", "0.3",
-                                        "--trials", "2", "--grid-side", "6",
-                                        "--kernel", "scalar"});
-  ASSERT_EQ(r.code, 0);
-  EXPECT_EQ(r.doc.at("labels").at("kernel").str(), "scalar");
-  const JsonValue& engine =
-      child_named(child_named(r.doc.at("root"), "estimate"), "engine");
-  EXPECT_DOUBLE_EQ(engine.at("counters").at("kernel_lanes").number(), 1.0);
-  EXPECT_DOUBLE_EQ(engine.at("counters").at("kernel_scalar").number(), 1.0);
-}
-
-TEST(MetricsJson, UnknownKernelNameIsRejected) {
-  const char* tokens[] = {"csa", "--kernel", "sse9"};
-  const Args args = Args::parse(3, tokens);
-  std::ostringstream out;
-  EXPECT_THROW((void)run_command(args, out), std::invalid_argument);
 }
 
 TEST(MetricsJson, NoMetricsFlagWritesNothing) {

@@ -16,14 +16,12 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "fvc/core/coverage.hpp"
-#include "fvc/core/cpu_features.hpp"
 #include "fvc/core/full_view.hpp"
 #include "fvc/core/grid_eval.hpp"
 #include "fvc/core/region_coverage.hpp"
@@ -34,22 +32,15 @@
 #include "fvc/sim/parallel_region.hpp"
 #include "fvc/stats/distributions.hpp"
 #include "fvc/stats/rng.hpp"
+#include "support/forced_kernel.hpp"
 
 namespace fvc::core {
 namespace {
 
 using geom::kPi;
 using geom::kTwoPi;
-
-// RAII pin for the kernel seam, so the sweep can cross families x kernels
-// without leaking a forced kernel into later tests.
-class ForcedKernel {
- public:
-  explicit ForcedKernel(KernelVariant v) { set_forced_kernel(v); }
-  ~ForcedKernel() { set_forced_kernel(std::nullopt); }
-  ForcedKernel(const ForcedKernel&) = delete;
-  ForcedKernel& operator=(const ForcedKernel&) = delete;
-};
+using testsupport::ForcedKernel;
+using testsupport::supported_kernels;
 
 // Heterogeneous profile with an omnidirectional group (same shape as
 // test_grid_eval_kernels.cpp) so omni and sector lanes share batches.
@@ -185,12 +176,8 @@ TEST(CandidateIndex, BitIdenticalAcrossFamiliesIndexesAndKernels) {
   for (const Family fam : kFamilies) {
     for (std::uint64_t seed = 0; seed < 8; ++seed) {
       const Network net = deploy_family(fam, seed);
-      for (std::size_t kv = 0; kv < kKernelVariantCount; ++kv) {
-        const auto kernel = static_cast<KernelVariant>(kv);
-        if (!kernel_supported(kernel)) {
-          continue;
-        }
-        ForcedKernel pin_kernel(kernel);
+      for (const KernelVariant kernel : supported_kernels()) {
+        const ForcedKernel pin_kernel(kernel);
         expect_matches_oracles(net, grid, theta,
                                std::string("family=") + family_name(fam) +
                                    " seed=" + std::to_string(seed) +
@@ -433,12 +420,8 @@ TEST(CandidateIndex, PoolOrderIsInvisible) {
   // r = 0.45 makes every torus window the whole row slice (whole_row_).
   nets.emplace_back("whole-row", uniform_radius(0.45, 30, 1));
 
-  for (std::size_t kv = 0; kv < kKernelVariantCount; ++kv) {
-    const auto kernel = static_cast<KernelVariant>(kv);
-    if (!kernel_supported(kernel)) {
-      continue;
-    }
-    ForcedKernel pin_kernel(kernel);
+  for (const KernelVariant kernel : supported_kernels()) {
+    const ForcedKernel pin_kernel(kernel);
     for (const auto& [name, net] : nets) {
       for (const geom::SpaceMode mode :
            {geom::SpaceMode::kTorus, geom::SpaceMode::kPlane}) {
@@ -540,12 +523,8 @@ TEST(CandidateIndex, BandFallbackReadsCameraNotSlot) {
     }
 
     const RegionCoverageStats want = evaluate_region_scalar(net, grid, theta);
-    for (std::size_t kv = 0; kv < kKernelVariantCount; ++kv) {
-      const auto kernel = static_cast<KernelVariant>(kv);
-      if (!kernel_supported(kernel)) {
-        continue;
-      }
-      ForcedKernel pin_kernel(kernel);
+    for (const KernelVariant kernel : supported_kernels()) {
+      const ForcedKernel pin_kernel(kernel);
       const std::string what = where + " kernel=" + std::string(kernel_name(kernel));
       const GridEvalEngine engine(net, grid, theta);
       GridEvalCounters counters;

@@ -21,12 +21,10 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "fvc/api/session.hpp"
-#include "fvc/core/cpu_features.hpp"
 #include "fvc/core/full_view.hpp"
 #include "fvc/core/grid_eval.hpp"
 #include "fvc/core/region_coverage.hpp"
@@ -34,26 +32,20 @@
 #include "fvc/geometry/sector.hpp"
 #include "fvc/stats/distributions.hpp"
 #include "fvc/stats/rng.hpp"
+#include "support/forced_kernel.hpp"
 
 namespace fvc::core {
 namespace {
 
 using geom::kPi;
 using geom::kTwoPi;
+using testsupport::ForcedKernel;
+using testsupport::supported_kernels;
 
 constexpr std::size_t kSide = 7;  // 2^6 row partitions
 
 // The paper's angles, a remainder-arc angle and angles above pi/2.
 constexpr double kThetas[] = {kPi / 6.0, kPi / 4.0, 0.3 * kPi, kPi / 2.0, 0.7 * kPi};
-
-// RAII kernel pin (process-global), released even when an assertion fails.
-class ForcedKernel {
- public:
-  explicit ForcedKernel(KernelVariant v) { set_forced_kernel(v); }
-  ~ForcedKernel() { set_forced_kernel(std::nullopt); }
-  ForcedKernel(const ForcedKernel&) = delete;
-  ForcedKernel& operator=(const ForcedKernel&) = delete;
-};
 
 void expect_bitwise_equal(const RegionCoverageStats& want, const RegionCoverageStats& got) {
   EXPECT_EQ(want.total_points, got.total_points);
@@ -255,11 +247,7 @@ TEST(RegionStats, AdversarialPatternsMatchTheOracleUnderEveryKernel) {
             evaluate_region_scalar(net, DenseGrid(kSide), theta);
         full_view_mixed += static_cast<std::size_t>(want.full_view_ok > 0 &&
                                                     want.full_view_ok < want.total_points);
-        for (std::size_t v = 0; v < kKernelVariantCount; ++v) {
-          const auto variant = static_cast<KernelVariant>(v);
-          if (!kernel_supported(variant)) {
-            continue;
-          }
+        for (const KernelVariant variant : supported_kernels()) {
           const ForcedKernel pin(variant);
           SCOPED_TRACE(testing::Message()
                        << "theta=" << theta << " base=" << base << " net=" << net_i

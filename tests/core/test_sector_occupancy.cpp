@@ -16,16 +16,15 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <vector>
 
-#include "fvc/core/cpu_features.hpp"
 #include "fvc/core/grid_eval.hpp"
 #include "fvc/geometry/angle.hpp"
 #include "fvc/geometry/sector.hpp"
 #include "fvc/stats/distributions.hpp"
 #include "fvc/stats/rng.hpp"
+#include "support/forced_kernel.hpp"
 #include "support/point_booleans.hpp"
 
 namespace fvc::core {
@@ -33,21 +32,14 @@ namespace {
 
 using geom::kPi;
 using geom::kTwoPi;
+using testsupport::ForcedKernel;
+using testsupport::supported_kernels;
 
 // The paper's angles, a remainder-arc angle (0.3*pi: 2*pi/theta is not an
 // integer), angles around and above pi/2 (2*theta > pi: overlapping
 // necessary arcs) and theta = pi (one full-circle necessary arc).
 constexpr double kThetas[] = {kPi / 12.0, kPi / 6.0, kPi / 4.0, kPi / 3.0, 0.3 * kPi,
                               0.45 * kPi, kPi / 2.0, 0.7 * kPi, kPi};
-
-// RAII kernel pin (process-global), released even when an assertion fails.
-class ForcedKernel {
- public:
-  explicit ForcedKernel(KernelVariant v) { set_forced_kernel(v); }
-  ~ForcedKernel() { set_forced_kernel(std::nullopt); }
-  ForcedKernel(const ForcedKernel&) = delete;
-  ForcedKernel& operator=(const ForcedKernel&) = delete;
-};
 
 // The probe point: the single point of DenseGrid(1).
 const geom::Vec2 kProbe = DenseGrid(1).point(0, 0);
@@ -156,11 +148,7 @@ TEST(SectorOccupancy, AdversarialBoundariesMatchOraclesUnderEveryKernel) {
     for (int net_i = 0; net_i < 40; ++net_i) {
       const Network net = adversarial_network(theta, rng);
       seen.add(testsupport::point_oracle(net, theta));
-      for (std::size_t v = 0; v < kKernelVariantCount; ++v) {
-        const auto variant = static_cast<KernelVariant>(v);
-        if (!kernel_supported(variant)) {
-          continue;
-        }
+      for (const KernelVariant variant : supported_kernels()) {
         const ForcedKernel pin(variant);
         SCOPED_TRACE(testing::Message() << "theta=" << theta << " net=" << net_i
                                         << " kernel=" << kernel_name(variant)

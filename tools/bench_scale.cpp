@@ -2,9 +2,10 @@
 /// grid scan.
 ///
 /// Sweeps a (grid side, population) ladder through the block-parallel
-/// entry point `sim::evaluate_region_parallel` over a threads x grain x
-/// kernel matrix, timing each cell against the serial batched engine
-/// (`core::evaluate_region`) under the same kernel pin.
+/// entry point `sim::evaluate_region_parallel` over a threads x grain
+/// matrix, timing each cell against the serial batched engine
+/// (`core::evaluate_region`).  Both run the kernel variant the CPU
+/// dispatches (cpu_features.hpp), which the record names.
 /// Every cell's statistics must be bit-identical to the serial scan — a
 /// mismatch is a nonzero exit, not a footnote.  Worker utilization per
 /// cell comes from a metered pass taken outside the timed reps, so the
@@ -21,7 +22,7 @@
 /// isolates *scheduling and index* behaviour, not density effects.
 ///
 /// Usage:
-///   bench_scale [out.json] [sides] [ns] [threads] [grains] [reps] [kernels]
+///   bench_scale [out.json] [sides] [ns] [threads] [grains] [reps]
 ///     out.json  output path                    default BENCH_scale.json
 ///     sides     comma list of grid sides       default 512,1024,2048
 ///     ns        comma list of populations,     default 10000,100000,1000000
@@ -29,9 +30,9 @@
 ///     threads   comma list of thread counts    default 1,2,4
 ///     grains    comma list of grains (0=auto)  default 1,0
 ///     reps      best-of repetitions per cell   default 3
-///     kernels   comma list of kernel variants  default auto (resolved)
 ///
-/// The JSON record (schema fvc.bench_scale/3) embeds hardware_concurrency
+/// The JSON record (schema fvc.bench_scale/3) keeps a one-entry `kernels`
+/// list per config (the dispatched variant) and embeds hardware_concurrency
 /// and a `degenerate_host` flag (<= 1 core): speedups are only meaningful
 /// relative to the cores the run actually had.  When the output path
 /// already holds a record produced on MORE cores than this host offers,
@@ -142,12 +143,6 @@ struct Cell {
   double utilization = 0.0;
 };
 
-struct KernelRecord {
-  std::string name;
-  double serial_ms = 0.0;
-  std::vector<Cell> cells;
-};
-
 struct ConfigRecord {
   std::size_t side = 0;
   std::size_t n = 0;
@@ -157,7 +152,8 @@ struct ConfigRecord {
   double cand_mean = 0.0;
   double cand_p99 = 0.0;
   std::size_t index_bytes = 0;
-  std::vector<KernelRecord> kernels;
+  double serial_ms = 0.0;  // the serial batched engine
+  std::vector<Cell> cells;
 };
 
 }  // namespace
@@ -174,7 +170,6 @@ int main(int argc, char** argv) {
       parse_size_list(argc > 5 ? argv[5] : "1,0", "grains");
   const std::size_t reps =
       std::max<std::size_t>(1, argc > 6 ? static_cast<std::size_t>(std::atoll(argv[6])) : 3);
-  const std::string kernels_arg = argc > 7 ? argv[7] : "auto";
   const double theta = geom::kPi / 4.0;
 
   const unsigned cores = std::thread::hardware_concurrency();
@@ -193,38 +188,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Resolve the kernel matrix up front.  "auto" = whatever resolve_kernel
-  // picks (honouring FVC_FORCE_KERNEL); explicit names must be runnable.
-  std::vector<core::KernelVariant> kernels;
-  {
-    std::stringstream ss(kernels_arg);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-      if (item.empty()) {
-        continue;
-      }
-      if (item == "auto") {
-        kernels.push_back(core::resolve_kernel());
-        continue;
-      }
-      const std::optional<core::KernelVariant> v = core::kernel_from_name(item);
-      if (!v.has_value()) {
-        std::fprintf(stderr, "bench_scale: unknown kernel '%s'\n", item.c_str());
-        return 1;
-      }
-      if (!core::kernel_supported(*v)) {
-        std::fprintf(stderr, "bench_scale: kernel '%s' not runnable here — skipped\n",
-                     item.c_str());
-        continue;
-      }
-      kernels.push_back(*v);
-    }
-  }
-  if (kernels.empty()) {
-    std::fprintf(stderr, "bench_scale: no runnable kernels in '%s'\n",
-                 kernels_arg.c_str());
-    return 1;
-  }
+  const std::string kernel(core::kernel_name(core::resolve_kernel()));
 
   const std::size_t config_count = std::max(sides.size(), ns.size());
   std::vector<ConfigRecord> configs;
@@ -277,57 +241,50 @@ int main(int argc, char** argv) {
     std::printf("  index build %8.3f ms, %.1f cand/pt mean, %.0f p99, %zu KiB\n",
                 rec.build_ms, rec.cand_mean, rec.cand_p99, rec.index_bytes / 1024);
 
-    for (const core::KernelVariant kv : kernels) {
-      core::set_forced_kernel(kv);
-      KernelRecord krec;
-      krec.name = std::string(core::kernel_name(kv));
-      core::RegionCoverageStats serial_stats;
-      krec.serial_ms = best_of_ms(
-          reps, [&] { serial_stats = core::evaluate_region(net, grid, theta); });
-      std::printf("    kernel=%-7s serial %9.3f ms\n", krec.name.c_str(), krec.serial_ms);
+    core::RegionCoverageStats serial_stats;
+    rec.serial_ms = best_of_ms(
+        reps, [&] { serial_stats = core::evaluate_region(net, grid, theta); });
+    std::printf("    kernel=%-7s serial %9.3f ms\n", kernel.c_str(), rec.serial_ms);
 
-      for (const std::size_t threads : thread_list) {
-        for (const std::size_t grain : grain_list) {
-          Cell cell;
-          cell.threads = threads;
-          cell.grain = grain;
-          core::RegionCoverageStats par_stats;
-          cell.ms = best_of_ms(reps, [&] {
-            par_stats = sim::evaluate_region_parallel(net, grid, theta, threads, grain);
-          });
-          if (!same_stats(serial_stats, par_stats)) {
-            std::fprintf(stderr,
-                         "bench_scale: FAIL — threads=%zu grain=%zu kernel=%s "
-                         "differs from the serial scan\n",
-                         threads, grain, krec.name.c_str());
-            all_identical = false;
-          }
-          // Metered pass, outside the timed reps: utilization + the grain
-          // the scheduler actually used; must still be bit-identical.
-          obs::MetricsNode node("scan");
-          const core::RegionCoverageStats metered_stats =
-              sim::evaluate_region_parallel(net, grid, theta, threads, grain, &node);
-          if (!same_stats(serial_stats, metered_stats)) {
-            std::fprintf(stderr,
-                         "bench_scale: FAIL — metered threads=%zu grain=%zu "
-                         "kernel=%s differs from the serial scan\n",
-                         threads, grain, krec.name.c_str());
-            all_identical = false;
-          }
-          const obs::MetricsNode* pool = node.find_child("pool");
-          cell.utilization = pool != nullptr ? pool->counter("utilization") : 0.0;
-          cell.grain_used =
-              pool != nullptr ? static_cast<std::size_t>(pool->counter("grain")) : 0;
-          cell.speedup = cell.ms > 0.0 ? krec.serial_ms / cell.ms : 0.0;
-          std::printf("      threads=%zu grain=%zu(->%zu): %9.3f ms  (%.2fx, util %.2f)\n",
-                      threads, grain, cell.grain_used, cell.ms, cell.speedup,
-                      cell.utilization);
-          krec.cells.push_back(cell);
+    for (const std::size_t threads : thread_list) {
+      for (const std::size_t grain : grain_list) {
+        Cell cell;
+        cell.threads = threads;
+        cell.grain = grain;
+        core::RegionCoverageStats par_stats;
+        cell.ms = best_of_ms(reps, [&] {
+          par_stats = sim::evaluate_region_parallel(net, grid, theta, threads, grain);
+        });
+        if (!same_stats(serial_stats, par_stats)) {
+          std::fprintf(stderr,
+                       "bench_scale: FAIL — threads=%zu grain=%zu kernel=%s "
+                       "differs from the serial scan\n",
+                       threads, grain, kernel.c_str());
+          all_identical = false;
         }
+        // Metered pass, outside the timed reps: utilization + the grain
+        // the scheduler actually used; must still be bit-identical.
+        obs::MetricsNode node("scan");
+        const core::RegionCoverageStats metered_stats =
+            sim::evaluate_region_parallel(net, grid, theta, threads, grain, &node);
+        if (!same_stats(serial_stats, metered_stats)) {
+          std::fprintf(stderr,
+                       "bench_scale: FAIL — metered threads=%zu grain=%zu "
+                       "kernel=%s differs from the serial scan\n",
+                       threads, grain, kernel.c_str());
+          all_identical = false;
+        }
+        const obs::MetricsNode* pool = node.find_child("pool");
+        cell.utilization = pool != nullptr ? pool->counter("utilization") : 0.0;
+        cell.grain_used =
+            pool != nullptr ? static_cast<std::size_t>(pool->counter("grain")) : 0;
+        cell.speedup = cell.ms > 0.0 ? rec.serial_ms / cell.ms : 0.0;
+        std::printf("      threads=%zu grain=%zu(->%zu): %9.3f ms  (%.2fx, util %.2f)\n",
+                    threads, grain, cell.grain_used, cell.ms, cell.speedup,
+                    cell.utilization);
+        rec.cells.push_back(cell);
       }
-      rec.kernels.push_back(std::move(krec));
     }
-    core::set_forced_kernel(std::nullopt);
     configs.push_back(std::move(rec));
   }
 
@@ -364,24 +321,21 @@ int main(int argc, char** argv) {
                   rec.cand_mean, rec.cand_p99, rec.index_bytes);
     record << buf;
     record << "      \"kernels\": [\n";
-    for (std::size_t k = 0; k < rec.kernels.size(); ++k) {
-      const KernelRecord& krec = rec.kernels[k];
+    std::snprintf(buf, sizeof(buf),
+                  "        {\"kernel\": \"%s\", \"serial_ms\": %.3f, \"cells\": [\n",
+                  kernel.c_str(), rec.serial_ms);
+    record << buf;
+    for (std::size_t i = 0; i < rec.cells.size(); ++i) {
+      const Cell& cell = rec.cells[i];
       std::snprintf(buf, sizeof(buf),
-                    "        {\"kernel\": \"%s\", \"serial_ms\": %.3f, \"cells\": [\n",
-                    krec.name.c_str(), krec.serial_ms);
+                    "          {\"threads\": %zu, \"grain\": %zu, "
+                    "\"grain_used\": %zu, \"ms\": %.3f, \"speedup\": %.2f, "
+                    "\"utilization\": %.3f}%s\n",
+                    cell.threads, cell.grain, cell.grain_used, cell.ms, cell.speedup,
+                    cell.utilization, i + 1 < rec.cells.size() ? "," : "");
       record << buf;
-      for (std::size_t i = 0; i < krec.cells.size(); ++i) {
-        const Cell& cell = krec.cells[i];
-        std::snprintf(buf, sizeof(buf),
-                      "          {\"threads\": %zu, \"grain\": %zu, "
-                      "\"grain_used\": %zu, \"ms\": %.3f, \"speedup\": %.2f, "
-                      "\"utilization\": %.3f}%s\n",
-                      cell.threads, cell.grain, cell.grain_used, cell.ms, cell.speedup,
-                      cell.utilization, i + 1 < krec.cells.size() ? "," : "");
-        record << buf;
-      }
-      record << "        ]}" << (k + 1 < rec.kernels.size() ? "," : "") << "\n";
     }
+    record << "        ]}\n";
     record << "      ]\n";
     record << "    }" << (c + 1 < configs.size() ? "," : "") << "\n";
   }
