@@ -115,12 +115,50 @@ inline geom::Vec2 pseudo_direction(double t) {
 /// pseudo-angles (each ~1e-15).
 constexpr double kOccupancyBand = 1e-9;
 
-/// Candidates classified per occupancy step (at least; a span is cut into
-/// at most kMaxChunks chunks).  The masks are checked once per chunk, so
-/// the vector kernel keeps its batch width and the lookups run as one
-/// loop.
-constexpr std::size_t kOccupancyChunk = 32;
-constexpr std::size_t kMaxChunks = 64;
+/// Row-sweep margins and degeneracy limits (docs/ARCHITECTURE.md, "Row
+/// sweep").  Each margin sits orders of magnitude above the rounding it
+/// absorbs, so a certified column is one the kernel covers, outside the
+/// boundary band, and a column outside the outer interval is one the
+/// kernel rejects without a band hit.
+///
+/// Chord margin, relative to r^2: the kernel's n2 is within a few ulps of
+/// the real squared distance.
+constexpr double kChordMargin = 1e-9;
+/// Absolute x slack: the kernel's dx is within 3e-16 of the real
+/// displacement (its own subtraction and the grid point's rounding), and
+/// mapping an x bound to a column adds under 6e-16 more.
+constexpr double kSweepSlackX = 4e-15;
+/// Wedge margin, in the kernel's own units: the core wedge is the set of
+/// directions at angle a from the orientation with cos(a)|cos(a)| >= q +
+/// kWedgeMargin, the outer one those with cos(a)|cos(a)| >= q -
+/// kWedgeMargin.  The kernel's dot|dot| - q*n2 then clears its band of
+/// 1e-9 * n2 by about 1e-9 * n2, ten times its own rounding.
+constexpr double kWedgeMargin = 2e-9;
+/// Crossing margin (rad of viewed direction) around a sector-boundary
+/// crossing: keeps the pseudo-angle at least 5e-9, five bands, away.
+constexpr double kCrossMargin = 1e-8;
+/// Degenerate cameras verify their whole outer chord: |dy| below
+/// kMinSweepDy, a wedge edge ray with |y| below kMinEdgeY, or an outer
+/// half-chord of kMaxHalfChord or more (on the torus, where x wraps at
+/// -+1/2, that verifies the whole row).
+constexpr double kMinSweepDy = 1e-5;
+constexpr double kMinEdgeY = 1e-9;
+constexpr double kMaxHalfChord = 0.49;
+/// Cap on the sweep's per-interval column counts (intervals x (columns +
+/// 1)); engines above it decide every point from its whole span.
+constexpr std::size_t kMaxSweepCells = std::size_t{1} << 20;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// floor and ceil to an integer without a libm call (|v| far below 2^62).
+inline std::int64_t floor_to_int(double v) {
+  const auto t = static_cast<std::int64_t>(v);
+  return t - static_cast<std::int64_t>(static_cast<double>(t) > v);
+}
+inline std::int64_t ceil_to_int(double v) {
+  const auto t = static_cast<std::int64_t>(v);
+  return t + static_cast<std::int64_t>(static_cast<double>(t) < v);
+}
 
 /// Gap-bound bins of the stats path: the pseudo-angle range [0, 4) cut
 /// into kGapBins equal bins (a direction's bin is floor(v * kGapBinScale),
@@ -185,44 +223,6 @@ inline GapBounds gap_bounds(const std::array<std::uint64_t, kGapBins / 64>& bins
   lo = std::max(lo, a[first] + geom::kTwoPi - a[prev + 1]);
   hi = std::max(hi, a[first + 1] + geom::kTwoPi - a[prev]);
   return {lo - kGapSlack, hi + kGapSlack};
-}
-
-/// The order in which the occupancy decision visits the chunks of a span
-/// cut into `chunks` (1..kMaxChunks) chunks: the middle, the chunks a
-/// sixth of the span in from either end, the thirds, then dyadic
-/// midpoints level by level (which reach the ends last).  Spans are
-/// sorted by x cell, so the middle holds the cameras above and below the
-/// point, and the sixths those well to its left and right that still
-/// reach it (the outermost cells hold few cameras within range).
-/// Visiting them first fills every sector after a few chunks.  The order
-/// changes no result, only how soon the masks fill.
-std::span<const std::uint8_t> chunk_order(std::size_t chunks) {
-  static const std::vector<std::uint8_t> table = [] {
-    std::vector<std::uint8_t> t;  // orders for 1, 2, ... chunks, concatenated
-    for (std::size_t c = 1; c <= kMaxChunks; ++c) {
-      std::vector<bool> seen(c, false);
-      std::size_t placed = 0;
-      auto visit = [&](double f) {
-        const auto k =
-            static_cast<std::size_t>(std::lround(f * static_cast<double>(c - 1)));
-        if (!seen[k]) {
-          seen[k] = true;
-          t.push_back(static_cast<std::uint8_t>(k));
-          ++placed;
-        }
-      };
-      for (const double f : {3.0, 1.0, 5.0, 2.0, 4.0}) {
-        visit(f / 6.0);
-      }
-      for (double den = 4.0; placed < c; den *= 2.0) {
-        for (double k = 1.0; k < den; k += 2.0) {
-          visit(k / den);
-        }
-      }
-    }
-    return t;
-  }();
-  return {table.data() + chunks * (chunks - 1) / 2, chunks};
 }
 
 /// Size the per-point classify buffers for a span of `count` candidates.
@@ -421,6 +421,7 @@ void GridEvalCounters::describe(obs::MetricsNode& node) const {
   node.add("trig_fallbacks", static_cast<double>(trig_fallbacks));
   node.add("atan2_calls", static_cast<double>(atan2_calls));
   node.add("occupancy_points", static_cast<double>(occupancy_points));
+  node.add("swept_points", static_cast<double>(swept_points));
   node.histogram("candidates_per_point").merge(candidates_per_point);
 }
 
@@ -435,6 +436,7 @@ GridEvalEngine::GridEvalEngine(const Network& net, const DenseGrid& grid, double
   necessary_arcs_ = geom::sector_partition(2.0 * theta);
   sufficient_arcs_ = geom::sector_partition(theta);
   build_sector_table();
+  sweep_ok_ = (sectors_.bounds.size() - 1) * (grid_.side() + 1) <= kMaxSweepCells;
   const obs::TraceScope scope("engine.build", obs::TraceCategory::kEngine,
                               "cameras", net.size());
   const std::uint64_t t0 = obs::monotonic_ns();
@@ -487,6 +489,16 @@ void GridEvalEngine::build_sector_table() {
                          start) -
         b.begin() - 1);
   }
+  // Row-sweep crossings: a boundary outside the half a row's directions
+  // sweep is crossed at x = -inf (the start of the sweep) or +inf (its end).
+  t.cot_rise.resize(b.size());
+  t.cot_fall.resize(b.size());
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    const geom::Vec2 v = pseudo_direction(b[i]);
+    const double cot = v.y != 0.0 ? v.x / v.y : 0.0;
+    t.cot_rise[i] = b[i] <= 0.0 ? kInf : (b[i] >= 2.0 ? -kInf : cot);
+    t.cot_fall[i] = b[i] <= 2.0 ? kInf : (b[i] >= 4.0 ? -kInf : cot);
+  }
   // Arc bits per interval, from the oracle's own arc predicate at the
   // interval's midpoint.  The predicate is constant across an interval
   // (no arc boundary lies inside), so this also covers the remainder arc
@@ -532,6 +544,16 @@ void GridEvalEngine::build_sector_table() {
     }
     t.row_begin.push_back(static_cast<std::uint32_t>(t.bits.size()));
   }
+}
+
+std::size_t GridEvalEngine::SectorTable::locate(double v) const {
+  const std::size_t last = bounds.size() - 2;  // index of the last interval
+  std::size_t i = bucket[static_cast<std::size_t>(
+      std::min(v * bucket_scale, static_cast<double>(bucket.size() - 1)))];
+  while (i < last && v >= bounds[i + 1]) {
+    ++i;
+  }
+  return i;
 }
 
 void GridEvalEngine::CandSoA::resize(std::size_t n) {
@@ -694,7 +716,8 @@ void GridEvalEngine::build_index() {
   }
 }
 
-void GridEvalEngine::gather_y_band(double y, std::vector<std::uint32_t>& out) const {
+template <class Fn>
+void GridEvalEngine::for_each_in_y_band(double y, bool alternate, Fn&& fn) const {
   const auto s_count = static_cast<std::ptrdiff_t>(cells_);
   const auto sd = static_cast<double>(cells_);
   const bool torus = mode_ == geom::SpaceMode::kTorus;
@@ -712,7 +735,10 @@ void GridEvalEngine::gather_y_band(double y, std::vector<std::uint32_t>& out) co
   }
   const double* const cam_sy = cam_soa_.sy();
   const double* const cam_r2 = cam_soa_.r2();
-  for (std::ptrdiff_t is = 0; is < s_span; ++is) {
+  for (std::ptrdiff_t k = 0; k < s_span; ++k) {
+    // In order, or from the middle of the band outwards, alternating sides.
+    const std::ptrdiff_t mid = s_span / 2;
+    const std::ptrdiff_t is = !alternate ? k : (k % 2 == 0 ? mid + k / 2 : mid - 1 - k / 2);
     const auto s =
         static_cast<std::size_t>((((s_lo + is) % s_count) + s_count) % s_count);
     const std::uint32_t lo = strip_offsets_[s];
@@ -733,9 +759,18 @@ void GridEvalEngine::gather_y_band(double y, std::vector<std::uint32_t>& out) co
       if (dy * dy > cam_r2[e]) {
         continue;
       }
-      out.push_back(e);
+      if (!fn(e, dy)) {
+        return;
+      }
     }
   }
+}
+
+void GridEvalEngine::gather_y_band(double y, std::vector<std::uint32_t>& out) const {
+  for_each_in_y_band(y, false, [&out](std::uint32_t e, double) {
+    out.push_back(e);
+    return true;
+  });
 }
 
 void GridEvalEngine::build_row_slice(std::size_t row, GridEvalScratch& scratch) const {
@@ -981,8 +1016,6 @@ std::uint64_t GridEvalEngine::occupy_directions(GridEvalScratch& scratch, std::s
   const double* const xs = scratch.dxs.data();
   const double* const ys = scratch.dys.data();
   const double* const bounds = t.bounds.data();
-  const std::size_t last = t.bounds.size() - 2;  // index of the last interval
-  const auto last_bucket = static_cast<double>(t.bucket.size() - 1);
   std::uint64_t exact = 0;
   // Pseudo-angles first, in a loop with independent iterations, then the
   // table lookups.  The viewed direction is the angle of the point ->
@@ -998,11 +1031,7 @@ std::uint64_t GridEvalEngine::occupy_directions(GridEvalScratch& scratch, std::s
           static_cast<std::size_t>(v * kGapBinScale) & (kGapBins - 1);  // 4 wraps to 0
       scratch.gap_bins[b / 64] |= std::uint64_t{1} << (b % 64);
     }
-    std::size_t i = t.bucket[static_cast<std::size_t>(
-        std::min(v * t.bucket_scale, last_bucket))];
-    while (i < last && v >= bounds[i + 1]) {
-      ++i;
-    }
+    const std::size_t i = t.locate(v);
     if (v - bounds[i] <= kOccupancyBand || bounds[i + 1] - v <= kOccupancyBand)
         [[unlikely]] {
       const double a = std::atan2(ys[j], xs[j]) + geom::kPi;
@@ -1025,56 +1054,27 @@ GridEvalEngine::Predicates GridEvalEngine::decide_point(
   const std::size_t ws = t.suf_words;
   const std::size_t words = wn + 2 * ws;
   const std::uint64_t* const full = t.full.data();
-  std::vector<std::uint64_t>& masks = scratch.masks;
-  masks.resize(words);
-  std::uint64_t* const mask = masks.data();
-  // A word the caller does not need starts full, so "every word full"
-  // means every needed mask is full.
-  auto init = [&](std::size_t lo, std::size_t hi, bool needed) {
-    for (std::size_t w = lo; w < hi; ++w) {
-      mask[w] = needed ? 0 : full[w];
-    }
-  };
-  init(0, wn, need.necessary);
-  init(wn, wn + ws, need.sufficient);
-  init(wn + ws, words, need.full_view);
-  auto all_full = [&](std::size_t lo, std::size_t hi) {
-    return words_full(mask, full, lo, hi);
-  };
+  scratch.masks.assign(words, 0);
+  std::uint64_t* const mask = scratch.masks.data();
   const std::size_t cnt = view.count;
   reserve_point(scratch, cnt);
   scratch.angles.clear();
-  std::size_t m = 0;        // covered displacements classified (and mapped)
-  std::size_t e = 0;        // candidates classified
-  std::uint64_t exact = 0;  // band directions given an exact atan2
-  const std::size_t chunk = std::max(
-      kOccupancyChunk, ((cnt + kMaxChunks - 1) / kMaxChunks + 3) & ~std::size_t{3});
-  const std::span<const std::uint8_t> order = chunk_order((cnt + chunk - 1) / chunk);
-  bool decided = all_full(0, words);
-  for (std::size_t k = 0; k < order.size() && !decided; ++k) {
-    const std::size_t begin = order[k] * chunk;
-    const std::size_t end = std::min(cnt, begin + chunk);
-    const std::size_t m0 = m;
-    const std::size_t at_point = scratch.angles.size();
-    classify_range(p, view, begin, end, scratch, m);
-    e += end - begin;
-    if (scratch.angles.size() != at_point) {  // a camera at the point: direction 0
-      occupy_exact(0.0, mask);
-    }
-    exact += occupy_directions<false>(scratch, m0, m);
-    decided = all_full(0, words);
+  std::size_t m = 0;
+  classify_range(p, view, 0, cnt, scratch, m);
+  const std::size_t zeros = scratch.angles.size();  // cameras at the point
+  if (zeros != 0) {
+    occupy_exact(0.0, mask);
   }
+  const std::uint64_t exact = occupy_directions<false>(scratch, 0, m);
   Predicates d;
-  d.necessary = all_full(0, wn);
-  d.sufficient = all_full(wn, wn + ws);
-  d.full_view = all_full(wn + ws, words);
-  // Full view not proven by occupancy (and still asked for): every
-  // candidate has been classified, since a needed mask is open, so the
+  d.necessary = words_full(mask, full, 0, wn);
+  d.sufficient = words_full(mask, full, wn, wn + ws);
+  d.full_view = words_full(mask, full, wn + ws, words);
+  // Full view not proven by occupancy (and still asked for): the
   // compacted displacements are the whole covering set.  Skipped when a
   // needed necessary bit already failed: the caller then ignores it.
   const bool sorted_path =
       need.full_view && !d.full_view && (d.necessary || !need.necessary);
-  const std::size_t zeros = scratch.angles.size();  // cameras at the point
   if (sorted_path) {
     emit_directions(scratch, m);
     sort_directions(scratch);
@@ -1083,13 +1083,414 @@ GridEvalEngine::Predicates GridEvalEngine::decide_point(
   }
   if (GridEvalCounters* const ctr = scratch.counters; ctr != nullptr) [[unlikely]] {
     ++ctr->points;
-    ctr->candidates_total += e;
+    ctr->candidates_total += cnt;
     ctr->candidates_per_point.add(cnt);
     ctr->directions_total += m + zeros;
     ctr->atan2_calls += exact;
     ctr->occupancy_points += static_cast<std::uint64_t>(!sorted_path && exact == 0);
   }
   return d;
+}
+
+void GridEvalEngine::sweep_row(std::size_t row, GridEvalScratch& scratch) const {
+  GridEvalScratch::RowSweep& sw = scratch.sweep;
+  if (sw.engine_gen == generation_ && sw.row == row) {
+    return;
+  }
+  const SectorTable& t = sectors_;
+  const std::size_t cols = grid_.side();
+  const auto cols_i = static_cast<std::int64_t>(cols);
+  const auto side = static_cast<double>(cols);
+  const std::size_t words = t.nec_words + 2 * t.suf_words;
+  const std::size_t intervals = t.bounds.size() - 1;
+  const bool torus = mode_ == geom::SpaceMode::kTorus;
+  // The difference arrays are all zero between sweeps (the mask build
+  // below clears what it reads), so only growth needs zero-filling.
+  sw.diff.resize(intervals * (cols + 1), 0);
+  sw.touched.resize(intervals, 0);
+  sw.verify_cols.clear();
+  sw.verify_entries.clear();
+  std::int32_t* const diff = sw.diff.data();
+  std::uint8_t* const touched = sw.touched.data();
+
+  // Column ranges are unwrapped integers c (the column is c mod cols on
+  // the torus), at most cols wide since every handled chord is under 1.
+  auto add_piece = [&](std::size_t i, std::int64_t c0, std::int64_t c1) {
+    if (c0 < 0) {
+      c0 += cols_i;
+      c1 += cols_i;
+    } else if (c0 >= cols_i) {
+      c0 -= cols_i;
+      c1 -= cols_i;
+    }
+    std::int32_t* const d = diff + i * (cols + 1);
+    ++d[c0];
+    if (c1 < cols_i) {
+      --d[c1 + 1];
+    } else {  // wraps past the seam
+      --d[cols];
+      ++d[0];
+      --d[c1 - cols_i + 1];
+    }
+    touched[i] = 1;
+  };
+  auto add_verify = [&](std::uint32_t slot, std::int64_t c0, std::int64_t c1) {
+    for (std::int64_t c = c0; c <= c1; ++c) {
+      sw.verify_cols.push_back(static_cast<std::uint32_t>(((c % cols_i) + cols_i) % cols_i));
+      sw.verify_entries.push_back(slot);
+    }
+  };
+
+  const double* const f_sx = cam_soa_.sx();
+  const double* const f_r2 = cam_soa_.r2();
+  const double* const f_cu = cam_soa_.cu();
+  const double* const f_su = cam_soa_.su();
+  const double* const f_q = cam_soa_.q();
+  const double* const f_om = cam_soa_.omni();
+  // A wedge of half-angle phi as cos/sin, from g = cos(phi)|cos(phi)|
+  // alone (no trig): |cos(phi)| = sqrt(|g|), sin(phi) = sqrt(1 - |g|).
+  // Above pi/2 the wedge is reflex: the complement of the convex blind
+  // cone of half-angle pi - phi around the opposite direction, which is
+  // what `reflex` and (`c`, `s`), negated to turn the axis around, then
+  // describe.  `all`: no direction is excluded (g <= -1); `none`: none is
+  // included (g > 1).
+  struct Wedge {
+    double c = 0.0;
+    double s = 0.0;
+    bool reflex = false;
+    bool all = false;
+    bool none = false;
+  };
+  auto wedge = [](double g) {
+    Wedge w;
+    w.all = g <= -1.0;
+    w.none = g > 1.0;
+    w.reflex = g < 0.0;
+    const double ag = std::min(std::abs(g), 1.0);
+    const double axis = w.reflex ? -1.0 : 1.0;
+    w.c = axis * std::sqrt(ag);
+    w.s = axis * std::sqrt(1.0 - ag);
+    return w;
+  };
+  // Core and outer wedges per run of bit-equal q (runs follow the
+  // deployment's camera groups).
+  std::uint64_t q_bits = 0;
+  bool q_run = false;
+  Wedge core_w;
+  Wedge outer_w;
+  // Per-column masks from the counts: the prefix sums of each touched
+  // interval's counts give the columns it certifies, which take its bits
+  // (`clear`: and zero the counts for the next sweep).
+  const std::uint64_t* const full = t.full.data();
+  auto build_masks = [&](bool clear) {
+    sw.masks.assign(cols * words, 0);
+    std::uint64_t* const masks = sw.masks.data();
+    for (std::size_t i = 0; i < intervals; ++i) {
+      if (touched[i] == 0) {
+        continue;
+      }
+      std::int32_t* const d = diff + i * (cols + 1);
+      const SectorTable::Bits* const b0 = t.bits.data() + t.row_begin[i];
+      const SectorTable::Bits* const b1 = t.bits.data() + t.row_begin[i + 1];
+      std::int32_t run = 0;
+      for (std::size_t c = 0; c < cols; ++c) {
+        run += d[c];
+        if (run > 0) {
+          for (const SectorTable::Bits* b = b0; b != b1; ++b) {
+            masks[c * words + b->word] |= b->bits;
+          }
+        }
+      }
+      if (clear) {
+        std::fill(d, d + cols + 1, 0);
+        touched[i] = 0;
+      }
+    }
+  };
+  // Saturation: once every column's certified words are all full, every
+  // predicate holds at every point of the row whatever the remaining
+  // cameras would add, so the sweep stops.  Checked only on rows with many
+  // cameras per column (after 8 * cols cameras, then every 2 * cols),
+  // where it pays for itself; strips are visited from the row outwards,
+  // alternating sides, so that long chords on both sides come first.
+  std::size_t visited = 0;
+  std::size_t next_check = 8 * cols;
+  bool saturated = false;
+  for_each_in_y_band(grid_.point(row, 0).y, true, [&](std::uint32_t slot, double dy) {
+    if (++visited == next_check) {
+      next_check += 2 * cols;
+      build_masks(false);
+      saturated = true;
+      for (std::size_t c = 0; c < cols && saturated; ++c) {
+        saturated = words_full(sw.masks.data() + c * words, full, 0, words);
+      }
+      if (saturated) {
+        return false;
+      }
+    }
+    const double dy2 = dy * dy;
+    const double r2 = f_r2[slot];
+    // The band prune passed (fl(dy^2) <= r^2), so ho2 > 0.
+    const double ho = std::sqrt(r2 * (1.0 + kChordMargin) - dy2) + kSweepSlackX;
+    const bool wide = ho >= kMaxHalfChord;
+    if (torus && wide) {
+      add_verify(slot, 0, cols_i - 1);
+      return true;
+    }
+    const double hc = std::sqrt(std::max(r2 * (1.0 - kChordMargin) - dy2, 0.0)) - kSweepSlackX;
+    // The outer and core x-sets, each the chord (a plane column lies
+    // within 1 of every camera, so 2 bounds them) intersected with the
+    // wedge: one interval, or two for a reflex wedge, which removes its
+    // blind cone's interval [b_lo, b_hi] from the chord.
+    const double lo_o = std::max(-ho, -2.0);
+    const double hi_o = std::min(ho, 2.0);
+    double o_lo = -kInf;  // outer wedge's (or blind cone's) interval
+    double o_hi = kInf;
+    bool o_reflex = false;
+    double c_lo = -hc;  // core chord, then core wedge interval
+    double c_hi = hc;
+    double b_lo = kInf;  // the core's blind interval: none is [inf, inf]
+    double b_hi = kInf;
+    // The cone margins hold only for |dy| >= kMinSweepDy: below it the
+    // whole outer chord is verified.
+    const double ady = std::abs(dy);
+    bool certify = ady >= kMinSweepDy && !wide;
+    if (certify && std::bit_cast<std::uint64_t>(f_om[slot]) == 0) {
+      const double q = f_q[slot];
+      if (!q_run || std::bit_cast<std::uint64_t>(q) != q_bits) {
+        q_run = true;
+        q_bits = std::bit_cast<std::uint64_t>(q);
+        core_w = wedge(q + kWedgeMargin);
+        outer_w = wedge(q - kWedgeMargin);
+      }
+      // Each cone's edge rays e- and e+: its axis (the orientation, or its
+      // opposite for a blind cone) rotated by -+ its half-angle.
+      const double cu = f_cu[slot];
+      const double su = f_su[slot];
+      const double cmx = cu * core_w.c + su * core_w.s;
+      const double cmy = su * core_w.c - cu * core_w.s;
+      const double cpx = cu * core_w.c - su * core_w.s;
+      const double cpy = su * core_w.c + cu * core_w.s;
+      const double omx = cu * outer_w.c + su * outer_w.s;
+      const double omy = su * outer_w.c - cu * outer_w.s;
+      const double opx = cu * outer_w.c - su * outer_w.s;
+      const double opy = su * outer_w.c + cu * outer_w.s;
+      const double min_y = std::min(std::min(std::abs(cmy), std::abs(cpy)),
+                                    std::min(std::abs(omy), std::abs(opy)));
+      if (min_y >= kMinEdgeY) {
+        // d = (x, dy) lies in the convex cone from e- to e+ iff
+        // cross(e-, d) = e-.x dy - e-.y x >= 0 and
+        // cross(d, e+) = e+.y x - e+.x dy >= 0: two half-lines in x, with
+        // their ends at x = dy * e.x / e.y (four reciprocals, one divide).
+        const double pc = cmy * cpy;
+        const double po = omy * opy;
+        const double inv = 1.0 / (pc * po);
+        const double inv_c = inv * po;
+        const double inv_o = inv * pc;
+        auto clip = [](double& lo, double& hi, bool lower, double x) {
+          lo = lower ? std::max(lo, x) : lo;
+          hi = lower ? hi : std::min(hi, x);
+        };
+        if (core_w.reflex) {
+          b_lo = -kInf;
+          b_hi = kInf;
+          clip(b_lo, b_hi, cmy < 0.0, cmx * (inv_c * cpy) * dy);
+          clip(b_lo, b_hi, cpy > 0.0, cpx * (inv_c * cmy) * dy);
+          if (b_lo > b_hi) {  // the blind cone misses the row
+            b_lo = b_hi = kInf;
+          }
+        } else {
+          clip(c_lo, c_hi, cmy < 0.0, cmx * (inv_c * cpy) * dy);
+          clip(c_lo, c_hi, cpy > 0.0, cpx * (inv_c * cmy) * dy);
+        }
+        if (!outer_w.all) {
+          clip(o_lo, o_hi, omy < 0.0, omx * (inv_o * opy) * dy);
+          clip(o_lo, o_hi, opy > 0.0, opx * (inv_o * omy) * dy);
+          o_reflex = outer_w.reflex;
+          if (o_reflex && o_lo > o_hi) {  // the blind cone misses the row
+            o_lo = -kInf;
+            o_hi = kInf;
+            o_reflex = false;
+          }
+        }
+        certify = !core_w.none;
+      } else {
+        certify = false;  // degenerate: the whole outer chord is verified
+      }
+    }
+    // Columns c with x displacement in [lo, hi]: c in [ceil(j(lo)),
+    // floor(j(hi))] for j(x) = (sx + x) * cols - 0.5.
+    const double j0 = f_sx[slot] * side - 0.5;
+    auto col_lo = [&](double x) {
+      const std::int64_t c = ceil_to_int(j0 + x * side);
+      return torus ? c : std::max<std::int64_t>(c, 0);
+    };
+    auto col_hi = [&](double x) {
+      const std::int64_t c = floor_to_int(j0 + x * side);
+      return torus ? c : std::min<std::int64_t>(c, cols_i - 1);
+    };
+    // The outer x-set as one or two intervals (a reflex wedge splits the
+    // chord at its blind interval), and in each the core: within the core
+    // chord and wedge, and outside the core's blind interval.
+    const bool two = o_reflex;
+    const double outer_lo[2] = {two ? lo_o : std::max(lo_o, o_lo), std::max(lo_o, o_hi)};
+    const double outer_hi[2] = {two ? std::min(hi_o, o_lo) : std::min(hi_o, o_hi), hi_o};
+    for (int part = 0; part < (two ? 2 : 1); ++part) {
+      const double lo = outer_lo[part];
+      const double hi = outer_hi[part];
+      if (lo > hi) {
+        continue;
+      }
+      const std::int64_t c_last = col_hi(hi);
+      std::int64_t cursor = col_lo(lo);  // first outer column not yet assigned
+      const double clo = std::max(c_lo, lo);
+      const double chi = std::min(c_hi, hi);
+      const double core_lo[2] = {clo, std::max(clo, b_hi)};
+      const double core_hi[2] = {std::min(chi, b_lo), chi};
+      for (int k = 0; k < 2 && certify; ++k) {
+        const double cl = core_lo[k];
+        const double ch = core_hi[k];
+        if (cl > ch) {
+          continue;
+        }
+        // Cut the core where the viewed direction -(x, dy) crosses a
+        // sector boundary, keeping a margin mu either side.  The direction
+        // turns monotonically along the row, so the interval index steps
+        // by one per crossing.  A crossing beyond |x| = 1 lies beyond every
+        // chord: clamping it to -+1 keeps its side, and there mu <= 1e-3
+        // (x^2 + dy^2), so |d| barely changes across the margin.
+        const double mu_scale = kCrossMargin / ady;
+        const bool rise = dy < 0.0;
+        const double* const cot = rise ? t.cot_rise.data() : t.cot_fall.data();
+        auto cross = [&](std::size_t bound) {
+          return std::clamp(dy * cot[bound], -1.0, 1.0);
+        };
+        auto mu = [&](double x) { return mu_scale * (x * x + dy2); };
+        std::size_t i = t.locate(pseudo_angle(-cl, -dy));
+        double x_in = cross(rise ? i : i + 1);
+        double mu_in = mu(x_in);
+        for (;;) {
+          const double x_out = cross(rise ? i + 1 : i);
+          const double mu_out = mu(x_out);
+          const double plo = std::max(cl, x_in + mu_in);
+          const double phi = std::min(ch, x_out - mu_out);
+          if (plo <= phi) {
+            const std::int64_t c0 = std::max(col_lo(plo), cursor);
+            const std::int64_t c1 = std::min(col_hi(phi), c_last);
+            if (c0 <= c1) {
+              if (cursor < c0) {
+                add_verify(slot, cursor, c0 - 1);
+              }
+              add_piece(i, c0, c1);
+              cursor = c1 + 1;
+            }
+          }
+          if (x_out + mu_out > ch) {
+            break;
+          }
+          x_in = x_out;
+          mu_in = mu_out;
+          i = rise ? i + 1 : i - 1;
+        }
+      }
+      if (cursor <= c_last) {
+        add_verify(slot, cursor, c_last);
+      }
+    }
+    return true;
+  });
+
+  build_masks(true);
+  if (saturated) {  // all masks full: no verify entry can change a decision
+    sw.verify_cols.clear();
+    sw.verify_entries.clear();
+  }
+  // Bucket the verify pairs by column (camera order within a column).
+  std::vector<std::uint32_t>& off = sw.verify_offsets;
+  off.assign(cols + 1, 0);
+  for (const std::uint32_t c : sw.verify_cols) {
+    ++off[c + 1];
+  }
+  for (std::size_t c = 0; c < cols; ++c) {
+    off[c + 1] += off[c];
+  }
+  sw.verify.resize(sw.verify_cols.size());
+  for (std::size_t k = 0; k < sw.verify_cols.size(); ++k) {
+    sw.verify[off[sw.verify_cols[k]]++] = sw.verify_entries[k];
+  }
+  for (std::size_t c = cols; c > 0; --c) {  // off[c] now ends column c: shift back
+    off[c] = off[c - 1];
+  }
+  off[0] = 0;
+  sw.engine_gen = generation_;
+  sw.row = row;
+}
+
+GridEvalEngine::Predicates GridEvalEngine::decide_swept(std::size_t row, std::size_t col,
+                                                        const geom::Vec2& p,
+                                                        Predicates need,
+                                                        GridEvalScratch& scratch) const {
+  const SectorTable& t = sectors_;
+  const GridEvalScratch::RowSweep& sw = scratch.sweep;
+  const std::size_t wn = t.nec_words;
+  const std::size_t ws = t.suf_words;
+  const std::size_t words = wn + 2 * ws;
+  const std::uint64_t* mask = sw.masks.data() + col * words;
+  const std::uint32_t v0 = sw.verify_offsets[col];
+  const std::uint32_t v1 = sw.verify_offsets[col + 1];
+  std::size_t m = 0;
+  std::size_t zeros = 0;
+  std::uint64_t exact = 0;
+  if (v0 != v1) {
+    // The cameras near a boundary of their certified core: the exact
+    // classify and occupancy step, on top of the certified bits.
+    const CandView pool{cam_soa_.data.data(), cam_soa_.stride, strip_entries_.data(),
+                        cam_soa_.stride};
+    scratch.masks.assign(mask, mask + words);
+    reserve_point(scratch, v1 - v0);
+    scratch.angles.clear();
+    for (std::uint32_t k = v0; k < v1; ++k) {
+      classify_entry(pool, sw.verify[k], p, scratch, m);
+    }
+    zeros = scratch.angles.size();  // cameras at the point
+    if (zeros != 0) {
+      occupy_exact(0.0, scratch.masks.data());
+    }
+    exact = occupy_directions<false>(scratch, 0, m);
+    mask = scratch.masks.data();
+  }
+  const std::uint64_t* const full = t.full.data();
+  Predicates d;
+  d.necessary = words_full(mask, full, 0, wn);
+  d.sufficient = words_full(mask, full, wn, wn + ws);
+  d.full_view = words_full(mask, full, wn + ws, words);
+  GridEvalCounters* const ctr = scratch.counters;
+  if (ctr != nullptr) [[unlikely]] {
+    ctr->candidates_total += v1 - v0;
+    ctr->directions_total += m + zeros;
+    ctr->atan2_calls += exact;
+  }
+  // Full view still open: the sorted path needs every covering direction.
+  if (need.full_view && !d.full_view && (d.necessary || !need.necessary)) {
+    return decide_point(p, point_view(row, p, scratch), need, scratch);
+  }
+  if (ctr != nullptr) [[unlikely]] {
+    ++ctr->points;
+    ctr->candidates_per_point.add(point_view(row, p, scratch).count);
+    ctr->occupancy_points += static_cast<std::uint64_t>(exact == 0);
+    ctr->swept_points += static_cast<std::uint64_t>(v0 == v1);
+  }
+  return d;
+}
+
+GridEvalEngine::Predicates GridEvalEngine::decide(std::size_t row, std::size_t col,
+                                                  Predicates need,
+                                                  GridEvalScratch& scratch) const {
+  const geom::Vec2 p = grid_.point(row, col);
+  if (sweep_ok_) {
+    return decide_swept(row, col, p, need, scratch);
+  }
+  return decide_point(p, point_view(row, p, scratch), need, scratch);
 }
 
 std::size_t GridEvalEngine::covered_count_at_least(const geom::Vec2& p,
@@ -1297,10 +1698,12 @@ GridRowEvents GridEvalEngine::row_events(std::size_t row, GridEvalScratch& scrat
   GridRowEvents ev;
   ev.all_full_view = need_full_view;
   ev.all_sufficient = need_sufficient;
+  if (sweep_ok_) {
+    sweep_row(row, scratch);
+  }
   for (std::size_t col = 0; col < cols(); ++col) {
-    const geom::Vec2 p = grid_.point(row, col);
     const Predicates need{true, ev.all_full_view, ev.all_sufficient};
-    const Predicates d = decide_point(p, point_view(row, p, scratch), need, scratch);
+    const Predicates d = decide(row, col, need, scratch);
     if (!d.necessary) {
       return {false, false, false};
     }
@@ -1319,9 +1722,11 @@ bool GridEvalEngine::row_all(std::size_t row, GridEvalScratch& scratch,
                              bool Predicates::*pred) const {
   Predicates need;
   need.*pred = true;
+  if (sweep_ok_) {
+    sweep_row(row, scratch);
+  }
   for (std::size_t col = 0; col < cols(); ++col) {
-    const geom::Vec2 p = grid_.point(row, col);
-    if (!(decide_point(p, point_view(row, p, scratch), need, scratch).*pred)) {
+    if (!(decide(row, col, need, scratch).*pred)) {
       return false;
     }
   }

@@ -17,21 +17,25 @@
 ///      might cover this point?" is one contiguous span per grid point.
 ///      Every span is a superset of the covering set, so results never
 ///      depend on the index.
-///   2. *Fused kernel* — per point, the covering cameras' displacements
-///      are compacted into reusable scratch buffers with zero per-point
-///      heap allocations (sector partitions are precomputed per engine).
-///      Every scan decides the predicates from which sectors hold a
-///      covering camera (sector occupancy, see `decide_point`), with no
-///      atan2 and no sort.  The boolean scans (`row_events`, `row_all_*`)
-///      stop as soon as the masks decide; the stats path (`block_stats`,
-///      `row_stats`, `evaluate`) also bins the directions into a
-///      pseudo-angle bitmap that bounds the point's max gap (see
-///      `stats_point`).  Either takes the exact path — one atan2 per
-///      covering camera, an in-place sort, the oracle's gap scan — only
-///      for a point whose full view the masks and bounds leave open, or
-///      whose max gap could set a new extreme of the scan.  The per-point
-///      accessors (`eval_point`, `point_*`, `sorted_directions`) report a
-///      point's own max gap and always take the exact path.
+///   2. *Fused kernel* — covering cameras' displacements are compacted
+///      into reusable scratch buffers with zero per-point heap allocations
+///      (sector partitions are precomputed per engine).  Every scan decides
+///      the predicates from which sectors hold a covering camera (sector
+///      occupancy), with no atan2 and no sort.  The boolean scans
+///      (`row_events`, `row_all_*`) sweep each row once (`sweep_row`):
+///      per camera, a certified core of columns it surely covers, split
+///      where its viewed direction crosses a sector boundary, adds to
+///      per-column occupancy masks, and only the columns in its margin go
+///      through the exact classify (see `decide_swept`).  The stats path
+///      (`block_stats`, `row_stats`, `evaluate`) classifies every candidate
+///      of a point and also bins the directions into a pseudo-angle bitmap
+///      that bounds the point's max gap (see `stats_point`).  Either takes
+///      the exact path — one atan2 per covering camera, an in-place sort,
+///      the oracle's gap scan — only for a point whose full view the masks
+///      and bounds leave open, or whose max gap could set a new extreme of
+///      the scan.  The per-point accessors (`eval_point`, `point_*`,
+///      `sorted_directions`) report a point's own max gap and always take
+///      the exact path.
 ///   3. *Lane-parallel classify* — candidate records are stored as
 ///      structure-of-arrays spans and classified 4 lanes at a time by an
 ///      explicitly vectorized kernel (grid_eval_kernel.hpp) selected by
@@ -106,13 +110,16 @@ using ClassifyFn = ClassifyResult (*)(const CandSpans& c, std::size_t count,
 /// (`eval_point`, the `point_*` accessors) every candidate is classified
 /// and every covering direction consumed, so `candidates_total` is the
 /// span total and `directions_total` the covering-set total.  On the
-/// boolean path (`row_events`, `row_all_*`) the sector-occupancy decision
-/// stops as soon as its masks are full, so both count only the candidates
-/// classified and the directions consumed before the point was decided.
-/// `atan2_calls` counts the calls made on any path: on the stats and
-/// boolean paths only band hits and points that took the exact path pay
-/// them, and `occupancy_points` counts the points of those two paths that
-/// paid neither an atan2 nor a sort.
+/// boolean path (`row_events`, `row_all_*`) the row sweep certifies most
+/// covering cameras without a classify, so `candidates_total` counts the
+/// exact classifies only (a point's verify-list entries, plus its whole
+/// span when it falls back to the sorted path) and `directions_total` the
+/// covering directions those classifies returned; `swept_points` counts
+/// the points decided with no classify at all.  `atan2_calls` counts the
+/// calls made on any path: on the stats and boolean paths only band hits
+/// and points that took the exact path pay them, and `occupancy_points`
+/// counts the points of those two paths that paid neither an atan2 nor a
+/// sort.
 struct GridEvalCounters {
   std::uint64_t points = 0;            ///< grid points gathered
   std::uint64_t candidates_total = 0;  ///< indexed candidates classified
@@ -120,6 +127,7 @@ struct GridEvalCounters {
   std::uint64_t trig_fallbacks = 0;    ///< field-of-view band fallbacks
   std::uint64_t atan2_calls = 0;       ///< viewed-direction atan2 evaluations
   std::uint64_t occupancy_points = 0;  ///< points decided with no atan2 or sort
+  std::uint64_t swept_points = 0;      ///< boolean-path points decided with no classify
   obs::LogHistogram candidates_per_point;
 
   void merge(const GridEvalCounters& other) {
@@ -129,6 +137,7 @@ struct GridEvalCounters {
     trig_fallbacks += other.trig_fallbacks;
     atan2_calls += other.atan2_calls;
     occupancy_points += other.occupancy_points;
+    swept_points += other.swept_points;
     candidates_per_point.merge(other.candidates_per_point);
   }
 
@@ -147,8 +156,8 @@ struct GridEvalScratch {
   /// (exact-arithmetic band hits, zero-distance hits).
   std::vector<std::uint32_t> special;
   /// Sector-occupancy state of the point being decided (see
-  /// GridEvalEngine::row_events): the masks, and the pseudo-angles of one
-  /// chunk's covered directions.
+  /// GridEvalEngine::row_events): the masks, and the pseudo-angles of its
+  /// covered directions.
   std::vector<std::uint64_t> masks;
   std::vector<double> pseudo;
   /// Gap-bound bitmap of the stats path: bit b is set when a covering
@@ -181,6 +190,26 @@ struct GridEvalScratch {
     std::vector<std::uint32_t> survivors;  ///< build scratch: y-band pool slots
   };
   RowSlice slice;
+
+  /// Row sweep of the boolean scans (GridEvalEngine::sweep_row): per grid
+  /// column, the occupancy mask words of the cameras certified to cover
+  /// it, and the pool slots of the cameras that need the exact classify
+  /// there.  Keyed by (engine generation, row), like the slice.
+  struct RowSweep {
+    std::uint64_t engine_gen = 0;  ///< 0 = empty
+    std::size_t row = 0;
+    std::vector<std::uint64_t> masks;          ///< column-major, mask words each
+    std::vector<std::uint32_t> verify_offsets;  ///< per column CSR
+    std::vector<std::uint32_t> verify;          ///< pool slots
+    /// Build scratch: per sector interval, certified-piece counts over
+    /// columns as difference arrays (zero between sweeps), the intervals
+    /// touched, and (column, pool slot) verify pairs before bucketing.
+    std::vector<std::int32_t> diff;
+    std::vector<std::uint8_t> touched;
+    std::vector<std::uint32_t> verify_cols;
+    std::vector<std::uint32_t> verify_entries;
+  };
+  RowSweep sweep;
 };
 
 /// Predicate aggregates over one grid row (the engine's unit of batching).
@@ -274,14 +303,15 @@ class GridEvalEngine {
   /// first necessary-condition failure (with every bit false, matching the
   /// trial semantics: the necessary condition is necessary, so nothing can
   /// hold).  `need_full_view` / `need_sufficient` skip predicates the
-  /// caller has already falsified on earlier rows.  Decided per point by
-  /// sector occupancy (`decide_point`); bit-identical to the oracles.
+  /// caller has already falsified on earlier rows.  Decided per point from
+  /// the row sweep's occupancy masks (`decide_swept`); bit-identical to
+  /// the oracles.
   [[nodiscard]] GridRowEvents row_events(std::size_t row, GridEvalScratch& scratch,
                                          bool need_full_view,
                                          bool need_sufficient) const;
 
   /// Early-exit single-predicate row scans backing the `grid_all_*` API,
-  /// decided per point by sector occupancy like `row_events`.
+  /// decided per point from the row sweep like `row_events`.
   [[nodiscard]] bool row_all_necessary(std::size_t row, GridEvalScratch& scratch) const;
   [[nodiscard]] bool row_all_sufficient(std::size_t row, GridEvalScratch& scratch) const;
   [[nodiscard]] bool row_all_full_view(std::size_t row, GridEvalScratch& scratch) const;
@@ -415,9 +445,16 @@ class GridEvalEngine {
   /// Bin the cameras into y strips and fill the SoA pool in strip order.
   void build_index();
 
-  /// Append to `out` the pool slots of the cameras whose y distance to `y`
-  /// passes the kernel's exact y prune, in slot order — the strip walk
-  /// shared by row slices, `arbitrary_view` and `candidates(p)`.
+  /// Call fn(slot, dy) for the pool slots of the cameras whose y distance
+  /// to `y` passes the kernel's exact y prune, with dy the kernel's own y
+  /// displacement, until fn returns false — the strip walk shared by row
+  /// slices, the row sweep, `arbitrary_view` and `candidates(p)`.  Strips
+  /// are visited in order, or with `alternate` from the middle of the band
+  /// outwards, alternating sides; slots within a strip in order.
+  template <class Fn>
+  void for_each_in_y_band(double y, bool alternate, Fn&& fn) const;
+
+  /// Append the slots `for_each_in_y_band` visits to `out`.
   void gather_y_band(double y, std::vector<std::uint32_t>& out) const;
 
   /// Copy the pool records at the slots in `ids` into `soa` (seven field
@@ -493,25 +530,53 @@ class GridEvalEngine {
   /// never the certified ones.
   void occupy_exact(double d, std::uint64_t* mask) const;
 
-  /// Sector-occupancy decision of the needed predicates at grid point `p`.
-  /// Candidates are classified in chunks; each covered displacement's
-  /// viewed direction is located in `sectors_` by pseudo-angle and ORs its
-  /// interval's arc bits into three masks — necessary (2*theta arcs),
-  /// sufficient (theta arcs), and *certified* sufficient (theta arcs hit
-  /// by directions outside the boundary band).  A direction inside the
-  /// band gets the oracle's exact angle and arc test instead, and counts
-  /// toward the first two masks only.  Stops after the first chunk that
-  /// leaves every needed mask full.  Necessary and sufficient are exact
-  /// set tests.  Full view holds when the certified mask is full (each
-  /// theta arc then holds a direction at least the band inside it, so
-  /// every real gap is below 2*theta by at least the band, far more than
-  /// the oracle's rounding); otherwise the already-classified
+  /// Sector-occupancy decision of the needed predicates at point `p` from
+  /// its whole candidate span: every candidate is classified, and each
+  /// covered displacement's viewed direction is located in `sectors_` by
+  /// pseudo-angle and ORs its interval's arc bits into three masks —
+  /// necessary (2*theta arcs), sufficient (theta arcs), and *certified*
+  /// sufficient (theta arcs hit by directions outside the boundary band).
+  /// A direction inside the band gets the oracle's exact angle and arc
+  /// test instead, and counts toward the first two masks only.  Necessary
+  /// and sufficient are exact set tests.  Full view holds when the
+  /// certified mask is full (each theta arc then holds a direction at
+  /// least the band inside it, so every real gap is below 2*theta by at
+  /// least the band, far more than the oracle's rounding); otherwise the
   /// displacements take the atan2 -> sort -> max-gap path.  Bits not
   /// needed are unspecified, and so is full_view when a needed necessary
-  /// bit is false.
+  /// bit is false.  The fallback of `decide_swept`, and the whole boolean
+  /// path when the engine cannot sweep (`sweep_ok_`).
   [[nodiscard]] Predicates decide_point(const geom::Vec2& p, const CandView& view,
                                         Predicates need,
                                         GridEvalScratch& scratch) const;
+
+  /// Sweep `row` once for the boolean scans (no-op when `scratch.sweep`
+  /// already holds it): for each camera of the row's y band, in real
+  /// arithmetic, an *outer* x-set (one interval, two for a reflex wedge)
+  /// holding every column where the kernel could return covered or a band
+  /// hit, and a *core* where it certainly returns covered and not special.
+  /// The core is cut into pieces at the sector-boundary crossings of the
+  /// camera's viewed direction, each piece at least a margin inside one
+  /// sector interval; pieces add that interval's bits to their columns'
+  /// masks, and outer columns outside every piece go to the column's
+  /// verify list.  Degenerate cameras verify their whole outer chord.  A
+  /// row whose masks all fill up early stops there (saturation).  See
+  /// docs/ARCHITECTURE.md, "Row sweep".  \pre sweep_ok_
+  void sweep_row(std::size_t row, GridEvalScratch& scratch) const;
+
+  /// `decide_point` at grid point (row, col) = `p` from the swept masks:
+  /// the column's verify entries go through the exact classify and
+  /// occupancy step, so the masks cover exactly the covering set; only a
+  /// point whose full view they leave open takes `decide_point`.
+  /// \pre sweep_row(row) ran on `scratch`
+  [[nodiscard]] Predicates decide_swept(std::size_t row, std::size_t col,
+                                        const geom::Vec2& p, Predicates need,
+                                        GridEvalScratch& scratch) const;
+
+  /// The boolean scans' per-point decision at (row, col): `decide_swept`,
+  /// or `decide_point` when the engine cannot sweep.
+  [[nodiscard]] Predicates decide(std::size_t row, std::size_t col, Predicates need,
+                                  GridEvalScratch& scratch) const;
 
   /// Fold grid point `p` into the block accumulator `acc` (`first`: the
   /// block's first point).  Every candidate is classified, and the
@@ -571,11 +636,22 @@ class GridEvalEngine {
     /// by advancing from that bucket's interval.
     std::vector<std::uint32_t> bucket;
     double bucket_scale = 0.0;
+    /// The interval holding pseudo-angle v in [0, 4].
+    [[nodiscard]] std::size_t locate(double v) const;
     /// Per interval i (between bounds[i] and bounds[i + 1]): the mask
     /// words a certified direction there ORs, as CSR rows.
     std::vector<std::uint32_t> row_begin;
     std::vector<Bits> bits;
     std::vector<std::uint64_t> full;  ///< every bit of each mask word
+    /// Per boundary: vx / vy of a direction v with that pseudo-angle, so
+    /// the viewed direction -(x, dy) of a camera at displacement dy from a
+    /// row crosses it at x = dy * cot (the row sweep's cut points).  Along
+    /// the row that direction's pseudo-angle rises through (0, 2) when
+    /// dy < 0 (`cot_rise`) and falls through (2, 4) when dy > 0
+    /// (`cot_fall`); a boundary outside that half holds -+inf, a crossing
+    /// before the start or after the end of the row.
+    std::vector<double> cot_rise;
+    std::vector<double> cot_fall;
     std::size_t nec_words = 0;
     std::size_t suf_words = 0;
   };
@@ -594,6 +670,9 @@ class GridEvalEngine {
   double max_r_ = 0.0;        ///< net max radius (slice band half-height)
   std::ptrdiff_t ghost_ = 0;  ///< ghost x cells per slice side (torus)
   bool whole_row_ = false;    ///< degenerate: window spans the whole axis
+  /// The sweep's per-interval column counts fit its size cap (false only
+  /// when the sector table times the grid side is huge: tiny theta).
+  bool sweep_ok_ = false;
 };
 
 /// Export the active kernel choice into `node` as `kernel_lanes` and

@@ -53,7 +53,12 @@ TrialEvents run_trial_events(const TrialConfig& cfg, std::uint64_t seed,
   // necessary-condition failure anywhere fails everything, and predicates
   // already falsified on earlier rows are skipped.
   const core::GridEvalEngine engine(net, grid, cfg.theta);
-  core::GridEvalScratch scratch;
+  // One scratch per worker thread, reused across trials, so the row
+  // slice and row sweep buffers are allocated once, not per trial (their
+  // cache keys carry the engine's generation, so no stale row is served).
+  // Only this function touches it, and it sets `counters` on every call.
+  thread_local core::GridEvalScratch scratch;
+  scratch.counters = nullptr;
   if (metrics != nullptr) {
     metrics->engine_build_ns += engine.build_ns();
     metrics->kernel = engine.kernel();

@@ -149,7 +149,8 @@ TEST(TraceJson, PhaseScanEmitsSweepPoints) {
 
 TEST(TraceJson, WatchdogCancelledRunStillWritesTraceAndExits130) {
   // The watchdog route to cancellation: progress only arrives at trial
-  // boundaries, so a single heavy trial (~200ms here) with a 25ms stall
+  // boundaries, so a single heavy trial (~200ms here; the grid is sized
+  // for the row-swept boolean scan) with a 25ms stall
   // deadline guarantees a quiet period that trips the watchdog mid-trial
   // (run_command owns the token, so this is the race-free stand-in for the
   // SIGINT trampoline).  The run must still flush a valid trace with the
@@ -158,7 +159,7 @@ TEST(TraceJson, WatchdogCancelledRunStillWritesTraceAndExits130) {
   const std::vector<const char*> argv = {
       "simulate",     "--n",        "3000",      "--trials",
       "1",            "--seed",     "3",         "--grid-side",
-      "220",          "--trace",    path.c_str(), "--stall-timeout-ms",
+      "1400",         "--trace",    path.c_str(), "--stall-timeout-ms",
       "25",           "--stall-stop", "1"};
   const Args args = Args::parse(static_cast<int>(argv.size()), argv.data());
   std::ostringstream out;

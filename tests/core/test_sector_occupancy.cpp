@@ -185,7 +185,8 @@ TEST(SectorOccupancy, OnlyBoundaryDirectionsTakeTheExactPath) {
 }
 
 // A well-covered point is decided from occupancy alone: no atan2, no sort,
-// and far fewer directions consumed than the point's covering cameras.
+// and an exact classify only for the few covering cameras the row sweep
+// cannot certify (here one camera 1.5e-6 from the probe's row).
 TEST(SectorOccupancy, DenseCoverageDecidedWithoutAtan2) {
   stats::Pcg32 rng = stats::make_child_rng(1516, 0);
   std::vector<Camera> cams;
@@ -207,8 +208,8 @@ TEST(SectorOccupancy, DenseCoverageDecidedWithoutAtan2) {
   EXPECT_EQ(counters.points, 1U);
   EXPECT_EQ(counters.occupancy_points, 1U);
   EXPECT_EQ(counters.atan2_calls, 0U);
-  EXPECT_LT(counters.directions_total, 400U);
-  EXPECT_LT(counters.candidates_total, 400U);
+  EXPECT_LE(counters.directions_total, counters.candidates_total);
+  EXPECT_LE(counters.candidates_total, 4U);
 }
 
 }  // namespace
