@@ -11,6 +11,7 @@
 
 #include "fvc/core/candidate_index.hpp"
 #include "fvc/core/grid_eval_kernel.hpp"
+#include "fvc/core/round_half_away.hpp"
 #include "fvc/geometry/angle.hpp"
 #include "fvc/geometry/sector.hpp"
 #include "fvc/obs/run_metrics.hpp"
@@ -147,8 +148,116 @@ constexpr double kMaxHalfChord = 0.49;
 /// Cap on the sweep's per-interval column counts (intervals x (columns +
 /// 1)); engines above it decide every point from its whole span.
 constexpr std::size_t kMaxSweepCells = std::size_t{1} << 20;
+/// A core end whose pseudo-angle lies at least this far inside its sector
+/// interval's far boundary bounds its piece itself, with no crossing cut
+/// there (five bands, as the crossing margin keeps); a core inside one
+/// interval is then one piece.
+constexpr double kFastBand = 5e-9;
+/// Cameras per pass of the sweep's two-pass batch (the batch stays in L1).
+constexpr std::size_t kSweepBatch = 128;
+/// A camera's pass through the row sweep costs about this many exact
+/// vector classifies of one band slot at one point (see `sweep_row`).
+constexpr std::size_t kFinishRatio = 32;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// A wedge of half-angle phi as cos/sin, from g = cos(phi)|cos(phi)| alone
+/// (no trig): |cos(phi)| = sqrt(|g|), sin(phi) = sqrt(1 - |g|).  Above
+/// pi/2 the wedge is reflex: the complement of the convex blind cone of
+/// half-angle pi - phi around the opposite direction, which is what
+/// `reflex` and (`c`, `s`), negated to turn the axis around, then describe.
+/// `all`: no direction is excluded (g <= -1); `none`: none is included
+/// (g > 1).
+struct Wedge {
+  double c = 0.0;
+  double s = 0.0;
+  bool reflex = false;
+  bool all = false;
+  bool none = false;
+};
+
+inline Wedge wedge_of(double g) {
+  Wedge w;
+  w.all = g <= -1.0;
+  w.none = g > 1.0;
+  w.reflex = g < 0.0;
+  const double ag = std::min(std::abs(g), 1.0);
+  const double axis = w.reflex ? -1.0 : 1.0;
+  w.c = axis * std::sqrt(ag);
+  w.s = axis * std::sqrt(1.0 - ag);
+  return w;
+}
+
+/// A camera's row-sweep kind (`RowSweep::kind`): the clip state of each
+/// wedge edge ray, two bits each (kEdgeUpper: its half-line in x is an
+/// upper bound; kEdgeLower: a lower one; kEdgeNone: no bound), for the
+/// edges e- and e+ (m, p) of the core (c) and outer (o) wedges, at shifts
+/// kShiftCm..kShiftOp; and flags.  An omnidirectional camera has no bound
+/// on any edge, nor does a degenerate one (an edge ray within kMinEdgeY of
+/// horizontal), which also sets kKindNoCore, as does an empty core wedge,
+/// so the whole outer chord is verified.  A reflex wedge's edges bound its
+/// blind cone (kKindCoreReflex, kKindOuterReflex), and an outer wedge that
+/// excludes no direction has no bound.
+enum : unsigned {
+  kEdgeUpper = 0,
+  kEdgeLower = 1,
+  kEdgeNone = 2,
+  kShiftCm = 0,
+  kShiftCp = 2,
+  kShiftOm = 4,
+  kShiftOp = 6,
+  kKindNoCore = 1U << 8,
+  kKindCoreReflex = 1U << 9,
+  kKindOuterReflex = 1U << 10,
+  kKindUnbounded = (kEdgeNone << kShiftCm) | (kEdgeNone << kShiftCp) |
+                   (kEdgeNone << kShiftOm) | (kEdgeNone << kShiftOp),
+};
+
+/// The bounds an edge ray's half-line ending at x sets, by its clip state
+/// s (with 2 added on a row where the sweep applies no wedge, which
+/// leaves no bound): x + kClipLo[s] is a lower bound, x + kClipHi[s] an
+/// upper one (x is finite).
+constexpr double kClipLo[4] = {-std::numeric_limits<double>::infinity(), 0.0,
+                               -std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+constexpr double kClipHi[4] = {0.0, std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::infinity()};
+
+/// Fields of the sweep's per-camera constants (`RowSweep::consts`, one
+/// block of pool-slot-indexed doubles each): sx * cols - 1/2, the core and
+/// outer wedges' edge slopes (an edge's x end on a row at displacement dy
+/// is slope * dy).
+enum : std::size_t { kConstJ0, kConstCm, kConstCp, kConstOm, kConstOp, kConstFields };
+
+/// Fields of the sweep's pass-1 batch (`RowSweep::batch`, kSweepBatch
+/// doubles each): the camera's dy, the pseudo-angles of the ends of part
+/// 0's first core sub-interval (see `SweepIntervals`), the crossing
+/// margin's scale 1e-8 / |dy|, and, for reflex wedges only, the x-sets
+/// the piece pass splits into parts and sub-intervals.
+enum : std::size_t {
+  kBatchDy,
+  kBatchPaLo,
+  kBatchPaHi,
+  kBatchMuScale,
+  kBatchLo0,
+  kBatchHi0,
+  kBatchLo1,
+  kBatchHi1,
+  kBatchCoreLo,
+  kBatchCoreHi,
+  kBatchBlindLo,
+  kBatchBlindHi,
+  kBatchFields
+};
+/// Column fields of the batch (`RowSweep::batch_cols`): part 0's outer
+/// columns and its first core sub-interval's, clipped to them.
+enum : std::size_t { kColOuter0, kColOuter1, kColSub0, kColSub1, kColFields };
+/// Batch flag bits (`RowSweep::batch_flags`).
+enum : unsigned {
+  kBatchCertify = 1U << 0,  ///< the core is certified (else verify the outer set)
+  kBatchReflex = 1U << 1,   ///< a second outer part or a blind interval
+};
 
 /// floor and ceil to an integer without a libm call (|v| far below 2^62).
 inline std::int64_t floor_to_int(double v) {
@@ -158,6 +267,111 @@ inline std::int64_t floor_to_int(double v) {
 inline std::int64_t ceil_to_int(double v) {
   const auto t = static_cast<std::int64_t>(v);
   return t + static_cast<std::int64_t>(static_cast<double>(t) < v);
+}
+
+/// One camera's x-sets along a grid row at y displacement dy (see
+/// `GridEvalEngine::sweep_row`): the *outer* set, a superset of the x where
+/// the kernel could return covered or a band hit, as part 0 and part 1
+/// (part 1 is empty unless a reflex outer wedge's blind cone splits the
+/// chord); the *core*, where it certainly returns covered and not special:
+/// the core chord within a convex core wedge, [c_lo, c_hi], less a reflex
+/// core wedge's blind interval [bl, bh] ([inf, inf] when none); and part
+/// 0's first core sub-interval [s_lo, s_hi].  `certify` is false when the
+/// margins do not hold (|dy| < kMinSweepDy, an outer half-chord of
+/// kMaxHalfChord or more, a degenerate or empty core wedge): the whole
+/// outer set is then verified.  Each wedge is two edge half-lines in x,
+/// their ends the per-camera slopes times dy, their sides by table from the
+/// camera's kind; a row where the margins fail applies no wedge.
+struct SweepIntervals {
+  double lo0 = 0.0;
+  double hi0 = 0.0;
+  double lo1 = 0.0;
+  double hi1 = 0.0;
+  double c_lo = 0.0;
+  double c_hi = 0.0;
+  double bl = 0.0;
+  double bh = 0.0;
+  double s_lo = 0.0;
+  double s_hi = 0.0;
+  bool certify = false;
+  bool wide = false;   ///< outer half-chord of kMaxHalfChord or more
+  bool two = false;    ///< part 1 is not empty
+  bool blind = false;  ///< the core has a blind interval
+};
+
+inline SweepIntervals sweep_intervals(double dy, double r2, unsigned kind, double slope_cm,
+                                      double slope_cp, double slope_om, double slope_op) {
+  SweepIntervals v;
+  const double dy2 = dy * dy;
+  // The band prune passed (fl(dy^2) <= r^2), so this root's argument is
+  // positive.
+  const double ho = std::sqrt(r2 * (1.0 + kChordMargin) - dy2) + kSweepSlackX;
+  const double hc = std::sqrt(std::max(r2 * (1.0 - kChordMargin) - dy2, 0.0)) - kSweepSlackX;
+  v.wide = ho >= kMaxHalfChord;
+  const bool live = (std::abs(dy) >= kMinSweepDy) & !v.wide;
+  const unsigned dead = static_cast<unsigned>(!live) << 1U;
+  v.certify = live & ((kind & kKindNoCore) == 0);
+  // The chord: a plane column lies within 1 of every camera, so 2 bounds it.
+  const double lo_o = std::max(-ho, -2.0);
+  const double hi_o = std::min(ho, 2.0);
+  // Each wedge's two edge half-lines, intersected: [ol, oh] for the outer
+  // wedge, [kl, kh] for the core one (blind cones when reflex).
+  const double xom = slope_om * dy;
+  const double xop = slope_op * dy;
+  const double xcm = slope_cm * dy;
+  const double xcp = slope_cp * dy;
+  const unsigned som = ((kind >> kShiftOm) & 3U) | dead;
+  const unsigned sop = ((kind >> kShiftOp) & 3U) | dead;
+  const unsigned scm = ((kind >> kShiftCm) & 3U) | dead;
+  const unsigned scp = ((kind >> kShiftCp) & 3U) | dead;
+  const double ol = std::max(xom + kClipLo[som], xop + kClipLo[sop]);
+  const double oh = std::min(xom + kClipHi[som], xop + kClipHi[sop]);
+  const double kl = std::max(xcm + kClipLo[scm], xcp + kClipLo[scp]);
+  const double kh = std::min(xcm + kClipHi[scm], xcp + kClipHi[scp]);
+  v.c_lo = std::max(-hc, kl);
+  v.c_hi = std::min(hc, kh);
+  v.bl = kInf;
+  v.bh = kInf;
+  v.lo0 = std::max(lo_o, ol);
+  v.hi0 = std::min(hi_o, oh);
+  v.lo1 = kInf;
+  v.hi1 = -kInf;
+  if (live && (kind & (kKindCoreReflex | kKindOuterReflex)) != 0) [[unlikely]] {
+    // Reflex wedges (fov > pi; their bounds are blind cones).  A blind cone
+    // that misses the row leaves the whole chord.
+    if ((kind & kKindCoreReflex) != 0) {
+      v.c_lo = -hc;
+      v.c_hi = hc;
+      v.blind = kl <= kh;
+      v.bl = v.blind ? kl : kInf;
+      v.bh = v.blind ? kh : kInf;
+    }
+    if ((kind & kKindOuterReflex) != 0) {
+      v.two = ol <= oh;
+      v.lo0 = lo_o;
+      v.hi0 = v.two ? std::min(hi_o, ol) : hi_o;
+      v.lo1 = v.two ? std::max(lo_o, oh) : kInf;
+      v.hi1 = v.two ? hi_o : -kInf;
+    }
+  }
+  v.s_lo = std::max(v.c_lo, v.lo0);
+  v.s_hi = std::min(std::min(v.c_hi, v.hi0), v.bl);
+  return v;
+}
+
+/// Append the verify pairs (column, pool slot) of `slot` on the unwrapped
+/// columns [c0, c1] (c0 <= c1, at most `cols` of them); returns their
+/// count.  Out of line: the sweep's hot loops only test for an empty range.
+[[gnu::noinline]] std::uint64_t append_verify(GridEvalScratch::RowSweep& sw,
+                                              std::uint32_t slot, std::int64_t c0,
+                                              std::int64_t c1, std::int64_t cols) {
+  std::int64_t c = ((c0 % cols) + cols) % cols;
+  for (std::int64_t k = c0; k <= c1; ++k) {
+    sw.verify_cols.push_back(static_cast<std::uint32_t>(c));
+    sw.verify_entries.push_back(slot);
+    c = c + 1 == cols ? 0 : c + 1;
+  }
+  return static_cast<std::uint64_t>(c1 - c0 + 1);
 }
 
 /// Gap-bound bins of the stats path: the pseudo-angle range [0, 4) cut
@@ -354,11 +568,11 @@ inline EntryClass classify_scalar(const View& view, std::size_t e, const geom::V
   c.dx = p.x - view.sx()[e];
   c.dy = p.y - view.sy()[e];
   if (torus) {
-    c.dx -= std::round(c.dx);
+    c.dx -= detail::round_half_away(c.dx);
     if (c.dx >= 0.5) {
       c.dx -= 1.0;
     }
-    c.dy -= std::round(c.dy);
+    c.dy -= detail::round_half_away(c.dy);
     if (c.dy >= 0.5) {
       c.dy -= 1.0;
     }
@@ -422,6 +636,11 @@ void GridEvalCounters::describe(obs::MetricsNode& node) const {
   node.add("atan2_calls", static_cast<double>(atan2_calls));
   node.add("occupancy_points", static_cast<double>(occupancy_points));
   node.add("swept_points", static_cast<double>(swept_points));
+  node.add("sweep_rows", static_cast<double>(sweep_rows));
+  node.add("sweep_camera_rows", static_cast<double>(sweep_camera_rows));
+  node.add("sweep_pieces", static_cast<double>(sweep_pieces));
+  node.add("sweep_verify", static_cast<double>(sweep_verify));
+  node.add("sweep_skipped", static_cast<double>(sweep_skipped));
   node.histogram("candidates_per_point").merge(candidates_per_point);
 }
 
@@ -716,31 +935,47 @@ void GridEvalEngine::build_index() {
   }
 }
 
-template <class Fn>
-void GridEvalEngine::for_each_in_y_band(double y, bool alternate, Fn&& fn) const {
+GridEvalEngine::StripBand GridEvalEngine::y_band(double y) const {
   const auto s_count = static_cast<std::ptrdiff_t>(cells_);
   const auto sd = static_cast<double>(cells_);
-  const bool torus = mode_ == geom::SpaceMode::kTorus;
-  // Walk the strips whose cameras could be within max_r_ of y (padded one
-  // strip per side; the per-camera prune decides exactly).
+  // The strips whose cameras could be within max_r_ of y (padded one strip
+  // per side; the per-camera prune decides exactly).
   std::ptrdiff_t s_lo = static_cast<std::ptrdiff_t>(std::floor((y - max_r_) * sd)) - 1;
   std::ptrdiff_t s_hi = static_cast<std::ptrdiff_t>(std::floor((y + max_r_) * sd)) + 1;
-  std::ptrdiff_t s_span;
-  if (torus) {
-    s_span = std::min(s_hi - s_lo + 1, s_count);
-  } else {
-    s_lo = std::clamp<std::ptrdiff_t>(s_lo, 0, s_count - 1);
-    s_hi = std::clamp<std::ptrdiff_t>(s_hi, 0, s_count - 1);
-    s_span = s_hi - s_lo + 1;
+  if (mode_ == geom::SpaceMode::kTorus) {
+    return {s_lo, std::min(s_hi - s_lo + 1, s_count)};
   }
+  s_lo = std::clamp<std::ptrdiff_t>(s_lo, 0, s_count - 1);
+  s_hi = std::clamp<std::ptrdiff_t>(s_hi, 0, s_count - 1);
+  return {s_lo, s_hi - s_lo + 1};
+}
+
+std::size_t GridEvalEngine::band_strip(const StripBand& band, std::ptrdiff_t k,
+                                       bool alternate) const {
+  const auto s_count = static_cast<std::ptrdiff_t>(cells_);
+  const std::ptrdiff_t mid = band.span / 2;
+  const std::ptrdiff_t is = !alternate ? k : (k % 2 == 0 ? mid + k / 2 : mid - 1 - k / 2);
+  return static_cast<std::size_t>((((band.lo + is) % s_count) + s_count) % s_count);
+}
+
+double GridEvalEngine::band_dy(double y, double sy) const {
+  double dy = y - sy;
+  if (mode_ == geom::SpaceMode::kTorus) {
+    dy -= detail::round_half_away(dy);
+    if (dy >= 0.5) {
+      dy -= 1.0;
+    }
+  }
+  return dy;
+}
+
+template <class Fn>
+void GridEvalEngine::for_each_in_y_band(double y, Fn&& fn) const {
+  const StripBand band = y_band(y);
   const double* const cam_sy = cam_soa_.sy();
   const double* const cam_r2 = cam_soa_.r2();
-  for (std::ptrdiff_t k = 0; k < s_span; ++k) {
-    // In order, or from the middle of the band outwards, alternating sides.
-    const std::ptrdiff_t mid = s_span / 2;
-    const std::ptrdiff_t is = !alternate ? k : (k % 2 == 0 ? mid + k / 2 : mid - 1 - k / 2);
-    const auto s =
-        static_cast<std::size_t>((((s_lo + is) % s_count) + s_count) % s_count);
+  for (std::ptrdiff_t k = 0; k < band.span; ++k) {
+    const std::size_t s = band_strip(band, k, false);
     const std::uint32_t lo = strip_offsets_[s];
     const std::uint32_t hi = strip_offsets_[s + 1];
     for (std::uint32_t e = lo; e < hi; ++e) {
@@ -749,13 +984,7 @@ void GridEvalEngine::for_each_in_y_band(double y, bool alternate, Fn&& fn) const
       // (rounding is monotone, fl(dx^2) >= 0), so fl(dy^2) > r^2 implies
       // the kernel rejects this camera at every point at this y — dropping
       // it cannot change any covered set.
-      double dy = y - cam_sy[e];
-      if (torus) {
-        dy -= std::round(dy);
-        if (dy >= 0.5) {
-          dy -= 1.0;
-        }
-      }
+      const double dy = band_dy(y, cam_sy[e]);
       if (dy * dy > cam_r2[e]) {
         continue;
       }
@@ -767,7 +996,7 @@ void GridEvalEngine::for_each_in_y_band(double y, bool alternate, Fn&& fn) const
 }
 
 void GridEvalEngine::gather_y_band(double y, std::vector<std::uint32_t>& out) const {
-  for_each_in_y_band(y, false, [&out](std::uint32_t e, double) {
+  for_each_in_y_band(y, [&out](std::uint32_t e, double) {
     out.push_back(e);
     return true;
   });
@@ -1092,318 +1321,591 @@ GridEvalEngine::Predicates GridEvalEngine::decide_point(
   return d;
 }
 
-void GridEvalEngine::sweep_row(std::size_t row, GridEvalScratch& scratch) const {
-  GridEvalScratch::RowSweep& sw = scratch.sweep;
-  if (sw.engine_gen == generation_ && sw.row == row) {
-    return;
-  }
-  const SectorTable& t = sectors_;
-  const std::size_t cols = grid_.side();
-  const auto cols_i = static_cast<std::int64_t>(cols);
-  const auto side = static_cast<double>(cols);
-  const std::size_t words = t.nec_words + 2 * t.suf_words;
-  const std::size_t intervals = t.bounds.size() - 1;
-  const bool torus = mode_ == geom::SpaceMode::kTorus;
-  // The difference arrays are all zero between sweeps (the mask build
-  // below clears what it reads), so only growth needs zero-filling.
-  sw.diff.resize(intervals * (cols + 1), 0);
-  sw.touched.resize(intervals, 0);
-  sw.verify_cols.clear();
-  sw.verify_entries.clear();
-  std::int32_t* const diff = sw.diff.data();
-  std::uint8_t* const touched = sw.touched.data();
-
-  // Column ranges are unwrapped integers c (the column is c mod cols on
-  // the torus), at most cols wide since every handled chord is under 1.
-  auto add_piece = [&](std::size_t i, std::int64_t c0, std::int64_t c1) {
-    if (c0 < 0) {
-      c0 += cols_i;
-      c1 += cols_i;
-    } else if (c0 >= cols_i) {
-      c0 -= cols_i;
-      c1 -= cols_i;
-    }
-    std::int32_t* const d = diff + i * (cols + 1);
-    ++d[c0];
-    if (c1 < cols_i) {
-      --d[c1 + 1];
-    } else {  // wraps past the seam
-      --d[cols];
-      ++d[0];
-      --d[c1 - cols_i + 1];
-    }
-    touched[i] = 1;
-  };
-  auto add_verify = [&](std::uint32_t slot, std::int64_t c0, std::int64_t c1) {
-    for (std::int64_t c = c0; c <= c1; ++c) {
-      sw.verify_cols.push_back(static_cast<std::uint32_t>(((c % cols_i) + cols_i) % cols_i));
-      sw.verify_entries.push_back(slot);
-    }
-  };
-
+void GridEvalEngine::sweep_constants(const std::uint32_t* slots, std::size_t count,
+                                     GridEvalScratch::RowSweep& sw) const {
+  const std::size_t n = cam_soa_.stride;
+  const auto side = static_cast<double>(grid_.side());
   const double* const f_sx = cam_soa_.sx();
-  const double* const f_r2 = cam_soa_.r2();
   const double* const f_cu = cam_soa_.cu();
   const double* const f_su = cam_soa_.su();
   const double* const f_q = cam_soa_.q();
   const double* const f_om = cam_soa_.omni();
-  // A wedge of half-angle phi as cos/sin, from g = cos(phi)|cos(phi)|
-  // alone (no trig): |cos(phi)| = sqrt(|g|), sin(phi) = sqrt(1 - |g|).
-  // Above pi/2 the wedge is reflex: the complement of the convex blind
-  // cone of half-angle pi - phi around the opposite direction, which is
-  // what `reflex` and (`c`, `s`), negated to turn the axis around, then
-  // describe.  `all`: no direction is excluded (g <= -1); `none`: none is
-  // included (g > 1).
-  struct Wedge {
-    double c = 0.0;
-    double s = 0.0;
-    bool reflex = false;
-    bool all = false;
-    bool none = false;
-  };
-  auto wedge = [](double g) {
-    Wedge w;
-    w.all = g <= -1.0;
-    w.none = g > 1.0;
-    w.reflex = g < 0.0;
-    const double ag = std::min(std::abs(g), 1.0);
-    const double axis = w.reflex ? -1.0 : 1.0;
-    w.c = axis * std::sqrt(ag);
-    w.s = axis * std::sqrt(1.0 - ag);
-    return w;
-  };
+  double* const j0 = sw.consts.data() + kConstJ0 * n;
+  double* const s_cm = sw.consts.data() + kConstCm * n;
+  double* const s_cp = sw.consts.data() + kConstCp * n;
+  double* const s_om = sw.consts.data() + kConstOm * n;
+  double* const s_op = sw.consts.data() + kConstOp * n;
+  std::uint16_t* const kind = sw.kind.data();
   // Core and outer wedges per run of bit-equal q (runs follow the
   // deployment's camera groups).
   std::uint64_t q_bits = 0;
   bool q_run = false;
   Wedge core_w;
   Wedge outer_w;
-  // Per-column masks from the counts: the prefix sums of each touched
-  // interval's counts give the columns it certifies, which take its bits
-  // (`clear`: and zero the counts for the next sweep).
+  for (std::size_t b = 0; b < count; ++b) {
+    const std::uint32_t slot = slots[b];
+    if (sw.ready[slot] != 0) {
+      continue;
+    }
+    sw.ready[slot] = 1;
+    j0[slot] = f_sx[slot] * side - 0.5;
+    s_cm[slot] = s_cp[slot] = s_om[slot] = s_op[slot] = 0.0;
+    if (std::bit_cast<std::uint64_t>(f_om[slot]) != 0) {
+      kind[slot] = kKindUnbounded;
+      continue;
+    }
+    const double q = f_q[slot];
+    if (!q_run || std::bit_cast<std::uint64_t>(q) != q_bits) {
+      q_run = true;
+      q_bits = std::bit_cast<std::uint64_t>(q);
+      core_w = wedge_of(q + kWedgeMargin);
+      outer_w = wedge_of(q - kWedgeMargin);
+    }
+    // Each cone's edge rays e- and e+: its axis (the orientation, or its
+    // opposite for a blind cone) rotated by -+ its half-angle.
+    const double cu = f_cu[slot];
+    const double su = f_su[slot];
+    const double cmx = cu * core_w.c + su * core_w.s;
+    const double cmy = su * core_w.c - cu * core_w.s;
+    const double cpx = cu * core_w.c - su * core_w.s;
+    const double cpy = su * core_w.c + cu * core_w.s;
+    const double omx = cu * outer_w.c + su * outer_w.s;
+    const double omy = su * outer_w.c - cu * outer_w.s;
+    const double opx = cu * outer_w.c - su * outer_w.s;
+    const double opy = su * outer_w.c + cu * outer_w.s;
+    const double min_y = std::min(std::min(std::abs(cmy), std::abs(cpy)),
+                                  std::min(std::abs(omy), std::abs(opy)));
+    if (min_y < kMinEdgeY) {
+      kind[slot] = kKindUnbounded | kKindNoCore;  // the whole outer chord is verified
+      continue;
+    }
+    // d = (x, dy) lies in the convex cone from e- to e+ iff
+    // cross(e-, d) = e-.x dy - e-.y x >= 0 and
+    // cross(d, e+) = e+.y x - e+.x dy >= 0: two half-lines in x, with
+    // their ends at x = dy * e.x / e.y (four reciprocals, one divide).
+    // The first is a lower bound when e-.y < 0, the second when e+.y > 0.
+    const double pc = cmy * cpy;
+    const double po = omy * opy;
+    const double inv = 1.0 / (pc * po);
+    const double inv_c = inv * po;
+    const double inv_o = inv * pc;
+    s_cm[slot] = cmx * (inv_c * cpy);
+    s_cp[slot] = cpx * (inv_c * cmy);
+    s_om[slot] = omx * (inv_o * opy);
+    s_op[slot] = opx * (inv_o * omy);
+    auto edge = [](bool lower) { return lower ? unsigned{kEdgeLower} : unsigned{kEdgeUpper}; };
+    unsigned k = (edge(cmy < 0.0) << kShiftCm) | (edge(cpy > 0.0) << kShiftCp);
+    if (outer_w.all) {
+      k |= (kEdgeNone << kShiftOm) | (kEdgeNone << kShiftOp);
+    } else {
+      k |= (edge(omy < 0.0) << kShiftOm) | (edge(opy > 0.0) << kShiftOp);
+      k |= outer_w.reflex ? kKindOuterReflex : 0U;
+    }
+    k |= (core_w.none ? kKindNoCore : 0U) | (core_w.reflex ? kKindCoreReflex : 0U);
+    kind[slot] = static_cast<std::uint16_t>(k);
+  }
+}
+
+void GridEvalEngine::sweep_row(std::size_t row, Predicates need,
+                               GridEvalScratch& scratch) const {
+  GridEvalScratch::RowSweep& sw = scratch.sweep;
+  const auto need_bits = static_cast<std::uint8_t>(
+      static_cast<unsigned>(need.necessary) | (static_cast<unsigned>(need.full_view) << 1U) |
+      (static_cast<unsigned>(need.sufficient) << 2U));
+  if (sw.engine_gen == generation_ && sw.row == row && (need_bits & ~sw.need) == 0) {
+    return;
+  }
+  const SectorTable& t = sectors_;
+  const std::size_t cols = grid_.side();
+  const auto cols_i = static_cast<std::int64_t>(cols);
+  const std::size_t wn = t.nec_words;
+  const std::size_t ws = t.suf_words;
+  const std::size_t words = wn + 2 * ws;
+  const std::size_t intervals = t.bounds.size() - 1;
+  const bool torus = mode_ == geom::SpaceMode::kTorus;
+  const std::size_t n = cam_soa_.stride;
+  // The difference arrays are all zero between sweeps (the flush below
+  // clears what it reads), so only growth needs zero-filling.
+  sw.diff.resize(intervals * (cols + 1), 0);
+  sw.touched.resize(intervals, 0);
+  sw.verify_cols.clear();
+  sw.verify_entries.clear();
+  sw.rest.clear();
+  sw.masks.assign(words * cols, 0);
+  sw.saturated.assign(2 * cols + 1, 0);
+  sw.column_bits.resize(cols);
+  if (sw.const_gen != generation_) {
+    sw.const_gen = generation_;
+    sw.ready.assign(n, 0);
+    sw.consts.resize(kConstFields * n);
+    sw.kind.resize(n);
+  }
+  sw.batch_slots.resize(kSweepBatch);
+  sw.batch.resize(kBatchFields * kSweepBatch);
+  sw.batch_cols.resize(kColFields * kSweepBatch);
+  sw.batch_flags.resize(kSweepBatch);
+
+  // Pieces and verify pairs, as plain values (no captures to chase in the
+  // hot loops).  Column ranges are unwrapped integers c (the column is c
+  // mod cols on the torus), at most cols wide since every handled chord
+  // is under 1.
+  struct Cut {
+    GridEvalScratch::RowSweep* sw;
+    std::int32_t* diff;
+    std::uint32_t* touched;
+    const SectorTable* table;
+    const double* bounds;
+    const double* cot_rise;
+    const double* cot_fall;
+    std::size_t cols;
+    std::int64_t cols_i;
+    double side;
+    bool torus;
+    std::uint64_t pieces = 0;
+    std::uint64_t verify = 0;
+
+    void piece(std::size_t i, std::int64_t c0, std::int64_t c1) {
+      if (c0 < 0) {
+        c0 += cols_i;
+        c1 += cols_i;
+      } else if (c0 >= cols_i) {
+        c0 -= cols_i;
+        c1 -= cols_i;
+      }
+      std::int32_t* const d = diff + i * (cols + 1);
+      ++d[c0];
+      if (c1 < cols_i) {
+        --d[c1 + 1];
+      } else {  // wraps past the seam
+        --d[cols];
+        ++d[0];
+        --d[c1 - cols_i + 1];
+      }
+      touched[i] = 1;
+      ++pieces;
+    }
+    void verify_range(std::uint32_t slot, std::int64_t c0, std::int64_t c1) {
+      if (c0 <= c1) [[unlikely]] {
+        verify += append_verify(*sw, slot, c0, c1, cols_i);
+      }
+    }
+    // Columns c with x displacement in [lo, hi]: c in [ceil(j(lo)),
+    // floor(j(hi))] for j(x) = j0 + x * cols, j0 = sx * cols - 0.5.  The
+    // clamp only touches x outside every chord (|x| <= 2 there), keeping
+    // the conversion defined for the infinite ends of empty intervals.
+    [[nodiscard]] std::int64_t col_lo(double j0, double x) const {
+      const std::int64_t c = ceil_to_int(j0 + std::min(std::max(x, -4.0), 4.0) * side);
+      return torus ? c : std::max<std::int64_t>(c, 0);
+    }
+    [[nodiscard]] std::int64_t col_hi(double j0, double x) const {
+      const std::int64_t c = floor_to_int(j0 + std::min(std::max(x, -4.0), 4.0) * side);
+      return torus ? c : std::min<std::int64_t>(c, cols_i - 1);
+    }
+    // The crossing walk: certify a core sub-interval whose ends' viewed
+    // directions -(x, dy) have pseudo-angles pa_l (left end) and pa_r
+    // (right end), and whose columns are [c_first, c_last], cut where the
+    // direction crosses a sector boundary, with a margin mu either side.
+    // The direction turns monotonically along the row, so the interval
+    // index steps by one per crossing, from the interval holding one end
+    // to the one holding the other.  An end at least kFastBand inside its
+    // interval's far boundary bounds its piece itself (a sub-interval
+    // inside one interval is one piece, with no crossing at all); an end
+    // nearer it is cut at that boundary's crossing as well.  A crossing
+    // beyond |x| = 1 lies beyond every chord: clamping it to -+1 keeps
+    // its side, and there mu <= 1e-3 (x^2 + dy^2), so |d| barely changes
+    // across the margin.
+    void walk(std::uint32_t slot, double j0, double dy, double mu_scale, double pa_l,
+              double pa_r, std::int64_t c_first, std::int64_t c_last, std::int64_t& cursor) {
+      const bool rise = dy < 0.0;  // the pseudo-angle rises along the row
+      const double v_lo = rise ? pa_l : pa_r;
+      const double v_hi = rise ? pa_r : pa_l;
+      const std::size_t i_lo = table->locate(v_lo);
+      const std::size_t i_hi = table->locate(v_hi);
+      const bool near_lo = v_lo - bounds[i_lo] < kFastBand;
+      const bool near_hi = bounds[i_hi + 1] - v_hi < kFastBand;
+      std::size_t i = rise ? i_lo : i_hi;
+      const std::size_t i_end = rise ? i_hi : i_lo;
+      const double dy2 = dy * dy;
+      const double* const cot = rise ? cot_rise : cot_fall;
+      auto cross = [dy, cot](std::size_t bound) {
+        return std::min(std::max(dy * cot[bound], -1.0), 1.0);
+      };
+      std::int64_t start = c_first;
+      if (rise ? near_lo : near_hi) [[unlikely]] {
+        const double x = cross(rise ? i : i + 1);
+        start = std::max(start, col_lo(j0, x + mu_scale * (x * x + dy2)));
+      }
+      const bool near_end = rise ? near_hi : near_lo;
+      for (;;) {
+        const bool last = i == i_end;
+        std::int64_t end = c_last;
+        std::int64_t next = 0;
+        if (!last || near_end) {
+          const double x = cross(rise ? i + 1 : i);
+          const double m = mu_scale * (x * x + dy2);
+          end = std::min(end, floor_to_int(j0 + (x - m) * side));
+          next = ceil_to_int(j0 + (x + m) * side);
+        }
+        if (start <= end) {
+          verify_range(slot, cursor, start - 1);
+          piece(i, start, end);
+          cursor = end + 1;
+        }
+        if (last) {
+          break;
+        }
+        start = std::max(next, c_first);
+        i = rise ? i + 1 : i - 1;
+      }
+    }
+  };
+  Cut cut{&sw,
+          sw.diff.data(),
+          sw.touched.data(),
+          &t,
+          t.bounds.data(),
+          t.cot_rise.data(),
+          t.cot_fall.data(),
+          cols,
+          cols_i,
+          static_cast<double>(cols),
+          torus};
+
+  // Fold the pending difference arrays into the masks (word-major: word
+  // w of column c at w * cols + c): the prefix sums of each touched
+  // interval's counts give the columns it certifies, which take its bits;
+  // the counts are zeroed for the next flush.
+  std::int32_t* const diff = sw.diff.data();
+  std::uint32_t* const touched = sw.touched.data();
+  std::uint64_t* const masks = sw.masks.data();
+  std::uint32_t* const sat = sw.saturated.data();
+  std::uint64_t* const col_bits = sw.column_bits.data();
   const std::uint64_t* const full = t.full.data();
-  auto build_masks = [&](bool clear) {
-    sw.masks.assign(cols * words, 0);
-    std::uint64_t* const masks = sw.masks.data();
+  auto flush = [&] {
     for (std::size_t i = 0; i < intervals; ++i) {
       if (touched[i] == 0) {
         continue;
       }
       std::int32_t* const d = diff + i * (cols + 1);
-      const SectorTable::Bits* const b0 = t.bits.data() + t.row_begin[i];
-      const SectorTable::Bits* const b1 = t.bits.data() + t.row_begin[i + 1];
       std::int32_t run = 0;
       for (std::size_t c = 0; c < cols; ++c) {
         run += d[c];
-        if (run > 0) {
-          for (const SectorTable::Bits* b = b0; b != b1; ++b) {
-            masks[c * words + b->word] |= b->bits;
-          }
+        d[c] = 0;
+        col_bits[c] = std::uint64_t{0} - static_cast<std::uint64_t>(run > 0);
+      }
+      d[cols] = 0;
+      for (std::uint32_t r = t.row_begin[i]; r < t.row_begin[i + 1]; ++r) {
+        const std::uint64_t bits = t.bits[r].bits;
+        std::uint64_t* const mw = masks + t.bits[r].word * cols;
+        for (std::size_t c = 0; c < cols; ++c) {
+          mw[c] |= bits & col_bits[c];
         }
       }
-      if (clear) {
-        std::fill(d, d + cols + 1, 0);
-        touched[i] = 0;
+      touched[i] = 0;
+    }
+  };
+  // Column saturation: a column whose needed mask words are all full
+  // decides every needed predicate as true whatever the remaining cameras
+  // would add, so a camera whose outer columns are all saturated changes
+  // no needed answer and is skipped.  A checkpoint before the
+  // (4 * cols)-th camera of the row (also the (2 * cols)-th when only
+  // the necessary condition is needed), then before every (2 * cols)-th
+  // from the (8 * cols)-th on, flushes the counts and recounts the
+  // saturated columns; a row whose columns all saturate stops there.
+  bool skipping = false;
+  auto checkpoint = [&] {
+    flush();
+    std::fill(col_bits, col_bits + cols, ~std::uint64_t{0});
+    for (std::size_t w = 0; w < words; ++w) {
+      const bool needed = w < wn ? need.necessary
+                                 : (w < wn + ws ? need.sufficient : need.full_view);
+      if (!needed) {
+        continue;
+      }
+      const std::uint64_t fw = full[w];
+      const std::uint64_t* const mw = masks + w * cols;
+      for (std::size_t c = 0; c < cols; ++c) {
+        col_bits[c] &= std::uint64_t{0} - static_cast<std::uint64_t>((mw[c] & fw) == fw);
+      }
+    }
+    for (std::size_t c = 0; c < 2 * cols; ++c) {  // the row twice: ranges wrap
+      sat[c + 1] = sat[c] + static_cast<std::uint32_t>(col_bits[c < cols ? c : c - cols] & 1U);
+    }
+    skipping = sat[cols] != 0;
+    return sat[cols] == cols;
+  };
+  // Every column of the unwrapped range [c0, c1] saturated (true if
+  // empty); c0 lies in [-cols, 2 * cols), and a range of more than cols
+  // columns covers the row.
+  auto all_saturated = [sat, cols_i](std::int64_t c0, std::int64_t c1) {
+    const std::int64_t width = std::min(c1 - c0 + 1, cols_i);
+    c0 += cols_i * (static_cast<std::int64_t>(c0 < 0) - static_cast<std::int64_t>(c0 >= cols_i));
+    return width <= 0 || static_cast<std::int64_t>(sat[c0 + width] - sat[c0]) == width;
+  };
+
+  const double* const f_r2 = cam_soa_.r2();
+  const double* const c_j0 = sw.consts.data() + kConstJ0 * n;
+  const double* const c_cm = sw.consts.data() + kConstCm * n;
+  const double* const c_cp = sw.consts.data() + kConstCp * n;
+  const double* const c_om = sw.consts.data() + kConstOm * n;
+  const double* const c_op = sw.consts.data() + kConstOp * n;
+  const std::uint16_t* const kinds = sw.kind.data();
+  std::uint32_t* const b_slot = sw.batch_slots.data();
+  double* const b_dy = sw.batch.data() + kBatchDy * kSweepBatch;
+  double* const b_palo = sw.batch.data() + kBatchPaLo * kSweepBatch;
+  double* const b_pahi = sw.batch.data() + kBatchPaHi * kSweepBatch;
+  double* const b_mus = sw.batch.data() + kBatchMuScale * kSweepBatch;
+  std::int32_t* const b_oc0 = sw.batch_cols.data() + kColOuter0 * kSweepBatch;
+  std::int32_t* const b_oc1 = sw.batch_cols.data() + kColOuter1 * kSweepBatch;
+  std::int32_t* const b_sc0 = sw.batch_cols.data() + kColSub0 * kSweepBatch;
+  std::int32_t* const b_sc1 = sw.batch_cols.data() + kColSub1 * kSweepBatch;
+  std::uint32_t* const b_flags = sw.batch_flags.data();
+  double* const sw_batch = sw.batch.data();
+  const double side = static_cast<double>(cols);
+  const std::int32_t c_min = torus ? std::numeric_limits<std::int32_t>::min() : 0;
+  const std::int32_t c_max =
+      torus ? std::numeric_limits<std::int32_t>::max() : static_cast<std::int32_t>(cols) - 1;
+  const auto row_last = static_cast<std::int32_t>(cols) - 1;
+
+  // Pass 1, straight-line per camera: its x-sets (`sweep_intervals`),
+  // part 0's outer and first core sub-interval columns, that
+  // sub-interval's end pseudo-angles and the crossing margin's scale; the
+  // rest of the x-sets only matters to reflex wedges, whose piece pass
+  // recomputes them.  The viewed direction -(x, dy) lies in the upper
+  // half-plane when dy < 0, where its pseudo-angle is 1 + x / (|x| + |dy|),
+  // and in the lower one when dy > 0, where it is 3 - x / (|x| + |dy|):
+  // within 1e-15 of `pseudo_angle`'s value, far inside kFastBand.  Column
+  // ends as in Cut::col_lo / col_hi, in 32 bits (|j| <= 5 * cols).
+  auto lo32 = [side, c_min](double j0, double x) {
+    const double v = j0 + std::min(std::max(x, -4.0), 4.0) * side;
+    const auto c = static_cast<std::int32_t>(v);
+    return std::max(c + static_cast<std::int32_t>(static_cast<double>(c) < v), c_min);
+  };
+  auto hi32 = [side, c_max](double j0, double x) {
+    const double v = j0 + std::min(std::max(x, -4.0), 4.0) * side;
+    const auto c = static_cast<std::int32_t>(v);
+    return std::min(c - static_cast<std::int32_t>(static_cast<double>(c) > v), c_max);
+  };
+  auto intervals_pass = [=](std::size_t count) {
+    for (std::size_t b = 0; b < count; ++b) {
+      const std::uint32_t slot = b_slot[b];
+      const double dy = b_dy[b];
+      const SweepIntervals v = sweep_intervals(dy, f_r2[slot], kinds[slot], c_cm[slot],
+                                               c_cp[slot], c_om[slot], c_op[slot]);
+      const double j0 = c_j0[slot];
+      const double ady = std::abs(dy);
+      const double pa_base = dy < 0.0 ? 1.0 : 3.0;
+      const double pa_sign = dy < 0.0 ? 1.0 : -1.0;
+      b_palo[b] = pa_base + pa_sign * (v.s_lo / (std::abs(v.s_lo) + ady));
+      b_pahi[b] = pa_base + pa_sign * (v.s_hi / (std::abs(v.s_hi) + ady));
+      b_mus[b] = kCrossMargin / ady;
+      // Columns, with an empty interval's forced empty (c1 < c0) and a
+      // torus-wide chord's the whole row.
+      const bool all_row = torus & v.wide;
+      const std::int32_t oc0 = all_row ? 0 : lo32(j0, v.lo0);
+      const std::int32_t oc1 = all_row ? row_last : (v.lo0 > v.hi0 ? oc0 - 1 : hi32(j0, v.hi0));
+      const std::int32_t sc0 = std::max(lo32(j0, v.s_lo), oc0);
+      b_oc0[b] = oc0;
+      b_oc1[b] = oc1;
+      b_sc0[b] = sc0;
+      b_sc1[b] = v.s_lo > v.s_hi ? sc0 - 1 : std::min(hi32(j0, v.s_hi), oc1);
+      b_flags[b] = static_cast<unsigned>(v.certify) * kBatchCertify |
+                   static_cast<unsigned>(v.two | v.blind) * kBatchReflex;
+      if (v.two | v.blind) [[unlikely]] {
+        double* const f = sw_batch + b;
+        f[kBatchLo0 * kSweepBatch] = v.lo0;
+        f[kBatchHi0 * kSweepBatch] = v.hi0;
+        f[kBatchLo1 * kSweepBatch] = v.lo1;
+        f[kBatchHi1 * kSweepBatch] = v.hi1;
+        f[kBatchCoreLo * kSweepBatch] = v.c_lo;
+        f[kBatchCoreHi * kSweepBatch] = v.c_hi;
+        f[kBatchBlindLo * kSweepBatch] = v.bl;
+        f[kBatchBlindHi * kSweepBatch] = v.bh;
       }
     }
   };
-  // Saturation: once every column's certified words are all full, every
-  // predicate holds at every point of the row whatever the remaining
-  // cameras would add, so the sweep stops.  Checked only on rows with many
-  // cameras per column (after 8 * cols cameras, then every 2 * cols),
-  // where it pays for itself; strips are visited from the row outwards,
-  // alternating sides, so that long chords on both sides come first.
-  std::size_t visited = 0;
-  std::size_t next_check = 8 * cols;
-  bool saturated = false;
-  for_each_in_y_band(grid_.point(row, 0).y, true, [&](std::uint32_t slot, double dy) {
-    if (++visited == next_check) {
-      next_check += 2 * cols;
-      build_masks(false);
-      saturated = true;
-      for (std::size_t c = 0; c < cols && saturated; ++c) {
-        saturated = words_full(sw.masks.data() + c * words, full, 0, words);
-      }
-      if (saturated) {
-        return false;
-      }
-    }
-    const double dy2 = dy * dy;
-    const double r2 = f_r2[slot];
-    // The band prune passed (fl(dy^2) <= r^2), so ho2 > 0.
-    const double ho = std::sqrt(r2 * (1.0 + kChordMargin) - dy2) + kSweepSlackX;
-    const bool wide = ho >= kMaxHalfChord;
-    if (torus && wide) {
-      add_verify(slot, 0, cols_i - 1);
-      return true;
-    }
-    const double hc = std::sqrt(std::max(r2 * (1.0 - kChordMargin) - dy2, 0.0)) - kSweepSlackX;
-    // The outer and core x-sets, each the chord (a plane column lies
-    // within 1 of every camera, so 2 bounds them) intersected with the
-    // wedge: one interval, or two for a reflex wedge, which removes its
-    // blind cone's interval [b_lo, b_hi] from the chord.
-    const double lo_o = std::max(-ho, -2.0);
-    const double hi_o = std::min(ho, 2.0);
-    double o_lo = -kInf;  // outer wedge's (or blind cone's) interval
-    double o_hi = kInf;
-    bool o_reflex = false;
-    double c_lo = -hc;  // core chord, then core wedge interval
-    double c_hi = hc;
-    double b_lo = kInf;  // the core's blind interval: none is [inf, inf]
-    double b_hi = kInf;
-    // The cone margins hold only for |dy| >= kMinSweepDy: below it the
-    // whole outer chord is verified.
-    const double ady = std::abs(dy);
-    bool certify = ady >= kMinSweepDy && !wide;
-    if (certify && std::bit_cast<std::uint64_t>(f_om[slot]) == 0) {
-      const double q = f_q[slot];
-      if (!q_run || std::bit_cast<std::uint64_t>(q) != q_bits) {
-        q_run = true;
-        q_bits = std::bit_cast<std::uint64_t>(q);
-        core_w = wedge(q + kWedgeMargin);
-        outer_w = wedge(q - kWedgeMargin);
-      }
-      // Each cone's edge rays e- and e+: its axis (the orientation, or its
-      // opposite for a blind cone) rotated by -+ its half-angle.
-      const double cu = f_cu[slot];
-      const double su = f_su[slot];
-      const double cmx = cu * core_w.c + su * core_w.s;
-      const double cmy = su * core_w.c - cu * core_w.s;
-      const double cpx = cu * core_w.c - su * core_w.s;
-      const double cpy = su * core_w.c + cu * core_w.s;
-      const double omx = cu * outer_w.c + su * outer_w.s;
-      const double omy = su * outer_w.c - cu * outer_w.s;
-      const double opx = cu * outer_w.c - su * outer_w.s;
-      const double opy = su * outer_w.c + cu * outer_w.s;
-      const double min_y = std::min(std::min(std::abs(cmy), std::abs(cpy)),
-                                    std::min(std::abs(omy), std::abs(opy)));
-      if (min_y >= kMinEdgeY) {
-        // d = (x, dy) lies in the convex cone from e- to e+ iff
-        // cross(e-, d) = e-.x dy - e-.y x >= 0 and
-        // cross(d, e+) = e+.y x - e+.x dy >= 0: two half-lines in x, with
-        // their ends at x = dy * e.x / e.y (four reciprocals, one divide).
-        const double pc = cmy * cpy;
-        const double po = omy * opy;
-        const double inv = 1.0 / (pc * po);
-        const double inv_c = inv * po;
-        const double inv_o = inv * pc;
-        auto clip = [](double& lo, double& hi, bool lower, double x) {
-          lo = lower ? std::max(lo, x) : lo;
-          hi = lower ? hi : std::min(hi, x);
-        };
-        if (core_w.reflex) {
-          b_lo = -kInf;
-          b_hi = kInf;
-          clip(b_lo, b_hi, cmy < 0.0, cmx * (inv_c * cpy) * dy);
-          clip(b_lo, b_hi, cpy > 0.0, cpx * (inv_c * cmy) * dy);
-          if (b_lo > b_hi) {  // the blind cone misses the row
-            b_lo = b_hi = kInf;
-          }
-        } else {
-          clip(c_lo, c_hi, cmy < 0.0, cmx * (inv_c * cpy) * dy);
-          clip(c_lo, c_hi, cpy > 0.0, cpx * (inv_c * cmy) * dy);
-        }
-        if (!outer_w.all) {
-          clip(o_lo, o_hi, omy < 0.0, omx * (inv_o * opy) * dy);
-          clip(o_lo, o_hi, opy > 0.0, opx * (inv_o * omy) * dy);
-          o_reflex = outer_w.reflex;
-          if (o_reflex && o_lo > o_hi) {  // the blind cone misses the row
-            o_lo = -kInf;
-            o_hi = kInf;
-            o_reflex = false;
-          }
-        }
-        certify = !core_w.none;
-      } else {
-        certify = false;  // degenerate: the whole outer chord is verified
-      }
-    }
-    // Columns c with x displacement in [lo, hi]: c in [ceil(j(lo)),
-    // floor(j(hi))] for j(x) = (sx + x) * cols - 0.5.
-    const double j0 = f_sx[slot] * side - 0.5;
-    auto col_lo = [&](double x) {
-      const std::int64_t c = ceil_to_int(j0 + x * side);
-      return torus ? c : std::max<std::int64_t>(c, 0);
-    };
-    auto col_hi = [&](double x) {
-      const std::int64_t c = floor_to_int(j0 + x * side);
-      return torus ? c : std::min<std::int64_t>(c, cols_i - 1);
-    };
-    // The outer x-set as one or two intervals (a reflex wedge splits the
-    // chord at its blind interval), and in each the core: within the core
-    // chord and wedge, and outside the core's blind interval.
-    const bool two = o_reflex;
-    const double outer_lo[2] = {two ? lo_o : std::max(lo_o, o_lo), std::max(lo_o, o_hi)};
-    const double outer_hi[2] = {two ? std::min(hi_o, o_lo) : std::min(hi_o, o_hi), hi_o};
-    for (int part = 0; part < (two ? 2 : 1); ++part) {
-      const double lo = outer_lo[part];
-      const double hi = outer_hi[part];
-      if (lo > hi) {
-        continue;
-      }
-      const std::int64_t c_last = col_hi(hi);
-      std::int64_t cursor = col_lo(lo);  // first outer column not yet assigned
-      const double clo = std::max(c_lo, lo);
-      const double chi = std::min(c_hi, hi);
-      const double core_lo[2] = {clo, std::max(clo, b_hi)};
-      const double core_hi[2] = {std::min(chi, b_lo), chi};
-      for (int k = 0; k < 2 && certify; ++k) {
-        const double cl = core_lo[k];
-        const double ch = core_hi[k];
-        if (cl > ch) {
+
+  // Pass 2, per camera: pieces and verify pairs.
+  std::uint64_t n_skipped = 0;
+  auto pieces_pass = [&](std::size_t count) {
+    for (std::size_t b = 0; b < count; ++b) {
+      const std::uint32_t slot = b_slot[b];
+      const unsigned flags = b_flags[b];
+      const double j0 = c_j0[slot];
+      const double dy = b_dy[b];
+      const std::int64_t oc0 = b_oc0[b];
+      const std::int64_t oc1 = b_oc1[b];
+      if ((flags & kBatchReflex) == 0) [[likely]] {
+        if (skipping && all_saturated(oc0, oc1)) {
+          ++n_skipped;
           continue;
         }
-        // Cut the core where the viewed direction -(x, dy) crosses a
-        // sector boundary, keeping a margin mu either side.  The direction
-        // turns monotonically along the row, so the interval index steps
-        // by one per crossing.  A crossing beyond |x| = 1 lies beyond every
-        // chord: clamping it to -+1 keeps its side, and there mu <= 1e-3
-        // (x^2 + dy^2), so |d| barely changes across the margin.
-        const double mu_scale = kCrossMargin / ady;
-        const bool rise = dy < 0.0;
-        const double* const cot = rise ? t.cot_rise.data() : t.cot_fall.data();
-        auto cross = [&](std::size_t bound) {
-          return std::clamp(dy * cot[bound], -1.0, 1.0);
-        };
-        auto mu = [&](double x) { return mu_scale * (x * x + dy2); };
-        std::size_t i = t.locate(pseudo_angle(-cl, -dy));
-        double x_in = cross(rise ? i : i + 1);
-        double mu_in = mu(x_in);
-        for (;;) {
-          const double x_out = cross(rise ? i + 1 : i);
-          const double mu_out = mu(x_out);
-          const double plo = std::max(cl, x_in + mu_in);
-          const double phi = std::min(ch, x_out - mu_out);
-          if (plo <= phi) {
-            const std::int64_t c0 = std::max(col_lo(plo), cursor);
-            const std::int64_t c1 = std::min(col_hi(phi), c_last);
-            if (c0 <= c1) {
-              if (cursor < c0) {
-                add_verify(slot, cursor, c0 - 1);
-              }
-              add_piece(i, c0, c1);
-              cursor = c1 + 1;
-            }
-          }
-          if (x_out + mu_out > ch) {
-            break;
-          }
-          x_in = x_out;
-          mu_in = mu_out;
-          i = rise ? i + 1 : i - 1;
+        std::int64_t cursor = oc0;
+        const std::int64_t sc0 = b_sc0[b];
+        const std::int64_t sc1 = b_sc1[b];
+        if ((flags & kBatchCertify) != 0 && sc0 <= sc1) {
+          cut.walk(slot, j0, dy, b_mus[b], b_palo[b], b_pahi[b], sc0, sc1, cursor);
         }
+        cut.verify_range(slot, cursor, oc1);
+        continue;
       }
-      if (cursor <= c_last) {
-        add_verify(slot, cursor, c_last);
+      // A reflex wedge: both outer parts, each with both core
+      // sub-intervals walked.
+      const double* const f = sw_batch + b;
+      const double lo1 = f[kBatchLo1 * kSweepBatch];
+      const double hi1 = f[kBatchHi1 * kSweepBatch];
+      const double c_lo = f[kBatchCoreLo * kSweepBatch];
+      const double c_hi = f[kBatchCoreHi * kSweepBatch];
+      const double bl = f[kBatchBlindLo * kSweepBatch];
+      const double bh = f[kBatchBlindHi * kSweepBatch];
+      const bool two = lo1 <= hi1;
+      const std::int64_t pc0 = two ? cut.col_lo(j0, lo1) : 0;
+      const std::int64_t pc1 = two ? cut.col_hi(j0, hi1) : -1;
+      if (skipping && all_saturated(oc0, oc1) && all_saturated(pc0, pc1)) {
+        ++n_skipped;
+        continue;
+      }
+      // Part 0's first core sub-interval comes from pass 1; the others
+      // are cut here (pseudo-angles as in pass 1).
+      const double pa_base = dy < 0.0 ? 1.0 : 3.0;
+      const double pa_sign = dy < 0.0 ? 1.0 : -1.0;
+      const double ady = std::abs(dy);
+      auto pa = [&](double x) { return pa_base + pa_sign * (x / (std::abs(x) + ady)); };
+      const bool certify = (flags & kBatchCertify) != 0;
+      auto sub = [&](double l, double h, std::int64_t& cursor, std::int64_t c_last) {
+        if (certify && l <= h) {
+          const std::int64_t c0 = std::max(cut.col_lo(j0, l), cursor);
+          const std::int64_t c1 = std::min(cut.col_hi(j0, h), c_last);
+          if (c0 <= c1) {
+            cut.walk(slot, j0, dy, b_mus[b], pa(l), pa(h), c0, c1, cursor);
+          }
+        }
+      };
+      std::int64_t cursor = oc0;
+      const std::int64_t sc0 = b_sc0[b];
+      const std::int64_t sc1 = b_sc1[b];
+      if (certify && sc0 <= sc1) {
+        cut.walk(slot, j0, dy, b_mus[b], b_palo[b], b_pahi[b], sc0, sc1, cursor);
+      }
+      const double lo0 = f[kBatchLo0 * kSweepBatch];
+      const double hi0 = f[kBatchHi0 * kSweepBatch];
+      sub(std::max(std::max(c_lo, lo0), bh), std::min(c_hi, hi0), cursor, oc1);
+      cut.verify_range(slot, cursor, oc1);
+      if (pc0 <= pc1) {
+        cursor = pc0;
+        const double clo = std::max(c_lo, lo1);
+        const double chi = std::min(c_hi, hi1);
+        sub(clo, std::min(chi, bl), cursor, pc1);
+        sub(std::max(clo, bh), chi, cursor, pc1);
+        cut.verify_range(slot, cursor, pc1);
       }
     }
-    return true;
-  });
+  };
 
-  build_masks(true);
-  if (saturated) {  // all masks full: no verify entry can change a decision
+  // The band's cameras, strips from the row outwards, alternating sides
+  // (so on dense rows long chords on both sides come first): the exact y
+  // prune of `for_each_in_y_band`, as a branch-free compaction (a pruned
+  // camera's write is overwritten), fills batches, cut at the
+  // checkpoints, and each batch runs both passes.
+  //
+  // Finishing: when a checkpoint leaves few columns open (not saturated),
+  // the sweep stops and keeps the pool ranges of the band's remaining
+  // cameras; each open column's point classifies them exactly, with the
+  // vector kernel, on top of its certified bits and verify list (see
+  // `decide_swept`), so its masks still cover exactly its covering set.
+  // It finishes when at most a quarter of the columns are open and
+  // classifying the band ahead at each open column costs no more than
+  // sweeping 2 * cols more cameras (the gap to the next checkpoint, at
+  // about kFinishRatio slot classifies each); on a dense row, where the
+  // band ahead is long, the sweep goes on and likely saturates first.
+  const double y = grid_.point(row, 0).y;
+  const StripBand band = y_band(y);
+  const double* const cam_sy = cam_soa_.sy();
+  std::size_t fill = 0;
+  std::size_t seen = 0;  // band cameras past the y prune
+  std::size_t processed = 0;
+  std::size_t rest_slots = 0;
+  // The necessary words alone (wide 2*theta arcs) fill early, so a
+  // necessary-only sweep checks once sooner.
+  std::size_t next_check = (need.full_view || need.sufficient ? 4 : 2) * cols - 1;
+  bool saturated = false;
+  bool stopped = false;
+  auto run_batch = [&] {
+    sweep_constants(b_slot, fill, sw);
+    intervals_pass(fill);
+    pieces_pass(fill);
+    processed += fill;
+    fill = 0;
+  };
+  // Keep [e + 1, end of strip k) and the strips after k as the rest.
+  auto keep_rest = [&](std::ptrdiff_t k, std::uint32_t e) {
+    auto keep = [&](std::uint32_t lo, std::uint32_t hi) {
+      if (lo < hi) {
+        sw.rest.push_back(lo);
+        sw.rest.push_back(hi);
+        rest_slots += hi - lo;
+      }
+    };
+    keep(e + 1, strip_offsets_[band_strip(band, k, true) + 1]);
+    for (std::ptrdiff_t j = k + 1; j < band.span; ++j) {
+      const std::size_t s = band_strip(band, j, true);
+      keep(strip_offsets_[s], strip_offsets_[s + 1]);
+    }
+  };
+  for (std::ptrdiff_t k = 0; k < band.span && !stopped; ++k) {
+    const std::size_t s = band_strip(band, k, true);
+    const std::uint32_t s_end = strip_offsets_[s + 1];
+    for (std::uint32_t e = strip_offsets_[s]; e < s_end; ++e) {
+      const double dy = band_dy(y, cam_sy[e]);
+      b_slot[fill] = e;
+      b_dy[fill] = dy;
+      const auto in_band = static_cast<std::size_t>(dy * dy <= f_r2[e]);
+      fill += in_band;
+      seen += in_band;
+      if (fill == kSweepBatch || seen == next_check) {
+        run_batch();
+        if (seen == next_check) {
+          next_check = next_check < 4 * cols - 1   ? 4 * cols - 1
+                       : next_check < 8 * cols - 1 ? 8 * cols - 1
+                                                   : next_check + 2 * cols;
+          saturated = checkpoint();
+          const std::size_t open = cols - sat[cols];
+          if (!saturated && 4 * open <= cols) {
+            keep_rest(k, e);
+            if (open * rest_slots > kFinishRatio * 2 * cols) {  // keep sweeping
+              sw.rest.clear();
+              rest_slots = 0;
+            }
+          }
+          if (saturated || !sw.rest.empty()) {
+            stopped = true;
+            break;
+          }
+        }
+      }
+    }
+  }
+  if (fill != 0) {
+    run_batch();
+  }
+  flush();
+  if (saturated) {  // every needed word full: no verify entry can change a decision
     sw.verify_cols.clear();
     sw.verify_entries.clear();
+  }
+  if (GridEvalCounters* const ctr = scratch.counters; ctr != nullptr) [[unlikely]] {
+    // A finished row's cameras past the y prune that the passes never saw.
+    for (std::size_t r = 0; r < sw.rest.size(); r += 2) {
+      for (std::uint32_t e = sw.rest[r]; e < sw.rest[r + 1]; ++e) {
+        const double dy = band_dy(y, cam_sy[e]);
+        n_skipped += static_cast<std::uint64_t>(dy * dy <= f_r2[e]);
+      }
+    }
+    ++ctr->sweep_rows;
+    ctr->sweep_camera_rows += processed;
+    ctr->sweep_pieces += cut.pieces;
+    ctr->sweep_verify += cut.verify;
+    ctr->sweep_skipped += n_skipped;
   }
   // Bucket the verify pairs by column (camera order within a column).
   std::vector<std::uint32_t>& off = sw.verify_offsets;
@@ -1424,6 +1926,7 @@ void GridEvalEngine::sweep_row(std::size_t row, GridEvalScratch& scratch) const 
   off[0] = 0;
   sw.engine_gen = generation_;
   sw.row = row;
+  sw.need = need_bits;
 }
 
 GridEvalEngine::Predicates GridEvalEngine::decide_swept(std::size_t row, std::size_t col,
@@ -1435,38 +1938,60 @@ GridEvalEngine::Predicates GridEvalEngine::decide_swept(std::size_t row, std::si
   const std::size_t wn = t.nec_words;
   const std::size_t ws = t.suf_words;
   const std::size_t words = wn + 2 * ws;
-  const std::uint64_t* mask = sw.masks.data() + col * words;
+  const std::uint64_t* const full = t.full.data();
+  // The column's certified words (the sweep stores them word-major).
+  scratch.masks.resize(words);
+  std::uint64_t* const mask = scratch.masks.data();
+  for (std::size_t w = 0; w < words; ++w) {
+    mask[w] = sw.masks[w * cols() + col];
+  }
+  Predicates d;
+  d.necessary = words_full(mask, full, 0, wn);
+  d.sufficient = words_full(mask, full, wn, wn + ws);
+  d.full_view = words_full(mask, full, wn + ws, words);
+  // Certified bits that already make every needed predicate true settle
+  // the point: the verify entries could only add bits.
+  const bool settled = (!need.necessary || d.necessary) && (!need.sufficient || d.sufficient) &&
+                       (!need.full_view || d.full_view);
   const std::uint32_t v0 = sw.verify_offsets[col];
-  const std::uint32_t v1 = sw.verify_offsets[col + 1];
+  const std::uint32_t v1 = settled ? v0 : sw.verify_offsets[col + 1];
+  // An open column of a sweep that finished early also classifies the
+  // cameras the sweep did not reach.
+  std::size_t rest = 0;
+  if (!settled) {
+    for (std::size_t r = 0; r < sw.rest.size(); r += 2) {
+      rest += sw.rest[r + 1] - sw.rest[r];
+    }
+  }
   std::size_t m = 0;
   std::size_t zeros = 0;
   std::uint64_t exact = 0;
-  if (v0 != v1) {
-    // The cameras near a boundary of their certified core: the exact
-    // classify and occupancy step, on top of the certified bits.
+  if (v0 != v1 || rest != 0) {
+    // The cameras near a boundary of their certified core (and those the
+    // sweep did not reach): the exact classify and occupancy step, on top
+    // of the certified bits.
     const CandView pool{cam_soa_.data.data(), cam_soa_.stride, strip_entries_.data(),
                         cam_soa_.stride};
-    scratch.masks.assign(mask, mask + words);
-    reserve_point(scratch, v1 - v0);
+    reserve_point(scratch, v1 - v0 + rest);
     scratch.angles.clear();
     for (std::uint32_t k = v0; k < v1; ++k) {
       classify_entry(pool, sw.verify[k], p, scratch, m);
+    }
+    for (std::size_t r = 0; r < sw.rest.size() && rest != 0; r += 2) {
+      classify_range(p, pool, sw.rest[r], sw.rest[r + 1], scratch, m);
     }
     zeros = scratch.angles.size();  // cameras at the point
     if (zeros != 0) {
       occupy_exact(0.0, scratch.masks.data());
     }
     exact = occupy_directions<false>(scratch, 0, m);
-    mask = scratch.masks.data();
+    d.necessary = words_full(mask, full, 0, wn);
+    d.sufficient = words_full(mask, full, wn, wn + ws);
+    d.full_view = words_full(mask, full, wn + ws, words);
   }
-  const std::uint64_t* const full = t.full.data();
-  Predicates d;
-  d.necessary = words_full(mask, full, 0, wn);
-  d.sufficient = words_full(mask, full, wn, wn + ws);
-  d.full_view = words_full(mask, full, wn + ws, words);
   GridEvalCounters* const ctr = scratch.counters;
   if (ctr != nullptr) [[unlikely]] {
-    ctr->candidates_total += v1 - v0;
+    ctr->candidates_total += v1 - v0 + rest;
     ctr->directions_total += m + zeros;
     ctr->atan2_calls += exact;
   }
@@ -1476,9 +2001,9 @@ GridEvalEngine::Predicates GridEvalEngine::decide_swept(std::size_t row, std::si
   }
   if (ctr != nullptr) [[unlikely]] {
     ++ctr->points;
-    ctr->candidates_per_point.add(point_view(row, p, scratch).count);
+    ctr->candidates_per_point.add(v1 - v0 + rest);
     ctr->occupancy_points += static_cast<std::uint64_t>(exact == 0);
-    ctr->swept_points += static_cast<std::uint64_t>(v0 == v1);
+    ctr->swept_points += static_cast<std::uint64_t>(v0 == v1 && rest == 0);
   }
   return d;
 }
@@ -1699,7 +2224,7 @@ GridRowEvents GridEvalEngine::row_events(std::size_t row, GridEvalScratch& scrat
   ev.all_full_view = need_full_view;
   ev.all_sufficient = need_sufficient;
   if (sweep_ok_) {
-    sweep_row(row, scratch);
+    sweep_row(row, {true, need_full_view, need_sufficient}, scratch);
   }
   for (std::size_t col = 0; col < cols(); ++col) {
     const Predicates need{true, ev.all_full_view, ev.all_sufficient};
@@ -1723,7 +2248,7 @@ bool GridEvalEngine::row_all(std::size_t row, GridEvalScratch& scratch,
   Predicates need;
   need.*pred = true;
   if (sweep_ok_) {
-    sweep_row(row, scratch);
+    sweep_row(row, need, scratch);
   }
   for (std::size_t col = 0; col < cols(); ++col) {
     if (!(decide(row, col, need, scratch).*pred)) {

@@ -26,7 +26,11 @@
 ///      per camera, a certified core of columns it surely covers, split
 ///      where its viewed direction crosses a sector boundary, adds to
 ///      per-column occupancy masks, and only the columns in its margin go
-///      through the exact classify (see `decide_swept`).  The stats path
+///      through the exact classify (see `decide_swept`).  The sweep runs
+///      batches of cameras through a straight-line interval pass (from
+///      per-camera constants computed once per scratch and engine) and a
+///      piece pass, and stops spending work on columns whose needed
+///      words are already full (column saturation).  The stats path
 ///      (`block_stats`, `row_stats`, `evaluate`) classifies every candidate
 ///      of a point and also bins the directions into a pseudo-angle bitmap
 ///      that bounds the point's max gap (see `stats_point`).  Either takes
@@ -104,18 +108,21 @@ using ClassifyFn = ClassifyResult (*)(const CandSpans& c, std::size_t count,
 /// hot path stays synchronization-free.  When no counters are attached
 /// the kernel pays one pointer test per grid *point*, never per
 /// candidate, and results are unchanged either way (counting does not
-/// touch the arithmetic).  `candidates_per_point` describes the index's
-/// candidate spans (a superset of the covering set).  On the stats path
-/// (`row_stats`, `evaluate`, `block_stats`) and the per-point sorted path
-/// (`eval_point`, the `point_*` accessors) every candidate is classified
-/// and every covering direction consumed, so `candidates_total` is the
-/// span total and `directions_total` the covering-set total.  On the
-/// boolean path (`row_events`, `row_all_*`) the row sweep certifies most
-/// covering cameras without a classify, so `candidates_total` counts the
-/// exact classifies only (a point's verify-list entries, plus its whole
-/// span when it falls back to the sorted path) and `directions_total` the
-/// covering directions those classifies returned; `swept_points` counts
-/// the points decided with no classify at all.  `atan2_calls` counts the
+/// touch the arithmetic).  `candidates_per_point` holds one observation
+/// per point: the candidates the kernel classified there.  On the stats
+/// path (`row_stats`, `evaluate`, `block_stats`) and the per-point sorted
+/// path (`eval_point`, the `point_*` accessors) every candidate of the
+/// index's span (a superset of the covering set) is classified and every
+/// covering direction consumed, so the histogram describes the spans,
+/// `candidates_total` is the span total and `directions_total` the
+/// covering-set total.  On the boolean path (`row_events`, `row_all_*`)
+/// the row sweep certifies most covering cameras without a classify, so
+/// the histogram and `candidates_total` count the exact classifies only
+/// (a point's verify-list entries, none once its certified words settle
+/// it, or its whole span when it falls back to the sorted path) and
+/// `directions_total` the covering directions those classifies returned;
+/// `swept_points` counts the points decided with no classify at all, and
+/// the `sweep_*` counters the sweep's own work.  `atan2_calls` counts the
 /// calls made on any path: on the stats and boolean paths only band hits
 /// and points that took the exact path pay them, and `occupancy_points`
 /// counts the points of those two paths that paid neither an atan2 nor a
@@ -128,6 +135,11 @@ struct GridEvalCounters {
   std::uint64_t atan2_calls = 0;       ///< viewed-direction atan2 evaluations
   std::uint64_t occupancy_points = 0;  ///< points decided with no atan2 or sort
   std::uint64_t swept_points = 0;      ///< boolean-path points decided with no classify
+  std::uint64_t sweep_rows = 0;         ///< rows the sweep ran on
+  std::uint64_t sweep_camera_rows = 0;  ///< (camera, row) pairs it computed intervals for
+  std::uint64_t sweep_pieces = 0;       ///< certified pieces it added
+  std::uint64_t sweep_verify = 0;       ///< (column, camera) verify pairs it added
+  std::uint64_t sweep_skipped = 0;      ///< camera-rows left out on saturated columns
   obs::LogHistogram candidates_per_point;
 
   void merge(const GridEvalCounters& other) {
@@ -138,6 +150,11 @@ struct GridEvalCounters {
     atan2_calls += other.atan2_calls;
     occupancy_points += other.occupancy_points;
     swept_points += other.swept_points;
+    sweep_rows += other.sweep_rows;
+    sweep_camera_rows += other.sweep_camera_rows;
+    sweep_pieces += other.sweep_pieces;
+    sweep_verify += other.sweep_verify;
+    sweep_skipped += other.sweep_skipped;
     candidates_per_point.merge(other.candidates_per_point);
   }
 
@@ -194,20 +211,45 @@ struct GridEvalScratch {
   /// Row sweep of the boolean scans (GridEvalEngine::sweep_row): per grid
   /// column, the occupancy mask words of the cameras certified to cover
   /// it, and the pool slots of the cameras that need the exact classify
-  /// there.  Keyed by (engine generation, row), like the slice.
+  /// there.  Keyed by (engine generation, row, need set): a sweep serves
+  /// any request whose needed predicates are a subset of `need`, since
+  /// column saturation only dropped cameras that could not change those.
   struct RowSweep {
     std::uint64_t engine_gen = 0;  ///< 0 = empty
     std::size_t row = 0;
-    std::vector<std::uint64_t> masks;          ///< column-major, mask words each
+    std::uint8_t need = 0;  ///< predicates swept for: 1 necessary, 2 full view, 4 sufficient
+    std::vector<std::uint64_t> masks;          ///< word-major: word w of column c at w * cols + c
     std::vector<std::uint32_t> verify_offsets;  ///< per column CSR
     std::vector<std::uint32_t> verify;          ///< pool slots
     /// Build scratch: per sector interval, certified-piece counts over
     /// columns as difference arrays (zero between sweeps), the intervals
     /// touched, and (column, pool slot) verify pairs before bucketing.
     std::vector<std::int32_t> diff;
-    std::vector<std::uint8_t> touched;
+    std::vector<std::uint32_t> touched;
     std::vector<std::uint32_t> verify_cols;
     std::vector<std::uint32_t> verify_entries;
+    /// Column saturation: prefix counts over columns of those whose
+    /// needed mask words were all full at the last checkpoint.
+    std::vector<std::uint32_t> saturated;
+    std::vector<std::uint64_t> column_bits;  ///< flush and checkpoint scratch, per column
+    /// When few columns are left open at a checkpoint the sweep stops
+    /// there: the [begin, end) pool slot ranges of the band's cameras it
+    /// did not reach, which each open column classifies exactly.
+    std::vector<std::uint32_t> rest;
+    /// Per-camera constants by pool slot (wedge edge slopes, column
+    /// origin, kind bits), valid for engine generation `const_gen`, each
+    /// camera's filled (and marked `ready`) on its first sweep.
+    std::uint64_t const_gen = 0;
+    std::vector<std::uint8_t> ready;
+    std::vector<double> consts;
+    std::vector<std::uint16_t> kind;
+    /// One batch of the band's cameras: pool slots and y displacements,
+    /// then the straight-line pass's core-end pseudo-angles, crossing
+    /// margins, column ends and flags, read by the piece pass.
+    std::vector<std::uint32_t> batch_slots;
+    std::vector<double> batch;
+    std::vector<std::int32_t> batch_cols;
+    std::vector<std::uint32_t> batch_flags;
   };
   RowSweep sweep;
 };
@@ -448,11 +490,25 @@ class GridEvalEngine {
   /// Call fn(slot, dy) for the pool slots of the cameras whose y distance
   /// to `y` passes the kernel's exact y prune, with dy the kernel's own y
   /// displacement, until fn returns false — the strip walk shared by row
-  /// slices, the row sweep, `arbitrary_view` and `candidates(p)`.  Strips
-  /// are visited in order, or with `alternate` from the middle of the band
-  /// outwards, alternating sides; slots within a strip in order.
+  /// slices, `arbitrary_view` and `candidates(p)` (the row sweep walks the
+  /// same strips with the same prune, batched).  Strips and the slots
+  /// within a strip are visited in order.
   template <class Fn>
-  void for_each_in_y_band(double y, bool alternate, Fn&& fn) const;
+  void for_each_in_y_band(double y, Fn&& fn) const;
+
+  /// The y strips a band walk at `y` visits: `span` strips from `lo`
+  /// (mod cells_ on the torus), padded one strip per side.
+  struct StripBand {
+    std::ptrdiff_t lo = 0;
+    std::ptrdiff_t span = 0;
+  };
+  [[nodiscard]] StripBand y_band(double y) const;
+  /// Strip k of `band`: in order, or with `alternate` from the middle of
+  /// the band outwards, alternating sides.
+  [[nodiscard]] std::size_t band_strip(const StripBand& band, std::ptrdiff_t k,
+                                       bool alternate) const;
+  /// The kernel's own y displacement y - sy (torus-wrapped as it wraps).
+  [[nodiscard]] double band_dy(double y, double sy) const;
 
   /// Append the slots `for_each_in_y_band` visits to `out`.
   void gather_y_band(double y, std::vector<std::uint32_t>& out) const;
@@ -550,19 +606,32 @@ class GridEvalEngine {
                                         Predicates need,
                                         GridEvalScratch& scratch) const;
 
-  /// Sweep `row` once for the boolean scans (no-op when `scratch.sweep`
-  /// already holds it): for each camera of the row's y band, in real
-  /// arithmetic, an *outer* x-set (one interval, two for a reflex wedge)
-  /// holding every column where the kernel could return covered or a band
-  /// hit, and a *core* where it certainly returns covered and not special.
-  /// The core is cut into pieces at the sector-boundary crossings of the
-  /// camera's viewed direction, each piece at least a margin inside one
-  /// sector interval; pieces add that interval's bits to their columns'
-  /// masks, and outer columns outside every piece go to the column's
-  /// verify list.  Degenerate cameras verify their whole outer chord.  A
-  /// row whose masks all fill up early stops there (saturation).  See
+  /// Sweep `row` once for the boolean scans that need the predicates
+  /// `need` (no-op when `scratch.sweep` already holds it for a superset):
+  /// for each camera of the row's y band, in real arithmetic, an *outer*
+  /// x-set (one interval, two for a reflex wedge) holding every column
+  /// where the kernel could return covered or a band hit, and a *core*
+  /// where it certainly returns covered and not special.  The band's
+  /// cameras go through in batches of two passes: a straight-line pass
+  /// computes each camera's intervals, column ends, core-end pseudo-angles
+  /// and crossing margin from constants computed once per (scratch,
+  /// engine); a piece pass cuts the core at the sector-boundary crossings
+  /// of the camera's viewed direction (none when both ends lie well inside
+  /// one sector interval), each piece at least a margin inside one
+  /// interval, adds each piece's interval bits to its columns' masks, and
+  /// sends outer columns outside every piece to the column's verify list.
+  /// Degenerate cameras verify their whole outer chord.  At checkpoints,
+  /// columns whose needed words are all full are *saturated*: cameras
+  /// whose outer columns all are get skipped, a row whose columns all are
+  /// stops, and a row with few columns left open stops and leaves the
+  /// remaining cameras to those columns' exact classify.  See
   /// docs/ARCHITECTURE.md, "Row sweep".  \pre sweep_ok_
-  void sweep_row(std::size_t row, GridEvalScratch& scratch) const;
+  void sweep_row(std::size_t row, Predicates need, GridEvalScratch& scratch) const;
+
+  /// Fill `sw`'s per-camera sweep constants (see `RowSweep::consts`) for
+  /// the cameras at the `count` pool slots `slots` not yet `ready`.
+  void sweep_constants(const std::uint32_t* slots, std::size_t count,
+                       GridEvalScratch::RowSweep& sw) const;
 
   /// `decide_point` at grid point (row, col) = `p` from the swept masks:
   /// the column's verify entries go through the exact classify and

@@ -195,6 +195,12 @@ TEST(MetricsJson, SimulateEstimateSubtree) {
   EXPECT_LE(points, 6.0 * 64.0);
   EXPECT_DOUBLE_EQ(
       engine.at("histograms").at("candidates_per_point").at("total").number(), points);
+  // On this boolean scan the histogram counts each point's exact
+  // classifies, so every point the sweep decided alone lands in the first
+  // bucket (0 or 1 candidates).
+  EXPECT_GE(engine.at("histograms").at("candidates_per_point").at("buckets").arr().at(0).number(),
+            engine.at("counters").at("swept_points").number());
+  EXPECT_GT(engine.at("counters").at("sweep_camera_rows").number(), 0.0);
   EXPECT_GE(engine.at("counters").at("candidates_total").number(),
             engine.at("counters").at("directions_total").number());
   // Points the sector-occupancy decision settled without atan2 or sort.
