@@ -1,17 +1,18 @@
 /// \file cpu_features.hpp
 /// \brief Runtime CPU capability probe and grid-eval kernel dispatch.
 ///
-/// The batched grid-evaluation engine (grid_eval.hpp) has one hot inner
-/// loop — the per-candidate classify — implemented as interchangeable
-/// *kernel variants*:
+/// The batched grid-evaluation engine (grid_eval.hpp) has two hot loops —
+/// the per-candidate classify, and the row sweep's band compaction and
+/// interval pass — implemented as interchangeable *kernel variants*
+/// (grid_eval_kernel.hpp), one choice selecting both:
 ///
-///   scalar   the per-entry oracle loop (lane width 1); always available,
+///   scalar   the per-entry oracle loops (lane width 1); always available,
 ///            the fallback on CPUs without a vector kernel, and the
 ///            reference every other variant is tested against
-///   avx2     the 4-wide batch kernel over AVX2 intrinsics; compiled only
+///   avx2     the 4-wide batch kernels over AVX2 intrinsics; compiled only
 ///            on x86-64 with GCC/Clang, runnable only when the CPU
 ///            reports AVX2
-///   neon     the same batch kernel over NEON intrinsics; compiled only
+///   neon     the same batch kernels over NEON intrinsics; compiled only
 ///            on AArch64 (where NEON is baseline)
 ///
 /// Every variant is bit-identical by construction: lane arithmetic is the

@@ -37,24 +37,6 @@ std::uint64_t next_generation() {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-/// Vectorized classify entry point for a dispatched variant; nullptr for
-/// the scalar variant (and, defensively, for variants this build lacks —
-/// resolve_kernel already rejects those).
-detail::ClassifyFn classify_for(KernelVariant v) {
-  switch (v) {
-#if defined(FVC_KERNEL_AVX2)
-    case KernelVariant::kAvx2:
-      return &detail::classify_avx2;
-#endif
-#if defined(FVC_KERNEL_NEON)
-    case KernelVariant::kNeon:
-      return &detail::classify_neon;
-#endif
-    default:
-      return nullptr;
-  }
-}
-
 /// ccw_delta for inputs already normalized to [0, 2*pi).  Bit-identical to
 /// `geom::ccw_delta(from, to)` on that domain: there, fmod is the identity
 /// (|to - from| < 2*pi), so the only operations are the subtraction, the
@@ -117,34 +99,22 @@ inline geom::Vec2 pseudo_direction(double t) {
 constexpr double kOccupancyBand = 1e-9;
 
 /// Row-sweep margins and degeneracy limits (docs/ARCHITECTURE.md, "Row
-/// sweep").  Each margin sits orders of magnitude above the rounding it
-/// absorbs, so a certified column is one the kernel covers, outside the
-/// boundary band, and a column outside the outer interval is one the
-/// kernel rejects without a band hit.
+/// sweep"; the interval pass's own are in grid_eval_kernel.hpp).  Each
+/// margin sits orders of magnitude above the rounding it absorbs, so a
+/// certified column is one the kernel covers, outside the boundary band,
+/// and a column outside the outer interval is one the kernel rejects
+/// without a band hit.
 ///
-/// Chord margin, relative to r^2: the kernel's n2 is within a few ulps of
-/// the real squared distance.
-constexpr double kChordMargin = 1e-9;
-/// Absolute x slack: the kernel's dx is within 3e-16 of the real
-/// displacement (its own subtraction and the grid point's rounding), and
-/// mapping an x bound to a column adds under 6e-16 more.
-constexpr double kSweepSlackX = 4e-15;
 /// Wedge margin, in the kernel's own units: the core wedge is the set of
 /// directions at angle a from the orientation with cos(a)|cos(a)| >= q +
 /// kWedgeMargin, the outer one those with cos(a)|cos(a)| >= q -
 /// kWedgeMargin.  The kernel's dot|dot| - q*n2 then clears its band of
 /// 1e-9 * n2 by about 1e-9 * n2, ten times its own rounding.
 constexpr double kWedgeMargin = 2e-9;
-/// Crossing margin (rad of viewed direction) around a sector-boundary
-/// crossing: keeps the pseudo-angle at least 5e-9, five bands, away.
-constexpr double kCrossMargin = 1e-8;
-/// Degenerate cameras verify their whole outer chord: |dy| below
-/// kMinSweepDy, a wedge edge ray with |y| below kMinEdgeY, or an outer
-/// half-chord of kMaxHalfChord or more (on the torus, where x wraps at
-/// -+1/2, that verifies the whole row).
-constexpr double kMinSweepDy = 1e-5;
+/// A camera with a wedge edge ray within kMinEdgeY of horizontal verifies
+/// its whole outer chord (as do the interval pass's kMinSweepDy and
+/// kMaxHalfChord cases).
 constexpr double kMinEdgeY = 1e-9;
-constexpr double kMaxHalfChord = 0.49;
 /// Cap on the sweep's per-interval column counts (intervals x (columns +
 /// 1)); engines above it decide every point from its whole span.
 constexpr std::size_t kMaxSweepCells = std::size_t{1} << 20;
@@ -153,13 +123,27 @@ constexpr std::size_t kMaxSweepCells = std::size_t{1} << 20;
 /// there (five bands, as the crossing margin keeps); a core inside one
 /// interval is then one piece.
 constexpr double kFastBand = 5e-9;
-/// Cameras per pass of the sweep's two-pass batch (the batch stays in L1).
-constexpr std::size_t kSweepBatch = 128;
 /// A camera's pass through the row sweep costs about this many exact
 /// vector classifies of one band slot at one point (see `sweep_row`).
 constexpr std::size_t kFinishRatio = 32;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// The row sweep's shared limits, kind bits and batch layout
+// (grid_eval_kernel.hpp).
+using detail::kBatchStride, detail::kChordMargin, detail::kCrossMargin, detail::kMaxHalfChord,
+    detail::kMinSweepDy, detail::kSweepBatch, detail::kSweepSlackX;
+using detail::kEdgeLower, detail::kEdgeNone, detail::kEdgeUpper, detail::kKindCoreReflex,
+    detail::kKindNoCore, detail::kKindOuterReflex, detail::kKindUnbounded, detail::kShiftCm,
+    detail::kShiftCp, detail::kShiftOm, detail::kShiftOp;
+using detail::kConstCm, detail::kConstCp, detail::kConstJ0, detail::kConstKind, detail::kConstOm,
+    detail::kConstOp, detail::kConstStride;
+using detail::kBatchBlindHi, detail::kBatchBlindLo, detail::kBatchCertify, detail::kBatchCoreHi,
+    detail::kBatchCoreLo, detail::kBatchDy, detail::kBatchFields, detail::kBatchHi0,
+    detail::kBatchHi1, detail::kBatchJ0, detail::kBatchLo0, detail::kBatchLo1, detail::kBatchMuScale,
+    detail::kBatchPaHi, detail::kBatchPaLo, detail::kBatchR2, detail::kBatchReflex,
+    detail::kColFields, detail::kColFlags, detail::kColOuter0, detail::kColOuter1,
+    detail::kColSub0, detail::kColSub1;
 
 /// A wedge of half-angle phi as cos/sin, from g = cos(phi)|cos(phi)| alone
 /// (no trig): |cos(phi)| = sqrt(|g|), sin(phi) = sqrt(1 - |g|).  Above
@@ -188,31 +172,6 @@ inline Wedge wedge_of(double g) {
   return w;
 }
 
-/// A camera's row-sweep kind (`RowSweep::kind`): the clip state of each
-/// wedge edge ray, two bits each (kEdgeUpper: its half-line in x is an
-/// upper bound; kEdgeLower: a lower one; kEdgeNone: no bound), for the
-/// edges e- and e+ (m, p) of the core (c) and outer (o) wedges, at shifts
-/// kShiftCm..kShiftOp; and flags.  An omnidirectional camera has no bound
-/// on any edge, nor does a degenerate one (an edge ray within kMinEdgeY of
-/// horizontal), which also sets kKindNoCore, as does an empty core wedge,
-/// so the whole outer chord is verified.  A reflex wedge's edges bound its
-/// blind cone (kKindCoreReflex, kKindOuterReflex), and an outer wedge that
-/// excludes no direction has no bound.
-enum : unsigned {
-  kEdgeUpper = 0,
-  kEdgeLower = 1,
-  kEdgeNone = 2,
-  kShiftCm = 0,
-  kShiftCp = 2,
-  kShiftOm = 4,
-  kShiftOp = 6,
-  kKindNoCore = 1U << 8,
-  kKindCoreReflex = 1U << 9,
-  kKindOuterReflex = 1U << 10,
-  kKindUnbounded = (kEdgeNone << kShiftCm) | (kEdgeNone << kShiftCp) |
-                   (kEdgeNone << kShiftOm) | (kEdgeNone << kShiftOp),
-};
-
 /// The bounds an edge ray's half-line ending at x sets, by its clip state
 /// s (with 2 added on a row where the sweep applies no wedge, which
 /// leaves no bound): x + kClipLo[s] is a lower bound, x + kClipHi[s] an
@@ -224,40 +183,18 @@ constexpr double kClipHi[4] = {0.0, std::numeric_limits<double>::infinity(),
                                std::numeric_limits<double>::infinity(),
                                std::numeric_limits<double>::infinity()};
 
-/// Fields of the sweep's per-camera constants (`RowSweep::consts`, one
-/// block of pool-slot-indexed doubles each): sx * cols - 1/2, the core and
-/// outer wedges' edge slopes (an edge's x end on a row at displacement dy
-/// is slope * dy).
-enum : std::size_t { kConstJ0, kConstCm, kConstCp, kConstOm, kConstOp, kConstFields };
-
-/// Fields of the sweep's pass-1 batch (`RowSweep::batch`, kSweepBatch
-/// doubles each): the camera's dy, the pseudo-angles of the ends of part
-/// 0's first core sub-interval (see `SweepIntervals`), the crossing
-/// margin's scale 1e-8 / |dy|, and, for reflex wedges only, the x-sets
-/// the piece pass splits into parts and sub-intervals.
-enum : std::size_t {
-  kBatchDy,
-  kBatchPaLo,
-  kBatchPaHi,
-  kBatchMuScale,
-  kBatchLo0,
-  kBatchHi0,
-  kBatchLo1,
-  kBatchHi1,
-  kBatchCoreLo,
-  kBatchCoreHi,
-  kBatchBlindLo,
-  kBatchBlindHi,
-  kBatchFields
-};
-/// Column fields of the batch (`RowSweep::batch_cols`): part 0's outer
-/// columns and its first core sub-interval's, clipped to them.
-enum : std::size_t { kColOuter0, kColOuter1, kColSub0, kColSub1, kColFields };
-/// Batch flag bits (`RowSweep::batch_flags`).
-enum : unsigned {
-  kBatchCertify = 1U << 0,  ///< the core is certified (else verify the outer set)
-  kBatchReflex = 1U << 1,   ///< a second outer part or a blind interval
-};
+/// A camera's y displacement from a row at y (a strip walk's `band_dy`):
+/// on the torus the nearest image's, in [-1/2, 1/2).
+inline double unwrap_dy(double y, double sy, bool torus) {
+  double dy = y - sy;
+  if (torus) {
+    dy -= detail::round_half_away(dy);
+    if (dy >= 0.5) {
+      dy -= 1.0;
+    }
+  }
+  return dy;
+}
 
 /// floor and ceil to an integer without a libm call (|v| far below 2^62).
 inline std::int64_t floor_to_int(double v) {
@@ -600,6 +537,116 @@ inline EntryClass classify_scalar(const View& view, std::size_t e, const geom::V
 
 }  // namespace
 
+namespace detail {
+
+// The interval pass as the scalar kernel runs it, and the definition the
+// batch kernels match lane for lane: per camera its x-sets
+// (`sweep_intervals`), part 0's outer and first core sub-interval
+// columns, that sub-interval's end pseudo-angles and the crossing
+// margin's scale, and the x-sets a reflex wedge's piece pass splits.  The
+// viewed direction -(x, dy) lies in the upper half-plane when dy < 0,
+// where its pseudo-angle is 1 + x / (|x| + |dy|), and in the lower one
+// when dy > 0, where it is 3 - x / (|x| + |dy|): within 1e-15 of
+// `pseudo_angle`'s value, far inside kFastBand.  Column ends as in
+// Cut::col_lo / col_hi (`GridEvalEngine::sweep_row`), in 32 bits
+// (|j| <= 5 * cols).
+void sweep_intervals_scalar(const SweepBatch& sb, std::size_t count) {
+  const auto side = static_cast<double>(sb.side);
+  const std::int32_t c_min = sb.torus ? std::numeric_limits<std::int32_t>::min() : 0;
+  const std::int32_t c_max = sb.torus ? std::numeric_limits<std::int32_t>::max() : sb.side - 1;
+  const std::int32_t row_last = sb.side - 1;
+  auto lo32 = [side, c_min](double j0, double x) {
+    const double v = j0 + std::min(std::max(x, -4.0), 4.0) * side;
+    const auto c = static_cast<std::int32_t>(v);
+    return std::max(c + static_cast<std::int32_t>(static_cast<double>(c) < v), c_min);
+  };
+  auto hi32 = [side, c_max](double j0, double x) {
+    const double v = j0 + std::min(std::max(x, -4.0), 4.0) * side;
+    const auto c = static_cast<std::int32_t>(v);
+    return std::min(c - static_cast<std::int32_t>(static_cast<double>(c) > v), c_max);
+  };
+  double* const f = sb.fields;
+  std::int32_t* const c = sb.cols;
+  for (std::size_t b = 0; b < count; ++b) {
+    const double* const k = sb.consts + std::size_t{sb.slots[b]} * kConstStride;
+    const double dy = f[kBatchDy * kBatchStride + b];
+    const SweepIntervals v = sweep_intervals(
+        dy, f[kBatchR2 * kBatchStride + b],
+        static_cast<unsigned>(std::bit_cast<std::uint64_t>(k[kConstKind])), k[kConstCm],
+        k[kConstCp], k[kConstOm], k[kConstOp]);
+    const double j0 = k[kConstJ0];
+    const double ady = std::abs(dy);
+    const double pa_base = dy < 0.0 ? 1.0 : 3.0;
+    const double pa_sign = dy < 0.0 ? 1.0 : -1.0;
+    f[kBatchPaLo * kBatchStride + b] = pa_base + pa_sign * (v.s_lo / (std::abs(v.s_lo) + ady));
+    f[kBatchPaHi * kBatchStride + b] = pa_base + pa_sign * (v.s_hi / (std::abs(v.s_hi) + ady));
+    f[kBatchMuScale * kBatchStride + b] = kCrossMargin / ady;
+    f[kBatchJ0 * kBatchStride + b] = j0;
+    // Columns, with an empty interval's forced empty (c1 < c0) and a
+    // torus-wide chord's the whole row.
+    const bool all_row = sb.torus & v.wide;
+    const std::int32_t oc0 = all_row ? 0 : lo32(j0, v.lo0);
+    const std::int32_t oc1 = all_row ? row_last : (v.lo0 > v.hi0 ? oc0 - 1 : hi32(j0, v.hi0));
+    const std::int32_t sc0 = std::max(lo32(j0, v.s_lo), oc0);
+    c[kColOuter0 * kBatchStride + b] = oc0;
+    c[kColOuter1 * kBatchStride + b] = oc1;
+    c[kColSub0 * kBatchStride + b] = sc0;
+    c[kColSub1 * kBatchStride + b] = v.s_lo > v.s_hi ? sc0 - 1 : std::min(hi32(j0, v.s_hi), oc1);
+    c[kColFlags * kBatchStride + b] =
+        static_cast<std::int32_t>(static_cast<unsigned>(v.certify) * kBatchCertify |
+                                  static_cast<unsigned>(v.two | v.blind) * kBatchReflex);
+    if (v.two | v.blind) [[unlikely]] {
+      f[kBatchLo0 * kBatchStride + b] = v.lo0;
+      f[kBatchHi0 * kBatchStride + b] = v.hi0;
+      f[kBatchLo1 * kBatchStride + b] = v.lo1;
+      f[kBatchHi1 * kBatchStride + b] = v.hi1;
+      f[kBatchCoreLo * kBatchStride + b] = v.c_lo;
+      f[kBatchCoreHi * kBatchStride + b] = v.c_hi;
+      f[kBatchBlindLo * kBatchStride + b] = v.bl;
+      f[kBatchBlindHi * kBatchStride + b] = v.bh;
+    }
+  }
+}
+
+// The band compaction as the scalar kernel runs it: the exact y prune of
+// `for_each_in_y_band` as a branch-free compaction (a pruned camera's
+// write is overwritten).
+BandScan band_scan_scalar(const double* sy, const double* r2, std::uint32_t begin,
+                          std::uint32_t end, double y, bool torus, std::uint32_t cap,
+                          std::uint32_t* slots, double* dy_out, double* r2_out) {
+  std::uint32_t added = 0;
+  for (std::uint32_t e = begin; e < end; ++e) {
+    const double dy = unwrap_dy(y, sy[e], torus);
+    slots[added] = e;
+    dy_out[added] = dy;
+    r2_out[added] = r2[e];
+    added += static_cast<std::uint32_t>(dy * dy <= r2[e]);
+    if (added == cap) {
+      return {e + 1, added};
+    }
+  }
+  return {end, added};
+}
+
+// The scalar variant, and defensively a variant this build lacks
+// (resolve_kernel already rejects those), runs the scalar definitions.
+Kernels kernels_for(KernelVariant v) {
+  switch (v) {
+#if defined(FVC_KERNEL_AVX2)
+    case KernelVariant::kAvx2:
+      return {&classify_avx2, &sweep_intervals_avx2, &band_scan_avx2};
+#endif
+#if defined(FVC_KERNEL_NEON)
+    case KernelVariant::kNeon:
+      return {&classify_neon, &sweep_intervals_neon, &band_scan_neon};
+#endif
+    default:
+      return {nullptr, &sweep_intervals_scalar, &band_scan_scalar};
+  }
+}
+
+}  // namespace detail
+
 void GridRowStats::fold(const GridRowStats& next, bool first) {
   covered_1 += next.covered_1;
   necessary_ok += next.necessary_ok;
@@ -641,6 +688,10 @@ void GridEvalCounters::describe(obs::MetricsNode& node) const {
   node.add("sweep_pieces", static_cast<double>(sweep_pieces));
   node.add("sweep_verify", static_cast<double>(sweep_verify));
   node.add("sweep_skipped", static_cast<double>(sweep_skipped));
+  node.add("sweep_band_ns", static_cast<double>(sweep_band_ns));
+  node.add("sweep_intervals_ns", static_cast<double>(sweep_intervals_ns));
+  node.add("sweep_pieces_ns", static_cast<double>(sweep_pieces_ns));
+  node.add("sweep_checkpoint_ns", static_cast<double>(sweep_checkpoint_ns));
   node.histogram("candidates_per_point").merge(candidates_per_point);
 }
 
@@ -650,7 +701,7 @@ GridEvalEngine::GridEvalEngine(const Network& net, const DenseGrid& grid, double
   implied_k_ = implied_k(theta);
   mode_ = net.mode();
   kernel_ = resolve_kernel();
-  classify_ = classify_for(kernel_);
+  kernels_ = detail::kernels_for(kernel_);
   generation_ = next_generation();
   necessary_arcs_ = geom::sector_partition(2.0 * theta);
   sufficient_arcs_ = geom::sector_partition(theta);
@@ -959,14 +1010,7 @@ std::size_t GridEvalEngine::band_strip(const StripBand& band, std::ptrdiff_t k,
 }
 
 double GridEvalEngine::band_dy(double y, double sy) const {
-  double dy = y - sy;
-  if (mode_ == geom::SpaceMode::kTorus) {
-    dy -= detail::round_half_away(dy);
-    if (dy >= 0.5) {
-      dy -= 1.0;
-    }
-  }
-  return dy;
+  return unwrap_dy(y, sy, mode_ == geom::SpaceMode::kTorus);
 }
 
 template <class Fn>
@@ -1155,7 +1199,7 @@ void GridEvalEngine::classify_range(const geom::Vec2& p, const CandView& view,
   // The kernel's full-width left-pack writes stay inside dxs/dys: m never
   // exceeds the entries classified so far (at most one displacement per
   // entry), and those plus this range fit in the span.
-  if (classify_ != nullptr) {
+  if (kernels_.classify != nullptr) {
     const std::size_t vec_n = (end - begin) & ~std::size_t{3};
     if (vec_n != 0) {
       const detail::CandSpans spans{view.sx() + begin, view.sy() + begin,
@@ -1163,7 +1207,7 @@ void GridEvalEngine::classify_range(const geom::Vec2& p, const CandView& view,
                                     view.su() + begin, view.q() + begin,
                                     view.omni() + begin};
       const detail::ClassifyResult res =
-          classify_(spans, vec_n, p.x, p.y, mode_ == geom::SpaceMode::kTorus,
+          kernels_.classify(spans, vec_n, p.x, p.y, mode_ == geom::SpaceMode::kTorus,
                     scratch.dxs.data() + m, scratch.dys.data() + m,
                     scratch.special.data());
       m += res.covered;
@@ -1323,19 +1367,15 @@ GridEvalEngine::Predicates GridEvalEngine::decide_point(
 
 void GridEvalEngine::sweep_constants(const std::uint32_t* slots, std::size_t count,
                                      GridEvalScratch::RowSweep& sw) const {
-  const std::size_t n = cam_soa_.stride;
   const auto side = static_cast<double>(grid_.side());
   const double* const f_sx = cam_soa_.sx();
   const double* const f_cu = cam_soa_.cu();
   const double* const f_su = cam_soa_.su();
   const double* const f_q = cam_soa_.q();
   const double* const f_om = cam_soa_.omni();
-  double* const j0 = sw.consts.data() + kConstJ0 * n;
-  double* const s_cm = sw.consts.data() + kConstCm * n;
-  double* const s_cp = sw.consts.data() + kConstCp * n;
-  double* const s_om = sw.consts.data() + kConstOm * n;
-  double* const s_op = sw.consts.data() + kConstOp * n;
-  std::uint16_t* const kind = sw.kind.data();
+  auto set_kind = [](double* k, unsigned bits) {
+    k[kConstKind] = std::bit_cast<double>(std::uint64_t{bits});
+  };
   // Core and outer wedges per run of bit-equal q (runs follow the
   // deployment's camera groups).
   std::uint64_t q_bits = 0;
@@ -1348,10 +1388,11 @@ void GridEvalEngine::sweep_constants(const std::uint32_t* slots, std::size_t cou
       continue;
     }
     sw.ready[slot] = 1;
-    j0[slot] = f_sx[slot] * side - 0.5;
-    s_cm[slot] = s_cp[slot] = s_om[slot] = s_op[slot] = 0.0;
+    double* const k = sw.consts.data() + std::size_t{slot} * kConstStride;
+    k[kConstJ0] = f_sx[slot] * side - 0.5;
+    k[kConstCm] = k[kConstCp] = k[kConstOm] = k[kConstOp] = 0.0;
     if (std::bit_cast<std::uint64_t>(f_om[slot]) != 0) {
-      kind[slot] = kKindUnbounded;
+      set_kind(k, kKindUnbounded);
       continue;
     }
     const double q = f_q[slot];
@@ -1376,7 +1417,7 @@ void GridEvalEngine::sweep_constants(const std::uint32_t* slots, std::size_t cou
     const double min_y = std::min(std::min(std::abs(cmy), std::abs(cpy)),
                                   std::min(std::abs(omy), std::abs(opy)));
     if (min_y < kMinEdgeY) {
-      kind[slot] = kKindUnbounded | kKindNoCore;  // the whole outer chord is verified
+      set_kind(k, kKindUnbounded | kKindNoCore);  // the whole outer chord is verified
       continue;
     }
     // d = (x, dy) lies in the convex cone from e- to e+ iff
@@ -1389,20 +1430,20 @@ void GridEvalEngine::sweep_constants(const std::uint32_t* slots, std::size_t cou
     const double inv = 1.0 / (pc * po);
     const double inv_c = inv * po;
     const double inv_o = inv * pc;
-    s_cm[slot] = cmx * (inv_c * cpy);
-    s_cp[slot] = cpx * (inv_c * cmy);
-    s_om[slot] = omx * (inv_o * opy);
-    s_op[slot] = opx * (inv_o * omy);
+    k[kConstCm] = cmx * (inv_c * cpy);
+    k[kConstCp] = cpx * (inv_c * cmy);
+    k[kConstOm] = omx * (inv_o * opy);
+    k[kConstOp] = opx * (inv_o * omy);
     auto edge = [](bool lower) { return lower ? unsigned{kEdgeLower} : unsigned{kEdgeUpper}; };
-    unsigned k = (edge(cmy < 0.0) << kShiftCm) | (edge(cpy > 0.0) << kShiftCp);
+    unsigned bits = (edge(cmy < 0.0) << kShiftCm) | (edge(cpy > 0.0) << kShiftCp);
     if (outer_w.all) {
-      k |= (kEdgeNone << kShiftOm) | (kEdgeNone << kShiftOp);
+      bits |= (kEdgeNone << kShiftOm) | (kEdgeNone << kShiftOp);
     } else {
-      k |= (edge(omy < 0.0) << kShiftOm) | (edge(opy > 0.0) << kShiftOp);
-      k |= outer_w.reflex ? kKindOuterReflex : 0U;
+      bits |= (edge(omy < 0.0) << kShiftOm) | (edge(opy > 0.0) << kShiftOp);
+      bits |= outer_w.reflex ? kKindOuterReflex : 0U;
     }
-    k |= (core_w.none ? kKindNoCore : 0U) | (core_w.reflex ? kKindCoreReflex : 0U);
-    kind[slot] = static_cast<std::uint16_t>(k);
+    bits |= (core_w.none ? kKindNoCore : 0U) | (core_w.reflex ? kKindCoreReflex : 0U);
+    set_kind(k, bits);
   }
 }
 
@@ -1437,13 +1478,11 @@ void GridEvalEngine::sweep_row(std::size_t row, Predicates need,
   if (sw.const_gen != generation_) {
     sw.const_gen = generation_;
     sw.ready.assign(n, 0);
-    sw.consts.resize(kConstFields * n);
-    sw.kind.resize(n);
+    sw.consts.resize(kConstStride * n);
   }
-  sw.batch_slots.resize(kSweepBatch);
-  sw.batch.resize(kBatchFields * kSweepBatch);
-  sw.batch_cols.resize(kColFields * kSweepBatch);
-  sw.batch_flags.resize(kSweepBatch);
+  sw.batch_slots.resize(kBatchStride);
+  sw.batch.resize(kBatchFields * kBatchStride);
+  sw.batch_cols.resize(kColFields * kBatchStride);
 
   // Pieces and verify pairs, as plain values (no captures to chase in the
   // hot loops).  Column ranges are unwrapped integers c (the column is c
@@ -1644,94 +1683,31 @@ void GridEvalEngine::sweep_row(std::size_t row, Predicates need,
   };
 
   const double* const f_r2 = cam_soa_.r2();
-  const double* const c_j0 = sw.consts.data() + kConstJ0 * n;
-  const double* const c_cm = sw.consts.data() + kConstCm * n;
-  const double* const c_cp = sw.consts.data() + kConstCp * n;
-  const double* const c_om = sw.consts.data() + kConstOm * n;
-  const double* const c_op = sw.consts.data() + kConstOp * n;
-  const std::uint16_t* const kinds = sw.kind.data();
   std::uint32_t* const b_slot = sw.batch_slots.data();
-  double* const b_dy = sw.batch.data() + kBatchDy * kSweepBatch;
-  double* const b_palo = sw.batch.data() + kBatchPaLo * kSweepBatch;
-  double* const b_pahi = sw.batch.data() + kBatchPaHi * kSweepBatch;
-  double* const b_mus = sw.batch.data() + kBatchMuScale * kSweepBatch;
-  std::int32_t* const b_oc0 = sw.batch_cols.data() + kColOuter0 * kSweepBatch;
-  std::int32_t* const b_oc1 = sw.batch_cols.data() + kColOuter1 * kSweepBatch;
-  std::int32_t* const b_sc0 = sw.batch_cols.data() + kColSub0 * kSweepBatch;
-  std::int32_t* const b_sc1 = sw.batch_cols.data() + kColSub1 * kSweepBatch;
-  std::uint32_t* const b_flags = sw.batch_flags.data();
   double* const sw_batch = sw.batch.data();
-  const double side = static_cast<double>(cols);
-  const std::int32_t c_min = torus ? std::numeric_limits<std::int32_t>::min() : 0;
-  const std::int32_t c_max =
-      torus ? std::numeric_limits<std::int32_t>::max() : static_cast<std::int32_t>(cols) - 1;
-  const auto row_last = static_cast<std::int32_t>(cols) - 1;
-
-  // Pass 1, straight-line per camera: its x-sets (`sweep_intervals`),
-  // part 0's outer and first core sub-interval columns, that
-  // sub-interval's end pseudo-angles and the crossing margin's scale; the
-  // rest of the x-sets only matters to reflex wedges, whose piece pass
-  // recomputes them.  The viewed direction -(x, dy) lies in the upper
-  // half-plane when dy < 0, where its pseudo-angle is 1 + x / (|x| + |dy|),
-  // and in the lower one when dy > 0, where it is 3 - x / (|x| + |dy|):
-  // within 1e-15 of `pseudo_angle`'s value, far inside kFastBand.  Column
-  // ends as in Cut::col_lo / col_hi, in 32 bits (|j| <= 5 * cols).
-  auto lo32 = [side, c_min](double j0, double x) {
-    const double v = j0 + std::min(std::max(x, -4.0), 4.0) * side;
-    const auto c = static_cast<std::int32_t>(v);
-    return std::max(c + static_cast<std::int32_t>(static_cast<double>(c) < v), c_min);
-  };
-  auto hi32 = [side, c_max](double j0, double x) {
-    const double v = j0 + std::min(std::max(x, -4.0), 4.0) * side;
-    const auto c = static_cast<std::int32_t>(v);
-    return std::min(c - static_cast<std::int32_t>(static_cast<double>(c) > v), c_max);
-  };
-  auto intervals_pass = [=](std::size_t count) {
-    for (std::size_t b = 0; b < count; ++b) {
-      const std::uint32_t slot = b_slot[b];
-      const double dy = b_dy[b];
-      const SweepIntervals v = sweep_intervals(dy, f_r2[slot], kinds[slot], c_cm[slot],
-                                               c_cp[slot], c_om[slot], c_op[slot]);
-      const double j0 = c_j0[slot];
-      const double ady = std::abs(dy);
-      const double pa_base = dy < 0.0 ? 1.0 : 3.0;
-      const double pa_sign = dy < 0.0 ? 1.0 : -1.0;
-      b_palo[b] = pa_base + pa_sign * (v.s_lo / (std::abs(v.s_lo) + ady));
-      b_pahi[b] = pa_base + pa_sign * (v.s_hi / (std::abs(v.s_hi) + ady));
-      b_mus[b] = kCrossMargin / ady;
-      // Columns, with an empty interval's forced empty (c1 < c0) and a
-      // torus-wide chord's the whole row.
-      const bool all_row = torus & v.wide;
-      const std::int32_t oc0 = all_row ? 0 : lo32(j0, v.lo0);
-      const std::int32_t oc1 = all_row ? row_last : (v.lo0 > v.hi0 ? oc0 - 1 : hi32(j0, v.hi0));
-      const std::int32_t sc0 = std::max(lo32(j0, v.s_lo), oc0);
-      b_oc0[b] = oc0;
-      b_oc1[b] = oc1;
-      b_sc0[b] = sc0;
-      b_sc1[b] = v.s_lo > v.s_hi ? sc0 - 1 : std::min(hi32(j0, v.s_hi), oc1);
-      b_flags[b] = static_cast<unsigned>(v.certify) * kBatchCertify |
-                   static_cast<unsigned>(v.two | v.blind) * kBatchReflex;
-      if (v.two | v.blind) [[unlikely]] {
-        double* const f = sw_batch + b;
-        f[kBatchLo0 * kSweepBatch] = v.lo0;
-        f[kBatchHi0 * kSweepBatch] = v.hi0;
-        f[kBatchLo1 * kSweepBatch] = v.lo1;
-        f[kBatchHi1 * kSweepBatch] = v.hi1;
-        f[kBatchCoreLo * kSweepBatch] = v.c_lo;
-        f[kBatchCoreHi * kSweepBatch] = v.c_hi;
-        f[kBatchBlindLo * kSweepBatch] = v.bl;
-        f[kBatchBlindHi * kSweepBatch] = v.bh;
-      }
-    }
-  };
+  double* const b_dy = sw_batch + kBatchDy * kBatchStride;
+  double* const b_r2 = sw_batch + kBatchR2 * kBatchStride;
+  const double* const b_palo = sw_batch + kBatchPaLo * kBatchStride;
+  const double* const b_pahi = sw_batch + kBatchPaHi * kBatchStride;
+  const double* const b_mus = sw_batch + kBatchMuScale * kBatchStride;
+  const double* const b_j0 = sw_batch + kBatchJ0 * kBatchStride;
+  const std::int32_t* const b_oc0 = sw.batch_cols.data() + kColOuter0 * kBatchStride;
+  const std::int32_t* const b_oc1 = sw.batch_cols.data() + kColOuter1 * kBatchStride;
+  const std::int32_t* const b_sc0 = sw.batch_cols.data() + kColSub0 * kBatchStride;
+  const std::int32_t* const b_sc1 = sw.batch_cols.data() + kColSub1 * kBatchStride;
+  const std::int32_t* const b_flags = sw.batch_cols.data() + kColFlags * kBatchStride;
+  // Pass 1, straight-line per camera, in the dispatched kernel
+  // (`detail::sweep_intervals_scalar` defines it).
+  const detail::SweepBatch batch{b_slot,   sw.consts.data(), sw_batch, sw.batch_cols.data(),
+                                 static_cast<std::int32_t>(cols), torus};
 
   // Pass 2, per camera: pieces and verify pairs.
   std::uint64_t n_skipped = 0;
   auto pieces_pass = [&](std::size_t count) {
     for (std::size_t b = 0; b < count; ++b) {
       const std::uint32_t slot = b_slot[b];
-      const unsigned flags = b_flags[b];
-      const double j0 = c_j0[slot];
+      const auto flags = static_cast<unsigned>(b_flags[b]);
+      const double j0 = b_j0[b];
       const double dy = b_dy[b];
       const std::int64_t oc0 = b_oc0[b];
       const std::int64_t oc1 = b_oc1[b];
@@ -1752,12 +1728,12 @@ void GridEvalEngine::sweep_row(std::size_t row, Predicates need,
       // A reflex wedge: both outer parts, each with both core
       // sub-intervals walked.
       const double* const f = sw_batch + b;
-      const double lo1 = f[kBatchLo1 * kSweepBatch];
-      const double hi1 = f[kBatchHi1 * kSweepBatch];
-      const double c_lo = f[kBatchCoreLo * kSweepBatch];
-      const double c_hi = f[kBatchCoreHi * kSweepBatch];
-      const double bl = f[kBatchBlindLo * kSweepBatch];
-      const double bh = f[kBatchBlindHi * kSweepBatch];
+      const double lo1 = f[kBatchLo1 * kBatchStride];
+      const double hi1 = f[kBatchHi1 * kBatchStride];
+      const double c_lo = f[kBatchCoreLo * kBatchStride];
+      const double c_hi = f[kBatchCoreHi * kBatchStride];
+      const double bl = f[kBatchBlindLo * kBatchStride];
+      const double bh = f[kBatchBlindHi * kBatchStride];
       const bool two = lo1 <= hi1;
       const std::int64_t pc0 = two ? cut.col_lo(j0, lo1) : 0;
       const std::int64_t pc1 = two ? cut.col_hi(j0, hi1) : -1;
@@ -1787,8 +1763,8 @@ void GridEvalEngine::sweep_row(std::size_t row, Predicates need,
       if (certify && sc0 <= sc1) {
         cut.walk(slot, j0, dy, b_mus[b], b_palo[b], b_pahi[b], sc0, sc1, cursor);
       }
-      const double lo0 = f[kBatchLo0 * kSweepBatch];
-      const double hi0 = f[kBatchHi0 * kSweepBatch];
+      const double lo0 = f[kBatchLo0 * kBatchStride];
+      const double hi0 = f[kBatchHi0 * kBatchStride];
       sub(std::max(std::max(c_lo, lo0), bh), std::min(c_hi, hi0), cursor, oc1);
       cut.verify_range(slot, cursor, oc1);
       if (pc0 <= pc1) {
@@ -1804,9 +1780,9 @@ void GridEvalEngine::sweep_row(std::size_t row, Predicates need,
 
   // The band's cameras, strips from the row outwards, alternating sides
   // (so on dense rows long chords on both sides come first): the exact y
-  // prune of `for_each_in_y_band`, as a branch-free compaction (a pruned
-  // camera's write is overwritten), fills batches, cut at the
-  // checkpoints, and each batch runs both passes.
+  // prune of `for_each_in_y_band`, as the dispatched kernel's band
+  // compaction (`detail::band_scan_scalar` defines it), fills batches,
+  // cut at the checkpoints, and each batch runs both passes.
   //
   // Finishing: when a checkpoint leaves few columns open (not saturated),
   // the sweep stops and keeps the pool ranges of the band's remaining
@@ -1830,10 +1806,27 @@ void GridEvalEngine::sweep_row(std::size_t row, Predicates need,
   std::size_t next_check = (need.full_view || need.sufficient ? 4 : 2) * cols - 1;
   bool saturated = false;
   bool stopped = false;
+  // Stage clocks, read once per batch and checkpoint on metered scans only.
+  GridEvalCounters* const ctr = scratch.counters;
+  std::uint64_t t_mark = ctr != nullptr ? obs::monotonic_ns() : 0;
+  std::uint64_t band_ns = 0;
+  std::uint64_t intervals_ns = 0;
+  std::uint64_t pieces_ns = 0;
+  std::uint64_t checkpoint_ns = 0;
+  auto lap = [&](std::uint64_t& stage) {
+    if (ctr != nullptr) [[unlikely]] {
+      const std::uint64_t t = obs::monotonic_ns();
+      stage += t - t_mark;
+      t_mark = t;
+    }
+  };
   auto run_batch = [&] {
+    lap(band_ns);
     sweep_constants(b_slot, fill, sw);
-    intervals_pass(fill);
+    kernels_.intervals(batch, fill);
+    lap(intervals_ns);
     pieces_pass(fill);
+    lap(pieces_ns);
     processed += fill;
     fill = 0;
   };
@@ -1855,13 +1848,16 @@ void GridEvalEngine::sweep_row(std::size_t row, Predicates need,
   for (std::ptrdiff_t k = 0; k < band.span && !stopped; ++k) {
     const std::size_t s = band_strip(band, k, true);
     const std::uint32_t s_end = strip_offsets_[s + 1];
-    for (std::uint32_t e = strip_offsets_[s]; e < s_end; ++e) {
-      const double dy = band_dy(y, cam_sy[e]);
-      b_slot[fill] = e;
-      b_dy[fill] = dy;
-      const auto in_band = static_cast<std::size_t>(dy * dy <= f_r2[e]);
-      fill += in_band;
-      seen += in_band;
+    std::uint32_t e = strip_offsets_[s];
+    while (e < s_end) {
+      // Up to the batch's end or the next checkpoint's camera, whichever
+      // comes first.
+      const auto cap = static_cast<std::uint32_t>(std::min(kSweepBatch - fill, next_check - seen));
+      const detail::BandScan scan = kernels_.band(cam_sy, f_r2, e, s_end, y, torus, cap,
+                                                  b_slot + fill, b_dy + fill, b_r2 + fill);
+      e = scan.next;
+      fill += scan.added;
+      seen += scan.added;
       if (fill == kSweepBatch || seen == next_check) {
         run_batch();
         if (seen == next_check) {
@@ -1871,12 +1867,13 @@ void GridEvalEngine::sweep_row(std::size_t row, Predicates need,
           saturated = checkpoint();
           const std::size_t open = cols - sat[cols];
           if (!saturated && 4 * open <= cols) {
-            keep_rest(k, e);
+            keep_rest(k, e - 1);
             if (open * rest_slots > kFinishRatio * 2 * cols) {  // keep sweeping
               sw.rest.clear();
               rest_slots = 0;
             }
           }
+          lap(checkpoint_ns);
           if (saturated || !sw.rest.empty()) {
             stopped = true;
             break;
@@ -1885,15 +1882,17 @@ void GridEvalEngine::sweep_row(std::size_t row, Predicates need,
       }
     }
   }
+  lap(band_ns);
   if (fill != 0) {
     run_batch();
   }
   flush();
+  lap(checkpoint_ns);
   if (saturated) {  // every needed word full: no verify entry can change a decision
     sw.verify_cols.clear();
     sw.verify_entries.clear();
   }
-  if (GridEvalCounters* const ctr = scratch.counters; ctr != nullptr) [[unlikely]] {
+  if (ctr != nullptr) [[unlikely]] {
     // A finished row's cameras past the y prune that the passes never saw.
     for (std::size_t r = 0; r < sw.rest.size(); r += 2) {
       for (std::uint32_t e = sw.rest[r]; e < sw.rest[r + 1]; ++e) {
@@ -1906,6 +1905,10 @@ void GridEvalEngine::sweep_row(std::size_t row, Predicates need,
     ctr->sweep_pieces += cut.pieces;
     ctr->sweep_verify += cut.verify;
     ctr->sweep_skipped += n_skipped;
+    ctr->sweep_band_ns += band_ns;
+    ctr->sweep_intervals_ns += intervals_ns;
+    ctr->sweep_pieces_ns += pieces_ns;
+    ctr->sweep_checkpoint_ns += checkpoint_ns;
   }
   // Bucket the verify pairs by column (camera order within a column).
   std::vector<std::uint32_t>& off = sw.verify_offsets;

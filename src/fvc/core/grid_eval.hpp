@@ -28,12 +28,14 @@
 ///      per-column occupancy masks, and only the columns in its margin go
 ///      through the exact classify (see `decide_swept`).  The sweep runs
 ///      batches of cameras through a straight-line interval pass (from
-///      per-camera constants computed once per scratch and engine) and a
-///      piece pass, and stops spending work on columns whose needed
-///      words are already full (column saturation).  The stats path
-///      (`block_stats`, `row_stats`, `evaluate`) classifies every candidate
-///      of a point and also bins the directions into a pseudo-angle bitmap
-///      that bounds the point's max gap (see `stats_point`).  Either takes
+///      per-camera constants computed once per scratch and engine; it and
+///      the band compaction that fills the batch run in the dispatched
+///      batch kernel) and a piece pass, and stops spending work on
+///      columns whose needed words are already full (column saturation).
+///      The stats path (`block_stats`, `row_stats`, `evaluate`) classifies
+///      every candidate of a point and also bins the directions into a
+///      pseudo-angle bitmap that bounds the point's max gap (see
+///      `stats_point`).  Either takes
 ///      the exact path — one atan2 per covering camera, an in-place sort,
 ///      the oracle's gap scan — only for a point whose full view the masks
 ///      and bounds leave open, or whose max gap could set a new extreme of
@@ -101,6 +103,20 @@ using ClassifyFn = ClassifyResult (*)(const CandSpans& c, std::size_t count,
                                       double px, double py, bool torus,
                                       double* xs, double* ys,
                                       std::uint32_t* special);
+struct SweepBatch;
+struct BandScan;
+using SweepIntervalsFn = void (*)(const SweepBatch& b, std::size_t count);
+using BandScanFn = BandScan (*)(const double* sy, const double* r2, std::uint32_t begin,
+                                std::uint32_t end, double y, bool torus, std::uint32_t cap,
+                                std::uint32_t* slots, double* dy, double* r2_out);
+/// The batch kernels of one kernel variant (kernels_for there): the
+/// classify, null for the scalar variant (whose per-entry path runs
+/// instead), and the row sweep's two stages.
+struct Kernels {
+  ClassifyFn classify = nullptr;
+  SweepIntervalsFn intervals = nullptr;
+  BandScanFn band = nullptr;
+};
 }  // namespace detail
 
 /// Engine observability counters (see fvc/obs).  Attached to a scratch —
@@ -140,6 +156,14 @@ struct GridEvalCounters {
   std::uint64_t sweep_pieces = 0;       ///< certified pieces it added
   std::uint64_t sweep_verify = 0;       ///< (column, camera) verify pairs it added
   std::uint64_t sweep_skipped = 0;      ///< camera-rows left out on saturated columns
+  /// The sweep's stage clocks (ns), read once per batch and checkpoint:
+  /// the strip walk with its band compaction; the per-camera constants
+  /// and the interval pass; the piece pass; checkpoints and the final
+  /// flush.
+  std::uint64_t sweep_band_ns = 0;
+  std::uint64_t sweep_intervals_ns = 0;
+  std::uint64_t sweep_pieces_ns = 0;
+  std::uint64_t sweep_checkpoint_ns = 0;
   obs::LogHistogram candidates_per_point;
 
   void merge(const GridEvalCounters& other) {
@@ -155,6 +179,10 @@ struct GridEvalCounters {
     sweep_pieces += other.sweep_pieces;
     sweep_verify += other.sweep_verify;
     sweep_skipped += other.sweep_skipped;
+    sweep_band_ns += other.sweep_band_ns;
+    sweep_intervals_ns += other.sweep_intervals_ns;
+    sweep_pieces_ns += other.sweep_pieces_ns;
+    sweep_checkpoint_ns += other.sweep_checkpoint_ns;
     candidates_per_point.merge(other.candidates_per_point);
   }
 
@@ -236,20 +264,20 @@ struct GridEvalScratch {
     /// there: the [begin, end) pool slot ranges of the band's cameras it
     /// did not reach, which each open column classifies exactly.
     std::vector<std::uint32_t> rest;
-    /// Per-camera constants by pool slot (wedge edge slopes, column
-    /// origin, kind bits), valid for engine generation `const_gen`, each
-    /// camera's filled (and marked `ready`) on its first sweep.
+    /// Per-camera constants by pool slot, one record each (wedge edge
+    /// slopes, column origin, kind bits), valid for engine generation
+    /// `const_gen`, each camera's filled (and marked `ready`) on its first
+    /// sweep.
     std::uint64_t const_gen = 0;
     std::vector<std::uint8_t> ready;
     std::vector<double> consts;
-    std::vector<std::uint16_t> kind;
-    /// One batch of the band's cameras: pool slots and y displacements,
-    /// then the straight-line pass's core-end pseudo-angles, crossing
-    /// margins, column ends and flags, read by the piece pass.
+    /// One batch of the band's cameras: pool slots, y displacements and
+    /// r^2, then the straight-line pass's core-end pseudo-angles, crossing
+    /// margins, column ends and flags, read by the piece pass
+    /// (grid_eval_kernel.hpp's `SweepBatch`).
     std::vector<std::uint32_t> batch_slots;
     std::vector<double> batch;
     std::vector<std::int32_t> batch_cols;
-    std::vector<std::uint32_t> batch_flags;
   };
   RowSweep sweep;
 };
@@ -612,10 +640,12 @@ class GridEvalEngine {
   /// x-set (one interval, two for a reflex wedge) holding every column
   /// where the kernel could return covered or a band hit, and a *core*
   /// where it certainly returns covered and not special.  The band's
-  /// cameras go through in batches of two passes: a straight-line pass
-  /// computes each camera's intervals, column ends, core-end pseudo-angles
-  /// and crossing margin from constants computed once per (scratch,
-  /// engine); a piece pass cuts the core at the sector-boundary crossings
+  /// cameras, compacted past the exact y prune, go through in batches of
+  /// two passes: a straight-line pass computes each camera's intervals,
+  /// column ends, core-end pseudo-angles and crossing margin from
+  /// constants computed once per (scratch, engine) (the compaction and
+  /// this pass run in the dispatched kernel, `kernels_`); a piece
+  /// pass cuts the core at the sector-boundary crossings
   /// of the camera's viewed direction (none when both ends lie well inside
   /// one sector interval), each piece at least a margin inside one
   /// interval, adds each piece's interval bits to its columns' masks, and
@@ -683,7 +713,7 @@ class GridEvalEngine {
   std::size_t implied_k_ = 0;
   geom::SpaceMode mode_ = geom::SpaceMode::kTorus;
   KernelVariant kernel_ = KernelVariant::kScalar;
-  detail::ClassifyFn classify_ = nullptr;  ///< non-null for vector variants
+  detail::Kernels kernels_;  ///< the batch kernels of `kernel_`
   std::uint64_t generation_ = 0;  ///< process-unique; keys scratch row slices
   std::vector<geom::Arc> necessary_arcs_;   ///< 2*theta partition, start 0
   std::vector<geom::Arc> sufficient_arcs_;  ///< theta partition, start 0

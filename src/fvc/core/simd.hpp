@@ -2,8 +2,9 @@
 /// \brief Portable fixed-width batch abstraction: 4 double lanes.
 ///
 /// One batch type per vector ISA, both exposing the same static interface
-/// so the classify kernel (grid_eval_kernel.hpp) is written once as a
-/// template and instantiated per backend in its own translation unit:
+/// so the batch kernels of grid_eval_kernel.hpp (the classify, and the row
+/// sweep's band compaction and interval pass) are written once as
+/// templates and instantiated per backend in their own translation unit:
 ///
 ///   Avx2Batch     __m256d; only defined when the including TU is
 ///                 compiled with AVX2 (-mavx2), i.e. inside
@@ -19,7 +20,29 @@
 /// same candidate.  Nothing here may introduce FMA contraction (the
 /// backends use distinct mul and add operations, and kernel TUs are built
 /// with -ffp-contract=off); that would change rounding and break the
-/// engine's differential tests.
+/// engine's differential tests.  The row sweep's ops keep the contract:
+///
+///   div, sqrt   the correctly rounded IEEE quotient and root (vdivpd and
+///               vsqrtpd; fdiv and fsqrt), which is what scalar `/` and
+///               `std::sqrt` return.  A negative root gives the default
+///               NaN either way, and the vector op has no errno path.
+///   neg         flips the sign bit, as scalar unary minus does (0 - x
+///               would turn -0 into +0).
+///   min, max    `std::min(a, b)` = `b < a ? b : a` and `std::max(a, b)` =
+///               `a < b ? b : a` exactly: a select on a less-than with the
+///               same operand order, so a tie (+0 against -0 too) returns
+///               the same operand.  On AVX2 that is vminpd(b, a) and
+///               vmaxpd(b, a), which return their first operand when it
+///               compares less (greater), else the second; NEON's fmin and
+///               fmax order zeros, so NEON keeps the select.
+///   trunc       rounds toward zero.  For |x| < 2^31 that is the value of
+///               `static_cast<std::int32_t>(x)`, up to the sign of a zero,
+///               which neither a comparison nor the int32 store sees.
+///   store_i32   converts lanes holding integers of magnitude below 2^31
+///               to int32 (exactly) and stores them.
+///   gather      plain loads from strided slots, no arithmetic.
+///   bits_eq     tests integer bit patterns stored in double lanes with an
+///               integer compare, so the patterns may be denormals.
 ///
 /// Masks are represented as batches whose lanes are all-ones / all-zero
 /// bit patterns (the native form of both vector ISAs).  All-ones is a NaN
@@ -42,6 +65,14 @@
 namespace fvc::core::simd {
 
 inline constexpr std::size_t kLanes = 4;
+
+/// Left-pack lane order per 4-bit mask: the set lanes in ascending order,
+/// then the clear ones (compress_index).
+alignas(16) inline constexpr std::uint32_t kPackLanes[16][4] = {
+    {0, 1, 2, 3}, {0, 1, 2, 3}, {1, 0, 2, 3}, {0, 1, 2, 3},
+    {2, 0, 1, 3}, {0, 2, 1, 3}, {1, 2, 0, 3}, {0, 1, 2, 3},
+    {3, 0, 1, 2}, {0, 3, 1, 2}, {1, 3, 0, 2}, {0, 1, 3, 2},
+    {2, 3, 0, 1}, {0, 2, 3, 1}, {1, 2, 3, 0}, {0, 1, 2, 3}};
 
 #if defined(__AVX2__)
 /// AVX2 backend: one 256-bit register of 4 doubles.  vmulpd/vaddpd/vsubpd
@@ -70,9 +101,49 @@ struct Avx2Batch {
     return {_mm256_mul_pd(a.v, b.v)};
   }
 
+  [[nodiscard]] friend Avx2Batch operator/(Avx2Batch a, Avx2Batch b) {
+    return {_mm256_div_pd(a.v, b.v)};
+  }
+  [[nodiscard]] static Avx2Batch sqrt(Avx2Batch a) { return {_mm256_sqrt_pd(a.v)}; }
+
   [[nodiscard]] static Avx2Batch abs(Avx2Batch a) {
     const __m256d sign = _mm256_set1_pd(-0.0);
     return {_mm256_andnot_pd(sign, a.v)};
+  }
+  [[nodiscard]] static Avx2Batch neg(Avx2Batch a) {
+    return {_mm256_xor_pd(a.v, _mm256_set1_pd(-0.0))};
+  }
+  /// std::min(a, b) = b < a ? b : a = vminpd(b, a), and std::max(a, b) =
+  /// a < b ? b : a = vmaxpd(b, a) (see the contract above).
+  [[nodiscard]] static Avx2Batch min(Avx2Batch a, Avx2Batch b) {
+    return {_mm256_min_pd(b.v, a.v)};
+  }
+  [[nodiscard]] static Avx2Batch max(Avx2Batch a, Avx2Batch b) {
+    return {_mm256_max_pd(b.v, a.v)};
+  }
+  [[nodiscard]] static Avx2Batch trunc(Avx2Batch a) {
+    return {_mm256_round_pd(a.v, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC)};
+  }
+  /// Stores the lanes as int32 (vcvttpd2dq; the lanes hold integers).
+  static void store_i32(std::int32_t* p, Avx2Batch a) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(p), _mm256_cvttpd_epi32(a.v));
+  }
+  /// Lane k = base[idx[k] * kStride] (vgatherdpd; idx[k] * kStride < 2^31).
+  /// The masked form with a zero source: GCC's unmasked intrinsic reads
+  /// an undefined register and warns.
+  template <std::size_t kStride>
+  [[nodiscard]] static Avx2Batch gather(const double* base, const std::uint32_t* idx) {
+    const __m128i i = _mm_mullo_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(idx)),
+                                      _mm_set1_epi32(static_cast<int>(kStride)));
+    const __m256d zero = _mm256_setzero_pd();
+    return {_mm256_mask_i32gather_pd(zero, base, i, _mm256_cmp_pd(zero, zero, _CMP_EQ_OQ), 8)};
+  }
+  /// Mask of the lanes whose bit pattern, masked by `mask`, is `value`.
+  [[nodiscard]] static Avx2Batch bits_eq(Avx2Batch a, std::uint64_t mask, std::uint64_t value) {
+    const __m256i x = _mm256_and_si256(_mm256_castpd_si256(a.v),
+                                       _mm256_set1_epi64x(static_cast<long long>(mask)));
+    return {_mm256_castsi256_pd(
+        _mm256_cmpeq_epi64(x, _mm256_set1_epi64x(static_cast<long long>(value))))};
   }
 
   /// Round to nearest integer, halves to even (vroundpd).  std::round,
@@ -138,6 +209,15 @@ struct Avx2Batch {
     return static_cast<std::size_t>(
         std::popcount(static_cast<unsigned>(mask)));
   }
+
+  /// Left-pack the lane indices base + k of the lanes set in `mask`.
+  /// Writes all 4 entries of dst (garbage beyond the popcount).
+  static void compress_index(std::uint32_t* dst, std::uint32_t base, int mask) {
+    const __m128i lanes = _mm_load_si128(
+        reinterpret_cast<const __m128i*>(kPackLanes[static_cast<unsigned>(mask)]));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst),
+                     _mm_add_epi32(lanes, _mm_set1_epi32(static_cast<int>(base))));
+  }
 };
 #endif  // __AVX2__
 
@@ -169,8 +249,45 @@ struct NeonBatch {
     return {vmulq_f64(a.lo, b.lo), vmulq_f64(a.hi, b.hi)};
   }
 
+  [[nodiscard]] friend NeonBatch operator/(NeonBatch a, NeonBatch b) {
+    return {vdivq_f64(a.lo, b.lo), vdivq_f64(a.hi, b.hi)};
+  }
+  [[nodiscard]] static NeonBatch sqrt(NeonBatch a) {
+    return {vsqrtq_f64(a.lo), vsqrtq_f64(a.hi)};
+  }
+
   [[nodiscard]] static NeonBatch abs(NeonBatch a) {
     return {vabsq_f64(a.lo), vabsq_f64(a.hi)};
+  }
+  [[nodiscard]] static NeonBatch neg(NeonBatch a) {
+    return {vnegq_f64(a.lo), vnegq_f64(a.hi)};
+  }
+  /// std::min(a, b) = b < a ? b : a; std::max(a, b) = a < b ? b : a.
+  [[nodiscard]] static NeonBatch min(NeonBatch a, NeonBatch b) {
+    return {vbslq_f64(vcltq_f64(b.lo, a.lo), b.lo, a.lo),
+            vbslq_f64(vcltq_f64(b.hi, a.hi), b.hi, a.hi)};
+  }
+  [[nodiscard]] static NeonBatch max(NeonBatch a, NeonBatch b) {
+    return {vbslq_f64(vcltq_f64(a.lo, b.lo), b.lo, a.lo),
+            vbslq_f64(vcltq_f64(a.hi, b.hi), b.hi, a.hi)};
+  }
+  [[nodiscard]] static NeonBatch trunc(NeonBatch a) {
+    return {vrndq_f64(a.lo), vrndq_f64(a.hi)};
+  }
+  /// Stores the lanes as int32 (fcvtzs, then a narrowing move; the lanes
+  /// hold integers).
+  static void store_i32(std::int32_t* p, NeonBatch a) {
+    vst1q_s32(p, vcombine_s32(vmovn_s64(vcvtq_s64_f64(a.lo)),
+                              vmovn_s64(vcvtq_s64_f64(a.hi))));
+  }
+  /// Lane k = base[idx[k] * kStride].
+  template <std::size_t kStride>
+  [[nodiscard]] static NeonBatch gather(const double* base, const std::uint32_t* idx) {
+    const double buf[kWidth] = {base[std::size_t{idx[0]} * kStride],
+                                base[std::size_t{idx[1]} * kStride],
+                                base[std::size_t{idx[2]} * kStride],
+                                base[std::size_t{idx[3]} * kStride]};
+    return load(buf);
   }
 
   /// Round to nearest integer, halves to even (frintn; see the tie caveat
@@ -226,6 +343,14 @@ struct NeonBatch {
             vbslq_f64(mask_hi(mask), a.hi, b.hi)};
   }
 
+  /// Mask of the lanes whose bit pattern, masked by `mask`, is `value`.
+  [[nodiscard]] static NeonBatch bits_eq(NeonBatch a, std::uint64_t mask, std::uint64_t value) {
+    const uint64x2_t m = vdupq_n_u64(mask);
+    const uint64x2_t v = vdupq_n_u64(value);
+    return from_masks(vceqq_u64(vandq_u64(mask_lo(a), m), v),
+                      vceqq_u64(vandq_u64(mask_hi(a), m), v));
+  }
+
   [[nodiscard]] int movemask() const {
     const uint64x2_t l = vshrq_n_u64(mask_lo(*this), 63);
     const uint64x2_t h = vshrq_n_u64(mask_hi(*this), 63);
@@ -248,6 +373,13 @@ struct NeonBatch {
       n += static_cast<std::size_t>((mask >> i) & 1);
     }
     return n;
+  }
+
+  /// Left-pack the lane indices base + k of the lanes set in `mask`.
+  /// Writes all 4 entries of dst (garbage beyond the popcount).
+  static void compress_index(std::uint32_t* dst, std::uint32_t base, int mask) {
+    vst1q_u32(dst, vaddq_u32(vld1q_u32(kPackLanes[static_cast<unsigned>(mask)]),
+                             vdupq_n_u32(base)));
   }
 };
 #endif  // __aarch64__

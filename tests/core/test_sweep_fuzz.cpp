@@ -5,7 +5,11 @@
 // scratch serves the rows in turn with the trial runner's mix of need
 // sets, so the sweep's cache key, column saturation and checkpoints are
 // exercised as well as its margins.  A failure names the (seed, index)
-// that replays it.
+// that replays it.  The engine counters of each configuration (the
+// sweep's work, the exact classifies, the points swept with no classify,
+// the atan2 calls) must be equal under every pin too: the pinned kernels
+// differ in speed only, so every skip, finish and checkpoint falls on the
+// same camera.
 
 #include <gtest/gtest.h>
 
@@ -25,10 +29,22 @@ namespace {
 constexpr std::uint64_t kSeed = 2301;
 constexpr std::uint64_t kConfigs = 4000;
 
+// The counters every kernel pin must leave equal.
+void expect_same_work(const GridEvalCounters& got, const GridEvalCounters& want) {
+  EXPECT_EQ(got.sweep_rows, want.sweep_rows);
+  EXPECT_EQ(got.sweep_camera_rows, want.sweep_camera_rows);
+  EXPECT_EQ(got.sweep_pieces, want.sweep_pieces);
+  EXPECT_EQ(got.sweep_verify, want.sweep_verify);
+  EXPECT_EQ(got.sweep_skipped, want.sweep_skipped);
+  EXPECT_EQ(got.candidates_total, want.candidates_total);
+  EXPECT_EQ(got.swept_points, want.swept_points);
+  EXPECT_EQ(got.atan2_calls, want.atan2_calls);
+}
+
 TEST(SweepFuzz, RowAnswersMatchOraclesOnAdversarialConfigs) {
   const std::vector<KernelVariant> kernels = testsupport::supported_kernels();
   testsupport::PointOutcomes seen;
-  GridEvalCounters counters;
+  GridEvalCounters counters;  // every configuration under the first pin
   for (std::uint64_t index = 0; index < kConfigs; ++index) {
     const testsupport::FuzzConfig cfg = testsupport::fuzz_config(kSeed, index);
     const std::size_t side = cfg.grid.side();
@@ -43,11 +59,13 @@ TEST(SweepFuzz, RowAnswersMatchOraclesOnAdversarialConfigs) {
       }
       seen.add(want[row]);
     }
+    GridEvalCounters first;
     for (const KernelVariant variant : kernels) {
       const testsupport::ForcedKernel pin(variant);
       const GridEvalEngine engine(cfg.net, cfg.grid, cfg.theta);
       GridEvalScratch scratch;
-      scratch.counters = &counters;
+      GridEvalCounters config_counters;
+      scratch.counters = &config_counters;
       for (std::size_t row = 0; row < side; ++row) {
         const testsupport::PointOracle& w = want[row];
         SCOPED_TRACE(testing::Message()
@@ -68,6 +86,15 @@ TEST(SweepFuzz, RowAnswersMatchOraclesOnAdversarialConfigs) {
                                              (!need_fv || w.full_view));
           }
         }
+      }
+      if (variant == kernels.front()) {
+        first = config_counters;
+        counters.merge(config_counters);
+      } else {
+        SCOPED_TRACE(testing::Message() << "counters: fuzz_config(" << kSeed << ", " << index
+                                        << ") kernel=" << kernel_name(variant));
+        expect_same_work(config_counters, first);
+        ASSERT_FALSE(testing::Test::HasFailure());
       }
     }
   }

@@ -1,0 +1,412 @@
+// Lane equality of the row sweep's batch kernels (grid_eval_kernel.hpp):
+// under every supported kernel pin, the interval pass and the band
+// compaction the engine dispatches must write, bit for bit
+// (std::bit_cast), what the scalar definitions (`sweep_intervals_scalar`,
+// `band_scan_scalar`) write, on every output field and nothing past the
+// batch.  Inputs cover the seams of the pass: dy = +-0, |dy| at
+// kMinSweepDy and one ulp either side, outer half-chords at kMaxHalfChord
+// and one ulp either side, wedges from g = -1, 0, 1 and one ulp either
+// side, every clip-state and reflex combination, column ends past the +-4
+// clamp, the torus unwrap at dy = +-1/2, 10^5 random lanes, and batch
+// counts 1-9 so remainder lanes are covered.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <vector>
+
+#include "fvc/core/cpu_features.hpp"
+#include "fvc/core/grid_eval.hpp"
+#include "fvc/core/grid_eval_kernel.hpp"
+#include "support/forced_kernel.hpp"
+
+namespace fvc::core {
+namespace {
+
+using namespace detail;  // NOLINT: the kernel's field layout and limits
+using testsupport::ForcedKernel;
+using testsupport::supported_kernels;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+double unit(std::mt19937_64& rng) {
+  return std::ldexp(static_cast<double>(rng() >> 11), -53);
+}
+
+double up(double v, int ulps) {
+  for (; ulps > 0; --ulps) {
+    v = std::nextafter(v, kInf);
+  }
+  for (; ulps < 0; ++ulps) {
+    v = std::nextafter(v, -kInf);
+  }
+  return v;
+}
+
+/// One camera's sweep constants, built the way `GridEvalEngine::sweep_constants`
+/// builds them, from the two wedge parameters g (core: q + margin, outer:
+/// q - margin) and the orientation.
+struct Wedge {
+  double c, s;
+  bool reflex, all, none;
+};
+Wedge wedge_of(double g) {
+  const double ag = std::min(std::abs(g), 1.0);
+  const double axis = g < 0.0 ? -1.0 : 1.0;
+  return {axis * std::sqrt(ag), axis * std::sqrt(1.0 - ag), g < 0.0, g <= -1.0, g > 1.0};
+}
+void engine_record(double j0, double cu, double su, double g_core, double g_outer,
+                   double* k) {
+  const Wedge cw = wedge_of(g_core);
+  const Wedge ow = wedge_of(g_outer);
+  const double cmx = cu * cw.c + su * cw.s;
+  const double cmy = su * cw.c - cu * cw.s;
+  const double cpx = cu * cw.c - su * cw.s;
+  const double cpy = su * cw.c + cu * cw.s;
+  const double omx = cu * ow.c + su * ow.s;
+  const double omy = su * ow.c - cu * ow.s;
+  const double opx = cu * ow.c - su * ow.s;
+  const double opy = su * ow.c + cu * ow.s;
+  k[kConstJ0] = j0;
+  k[kConstCm] = k[kConstCp] = k[kConstOm] = k[kConstOp] = 0.0;
+  const double min_y = std::min(std::min(std::abs(cmy), std::abs(cpy)),
+                                std::min(std::abs(omy), std::abs(opy)));
+  if (min_y < 1e-9) {
+    k[kConstKind] = std::bit_cast<double>(std::uint64_t{kKindUnbounded | kKindNoCore});
+    return;
+  }
+  const double pc = cmy * cpy;
+  const double po = omy * opy;
+  const double inv = 1.0 / (pc * po);
+  k[kConstCm] = cmx * (inv * po * cpy);
+  k[kConstCp] = cpx * (inv * po * cmy);
+  k[kConstOm] = omx * (inv * pc * opy);
+  k[kConstOp] = opx * (inv * pc * omy);
+  auto edge = [](bool lower) { return lower ? unsigned{kEdgeLower} : unsigned{kEdgeUpper}; };
+  unsigned b = (edge(cmy < 0.0) << kShiftCm) | (edge(cpy > 0.0) << kShiftCp);
+  if (ow.all) {
+    b |= (kEdgeNone << kShiftOm) | (kEdgeNone << kShiftOp);
+  } else {
+    b |= (edge(omy < 0.0) << kShiftOm) | (edge(opy > 0.0) << kShiftOp);
+    b |= ow.reflex ? kKindOuterReflex : 0U;
+  }
+  b |= (cw.none ? kKindNoCore : 0U) | (cw.reflex ? kKindCoreReflex : 0U);
+  k[kConstKind] = std::bit_cast<double>(std::uint64_t{b});
+}
+
+/// A lane of the interval pass: its camera's constants, dy and r^2.
+struct Lane {
+  double record[kConstStride] = {};
+  double dy = 0.0;
+  double r2 = 0.0;
+};
+
+class IntervalChecker {
+ public:
+  explicit IntervalChecker(std::int32_t side, bool torus) : side_(side), torus_(torus) {}
+
+  /// Run `lanes` through every pinned variant's pass in batches of
+  /// `count`, against the scalar definition.
+  void check(const std::vector<Lane>& lanes, std::size_t count) {
+    const Kernels scalar = kernels_for(KernelVariant::kScalar);
+    for (const KernelVariant v : supported_kernels()) {
+      const ForcedKernel pin(v);
+      const Kernels kernel = kernels_for(resolve_kernel());
+      for (std::size_t at = 0; at < lanes.size(); at += count) {
+        const std::size_t n = std::min(count, lanes.size() - at);
+        SCOPED_TRACE(testing::Message() << "kernel=" << kernel_name(v) << " lanes " << at
+                                        << ".." << at + n << " side=" << side_
+                                        << " torus=" << torus_);
+        run(lanes, at, n, scalar, want_);
+        run(lanes, at, n, kernel, got_);
+        compare(n);
+        for (std::size_t b = 0; b < n; ++b) {
+          flags_seen_ |= 1U << want_.cols[kColFlags * kBatchStride + b];
+        }
+        if (testing::Test::HasFailure()) {
+          return;
+        }
+      }
+    }
+  }
+
+  /// Bit f is set when some lane's flags (certify and reflex bits) were f.
+  [[nodiscard]] unsigned flags_seen() const { return flags_seen_; }
+
+ private:
+  struct Out {
+    std::vector<std::uint32_t> slots;
+    std::vector<double> consts;
+    std::vector<double> fields;
+    std::vector<std::int32_t> cols;
+  };
+
+  void run(const std::vector<Lane>& lanes, std::size_t at, std::size_t n, const Kernels& k,
+           Out& out) const {
+    // Slot b + 3 holds lane b, so the gathers read scattered slots.
+    out.slots.assign(kBatchStride, 0);
+    out.consts.assign((n + 3) * kConstStride, std::bit_cast<double>(~std::uint64_t{0}));
+    out.fields.assign(kBatchFields * kBatchStride, std::bit_cast<double>(kSentinel));
+    out.cols.assign(kColFields * kBatchStride, 0x5A5A5A5A);
+    for (std::size_t b = 0; b < n; ++b) {
+      const Lane& l = lanes[at + b];
+      out.slots[b] = static_cast<std::uint32_t>(n - 1 - b + 3);
+      std::copy(l.record, l.record + kConstStride,
+                out.consts.begin() + static_cast<std::ptrdiff_t>(out.slots[b] * kConstStride));
+      out.fields[kBatchDy * kBatchStride + b] = l.dy;
+      out.fields[kBatchR2 * kBatchStride + b] = l.r2;
+    }
+    const SweepBatch batch{out.slots.data(), out.consts.data(), out.fields.data(),
+                           out.cols.data(), side_, torus_};
+    k.intervals(batch, n);
+  }
+
+  void compare(std::size_t n) const {
+    for (std::size_t b = 0; b < kBatchStride; ++b) {
+      const bool lane = b < n;
+      const bool reflex =
+          lane && (want_.cols[kColFlags * kBatchStride + b] & static_cast<int>(kBatchReflex)) != 0;
+      for (std::size_t f = 0; f < kBatchFields; ++f) {
+        // The reflex x-sets are defined on reflex lanes only.
+        if (lane && f >= kBatchLo0 && !reflex) {
+          continue;
+        }
+        const std::size_t i = f * kBatchStride + b;
+        ASSERT_EQ(bits(got_.fields[i]), bits(want_.fields[i]))
+            << "field " << f << " lane " << b << " of " << n << ": got " << got_.fields[i]
+            << " want " << want_.fields[i];
+      }
+      for (std::size_t f = 0; f < kColFields; ++f) {
+        const std::size_t i = f * kBatchStride + b;
+        ASSERT_EQ(got_.cols[i], want_.cols[i]) << "column field " << f << " lane " << b
+                                               << " of " << n;
+      }
+    }
+  }
+
+  static constexpr std::uint64_t kSentinel = 0x7FF4DEADBEEF0000ULL;
+  std::int32_t side_;
+  bool torus_;
+  Out want_;
+  Out got_;
+  unsigned flags_seen_ = 0;
+};
+
+/// The seams of the pass: dy at +-0, at kMinSweepDy and next to it, and
+/// random; r^2 giving an outer half-chord at kMaxHalfChord and next to it,
+/// and random; kinds from every clip-state and flag combination and from
+/// the engine's construction at g = -1, 0, 1 and one ulp either side;
+/// slopes large enough to push column ends past the +-4 clamp.
+std::vector<Lane> seam_lanes(std::mt19937_64& rng) {
+  std::vector<double> dys = {0.0, -0.0};
+  for (int u = -1; u <= 1; ++u) {
+    dys.push_back(up(kMinSweepDy, u));
+    dys.push_back(-up(kMinSweepDy, u));
+  }
+  for (int i = 0; i < 4; ++i) {
+    dys.push_back(0.3 * (unit(rng) - 0.5));
+  }
+  // r^2 with sqrt(r2 * (1 + margin) - dy^2) + slack at kMaxHalfChord,
+  // at dy = 0, nudged by ulps either side.
+  const double h = kMaxHalfChord - kSweepSlackX;
+  const double r2_wide = h * h / (1.0 + kChordMargin);
+  std::vector<double> r2s = {0.01, 0.2};
+  for (int u = -2; u <= 2; ++u) {
+    r2s.push_back(up(r2_wide, u));
+  }
+  std::vector<double> records;  // kConstStride each
+  auto push_record = [&](unsigned kind, double scale) {
+    records.push_back(unit(rng) * 60.0 - 5.0);
+    for (int e = 0; e < 4; ++e) {
+      records.push_back(scale * (unit(rng) - 0.5));
+    }
+    records.push_back(std::bit_cast<double>(std::uint64_t{kind}));
+    records.push_back(0.0);
+    records.push_back(0.0);
+  };
+  for (unsigned states = 0; states < 81; ++states) {
+    unsigned kind = 0;
+    unsigned s = states;
+    for (const unsigned shift : {unsigned{kShiftCm}, unsigned{kShiftCp}, unsigned{kShiftOm},
+                                 unsigned{kShiftOp}}) {
+      kind |= (s % 3) << shift;
+      s /= 3;
+    }
+    for (const unsigned flags : {0U, unsigned{kKindNoCore}, unsigned{kKindCoreReflex},
+                                 unsigned{kKindOuterReflex}, kKindCoreReflex | kKindOuterReflex,
+                                 kKindNoCore | kKindCoreReflex | kKindOuterReflex}) {
+      push_record(kind | flags, states % 2 == 0 ? 4.0 : 4000.0);
+    }
+  }
+  const double margin = 2e-9;  // the engine's wedge margin
+  for (const double g : {-1.0, 0.0, 1.0}) {
+    for (int u = -1; u <= 1; ++u) {
+      const double gu = up(g, u);
+      for (const double other : {gu - 2 * margin, gu + 2 * margin, gu}) {
+        const double a = unit(rng) * 6.283185307179586;
+        records.resize(records.size() + kConstStride);
+        engine_record(unit(rng) * 40.0, std::cos(a), std::sin(a), gu, other,
+                      records.data() + records.size() - kConstStride);
+      }
+    }
+  }
+  std::vector<Lane> lanes;
+  const std::size_t n_records = records.size() / kConstStride;
+  for (std::size_t r = 0; r < n_records; ++r) {
+    for (int pick = 0; pick < 3; ++pick) {
+      Lane l;
+      std::copy(records.begin() + static_cast<std::ptrdiff_t>(r * kConstStride),
+                records.begin() + static_cast<std::ptrdiff_t>((r + 1) * kConstStride), l.record);
+      l.dy = dys[rng() % dys.size()];
+      l.r2 = r2s[rng() % r2s.size()];
+      l.r2 = std::max(l.r2, l.dy * l.dy);  // past the band prune
+      lanes.push_back(l);
+    }
+  }
+  return lanes;
+}
+
+/// Random lanes from the engine's construction: orientation, fov and
+/// radius uniform, dy within the radius.
+std::vector<Lane> random_lanes(std::mt19937_64& rng, std::size_t count) {
+  std::vector<Lane> lanes(count);
+  for (Lane& l : lanes) {
+    const double a = unit(rng) * 6.283185307179586;
+    const double half_fov = unit(rng) * 3.141592653589793;
+    const double c = std::cos(half_fov);
+    const double q = c * std::abs(c);
+    engine_record(unit(rng) * 80.0 - 0.5, std::cos(a), std::sin(a), q + 2e-9, q - 2e-9,
+                  l.record);
+    if (rng() % 8 == 0) {  // omnidirectional
+      std::fill(l.record + kConstCm, l.record + kConstKind, 0.0);
+      l.record[kConstKind] = std::bit_cast<double>(std::uint64_t{kKindUnbounded});
+    }
+    const double r = 0.6 * unit(rng);
+    l.r2 = r * r;
+    l.dy = r * (2.0 * unit(rng) - 1.0);
+  }
+  return lanes;
+}
+
+TEST(SweepKernel, IntervalPassMatchesScalarOnSeams) {
+  std::mt19937_64 rng(2401);
+  const std::vector<Lane> lanes = seam_lanes(rng);
+  // Not vacuous: the lanes straddle both degeneracy limits, and every
+  // combination of the certify and reflex flags comes out.
+  bool wide[2] = {false, false};
+  bool small_dy[2] = {false, false};
+  for (const Lane& l : lanes) {
+    const double ho = std::sqrt(l.r2 * (1.0 + kChordMargin) - l.dy * l.dy) + kSweepSlackX;
+    wide[ho >= kMaxHalfChord ? 1 : 0] = true;
+    small_dy[std::abs(l.dy) >= kMinSweepDy ? 1 : 0] = true;
+  }
+  EXPECT_TRUE(wide[0] && wide[1]);
+  EXPECT_TRUE(small_dy[0] && small_dy[1]);
+  for (const bool torus : {true, false}) {
+    for (const std::int32_t side : {1, 7, 83}) {
+      IntervalChecker checker(side, torus);
+      checker.check(lanes, kSweepBatch);
+      ASSERT_FALSE(testing::Test::HasFailure());
+      EXPECT_EQ(checker.flags_seen(), 0xFU);
+    }
+  }
+}
+
+TEST(SweepKernel, IntervalPassMatchesScalarOnEveryRemainder) {
+  std::mt19937_64 rng(2402);
+  const std::vector<Lane> lanes = seam_lanes(rng);
+  IntervalChecker checker(48, true);
+  for (std::size_t count = 1; count <= 9; ++count) {
+    checker.check(lanes, count);
+    ASSERT_FALSE(testing::Test::HasFailure()) << "batch count " << count;
+  }
+}
+
+TEST(SweepKernel, IntervalPassMatchesScalarOnRandomLanes) {
+  std::mt19937_64 rng(2403);
+  const std::vector<Lane> lanes = random_lanes(rng, 100000);
+  IntervalChecker torus(83, true);
+  torus.check(lanes, kSweepBatch);
+  IntervalChecker plane(83, false);
+  plane.check(lanes, kSweepBatch - 3);
+}
+
+/// Band scans of pool slots [begin, end) at row y under every pinned
+/// variant, against the scalar definition: the stop, the count, and the
+/// appended slots, dy and r^2, bitwise.
+void check_band(const std::vector<double>& sy, const std::vector<double>& r2, double y,
+                bool torus, std::uint32_t max_cap) {
+  const Kernels scalar = kernels_for(KernelVariant::kScalar);
+  const auto len = static_cast<std::uint32_t>(sy.size());
+  for (const KernelVariant v : supported_kernels()) {
+    const ForcedKernel pin(v);
+    const Kernels kernel = kernels_for(resolve_kernel());
+    for (std::uint32_t begin = 0; begin < len; ++begin) {
+      for (std::uint32_t end = begin; end <= len; ++end) {
+        for (std::uint32_t cap = 1; cap <= max_cap; ++cap) {
+          std::vector<std::uint32_t> s_want(len + 4), s_got(len + 4);
+          std::vector<double> d_want(len + 4), d_got(len + 4), q_want(len + 4), q_got(len + 4);
+          const BandScan want = scalar.band(sy.data(), r2.data(), begin, end, y, torus, cap,
+                                            s_want.data(), d_want.data(), q_want.data());
+          const BandScan got = kernel.band(sy.data(), r2.data(), begin, end, y, torus, cap,
+                                           s_got.data(), d_got.data(), q_got.data());
+          SCOPED_TRACE(testing::Message() << "kernel=" << kernel_name(v) << " y=" << y
+                                          << " torus=" << torus << " [" << begin << ", " << end
+                                          << ") cap=" << cap);
+          ASSERT_EQ(got.next, want.next);
+          ASSERT_EQ(got.added, want.added);
+          for (std::uint32_t k = 0; k < want.added; ++k) {
+            ASSERT_EQ(s_got[k], s_want[k]) << k;
+            ASSERT_EQ(bits(d_got[k]), bits(d_want[k])) << k;
+            ASSERT_EQ(bits(q_got[k]), bits(q_want[k])) << k;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SweepKernel, BandCompactionMatchesScalarAtTheTorusSeam) {
+  // dy = y - sy at exactly +-1/2 (the unwrap's tie, where round_nearest and
+  // round_half_away differ), at +-0, and on the prune's boundary
+  // dy * dy == r^2.
+  for (const double y : {0.5, 0.25, 0.75, 0.0}) {
+    std::vector<double> sy = {y - 0.5, y + 0.5, y,           y,
+                              y - 0.5, y + 0.5, y - 0.25,    y + 0.25,
+                              0.0,     0.5,     0.999999999, up(y, 1)};
+    for (double& v : sy) {
+      v = v < 0.0 ? v + 1.0 : (v >= 1.0 ? v - 1.0 : v);
+    }
+    std::vector<double> r2 = {0.25, 0.25, 0.0, 1e-3, 0.2, 0.3, 0.0625, 0.0625, 0.1, 0.1, 1e-20, 0.0};
+    check_band(sy, r2, y, true, 5);
+    check_band(sy, r2, y, false, 5);
+  }
+}
+
+TEST(SweepKernel, BandCompactionMatchesScalarOnRandomStrips) {
+  std::mt19937_64 rng(2404);
+  for (int round = 0; round < 40; ++round) {
+    const std::size_t len = 1 + rng() % 19;
+    std::vector<double> sy(len);
+    std::vector<double> r2(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      sy[i] = unit(rng);
+      const double r = 0.4 * unit(rng);
+      r2[i] = r * r;
+    }
+    const double y = (static_cast<double>(rng() % 64) + 0.5) / 64.0;
+    check_band(sy, r2, y, round % 2 == 0, 6);
+    ASSERT_FALSE(testing::Test::HasFailure());
+  }
+}
+
+}  // namespace
+}  // namespace fvc::core
