@@ -37,7 +37,6 @@ Session::Session(SessionConfig cfg)
       grid_(cfg.grid_side),
       tile_rows_(cfg.tile_rows),
       threads_(cfg.threads == 0 ? sim::default_thread_count() : cfg.threads),
-      grain_(cfg.grain == 0 ? 1 : cfg.grain),
       metrics_(cfg.metrics),
       progress_(std::move(cfg.progress)),
       cache_(cfg.cache_tiles) {
@@ -189,7 +188,7 @@ RegionAnswer Session::query_region(double y_lo, double y_hi) {
     std::mutex progress_mutex;
     std::size_t done = ans.tiles_cached;
     sim::parallel_for_blocked(
-        missing.size(), workers, grain_,
+        missing.size(), workers, 1,
         [&](std::size_t begin, std::size_t end, std::size_t worker) {
           for (std::size_t m = begin; m < end; ++m) {
             Tile& t = tiles[missing[m]];

@@ -73,7 +73,6 @@ struct SessionConfig {
   std::size_t tile_rows = 8;          ///< rows per cache tile (>= 1)
   std::size_t cache_tiles = 1024;     ///< LRU capacity, in tiles
   std::size_t threads = 0;            ///< workers per region query; 0 = auto
-  std::size_t grain = 1;              ///< tiles per scheduler claim
   /// Metrics destination (null = no collection).  Not owned.
   obs::MetricsNode* metrics = nullptr;
   /// Progress feed (tiles done / tiles total per region query) — the
@@ -175,7 +174,6 @@ class Session {
   core::DenseGrid grid_;
   std::size_t tile_rows_;
   std::size_t threads_;
-  std::size_t grain_;
   obs::MetricsNode* metrics_;
   obs::ProgressFn progress_;
 

@@ -28,7 +28,7 @@ Args Args::parse(int argc, const char* const* argv) {
       // boolean switch: `top --once --json`.
       if (i + 1 >= argc ||
           std::string_view(argv[i + 1]).rfind("--", 0) == 0) {
-        value = "1";
+        value.assign(1, '1');
       } else {
         value = argv[++i];
       }

@@ -195,11 +195,6 @@ const std::vector<FlagSpec>& global_flags() {
   static const std::vector<FlagSpec> flags = {
       {"metrics", "FILE", "",
        "write a fvc.metrics/1 JSON report of the run to FILE"},
-      {"grain", "G", "",
-       "indices per parallel-scheduler claim: rows per block for grid "
-       "scans (0 or unset = auto: rows/(4*threads)), trials per claim for "
-       "Monte-Carlo runs (auto = 1); results are bit-identical, only "
-       "speed changes"},
       {"trace", "FILE", "",
        "write a fvc.trace/1 Chrome-trace JSON timeline of the run to FILE "
        "(open in Perfetto or chrome://tracing)"},

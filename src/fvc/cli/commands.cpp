@@ -157,7 +157,6 @@ int cmd_simulate(CommandContext& ctx) {
   options.cancel = &ctx.cancel();
   options.progress = ctx.progress_fn();
   options.metrics = ctx.metrics_child("estimate");
-  options.grain = args.get_size("grain", 0);
   const CheckpointOptions ckpt = checkpoint_options_from(args);
   if (!ckpt.unit_driven()) {
     const auto est = sim::estimate_grid_events(cfg, trials, seed,
@@ -327,7 +326,6 @@ int cmd_threshold(CommandContext& ctx) {
     point_cfg.profile = base.profile.with_weighted_area(q * csa_n);
     sim::RunOptions opt;
     opt.cancel = &ctx.cancel();
-    opt.grain = args.get_size("grain", 0);
     const auto est =
         sim::estimate_grid_events(point_cfg, trials, step_seed, threads, opt);
     if (est.full_view.trials == 0) {
@@ -453,8 +451,7 @@ int cmd_map(CommandContext& ctx) {
     obs::Span span(*node);
     const core::DenseGrid grid(side);
     const core::RegionCoverageStats stats = sim::evaluate_region_parallel(
-        net, grid, theta, sim::default_thread_count(), args.get_size("grain", 0),
-        node);
+        net, grid, theta, sim::default_thread_count(), 1, node);
     node->set("grid_points", static_cast<double>(stats.total_points));
     node->set("covered_1_points", static_cast<double>(stats.covered_1));
     node->set("full_view_points", static_cast<double>(stats.full_view_ok));
@@ -605,7 +602,6 @@ int cmd_serve(CommandContext& ctx) {
   scfg.grid_side = args.get_size("grid-side", 64);
   scfg.tile_rows = args.get_size("tile-rows", 8);
   scfg.cache_tiles = args.get_size("cache-tiles", 1024);
-  scfg.grain = args.get_size("grain", 1);
   scfg.metrics = ctx.metrics_child("session");
   scfg.progress = ctx.progress_fn();
   api::Session session(std::move(scfg));

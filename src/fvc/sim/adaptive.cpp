@@ -1,10 +1,10 @@
 #include "fvc/sim/adaptive.hpp"
 
+#include <numeric>
 #include <stdexcept>
 #include <vector>
 
 #include "fvc/sim/thread_pool.hpp"
-#include "fvc/stats/rng.hpp"
 
 namespace fvc::sim {
 
@@ -24,27 +24,22 @@ AdaptiveEstimate estimate_events_adaptive(const TrialConfig& trial_cfg,
                                           const AdaptiveConfig& cfg,
                                           std::uint64_t master_seed) {
   cfg.validate();
-  validate(trial_cfg);
   const std::size_t threads = cfg.threads == 0 ? default_thread_count() : cfg.threads;
 
   AdaptiveEstimate result;
   std::size_t next_trial = 0;
   while (next_trial < cfg.max_trials) {
-    const std::size_t count = std::min(cfg.batch, cfg.max_trials - next_trial);
-    std::vector<TrialEvents> batch(count);
-    parallel_for_blocked(count, threads, 1,
-                         [&](std::size_t begin, std::size_t end, std::size_t) {
-                           for (std::size_t i = begin; i < end; ++i) {
-                             batch[i] = run_trial_events(
-                                 trial_cfg, stats::mix64(master_seed, next_trial + i));
-                           }
-                         });
-    next_trial += count;
-    for (const TrialEvents& ev : batch) {
-      result.events.necessary.successes += ev.all_necessary ? 1 : 0;
-      result.events.full_view.successes += ev.all_full_view ? 1 : 0;
-      result.events.sufficient.successes += ev.all_sufficient ? 1 : 0;
-    }
+    // Trials [next_trial, next_trial + count) of one max_trials-long run.
+    std::vector<std::uint64_t> batch(std::min(cfg.batch, cfg.max_trials - next_trial));
+    std::iota(batch.begin(), batch.end(), next_trial);
+    RunOptions options;
+    options.trial_indices = batch;
+    const GridEventsEstimate est =
+        estimate_grid_events(trial_cfg, cfg.max_trials, master_seed, threads, options);
+    next_trial += batch.size();
+    result.events.necessary.successes += est.necessary.successes;
+    result.events.full_view.successes += est.full_view.successes;
+    result.events.sufficient.successes += est.sufficient.successes;
     result.events.necessary.trials = next_trial;
     result.events.full_view.trials = next_trial;
     result.events.sufficient.trials = next_trial;

@@ -1,5 +1,6 @@
 #include "fvc/sim/monte_carlo.hpp"
 
+#include <algorithm>
 #include <mutex>
 #include <stdexcept>
 #include <vector>
@@ -7,6 +8,7 @@
 #include "fvc/core/grid_eval.hpp"
 #include "fvc/obs/run_metrics.hpp"
 #include "fvc/obs/trace.hpp"
+#include "fvc/sim/shard.hpp"
 #include "fvc/sim/thread_pool.hpp"
 #include "fvc/stats/rng.hpp"
 
@@ -22,178 +24,176 @@ stats::Interval EventEstimate::wilson(double z) const {
 
 namespace {
 
-/// Bare estimator: no cancellation/progress/metrics/shard machinery at all
-/// — the fast path the default (empty) RunOptions resolve to.
-GridEventsEstimate estimate_grid_events_bare(const TrialConfig& cfg,
-                                             std::size_t trials,
-                                             std::uint64_t master_seed,
-                                             std::size_t threads) {
-  if (trials == 0) {
-    throw std::invalid_argument("estimate_grid_events: trials must be >= 1");
+/// Metered record of one (point, trial) unit.
+struct UnitMeter {
+  TrialMetrics metrics;
+  std::uint64_t start_ns = 0;
+  std::uint64_t ns = 0;
+  std::size_t worker = 0;
+};
+
+/// Fill the subtree of the point whose units are [first, last) of `meters`
+/// (the units that ran): `trials` (wall-time stats, early exits), `engine`
+/// (merged counters) and `pool`, which charges the busy time of EVERY unit
+/// inside the point's interval [from, to).
+void describe_point(obs::MetricsNode& node, std::size_t work, std::size_t first,
+                    std::size_t last, std::span<const UnitMeter> meters,
+                    std::uint64_t from, std::uint64_t to, const PoolMetrics& section) {
+  node.add_elapsed_ns(to - from);
+  PoolMetrics pool = section;
+  pool.wall_ns = to - from;
+  pool.workers.assign(section.workers.size(), {});
+  for (const UnitMeter& m : meters) {
+    const std::uint64_t begin = std::max(m.start_ns, from);
+    const std::uint64_t end = std::min(m.start_ns + m.ns, to);
+    pool.workers[m.worker].busy_ns += end > begin ? end - begin : 0;
   }
-  validate(cfg);
-  std::vector<TrialEvents> results(trials);
-  // Grain 1 (one trial per claim): trial costs vary wildly between early
-  // exits and full scans, so fine-grained claiming is what balances them.
-  parallel_for_blocked(trials, threads, 1,
-                       [&](std::size_t begin, std::size_t end, std::size_t) {
-                         for (std::size_t t = begin; t < end; ++t) {
-                           const obs::TraceScope scope(
-                               "trial", obs::TraceCategory::kTrial, "index", t);
-                           results[t] =
-                               run_trial_events(cfg, stats::mix64(master_seed, t));
-                         }
-                       });
-  GridEventsEstimate est;
-  est.necessary.trials = est.full_view.trials = est.sufficient.trials = trials;
-  for (const TrialEvents& ev : results) {
-    est.necessary.successes += ev.all_necessary ? 1 : 0;
-    est.full_view.successes += ev.all_full_view ? 1 : 0;
-    est.sufficient.successes += ev.all_sufficient ? 1 : 0;
+  obs::MetricsNode& trials_node = node.child("trials");
+  obs::LogHistogram& trial_us = trials_node.histogram("trial_us");
+  std::size_t early_exits = 0;
+  obs::DurationStats trial_time;
+  TrialMetrics merged;
+  for (const UnitMeter& m : meters.subspan(first, last - first)) {
+    ++pool.workers[m.worker].tasks;
+    ++pool.workers[m.worker].blocks;
+    early_exits += m.metrics.early_exit ? 1 : 0;
+    trial_time.add(m.ns);
+    trial_us.add(m.ns / 1000);
+    merged.merge(m.metrics);
   }
-  return est;
+  trials_node.set("trials_requested", static_cast<double>(work));
+  trials_node.set("trials_run", static_cast<double>(last - first));
+  trials_node.set("trials_cancelled", static_cast<double>(work - (last - first)));
+  trials_node.set("early_exit_necessary", static_cast<double>(early_exits));
+  trials_node.set("rows_scanned", static_cast<double>(merged.rows_scanned));
+  trials_node.set("trial_ns_min", static_cast<double>(trial_time.min()));
+  trials_node.set("trial_ns_mean", trial_time.mean());
+  trials_node.set("trial_ns_max", static_cast<double>(trial_time.max()));
+  trials_node.add_elapsed_ns(trial_time.sum());
+  obs::MetricsNode& engine_node = node.child("engine");
+  merged.engine.describe(engine_node);
+  engine_node.set("build_ns", static_cast<double>(merged.engine_build_ns));
+  // Attributed time (candidate binning summed across trials): without
+  // this the engine node exports "elapsed_ns": 0 even though every trial
+  // paid a construction cost.
+  engine_node.add_elapsed_ns(merged.engine_build_ns);
+  // The variant captured from the trial engines themselves (every trial
+  // dispatches the same one: dispatch depends on the CPU alone).  Absent
+  // only when cancellation preceded every trial — then no engine existed
+  // and the node names no variant.
+  if (merged.kernel.has_value()) {
+    core::describe_kernel(*merged.kernel, engine_node);
+  }
+  describe(pool, node.child("pool"));
 }
 
 }  // namespace
 
-GridEventsEstimate estimate_grid_events(const TrialConfig& cfg, std::size_t trials,
-                                        std::uint64_t master_seed, std::size_t threads,
-                                        const RunOptions& options) {
-  if (options.cancel == nullptr && !options.progress && options.metrics == nullptr &&
-      options.trial_indices.empty() && !options.on_trial && options.grain <= 1) {
-    return estimate_grid_events_bare(cfg, trials, master_seed, threads);
-  }
+std::vector<GridEventsEstimate> run_trial_points(std::span<const TrialPoint> points,
+                                                 std::size_t trials, std::size_t threads,
+                                                 const RunOptions& options,
+                                                 const PointDoneFn& on_point) {
   if (trials == 0) {
     throw std::invalid_argument("estimate_grid_events: trials must be >= 1");
   }
-  validate(cfg);
   const std::span<const std::uint64_t> subset = options.trial_indices;
-  for (std::size_t i = 0; i < subset.size(); ++i) {
-    if (subset[i] >= trials || (i > 0 && subset[i] <= subset[i - 1])) {
-      throw std::invalid_argument(
-          "estimate_grid_events: trial_indices must be strictly increasing and < trials");
-    }
+  validate_units(subset, trials, "estimate_grid_events: trial_indices");
+  bool metered = false;
+  for (const TrialPoint& point : points) {
+    validate(point.cfg);
+    metered = metered || point.metrics != nullptr;
   }
-  // The work list this call actually runs: all of [0, trials), or the
-  // caller's shard/remainder subset.  Work slot w runs trial index
-  // subset[w], whose seed depends only on (master_seed, index) — never on
-  // the slot — so partitions recombine bit-exactly.
+  // The work list: unit u is trial slot u % work of point u / work, so
+  // each point's trials are claimed before the next point's.  Slot w runs
+  // trial index subset[w] (or w), seeded from the point's master seed and
+  // that index alone, so partitions recombine bit-exactly.  Units are
+  // claimed in ascending order and a claimed unit always runs, so the
+  // units that ran are exactly [0, done) once the section returns.
   const std::size_t work = subset.empty() ? trials : subset.size();
-  const bool metered = options.metrics != nullptr;
-  const std::uint64_t run_start_ns = metered ? obs::monotonic_ns() : 0;
-  struct Slot {
-    TrialEvents events;
-    TrialMetrics metrics;
-    std::uint64_t ns = 0;
-    bool ran = false;
+  const std::size_t units = points.size() * work;
+  std::vector<TrialEvents> events(units);
+  std::vector<UnitMeter> meters(metered ? units : 0);
+  const auto point_events = [&](std::size_t point, std::size_t ran) {
+    const std::size_t first = std::min(point * work, ran);
+    return std::span<const TrialEvents>(events).subspan(
+        first, std::min(first + work, ran) - first);
   };
-  std::vector<Slot> slots(work);
-  std::mutex progress_mutex;
+  // Completion bookkeeping under `mutex`: the done count, each point's
+  // countdown of unfinished trials, and the next point to report, so
+  // `on_point` sees each point once it and every earlier point finished.
+  std::mutex mutex;
   std::size_t done = 0;
-  PoolMetrics pool;
-  const auto run_slot = [&](std::size_t w) {
-    if (options.cancel != nullptr && options.cancel->stop_requested()) {
-      return;  // the slot stays !ran; its seed is simply unused
-    }
-    Slot& slot = slots[w];
-    const std::uint64_t t = subset.empty() ? w : subset[w];
-    const std::uint64_t seed = stats::mix64(master_seed, t);
+  std::vector<std::size_t> remaining(points.size(), work);
+  std::size_t next_point = 0;
+  std::vector<std::uint64_t> reported_ns(points.size(), 0);
+  PoolMetrics section;
+  const std::uint64_t start_ns = metered ? obs::monotonic_ns() : 0;
+  const auto run_unit = [&](std::size_t u, std::size_t worker) {
+    const TrialPoint& point = points[u / work];
+    const std::uint64_t t = subset.empty() ? u % work : subset[u % work];
+    const std::uint64_t seed = stats::mix64(point.master_seed, t);
     {
-      const obs::TraceScope scope("trial", obs::TraceCategory::kTrial,
-                                  "index", t);
+      const obs::TraceScope scope("trial", obs::TraceCategory::kTrial, "index", t);
       if (metered) {
-        const std::uint64_t t0 = obs::monotonic_ns();
-        slot.events = run_trial_events(cfg, seed, &slot.metrics);
-        slot.ns = obs::monotonic_ns() - t0;
+        UnitMeter& m = meters[u];
+        m.worker = worker;
+        m.start_ns = obs::monotonic_ns();
+        events[u] = run_trial_events(point.cfg, seed, &m.metrics);
+        m.ns = obs::monotonic_ns() - m.start_ns;
       } else {
-        slot.events = run_trial_events(cfg, seed);
+        events[u] = run_trial_events(point.cfg, seed);
       }
     }
-    slot.ran = true;
-    if (options.progress || options.on_trial) {
-      const std::lock_guard<std::mutex> lock(progress_mutex);
-      if (options.on_trial) {
-        options.on_trial(t, slot.events);
-      }
-      ++done;
-      if (options.progress) {
-        options.progress(done, work);
-        obs::trace_counter("trials_done", obs::TraceCategory::kTrial, done);
+    const std::lock_guard<std::mutex> lock(mutex);
+    if (options.on_trial) {
+      options.on_trial(t, events[u]);
+    }
+    ++done;
+    if (options.progress) {
+      options.progress(done, units);
+      obs::trace_counter("trials_done", obs::TraceCategory::kTrial, done);
+    }
+    --remaining[u / work];
+    for (; next_point < points.size() && remaining[next_point] == 0; ++next_point) {
+      reported_ns[next_point] = metered ? obs::monotonic_ns() : 0;
+      if (on_point) {
+        on_point(next_point, aggregate_grid_events(point_events(next_point, units)));
       }
     }
   };
-  // Default grain 1 — see RunOptions::grain.  A cancelled run still
-  // finishes only the blocks already claimed, so the cancellation latency
-  // grows with the grain; that trade is the caller's via --grain.
   parallel_for_blocked(
-      work, threads, options.grain == 0 ? 1 : options.grain,
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t w = begin; w < end; ++w) {
-          run_slot(w);
+      units, threads, 1,
+      [&](std::size_t begin, std::size_t end, std::size_t worker) {
+        for (std::size_t u = begin; u < end; ++u) {
+          run_unit(u, worker);
         }
       },
-      metered ? &pool : nullptr);
+      metered ? &section : nullptr, options.cancel);
 
-  GridEventsEstimate est;
-  std::size_t ran = 0;
-  std::size_t early_exits = 0;
-  obs::DurationStats trial_time;
-  TrialMetrics merged;
-  for (const Slot& slot : slots) {
-    if (!slot.ran) {
-      continue;
+  std::vector<GridEventsEstimate> estimates;
+  const std::uint64_t end_ns = metered ? obs::monotonic_ns() : 0;
+  std::uint64_t from = start_ns;
+  for (std::size_t point = 0; point < points.size(); ++point) {
+    estimates.push_back(aggregate_grid_events(point_events(point, done)));
+    // A point's interval ends at its report, or at the section's end for
+    // the points cancellation left unfinished.
+    const std::uint64_t to = point < next_point ? reported_ns[point] : end_ns;
+    if (points[point].metrics != nullptr) {
+      const std::size_t first = std::min(point * work, done);
+      describe_point(*points[point].metrics, work, first,
+                     std::min(first + work, done), std::span(meters).first(done),
+                     from, to, section);
     }
-    ++ran;
-    est.necessary.successes += slot.events.all_necessary ? 1 : 0;
-    est.full_view.successes += slot.events.all_full_view ? 1 : 0;
-    est.sufficient.successes += slot.events.all_sufficient ? 1 : 0;
-    if (metered) {
-      early_exits += slot.metrics.early_exit ? 1 : 0;
-      trial_time.add(slot.ns);
-      merged.merge(slot.metrics);
-    }
+    from = to;
   }
-  est.necessary.trials = est.full_view.trials = est.sufficient.trials = ran;
+  return estimates;
+}
 
-  if (metered) {
-    obs::MetricsNode& node = *options.metrics;
-    // Wall time of the whole estimate on `node` itself; the child nodes
-    // below carry *attributed* time (summed across workers), which may
-    // exceed this wall time under parallelism.
-    node.add_elapsed_ns(obs::monotonic_ns() - run_start_ns);
-    obs::MetricsNode& trials_node = node.child("trials");
-    trials_node.set("trials_requested", static_cast<double>(work));
-    trials_node.set("trials_run", static_cast<double>(ran));
-    trials_node.set("trials_cancelled", static_cast<double>(work - ran));
-    trials_node.set("early_exit_necessary", static_cast<double>(early_exits));
-    trials_node.set("rows_scanned", static_cast<double>(merged.rows_scanned));
-    trials_node.set("trial_ns_min", static_cast<double>(trial_time.min()));
-    trials_node.set("trial_ns_mean", trial_time.mean());
-    trials_node.set("trial_ns_max", static_cast<double>(trial_time.max()));
-    trials_node.add_elapsed_ns(trial_time.sum());
-    obs::LogHistogram& trial_us = trials_node.histogram("trial_us");
-    for (const Slot& slot : slots) {
-      if (slot.ran) {
-        trial_us.add(slot.ns / 1000);
-      }
-    }
-    obs::MetricsNode& engine_node = node.child("engine");
-    merged.engine.describe(engine_node);
-    engine_node.set("build_ns", static_cast<double>(merged.engine_build_ns));
-    // Attributed time (candidate binning summed across trials): without
-    // this the engine node exports "elapsed_ns": 0 even though every trial
-    // paid a construction cost.
-    engine_node.add_elapsed_ns(merged.engine_build_ns);
-    // The variant captured from the trial engines themselves (every trial
-    // dispatches the same one: dispatch depends on the CPU alone).  Absent
-    // only when cancellation preceded every trial — then no engine existed
-    // and the node names no variant.
-    if (merged.kernel.has_value()) {
-      core::describe_kernel(*merged.kernel, engine_node);
-    }
-    describe(pool, node.child("pool"));
-  }
-  return est;
+GridEventsEstimate estimate_grid_events(const TrialConfig& cfg, std::size_t trials,
+                                        std::uint64_t master_seed, std::size_t threads,
+                                        const RunOptions& options) {
+  const TrialPoint point{cfg, master_seed, options.metrics};
+  return run_trial_points({&point, 1}, trials, threads, options).front();
 }
 
 std::vector<double> encode_trial_events(const TrialEvents& events) {

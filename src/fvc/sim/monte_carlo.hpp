@@ -38,11 +38,14 @@ struct GridEventsEstimate {
   EventEstimate sufficient;  ///< P(H_S): grid meets the sufficient condition
 };
 
-/// Cross-cutting options of a Monte-Carlo run (all optional; the defaults
-/// reproduce the bare estimate exactly).
+/// Cross-cutting options of a Monte-Carlo run (all optional; none changes
+/// the estimate of an uncancelled run).  Trials are claimed one at a time
+/// from the process-wide pool (thread_pool.hpp): their costs vary wildly
+/// (early exits), and one atomic claim is noise next to a trial.
 struct RunOptions {
-  /// Cooperative cancellation: polled between trials.  A cancelled run
-  /// returns a PARTIAL estimate over exactly the trials that completed
+  /// Cooperative cancellation: polled before every trial is claimed; a
+  /// claimed trial always runs.  A cancelled run returns a PARTIAL
+  /// estimate over exactly the trials that completed
   /// (`EventEstimate::trials` reflects that count; it is 0 when
   /// cancellation preceded every trial, in which case `p()` is undefined).
   obs::CancellationToken* cancel = nullptr;
@@ -64,22 +67,46 @@ struct RunOptions {
   /// Called after every completed trial with its index and events,
   /// serialized under an internal mutex (the checkpoint hook).
   std::function<void(std::uint64_t index, const TrialEvents& events)> on_trial;
-  /// Trials per scheduler claim (the CLI's --grain).  0 keeps the default
-  /// of 1: trial costs vary wildly (early exits), so fine-grained claiming
-  /// is what balances them, and one atomic claim is noise next to a trial.
-  /// Raise it only when trials are so short the claim cost shows up.
-  std::size_t grain = 0;
 };
 
 /// Run `trials` independent trials of `cfg` on `threads` workers and count
-/// the whole-grid events.  The default (empty) options run the bare
-/// estimator; the estimate is bit-identical for any thread count and any
-/// metrics/progress settings whenever the run is not cancelled.
+/// the whole-grid events: the one-point case of `run_trial_points`.  The
+/// estimate is bit-identical for any thread count and any metrics/progress
+/// settings whenever the run is not cancelled.
 [[nodiscard]] GridEventsEstimate estimate_grid_events(const TrialConfig& cfg,
                                                       std::size_t trials,
                                                       std::uint64_t master_seed,
                                                       std::size_t threads,
                                                       const RunOptions& options = {});
+
+/// One point of a multi-point run: trial t is seeded mix64(master_seed, t),
+/// and `metrics` (when non-null) receives the point's subtree.
+struct TrialPoint {
+  TrialConfig cfg;
+  std::uint64_t master_seed = 0;
+  obs::MetricsNode* metrics = nullptr;
+};
+
+/// Called with a point's position and estimate once its every trial ran.
+using PointDoneFn =
+    std::function<void(std::size_t point, const GridEventsEstimate& estimate)>;
+
+/// The one loop over event trials: `estimate_grid_events` is its
+/// one-point case and `run_phase_scan` its many-point one.  Every
+/// (point, trial) unit runs in ONE scheduler section, point-major, so no
+/// point waits at a barrier for its slowest trial.  `options` apply as in `estimate_grid_events`, but
+/// per point: `metrics` is unused (points carry their own nodes), and
+/// `progress` counts all units.  `on_point` fires strictly in point order,
+/// serialized with the other callbacks, and never for a point missing a
+/// trial.  Returns each point's estimate over the trials that ran.
+///
+/// Metrics: a point's elapsed time is the section's wall time from the
+/// previous point's completion to its own, and its `pool` node charges
+/// the workers' busy time inside that interval, so summed over the points
+/// both equal the section's totals.
+[[nodiscard]] std::vector<GridEventsEstimate> run_trial_points(
+    std::span<const TrialPoint> points, std::size_t trials, std::size_t threads,
+    const RunOptions& options, const PointDoneFn& on_point = {});
 
 /// Checkpoint payload codec for one trial: the three event bits as
 /// doubles, in TrialEvents field order.  The layout is part of the

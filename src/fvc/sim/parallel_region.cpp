@@ -26,8 +26,7 @@ BlockPlan plan_blocks(std::size_t rows, std::size_t threads, std::size_t grain) 
     return plan;
   }
   plan.workers = std::clamp<std::size_t>(threads, 1, rows);
-  plan.grain = grain == 0 ? choose_grain(rows, plan.workers)
-                          : std::min(grain, rows);
+  plan.grain = grain == 0 ? 1 : std::min(grain, rows);
   plan.blocks = (rows + plan.grain - 1) / plan.grain;
   return plan;
 }

@@ -7,7 +7,7 @@
 /// parallelism *within* one grid scan.  These entry points batch the
 /// `GridEvalEngine` over contiguous row blocks through
 /// `sim::parallel_for_blocked`: workers claim `grain` rows per atomic
-/// cursor claim (grain 0 = `choose_grain(rows, threads)`), evaluate the
+/// cursor claim (grain 0 = 1, the default), evaluate the
 /// block through one engine call (`GridEvalEngine::block_stats` — no
 /// per-row callback indirection), and write one result slot per block.
 /// Block slots are reduced in block order, which is exactly row order —
@@ -32,7 +32,7 @@ namespace fvc::sim {
 
 /// Block-parallel `core::evaluate_region`.  Bit-identical to the serial
 /// (and scalar) evaluation for any `threads` >= 1 and any `grain`
-/// (0 = automatic: `choose_grain(rows, threads)`), whether or not metrics
+/// (0 = 1 row per claim), whether or not metrics
 /// are collected.
 ///
 /// `metrics` (default null: no collection, no clock calls) selects the

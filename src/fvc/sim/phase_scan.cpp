@@ -5,7 +5,8 @@
 
 #include "fvc/analysis/csa.hpp"
 #include "fvc/obs/run_metrics.hpp"
-#include "fvc/sim/sweep.hpp"
+#include "fvc/obs/trace.hpp"
+#include "fvc/sim/shard.hpp"
 #include "fvc/sim/thread_pool.hpp"
 #include "fvc/stats/rng.hpp"
 
@@ -23,14 +24,7 @@ std::vector<PhasePoint> run_phase_scan(const PhaseScanConfig& cfg) {
       throw std::invalid_argument("run_phase_scan: q values must be positive");
     }
   }
-  for (std::size_t i = 0; i < cfg.point_indices.size(); ++i) {
-    if (cfg.point_indices[i] >= cfg.q_values.size() ||
-        (i > 0 && cfg.point_indices[i] <= cfg.point_indices[i - 1])) {
-      throw std::invalid_argument(
-          "run_phase_scan: point_indices must be strictly increasing and "
-          "< q_values.size()");
-    }
-  }
+  validate_units(cfg.point_indices, cfg.q_values.size(), "run_phase_scan: point_indices");
   validate(cfg.base);
   const std::size_t threads =
       cfg.threads == 0 ? default_thread_count() : cfg.threads;
@@ -40,51 +34,46 @@ std::vector<PhasePoint> run_phase_scan(const PhaseScanConfig& cfg) {
   // subset); point i keeps seed mix64(master_seed, i) either way.
   const std::size_t n_points =
       cfg.point_indices.empty() ? cfg.q_values.size() : cfg.point_indices.size();
-  const std::size_t total_trials = n_points * cfg.trials;
-
-  std::vector<PhasePoint> points;
-  points.reserve(n_points);
-  SweepOptions sweep;
-  sweep.cancel = cfg.cancel;  // cancellation is polled per *point* here and
-                              // per *trial* inside estimate_grid_events
-  run_sweep(n_points, sweep, [&](std::size_t w) {
+  std::vector<TrialPoint> work(n_points);
+  std::vector<PhasePoint> rows(n_points);
+  for (std::size_t w = 0; w < n_points; ++w) {
     const std::size_t i =
         cfg.point_indices.empty() ? w : static_cast<std::size_t>(cfg.point_indices[w]);
     const double q = cfg.q_values[i];
-    TrialConfig point_cfg = cfg.base;
-    point_cfg.profile = cfg.base.profile.with_weighted_area(q * csa_n);
-    PhasePoint point;
-    point.index = i;
-    point.q = q;
-    point.weighted_area = point_cfg.profile.weighted_sensing_area();
-    RunOptions options;
-    options.cancel = cfg.cancel;
-    if (cfg.progress) {
-      // Fine-grained, scan-wide progress: trials from earlier points plus
-      // the trials done inside the current one.
-      options.progress = [&cfg, w, total_trials](std::size_t done, std::size_t) {
-        cfg.progress(w * cfg.trials + done, total_trials);
-      };
-    }
+    TrialPoint& tp = work[w];
+    tp.cfg = cfg.base;
+    tp.cfg.profile = cfg.base.profile.with_weighted_area(q * csa_n);
+    tp.master_seed = stats::mix64(cfg.master_seed, i);
     if (cfg.metrics != nullptr) {
-      obs::MetricsNode& point_node = cfg.metrics->child("q_" + std::to_string(i));
-      point_node.set("q", q);
-      options.metrics = &point_node;
+      tp.metrics = &cfg.metrics->child("q_" + std::to_string(i));
+      tp.metrics->set("q", q);
     }
-    point.events = estimate_grid_events(point_cfg, cfg.trials,
-                                        stats::mix64(cfg.master_seed, i), threads,
-                                        options);
-    // A point interrupted mid-estimate must not look finished: skip the
-    // checkpoint hook (and the result row) unless every trial ran.
-    if (point.events.full_view.trials != cfg.trials) {
-      return;
-    }
-    if (cfg.on_point) {
-      cfg.on_point(point);
-    }
-    points.push_back(point);
-  });
-  return points;
+    rows[w].index = i;
+    rows[w].q = q;
+    rows[w].weighted_area = tp.cfg.profile.weighted_sensing_area();
+  }
+  RunOptions options;
+  options.cancel = cfg.cancel;
+  options.progress = cfg.progress;  // already scan-wide: done of n_points * trials
+  // Points are reported in order and only when every trial ran, so the
+  // reported ones are a prefix of `rows` and a checkpoint never holds a
+  // partial point.
+  std::size_t reported = 0;
+  (void)run_trial_points(work, cfg.trials, threads, options,
+                         [&](std::size_t w, const GridEventsEstimate& events) {
+                           // Marks the point's completion in the timeline:
+                           // its report and checkpoint write.
+                           const obs::TraceScope scope("sweep.point",
+                                                       obs::TraceCategory::kScan,
+                                                       "index", w);
+                           rows[w].events = events;
+                           if (cfg.on_point) {
+                             cfg.on_point(rows[w]);
+                           }
+                           ++reported;
+                         });
+  rows.resize(reported);
+  return rows;
 }
 
 std::vector<double> encode_phase_point(const PhasePoint& point) {

@@ -38,11 +38,15 @@ struct PhaseScanConfig {
   std::uint64_t master_seed = 1;
   std::size_t threads = 0;      ///< 0 = default_thread_count()
   /// Optional observability (see fvc/obs): when `metrics` is non-null each
-  /// scan point fills a child node "q_<i>" (trial/engine/pool subtrees);
-  /// when `cancel` fires, the scan stops after the current point and
-  /// returns the points finished so far (possibly none); `progress` is
-  /// reported trial-by-trial across the whole scan, as
-  /// progress(trials finished so far, q_values.size() * trials).
+  /// scan point fills a child node "q_<i>" (`q`, trial/engine/pool
+  /// subtrees).  All points' trials run as one scheduler section, so a
+  /// point's elapsed time is the scan's wall time from the previous
+  /// point's completion to its own, and its `pool` node charges the busy
+  /// time inside that interval: summed over the points, both equal the
+  /// scan's totals.  When `cancel` fires no further trial is claimed, and
+  /// the scan returns the points whose every trial ran (possibly none);
+  /// `progress` is reported trial-by-trial across the whole scan, as
+  /// progress(trials finished so far, points scanned * trials).
   obs::MetricsNode* metrics = nullptr;
   obs::CancellationToken* cancel = nullptr;
   obs::ProgressFn progress;
@@ -52,8 +56,10 @@ struct PhaseScanConfig {
   /// it, so disjoint subsets recombine into the unsharded scan bit-exactly.
   /// Indices must be strictly increasing and < q_values.size().
   std::span<const std::uint64_t> point_indices;
-  /// Called after each finished point (the checkpoint hook).  Points run
-  /// sequentially, so no locking is involved.
+  /// Called after each finished point (the checkpoint hook), strictly in
+  /// point order and serialized with the scan's other callbacks, though
+  /// not always on the calling thread; a point missing any trial is never
+  /// passed to it.
   std::function<void(const PhasePoint& point)> on_point;
 };
 

@@ -16,6 +16,17 @@ void validate(const ShardSpec& shard) {
   }
 }
 
+void validate_units(std::span<const std::uint64_t> units, std::uint64_t total,
+                    const char* what) {
+  for (std::size_t i = 0; i < units.size(); ++i) {
+    if (units[i] >= total || (i > 0 && units[i] <= units[i - 1])) {
+      throw std::invalid_argument(std::string(what) +
+                                  " must be strictly increasing and < " +
+                                  std::to_string(total));
+    }
+  }
+}
+
 std::vector<std::uint64_t> owned_units(const ShardSpec& shard, std::uint64_t total,
                                        std::span<const std::uint64_t> skip) {
   validate(shard);

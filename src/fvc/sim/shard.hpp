@@ -30,6 +30,12 @@ struct ShardSpec {
 /// Throws std::invalid_argument unless count >= 1 and index < count.
 void validate(const ShardSpec& shard);
 
+/// Throws std::invalid_argument (message prefixed by `what`) unless
+/// `units` is strictly increasing with every index < total: the contract of
+/// every unit-subset option (trial, point and repeat indices).
+void validate_units(std::span<const std::uint64_t> units, std::uint64_t total,
+                    const char* what);
+
 /// The unit indices in [0, total) this shard owns, minus `skip` (sorted
 /// unique indices of already-completed units, e.g. from a resumed
 /// checkpoint).  Returned in increasing order.

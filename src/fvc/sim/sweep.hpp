@@ -33,10 +33,9 @@ struct SweepOptions {
   obs::ProgressFn progress;
 };
 
-/// Run `fn(i)` for i in [0, count), the canonical outer loop of phase
-/// scans and threshold searches: each point gets a "sweep.point" trace
-/// slice, the token is polled between points, and progress is reported
-/// after each point.  Returns the number of points completed (== count
+/// Run `fn(i)` for i in [0, count) one point after another: each point
+/// gets a "sweep.point" trace slice, the token is polled between points,
+/// and progress is reported after each point.  Returns the number of points completed (== count
 /// unless cancelled).
 std::size_t run_sweep(std::size_t count, const SweepOptions& options,
                       const std::function<void(std::size_t)>& fn);

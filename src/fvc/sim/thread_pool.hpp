@@ -1,44 +1,32 @@
 /// \file thread_pool.hpp
-/// \brief Minimal work-sharing parallel-for built on blocked work-claiming.
+/// \brief Work-sharing parallel-for on one process-wide worker pool.
 ///
-/// Workers claim contiguous index *blocks* of `grain` indices from a shared
-/// atomic cursor.  A block is the scheduling unit: one callback invocation,
-/// one metrics clock pair, one trace slice — so the per-index cost of the
-/// scheduler is `1/grain` atomics and virtual calls, and adjacent indices
-/// land on the same worker (contiguous writes, no false sharing on
-/// neighbouring result slots).  Trials are embarrassingly parallel and
-/// independently seeded, so results written into caller-owned per-index (or
-/// per-block) slots keep the engine deterministic regardless of thread
-/// count or grain.
+/// Workers claim contiguous index *blocks* of `grain` indices (grain 0
+/// means 1) from a shared atomic cursor.  A block is the scheduling unit:
+/// one callback invocation, one metrics clock pair, one trace slice.
+/// Results written into caller-owned per-index (or per-block) slots keep
+/// every caller deterministic regardless of thread count or grain.
 ///
-/// Per-index workloads (Monte-Carlo trials, whose unit costs vary wildly
-/// and whose per-unit cost dwarfs one atomic claim) pass grain 1
-/// explicitly; grid-row scans use grain 0 to get `choose_grain` (see
-/// parallel_region.hpp): at 64-row grids the per-row claim overhead is what
-/// made 4 threads *slower* than 1 before the blocked scheduler.  The historical per-index `parallel_for(count, threads, fn)`
-/// adapter has been removed — `parallel_for_blocked` is the only entry
-/// point.
+/// Sections run on helper threads that start on first use, grow on demand
+/// up to 63 (64 workers with the caller, who is always worker 0) and live
+/// until the process exits, so a section starts no thread once the pool
+/// has reached its size.
 ///
-/// Observability: the metered overloads fill an `obs`-style `PoolMetrics`
-/// — per-worker block/task counts and busy time, the grain used, plus the
-/// wall time of the whole parallel section — so utilization
-/// (busy / (workers * wall)) and imbalance are visible in exported metrics.
-/// The unmetered overloads take the exact same code path with a null
-/// metrics pointer: no clock calls per block, no overhead.
+/// Observability: with a `PoolMetrics` sink a section records per-worker
+/// block/task counts and busy time plus its wall time, so utilization
+/// (busy / (workers * wall)) and imbalance show in exported metrics.
+/// Without one, no clock is read per block.
 
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 namespace fvc::obs {
-class MetricsNode;  // fvc/obs/run_metrics.hpp
+class CancellationToken;  // fvc/obs/cancellation.hpp
+class MetricsNode;        // fvc/obs/run_metrics.hpp
 }
 
 namespace fvc::sim {
@@ -46,20 +34,6 @@ namespace fvc::sim {
 /// Number of worker threads to use by default: hardware concurrency,
 /// clamped to [1, 64].
 [[nodiscard]] std::size_t default_thread_count();
-
-/// Blocks each worker should get a chance to claim when work is split
-/// evenly: enough slack to rebalance when block costs vary, small enough
-/// that the per-block claim cost stays negligible.
-inline constexpr std::size_t kGrainOversubscribe = 4;
-
-/// Block grain for `count` indices over `threads` workers:
-/// `count / (threads * kGrainOversubscribe)`, floored at `min_grain`
-/// (and always >= 1).  `min_grain` is the caller's lever: row scans pass 1
-/// (rows are cheap and plentiful), workloads with a known minimum useful
-/// chunk pass it explicitly, and the CLI's `--grain` pins the grain
-/// outright instead of going through this heuristic.
-[[nodiscard]] std::size_t choose_grain(std::size_t count, std::size_t threads,
-                                       std::size_t min_grain = 1);
 
 /// Utilization metrics of one parallel section.  Filled only by the
 /// metered overloads; per-worker slots are written by their own worker and
@@ -127,16 +101,22 @@ struct PoolMetrics {
 using ParallelBlockFn =
     std::function<void(std::size_t begin, std::size_t end, std::size_t worker)>;
 
-/// Run `fn(begin, end, worker)` over [0, count) in contiguous blocks of
-/// `grain` indices (the last block may be short; grain 0 means
-/// `choose_grain(count, threads)`).  Blocks are claimed from an atomic
-/// cursor in ascending order, so work still balances when block costs vary
-/// while the scheduler touches the cursor only once per block.  With
-/// threads == 1 the blocks run in ascending order on the calling thread.
-/// The first exception thrown by any worker is rethrown on the caller's
-/// thread after all workers join; remaining unclaimed blocks are dropped.
+/// Run `fn(begin, end, worker)` over [0, count) in blocks of `grain`
+/// indices (the last block may be short), claimed in ascending order by
+/// min(threads, count, 64) workers with ids in [0, threads).  The section
+/// runs inline on the caller (worker 0, blocks in order) when it has one
+/// worker, when it is nested inside a block, or when another thread's
+/// section holds the pool, so concurrent callers never wait on each other.
+/// `cancel`, when non-null, is polled before every claim: once it fires
+/// nothing more is claimed, but a claimed block always runs.  The first
+/// exception a block throws drops the unclaimed blocks and is rethrown
+/// here after the section; the pool stays usable.
 void parallel_for_blocked(std::size_t count, std::size_t threads, std::size_t grain,
-                          const ParallelBlockFn& fn, PoolMetrics* metrics = nullptr);
+                          const ParallelBlockFn& fn, PoolMetrics* metrics = nullptr,
+                          const obs::CancellationToken* cancel = nullptr);
+
+/// Helper threads the process-wide pool has started so far.
+[[nodiscard]] std::size_t pool_threads();
 
 /// Export pool utilization into a metrics node: `workers`, `tasks`,
 /// `blocks`, `grain`, `busy_ns`, `idle_ns`, `utilization`, plus a

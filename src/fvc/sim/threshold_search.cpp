@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "fvc/obs/trace.hpp"
+#include "fvc/sim/shard.hpp"
 #include "fvc/stats/rng.hpp"
 
 namespace fvc::sim {
@@ -51,14 +52,8 @@ std::vector<ThresholdOutcome> run_threshold_repeats(const ProbabilityAt& estimat
   if (config.repeats == 0) {
     throw std::invalid_argument("run_threshold_repeats: repeats must be >= 1");
   }
-  for (std::size_t i = 0; i < config.repeat_indices.size(); ++i) {
-    if (config.repeat_indices[i] >= config.repeats ||
-        (i > 0 && config.repeat_indices[i] <= config.repeat_indices[i - 1])) {
-      throw std::invalid_argument(
-          "run_threshold_repeats: repeat_indices must be strictly increasing and "
-          "< repeats");
-    }
-  }
+  validate_units(config.repeat_indices, config.repeats,
+                 "run_threshold_repeats: repeat_indices");
   const std::size_t count = config.repeat_indices.empty()
                                 ? config.repeats
                                 : config.repeat_indices.size();

@@ -77,7 +77,10 @@ class ServeFixture {
  public:
   explicit ServeFixture(api::Session& session, const char* tag)
       : path_(unique_socket_path(tag)), thread_([this, &session] {
-          report_ = api::serve(session, {path_, 16}, token_);
+          api::ServerConfig config;
+          config.socket_path = path_;
+          config.backlog = 16;
+          report_ = api::serve(session, config, token_);
         }) {}
 
   ~ServeFixture() { drain(); }

@@ -190,8 +190,7 @@ TEST(CandidateIndex, BitIdenticalAcrossFamiliesIndexesAndKernels) {
 // The parallel scan reuses one engine (and its row-slice scratch) across
 // blocks; every (threads, grain) combination must still fold to the
 // scalar oracle's result bitwise.  Threads 3 with grain 1 maximises slice
-// rebuilds (rows interleave across workers); grain 0 exercises
-// choose_grain's big blocks.
+// rebuilds (rows interleave across workers); grain 0 is the default.
 TEST(CandidateIndex, ParallelScansBitIdenticalAcrossThreadsAndGrains) {
   const DenseGrid grid(16);
   const double theta = kPi / 3.0;

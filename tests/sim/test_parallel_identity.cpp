@@ -27,7 +27,7 @@ namespace fvc::sim {
 namespace {
 
 constexpr std::size_t kThreadCounts[] = {1, 2, 3, 4, 7};
-constexpr std::size_t kGrains[] = {1, 3, 0};  // 0 = choose_grain default
+constexpr std::size_t kGrains[] = {1, 3, 0};  // 0 = the default (1)
 
 void expect_bitwise_equal(const core::RegionCoverageStats& serial,
                           const core::RegionCoverageStats& parallel) {

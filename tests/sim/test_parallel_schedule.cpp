@@ -1,5 +1,5 @@
 // Property suite for the blocked work-claiming scheduler
-// (sim::parallel_for_blocked and the grain heuristic): for arbitrary
+// (sim::parallel_for_blocked): for arbitrary
 // (count, threads, grain) — including the degenerate corners count = 0,
 // threads > count, and grain > count — every index is executed exactly
 // once, block shapes are contiguous slices of [0, count) aligned to the
@@ -87,7 +87,7 @@ TEST(ParallelSchedule, DegenerateCorners) {
   check_schedule(3, 100, 64);    // threads > count AND grain > count
   check_schedule(5, 2, 64);      // grain > count: one block
   check_schedule(7, 3, 7);       // grain == count
-  check_schedule(64, 4, 0);      // grain 0 = auto heuristic
+  check_schedule(64, 4, 0);      // grain 0 = 1
   check_schedule(1000, 0, 5);    // threads = 0 clamps to 1
 }
 
@@ -114,18 +114,6 @@ TEST(ParallelSchedule, SingleThreadRunsBlocksInAscendingOrder) {
   for (std::size_t i = 0; i < order.size(); ++i) {
     EXPECT_EQ(order[i], i);
   }
-}
-
-TEST(ParallelSchedule, ChooseGrainHeuristic) {
-  // Even split across threads * kGrainOversubscribe claims, floored at
-  // min_grain, never below 1.
-  EXPECT_EQ(choose_grain(64, 4), 64u / (4 * kGrainOversubscribe));
-  EXPECT_EQ(choose_grain(1024, 4), 1024u / (4 * kGrainOversubscribe));
-  EXPECT_EQ(choose_grain(3, 4), 1u);              // tiny count floors at 1
-  EXPECT_EQ(choose_grain(0, 4), 1u);              // degenerate count
-  EXPECT_EQ(choose_grain(64, 0), 64u / kGrainOversubscribe);  // threads clamps to 1
-  EXPECT_EQ(choose_grain(100, 2, 40), 40u);       // configurable minimum wins
-  EXPECT_EQ(choose_grain(10000, 2, 40), 10000u / (2 * kGrainOversubscribe));
 }
 
 TEST(ParallelSchedule, ExceptionPropagatesAndDrains) {

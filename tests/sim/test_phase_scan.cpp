@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -169,6 +170,93 @@ TEST(PhaseScan, Validation) {
   cfg = small_scan();
   cfg.q_values = {0.0};
   EXPECT_THROW((void)run_phase_scan(cfg), std::invalid_argument);
+}
+
+using Tallies = std::vector<std::size_t>;
+
+Tallies tallies_of(const std::vector<PhasePoint>& points) {
+  Tallies t;
+  for (const PhasePoint& pt : points) {
+    t.insert(t.end(), {pt.index, pt.events.necessary.successes,
+                       pt.events.full_view.successes, pt.events.sufficient.successes,
+                       pt.events.full_view.trials});
+  }
+  return t;
+}
+
+TEST(PhaseScan, TalliesIdenticalAcrossThreadCountsAndShards) {
+  PhaseScanConfig cfg = small_scan();
+  cfg.q_values = {0.6, 1.2, 1.8, 2.4, 3.0};
+  cfg.trials = 12;
+  cfg.threads = 1;
+  const Tallies serial = tallies_of(run_phase_scan(cfg));
+  ASSERT_EQ(serial.size(), 5u * cfg.q_values.size());
+  for (const std::size_t threads : {2u, 3u, 4u, 7u}) {
+    cfg.threads = threads;
+    EXPECT_EQ(tallies_of(run_phase_scan(cfg)), serial) << "threads=" << threads;
+  }
+  // Two disjoint shards of the q grid recombine into the whole scan.
+  cfg.threads = 3;
+  const std::vector<std::uint64_t> even = {0, 2, 4};
+  const std::vector<std::uint64_t> odd = {1, 3};
+  cfg.point_indices = even;
+  const std::vector<PhasePoint> a = run_phase_scan(cfg);
+  cfg.point_indices = odd;
+  const std::vector<PhasePoint> b = run_phase_scan(cfg);
+  std::vector<PhasePoint> merged(cfg.q_values.size());
+  for (const PhasePoint& pt : a) {
+    merged[pt.index] = pt;
+  }
+  for (const PhasePoint& pt : b) {
+    merged[pt.index] = pt;
+  }
+  EXPECT_EQ(tallies_of(merged), serial);
+}
+
+// Descending q puts the cheap points (early exits) last, so their trials
+// finish before the expensive earlier points do; on_point must still see
+// the points strictly in order.
+TEST(PhaseScan, OnPointArrivesInPointOrderWhenLatePointsAreCheap) {
+  PhaseScanConfig cfg = small_scan();
+  cfg.q_values = {3.0, 2.0, 1.0, 0.5, 0.3};
+  cfg.trials = 12;
+  std::vector<std::size_t> order;
+  cfg.on_point = [&](const PhasePoint& pt) { order.push_back(pt.index); };
+  const auto points = run_phase_scan(cfg);
+  ASSERT_EQ(points.size(), cfg.q_values.size());
+  ASSERT_EQ(order.size(), cfg.q_values.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], i);
+    EXPECT_EQ(points[i].index, i);
+  }
+}
+
+// One section runs every point's trials, and each q_<i> node covers the
+// wall time since the previous point finished: its pool node's busy time
+// is the workers' trial time inside that interval.  Every trial lies
+// inside the scan's intervals and a worker runs one trial at a time, so
+// the pool nodes partition the trials' time exactly, and no point's busy
+// time exceeds its capacity.
+TEST(PhaseScan, PointPoolNodesPartitionTheScan) {
+  PhaseScanConfig cfg = small_scan();
+  obs::MetricsNode node("phase");
+  cfg.metrics = &node;
+  ASSERT_EQ(run_phase_scan(cfg).size(), cfg.q_values.size());
+  double busy = 0.0;
+  double trial_time = 0.0;
+  for (std::size_t i = 0; i < cfg.q_values.size(); ++i) {
+    const obs::MetricsNode* point = node.find_child("q_" + std::to_string(i));
+    ASSERT_NE(point, nullptr) << i;
+    const obs::MetricsNode* pool = point->find_child("pool");
+    ASSERT_NE(pool, nullptr) << i;
+    EXPECT_DOUBLE_EQ(pool->counter("tasks"), static_cast<double>(cfg.trials));
+    const double capacity =
+        pool->counter("workers") * static_cast<double>(point->elapsed_ns());
+    EXPECT_DOUBLE_EQ(pool->counter("busy_ns") + pool->counter("idle_ns"), capacity) << i;
+    busy += pool->counter("busy_ns");
+    trial_time += static_cast<double>(point->find_child("trials")->elapsed_ns());
+  }
+  EXPECT_DOUBLE_EQ(busy, trial_time);
 }
 
 }  // namespace

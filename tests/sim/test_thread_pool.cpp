@@ -6,6 +6,7 @@
 #include <functional>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "fvc/obs/run_metrics.hpp"
@@ -186,6 +187,87 @@ TEST(BlockedGrain1, ExceptionStopsRemainingWork) {
   }
   // The drain isn't instantaneous, but most work must be skipped.
   EXPECT_LT(done.load(), 100000);
+}
+
+// A section started from inside a block runs inline on that block's
+// worker (worker id 0, same OS thread) and computes the right answer.
+TEST(PersistentPool, NestedCallRunsInlineWithCorrectResults) {
+  constexpr std::size_t kOuter = 8;
+  constexpr std::size_t kInner = 100;
+  std::vector<std::uint64_t> sums(kOuter, 0);
+  std::vector<std::atomic<int>> inline_ok(kOuter);
+  parallel_for_blocked(kOuter, 4, 1, [&](std::size_t begin, std::size_t, std::size_t) {
+    const std::thread::id outer_thread = std::this_thread::get_id();
+    std::vector<std::uint64_t> values(kInner, 0);
+    bool same_thread = true;
+    parallel_for_blocked(kInner, 4, 1,
+                         [&](std::size_t b, std::size_t e, std::size_t worker) {
+                           same_thread = same_thread && worker == 0 &&
+                                         std::this_thread::get_id() == outer_thread;
+                           for (std::size_t i = b; i < e; ++i) {
+                             values[i] = (begin + 1) * i;
+                           }
+                         });
+    sums[begin] = std::accumulate(values.begin(), values.end(), std::uint64_t{0});
+    inline_ok[begin].store(same_thread ? 1 : 0);
+  });
+  for (std::size_t o = 0; o < kOuter; ++o) {
+    EXPECT_EQ(sums[o], (o + 1) * (kInner * (kInner - 1) / 2)) << o;
+    EXPECT_EQ(inline_ok[o].load(), 1) << o;
+  }
+}
+
+// Two unrelated threads entering the scheduler at once: one gets the pool,
+// the other runs inline; neither waits on the other, and every index of
+// both sections runs exactly once.
+TEST(PersistentPool, ConcurrentCallersBothComplete) {
+  constexpr std::size_t kCount = 4000;
+  for (int round = 0; round < 20; ++round) {
+    std::vector<std::atomic<int>> a(kCount);
+    std::vector<std::atomic<int>> b(kCount);
+    const auto section = [](std::vector<std::atomic<int>>& visits) {
+      for_each_index(kCount, 4, [&](std::size_t i) { visits[i].fetch_add(1); });
+    };
+    std::thread first(section, std::ref(a));
+    std::thread second(section, std::ref(b));
+    first.join();
+    second.join();
+    for (std::size_t i = 0; i < kCount; ++i) {
+      ASSERT_EQ(a[i].load(), 1) << "round " << round << " index " << i;
+      ASSERT_EQ(b[i].load(), 1) << "round " << round << " index " << i;
+    }
+  }
+}
+
+TEST(PersistentPool, UsableAfterABlockThrows) {
+  EXPECT_THROW(for_each_index(1000, 4,
+                              [](std::size_t i) {
+                                if (i == 7) {
+                                  throw std::runtime_error("boom");
+                                }
+                              }),
+               std::runtime_error);
+  std::vector<std::atomic<int>> visits(1000);
+  PoolMetrics pool;
+  for_each_index(1000, 4, [&](std::size_t i) { visits[i].fetch_add(1); }, &pool);
+  for (std::size_t i = 0; i < visits.size(); ++i) {
+    EXPECT_EQ(visits[i].load(), 1) << "index " << i;
+  }
+  EXPECT_EQ(pool.total_tasks(), 1000u);
+}
+
+// The pool is sized once: sequential sections reuse its helpers instead
+// of starting threads per call.
+TEST(PersistentPool, SequentialSectionsDoNotGrowThePool) {
+  for_each_index(64, 4, [](std::size_t) {});
+  const std::size_t first_use = pool_threads();
+  EXPECT_GE(first_use, 3u);  // grown on demand to at least threads - 1
+  std::atomic<std::size_t> ran{0};
+  for (int section = 0; section < 200; ++section) {
+    for_each_index(16, 4, [&](std::size_t) { ran.fetch_add(1); });
+  }
+  EXPECT_EQ(ran.load(), 200u * 16u);
+  EXPECT_EQ(pool_threads(), first_use);
 }
 
 }  // namespace
