@@ -70,7 +70,10 @@ double Args::get_double(const std::string& key, double fallback) const {
 
 std::size_t Args::get_size(const std::string& key, std::size_t fallback) const {
   const double v = get_double(key, static_cast<double>(fallback));
-  if (v < 0.0 || v != static_cast<double>(static_cast<std::size_t>(v))) {
+  // Range first: converting a NaN or a value outside [0, 2^64) to an
+  // integer is undefined behaviour.
+  if (!(v >= 0.0 && v < 0x1p64) ||
+      v != static_cast<double>(static_cast<std::size_t>(v))) {
     throw std::invalid_argument("flag --" + key + " must be a non-negative integer");
   }
   return static_cast<std::size_t>(v);

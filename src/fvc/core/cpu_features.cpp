@@ -10,7 +10,7 @@ namespace fvc::core {
 namespace {
 
 constexpr std::array<std::string_view, kKernelVariantCount> kNames = {
-    "scalar", "avx2", "neon"};
+    "scalar", "avx2"};
 
 /// The set_forced_kernel pin.  Encoded as variant index + 1 (0 = not pinned)
 /// so the whole state fits one lock-free atomic.
@@ -28,18 +28,11 @@ bool cpu_has_avx2() {
 #endif
 }
 
-bool cpu_has_neon() {
-#if defined(__aarch64__)
-  return true;  // AdvSIMD is baseline on AArch64
-#else
-  return false;
-#endif
-}
-
 }  // namespace
 
 std::string_view kernel_name(KernelVariant v) {
-  return kNames.at(static_cast<std::size_t>(v));
+  const auto i = static_cast<std::size_t>(v);
+  return i < kNames.size() ? kNames[i] : "unknown";
 }
 
 std::size_t kernel_lanes(KernelVariant v) {
@@ -52,12 +45,6 @@ bool kernel_compiled(KernelVariant v) {
       return true;
     case KernelVariant::kAvx2:
 #if defined(FVC_KERNEL_AVX2)
-      return true;
-#else
-      return false;
-#endif
-    case KernelVariant::kNeon:
-#if defined(FVC_KERNEL_NEON)
       return true;
 #else
       return false;
@@ -75,8 +62,6 @@ bool kernel_supported(KernelVariant v) {
       return true;
     case KernelVariant::kAvx2:
       return cpu_has_avx2();
-    case KernelVariant::kNeon:
-      return cpu_has_neon();
   }
   return false;
 }
@@ -84,9 +69,6 @@ bool kernel_supported(KernelVariant v) {
 KernelVariant preferred_kernel() {
   if (kernel_supported(KernelVariant::kAvx2)) {
     return KernelVariant::kAvx2;
-  }
-  if (kernel_supported(KernelVariant::kNeon)) {
-    return KernelVariant::kNeon;
   }
   return KernelVariant::kScalar;
 }

@@ -12,17 +12,16 @@
 ///   avx2     the 4-wide batch kernels over AVX2 intrinsics; compiled only
 ///            on x86-64 with GCC/Clang, runnable only when the CPU
 ///            reports AVX2
-///   neon     the same batch kernels over NEON intrinsics; compiled only
-///            on AArch64 (where NEON is baseline)
 ///
-/// Every variant is bit-identical by construction: lane arithmetic is the
-/// same IEEE mul/add/compare sequence as the scalar oracle (see
+/// Other architectures (AArch64 included) run scalar.  The two variants are
+/// bit-identical by construction: lane arithmetic is the same IEEE
+/// mul/add/compare sequence as the scalar oracle (see
 /// docs/ARCHITECTURE.md).  Dispatch therefore only affects speed, never
 /// results, and is a function of the CPU alone: each engine construction
-/// resolves to the widest variant the running CPU supports.  The one
+/// resolves to avx2 when the running CPU supports it, else scalar.  The one
 /// exception is `set_forced_kernel`, the test seam the per-variant
-/// differential suites use to run the same input under every supported
-/// variant.  Pinning a variant the build does not contain or the CPU
+/// differential suites use to run the same input under both supported
+/// variants.  Pinning a variant the build does not contain or the CPU
 /// cannot execute is an error (std::runtime_error), not a silent fallback.
 
 #pragma once
@@ -38,11 +37,11 @@ namespace fvc::core {
 enum class KernelVariant : std::uint8_t {
   kScalar = 0,
   kAvx2 = 1,
-  kNeon = 2,
 };
-inline constexpr std::size_t kKernelVariantCount = 3;
+inline constexpr std::size_t kKernelVariantCount = 2;
 
-/// Stable lower-case name ("scalar", "avx2", "neon").
+/// Stable lower-case name ("scalar", "avx2"; "unknown" for a value outside
+/// the enum).
 [[nodiscard]] std::string_view kernel_name(KernelVariant v);
 
 /// Double lanes the variant processes per step (1 for scalar, else 4).
@@ -54,7 +53,7 @@ inline constexpr std::size_t kKernelVariantCount = 3;
 /// True when the variant is compiled AND the running CPU can execute it.
 [[nodiscard]] bool kernel_supported(KernelVariant v);
 
-/// The widest supported variant: avx2, else neon, else scalar.
+/// The widest supported variant: avx2, else scalar.
 [[nodiscard]] KernelVariant preferred_kernel();
 
 /// Test seam: pin the variant every engine constructed from now on uses,

@@ -636,10 +636,6 @@ Kernels kernels_for(KernelVariant v) {
     case KernelVariant::kAvx2:
       return {&classify_avx2, &sweep_intervals_avx2, &band_scan_avx2};
 #endif
-#if defined(FVC_KERNEL_NEON)
-    case KernelVariant::kNeon:
-      return {&classify_neon, &sweep_intervals_neon, &band_scan_neon};
-#endif
     default:
       return {nullptr, &sweep_intervals_scalar, &band_scan_scalar};
   }

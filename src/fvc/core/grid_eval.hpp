@@ -45,8 +45,8 @@
 ///   3. *Lane-parallel classify* — candidate records are stored as
 ///      structure-of-arrays spans and classified 4 lanes at a time by an
 ///      explicitly vectorized kernel (grid_eval_kernel.hpp) selected by
-///      runtime CPU dispatch (cpu_features.hpp: avx2 or neon where the CPU
-///      has it, else the scalar per-entry loop).  Lane arithmetic
+///      runtime CPU dispatch (cpu_features.hpp: avx2 where the CPU has it,
+///      else the scalar per-entry loop).  Lane arithmetic
 ///      replicates the scalar IEEE operation sequence exactly
 ///      (including the per-point torus unwrap, which is `geom::wrap_delta`
 ///      lane-for-lane); the remainder tail and exact-arithmetic band hits

@@ -1,6 +1,6 @@
 /// \file grid_eval_kernel.hpp
 /// \brief The batch kernels behind GridEvalEngine, written once as
-/// templates over the batch backends of simd.hpp.
+/// templates over a batch type of simd.hpp.
 ///
 /// Two kernels live here, and one kernel choice (cpu_features.hpp)
 /// dispatches both:
@@ -34,8 +34,8 @@
 ///              table lookups turned into selects, and int32 column ends
 ///              computed exactly in double lanes.
 ///
-/// Each backend instantiation lives in its own translation unit
-/// (grid_eval_kernel_{avx2,neon}.cpp) so ISA-specific code can be
+/// The vector instantiation lives in its own translation unit
+/// (grid_eval_kernel_avx2.cpp) so ISA-specific code can be
 /// compiled with ISA-specific flags without leaking wide instructions
 /// into baseline translation units: the only symbols such a TU exports
 /// are its non-inline entry points, and they are called only after
@@ -82,11 +82,6 @@ using ClassifyFn = ClassifyResult (*)(const CandSpans& c, std::size_t count,
 
 #if defined(FVC_KERNEL_AVX2)
 ClassifyResult classify_avx2(const CandSpans& c, std::size_t count, double px,
-                             double py, bool torus, double* xs, double* ys,
-                             std::uint32_t* special);
-#endif
-#if defined(FVC_KERNEL_NEON)
-ClassifyResult classify_neon(const CandSpans& c, std::size_t count, double px,
                              double py, bool torus, double* xs, double* ys,
                              std::uint32_t* special);
 #endif
@@ -232,12 +227,6 @@ BandScan band_scan_scalar(const double* sy, const double* r2, std::uint32_t begi
 #if defined(FVC_KERNEL_AVX2)
 void sweep_intervals_avx2(const SweepBatch& b, std::size_t count);
 BandScan band_scan_avx2(const double* sy, const double* r2, std::uint32_t begin,
-                        std::uint32_t end, double y, bool torus, std::uint32_t cap,
-                        std::uint32_t* slots, double* dy, double* r2_out);
-#endif
-#if defined(FVC_KERNEL_NEON)
-void sweep_intervals_neon(const SweepBatch& b, std::size_t count);
-BandScan band_scan_neon(const double* sy, const double* r2, std::uint32_t begin,
                         std::uint32_t end, double y, bool torus, std::uint32_t cap,
                         std::uint32_t* slots, double* dy, double* r2_out);
 #endif

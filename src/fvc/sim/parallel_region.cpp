@@ -1,7 +1,6 @@
 #include "fvc/sim/parallel_region.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <vector>
 
 #include "fvc/core/grid_eval.hpp"
@@ -99,52 +98,6 @@ core::RegionCoverageStats evaluate_region_parallel(const core::Network& net,
   merged.describe(engine_node);
   describe(pool, metrics->child("pool"));
   return stats;
-}
-
-GridEvents grid_events_parallel(const core::Network& net, const core::DenseGrid& grid,
-                                double theta, std::size_t threads, std::size_t grain) {
-  const core::GridEvalEngine engine(net, grid, theta);
-  const std::size_t rows = engine.rows();
-  const BlockPlan plan = plan_blocks(rows, threads, grain);
-  std::vector<core::GridRowEvents> block_events(plan.blocks);
-  // Cooperative early exit: a necessary-condition failure anywhere decides
-  // the whole result, so later rows (checked between the rows of a block
-  // too) may be skipped.  Skipped rows default to all-true and cannot flip
-  // the AND-reduction, which keeps the result independent of scheduling.
-  // Within a block, predicates already falsified on earlier rows are not
-  // asked again (as in run_trial_events): the block's AND is false either
-  // way, so the result is unchanged.
-  std::atomic<bool> necessary_failed{false};
-  parallel_for_blocked(rows, plan.workers, plan.grain,
-                       [&](std::size_t begin, std::size_t end, std::size_t) {
-                         thread_local core::GridEvalScratch scratch;
-                         core::GridRowEvents acc;
-                         for (std::size_t row = begin; row < end; ++row) {
-                           if (necessary_failed.load(std::memory_order_relaxed)) {
-                             break;
-                           }
-                           const core::GridRowEvents re = engine.row_events(
-                               row, scratch, acc.all_full_view, acc.all_sufficient);
-                           acc.all_necessary = acc.all_necessary && re.all_necessary;
-                           acc.all_full_view = acc.all_full_view && re.all_full_view;
-                           acc.all_sufficient =
-                               acc.all_sufficient && re.all_sufficient;
-                           if (!re.all_necessary) {
-                             necessary_failed.store(true, std::memory_order_relaxed);
-                             break;
-                           }
-                         }
-                         block_events[begin / plan.grain] = acc;
-                       });
-  GridEvents ev{true, true, true};
-  for (const core::GridRowEvents& be : block_events) {
-    if (!be.all_necessary) {
-      return {false, false, false};
-    }
-    ev.all_full_view = ev.all_full_view && be.all_full_view;
-    ev.all_sufficient = ev.all_sufficient && be.all_sufficient;
-  }
-  return ev;
 }
 
 }  // namespace fvc::sim

@@ -2,18 +2,18 @@
 /// \brief Block-parallel batched grid evaluation for single deployments.
 ///
 /// The Monte-Carlo estimators parallelize over *trials*, so per-trial grid
-/// scans stay serial.  Single-deployment workloads (the CLI tool, the CSA
-/// figure benches, interactive analysis of one large network) instead want
-/// parallelism *within* one grid scan.  These entry points batch the
-/// `GridEvalEngine` over contiguous row blocks through
-/// `sim::parallel_for_blocked`: workers claim `grain` rows per atomic
-/// cursor claim (grain 0 = 1, the default), evaluate the
-/// block through one engine call (`GridEvalEngine::block_stats` — no
-/// per-row callback indirection), and write one result slot per block.
-/// Block slots are reduced in block order, which is exactly row order —
-/// so the result is bit-identical to the serial scan for every thread
-/// count and grain (the determinism contract of monte_carlo.hpp, extended
-/// to the batched path; locked by tests/sim/test_determinism.cpp and
+/// scans stay serial.  Region statistics of one large deployment (`fvc map
+/// --metrics`, tools/bench_scale) instead want parallelism *within* one
+/// grid scan.  `evaluate_region_parallel` batches the `GridEvalEngine`
+/// over contiguous row blocks through `sim::parallel_for_blocked`: workers
+/// claim `grain` rows per atomic cursor claim (grain 0 = 1, the default),
+/// evaluate the block through one engine call
+/// (`GridEvalEngine::block_stats` — no per-row callback indirection), and
+/// write one result slot per block.  Block slots are reduced in block
+/// order, which is exactly row order — so the result is bit-identical to
+/// the serial scan for every thread count and grain (the determinism
+/// contract of monte_carlo.hpp, extended to the batched path; locked by
+/// tests/sim/test_determinism.cpp and
 /// tests/sim/test_parallel_identity.cpp).
 
 #pragma once
@@ -50,22 +50,5 @@ namespace fvc::sim {
     const core::Network& net, const core::DenseGrid& grid, double theta,
     std::size_t threads, std::size_t grain = 0,
     obs::MetricsNode* metrics = nullptr);
-
-/// Whole-grid events of one deployment (the H_N / full-view / H_S bits).
-struct GridEvents {
-  bool all_necessary = false;
-  bool all_full_view = false;
-  bool all_sufficient = false;
-};
-
-/// Block-parallel whole-grid event evaluation with cooperative early exit:
-/// once some row fails the necessary condition the remaining rows are
-/// skipped (the result is already {false, false, false}, matching
-/// `run_trial_events` semantics).  Bit-identical for any thread count and
-/// grain.
-[[nodiscard]] GridEvents grid_events_parallel(const core::Network& net,
-                                              const core::DenseGrid& grid, double theta,
-                                              std::size_t threads,
-                                              std::size_t grain = 0);
 
 }  // namespace fvc::sim

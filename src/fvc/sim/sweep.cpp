@@ -1,10 +1,7 @@
 #include "fvc/sim/sweep.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
-
-#include "fvc/obs/trace.hpp"
 
 namespace fvc::sim {
 
@@ -60,26 +57,6 @@ std::vector<std::size_t> geomspace_sizes(std::size_t lo, std::size_t hi, std::si
     }
   }
   return out;
-}
-
-std::size_t run_sweep(std::size_t count, const SweepOptions& options,
-                      const std::function<void(std::size_t)>& fn) {
-  std::size_t done = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (options.cancel != nullptr && options.cancel->stop_requested()) {
-      break;
-    }
-    {
-      const obs::TraceScope scope("sweep.point", obs::TraceCategory::kScan,
-                                  "index", i);
-      fn(i);
-    }
-    ++done;
-    if (options.progress) {
-      options.progress(done, count);
-    }
-  }
-  return done;
 }
 
 }  // namespace fvc::sim

@@ -4,10 +4,7 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <vector>
-
-#include "fvc/obs/cancellation.hpp"
 
 namespace fvc::sim {
 
@@ -23,21 +20,5 @@ namespace fvc::sim {
 /// rounding); used for population-size sweeps like Figure 8's n axis.
 [[nodiscard]] std::vector<std::size_t> geomspace_sizes(std::size_t lo, std::size_t hi,
                                                        std::size_t count);
-
-/// Observability hooks shared by every point-by-point sweep loop.
-struct SweepOptions {
-  /// Polled before each point; a fired token stops the sweep at a point
-  /// boundary (finished points are kept).
-  obs::CancellationToken* cancel = nullptr;
-  /// Invoked after each finished point as progress(done, count).
-  obs::ProgressFn progress;
-};
-
-/// Run `fn(i)` for i in [0, count) one point after another: each point
-/// gets a "sweep.point" trace slice, the token is polled between points,
-/// and progress is reported after each point.  Returns the number of points completed (== count
-/// unless cancelled).
-std::size_t run_sweep(std::size_t count, const SweepOptions& options,
-                      const std::function<void(std::size_t)>& fn);
 
 }  // namespace fvc::sim

@@ -86,9 +86,4 @@ TrialEvents run_trial_events(const TrialConfig& cfg, std::uint64_t seed,
   return ev;
 }
 
-core::RegionCoverageStats run_trial_region(const TrialConfig& cfg, std::uint64_t seed) {
-  const core::Network net = deploy(cfg, seed);
-  return core::evaluate_region(net, cfg.grid(), cfg.theta);
-}
-
 }  // namespace fvc::sim

@@ -10,7 +10,6 @@
 #include "fvc/core/grid.hpp"
 #include "fvc/core/grid_eval.hpp"
 #include "fvc/core/network.hpp"
-#include "fvc/core/region_coverage.hpp"
 
 namespace fvc::sim {
 
@@ -80,10 +79,5 @@ struct TrialMetrics {
 /// engine counters.  Events are identical to the unmetered overload.
 [[nodiscard]] TrialEvents run_trial_events(const TrialConfig& cfg, std::uint64_t seed,
                                            TrialMetrics* metrics);
-
-/// Run one trial and report the full per-point aggregate counts (no early
-/// exit); used for the fraction/expected-area experiments.
-[[nodiscard]] core::RegionCoverageStats run_trial_region(const TrialConfig& cfg,
-                                                         std::uint64_t seed);
 
 }  // namespace fvc::sim

@@ -72,6 +72,12 @@ TEST(Args, SizeRejectsNegativeAndFractional) {
   EXPECT_THROW((void)neg.get_size("n", 0), std::invalid_argument);
   const Args frac = parse({"--n", "2.5"});
   EXPECT_THROW((void)frac.get_size("n", 0), std::invalid_argument);
+  // Out of std::size_t's range, or not a number at all: rejected before any
+  // float-to-integer conversion.
+  for (const char* text : {"1e30", "inf", "nan", "18446744073709551616"}) {
+    const Args big = parse({"--n", text});
+    EXPECT_THROW((void)big.get_size("n", 0), std::invalid_argument) << text;
+  }
 }
 
 TEST(Args, GetBool) {

@@ -1,19 +1,17 @@
 // Determinism contract of the simulation layer, extended to the batched
 // grid-evaluation path: estimates are bit-identical for every thread count
 // given the same master seed, distinct for distinct seeds, and the
-// row-parallel evaluators reproduce the serial (and scalar) results
-// exactly.  All double comparisons use EXPECT_EQ: the contract is
-// bit-identity, not tolerance.
+// row-parallel region scan and the trial scan reproduce the serial (and
+// scalar) results exactly.  All double comparisons use EXPECT_EQ: the
+// contract is bit-identity, not tolerance.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstddef>
 #include <vector>
 
 #include "fvc/core/full_view.hpp"
 #include "fvc/core/region_coverage.hpp"
-#include "fvc/deploy/lattice.hpp"
 #include "fvc/geometry/angle.hpp"
 #include "fvc/sim/monte_carlo.hpp"
 #include "fvc/sim/parallel_region.hpp"
@@ -23,7 +21,6 @@
 namespace fvc::sim {
 namespace {
 
-using geom::kHalfPi;
 using geom::kPi;
 
 constexpr std::size_t kThreadCounts[] = {1, 2, 8};
@@ -134,53 +131,25 @@ TEST(Determinism, ParallelRegionBitIdenticalToSerialAndScalar) {
   }
 }
 
-TEST(Determinism, GridEventsParallelMatchesSerialPredicates) {
-  // One network that covers everything (dense omnidirectional-ish lattice),
-  // one sparse network that fails, and one borderline deployment.
-  deploy::LatticeConfig lat;
-  lat.edge = 0.05;
-  lat.radius = 0.2;
-  lat.fov = kHalfPi;
-  lat.per_site = std::max<std::size_t>(16, deploy::per_site_for_fov(lat.fov));
-  const core::Network dense = deploy::deploy_triangular_lattice_network(lat);
-
-  const TrialConfig cfg = borderline_config(Deployment::kUniform);
-  const core::Network sparse = deploy(cfg, stats::mix64(11, 0));
-
-  const core::DenseGrid grid(8);
-  const double theta = kHalfPi;
-  for (const core::Network* net : {&dense, &sparse}) {
-    const bool want_nec = core::grid_all_necessary(*net, grid, theta);
-    const bool want_fv = core::grid_all_full_view(*net, grid, theta);
-    const bool want_suf = core::grid_all_sufficient(*net, grid, theta);
-    for (const std::size_t threads : kThreadCounts) {
-      const GridEvents ev = grid_events_parallel(*net, grid, theta, threads);
-      EXPECT_EQ(ev.all_necessary, want_nec);
-      if (ev.all_necessary) {
-        EXPECT_EQ(ev.all_full_view, want_fv);
-        EXPECT_EQ(ev.all_sufficient, want_suf);
-      } else {
-        // Necessary failure decides everything (trial semantics).
-        EXPECT_FALSE(ev.all_full_view);
-        EXPECT_FALSE(ev.all_sufficient);
-        EXPECT_FALSE(want_fv);
-        EXPECT_FALSE(want_suf);
-      }
-    }
-  }
-}
-
-TEST(Determinism, TrialEventsMatchParallelGridEvents) {
+TEST(Determinism, TrialEventsMatchScalarGridOracles) {
   const TrialConfig cfg = borderline_config(Deployment::kUniform);
   const core::DenseGrid grid = cfg.grid();
   for (std::uint64_t t = 0; t < 10; ++t) {
     const std::uint64_t seed = stats::mix64(33, t);
     const TrialEvents ev = run_trial_events(cfg, seed);
     const core::Network net = deploy(cfg, seed);
-    const GridEvents gev = grid_events_parallel(net, grid, cfg.theta, 4);
-    EXPECT_EQ(ev.all_necessary, gev.all_necessary);
-    EXPECT_EQ(ev.all_full_view, gev.all_full_view);
-    EXPECT_EQ(ev.all_sufficient, gev.all_sufficient);
+    const bool want_nec = core::grid_all_necessary(net, grid, cfg.theta);
+    EXPECT_EQ(ev.all_necessary, want_nec) << "t=" << t;
+    if (want_nec) {
+      EXPECT_EQ(ev.all_full_view, core::grid_all_full_view(net, grid, cfg.theta))
+          << "t=" << t;
+      EXPECT_EQ(ev.all_sufficient, core::grid_all_sufficient(net, grid, cfg.theta))
+          << "t=" << t;
+    } else {
+      // A necessary failure decides everything (trial semantics).
+      EXPECT_FALSE(ev.all_full_view) << "t=" << t;
+      EXPECT_FALSE(ev.all_sufficient) << "t=" << t;
+    }
   }
 }
 

@@ -116,31 +116,6 @@ TEST(ParallelIdentity, GrainLargerThanRows) {
   expect_bitwise_equal(serial, evaluate_region_parallel(net, grid, theta, 7, 9));
 }
 
-TEST(ParallelIdentity, GridEventsMatchSerialRowFold) {
-  // grid_events_parallel must agree with its own threads=1 evaluation for
-  // every (threads, grain) — the early exit may skip different rows but
-  // can never flip the AND-reduction.
-  stats::Pcg32 rng(0x6e3a11);
-  for (int it = 0; it < 4; ++it) {
-    const std::size_t n = 40 + rng() % 160;
-    const std::size_t side = 2 + rng() % 20;
-    const double theta = 0.3 + 0.6 * geom::kHalfPi * (rng() / 4294967296.0);
-    SCOPED_TRACE("it=" + std::to_string(it) + " n=" + std::to_string(n) +
-                 " side=" + std::to_string(side));
-    const core::Network net = random_network(rng, n);
-    const core::DenseGrid grid(side);
-    const GridEvents base = grid_events_parallel(net, grid, theta, 1, 1);
-    for (const std::size_t threads : kThreadCounts) {
-      for (const std::size_t grain : kGrains) {
-        const GridEvents ev = grid_events_parallel(net, grid, theta, threads, grain);
-        EXPECT_EQ(ev.all_necessary, base.all_necessary);
-        EXPECT_EQ(ev.all_full_view, base.all_full_view);
-        EXPECT_EQ(ev.all_sufficient, base.all_sufficient);
-      }
-    }
-  }
-}
-
 TEST(ParallelIdentity, MeteredScanIsBitIdenticalToo) {
   stats::Pcg32 rng(0xfeed5);
   const core::Network net = random_network(rng, 150);

@@ -6,8 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "fvc/obs/cancellation.hpp"
-
 namespace fvc::sim {
 namespace {
 
@@ -75,60 +73,6 @@ TEST(GeomspaceSizes, SmallRangeDeduplicates) {
 
 TEST(GeomspaceSizes, Validation) {
   EXPECT_THROW((void)geomspace_sizes(0, 10, 3), std::invalid_argument);
-}
-
-TEST(RunSweep, VisitsEveryPointInOrder) {
-  std::vector<std::size_t> visited;
-  const std::size_t done =
-      run_sweep(5, {}, [&](std::size_t i) { visited.push_back(i); });
-  EXPECT_EQ(done, 5u);
-  EXPECT_EQ(visited, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
-}
-
-TEST(RunSweep, ReportsProgressAfterEachPoint) {
-  std::vector<std::pair<std::size_t, std::size_t>> reports;
-  SweepOptions options;
-  options.progress = [&](std::size_t done, std::size_t total) {
-    reports.emplace_back(done, total);
-  };
-  run_sweep(3, options, [](std::size_t) {});
-  ASSERT_EQ(reports.size(), 3u);
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    EXPECT_EQ(reports[i].first, i + 1);
-    EXPECT_EQ(reports[i].second, 3u);
-  }
-}
-
-TEST(RunSweep, CancellationStopsAtPointBoundary) {
-  obs::CancellationToken cancel;
-  SweepOptions options;
-  options.cancel = &cancel;
-  std::size_t ran = 0;
-  const std::size_t done = run_sweep(10, options, [&](std::size_t i) {
-    ++ran;
-    if (i == 2) {
-      cancel.request_stop();  // a worker/signal fires mid-sweep
-    }
-  });
-  EXPECT_EQ(ran, 3u) << "point 2 finishes; point 3 never starts";
-  EXPECT_EQ(done, 3u);
-}
-
-TEST(RunSweep, PreCancelledRunsNothing) {
-  obs::CancellationToken cancel;
-  cancel.request_stop();
-  SweepOptions options;
-  options.cancel = &cancel;
-  bool progressed = false;
-  options.progress = [&](std::size_t, std::size_t) { progressed = true; };
-  const std::size_t done =
-      run_sweep(4, options, [](std::size_t) { FAIL() << "must not run"; });
-  EXPECT_EQ(done, 0u);
-  EXPECT_FALSE(progressed);
-}
-
-TEST(RunSweep, ZeroCountIsANoOp) {
-  EXPECT_EQ(run_sweep(0, {}, [](std::size_t) { FAIL(); }), 0u);
 }
 
 }  // namespace

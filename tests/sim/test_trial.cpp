@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 
+#include "fvc/core/region_coverage.hpp"
 #include "fvc/geometry/angle.hpp"
 
 namespace fvc::sim {
@@ -85,17 +86,12 @@ TEST(RunTrialEvents, AgreesWithRegionEvaluation) {
   const TrialConfig cfg = base_config();
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     const TrialEvents ev = run_trial_events(cfg, seed);
-    const core::RegionCoverageStats st = run_trial_region(cfg, seed);
+    const core::RegionCoverageStats st =
+        core::evaluate_region(deploy(cfg, seed), cfg.grid(), cfg.theta);
     EXPECT_EQ(ev.all_necessary, st.all_necessary()) << "seed=" << seed;
     EXPECT_EQ(ev.all_full_view, st.all_full_view()) << "seed=" << seed;
     EXPECT_EQ(ev.all_sufficient, st.all_sufficient()) << "seed=" << seed;
   }
-}
-
-TEST(RunTrialRegion, TotalPointsMatchesGrid) {
-  const TrialConfig cfg = base_config();
-  const core::RegionCoverageStats st = run_trial_region(cfg, 1);
-  EXPECT_EQ(st.total_points, 144u);
 }
 
 TEST(RunTrialEvents, TinyNetworkFailsEverything) {
