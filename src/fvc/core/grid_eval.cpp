@@ -8,6 +8,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "fvc/core/candidate_index.hpp"
 #include "fvc/core/grid_eval_kernel.hpp"
@@ -118,11 +119,6 @@ constexpr double kMinEdgeY = 1e-9;
 /// Cap on the sweep's per-interval column counts (intervals x (columns +
 /// 1)); engines above it decide every point from its whole span.
 constexpr std::size_t kMaxSweepCells = std::size_t{1} << 20;
-/// A core end whose pseudo-angle lies at least this far inside its sector
-/// interval's far boundary bounds its piece itself, with no crossing cut
-/// there (five bands, as the crossing margin keeps); a core inside one
-/// interval is then one piece.
-constexpr double kFastBand = 5e-9;
 /// A camera's pass through the row sweep costs about this many exact
 /// vector classifies of one band slot at one point (see `sweep_row`).
 constexpr std::size_t kFinishRatio = 32;
@@ -131,8 +127,9 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // The row sweep's shared limits, kind bits and batch layout
 // (grid_eval_kernel.hpp).
-using detail::kBatchStride, detail::kChordMargin, detail::kCrossMargin, detail::kMaxHalfChord,
-    detail::kMinSweepDy, detail::kSweepBatch, detail::kSweepSlackX;
+using detail::kBatchStride, detail::kChordMargin, detail::kCrossMargin, detail::kFastBand,
+    detail::kMaxHalfChord, detail::kMinSweepDy, detail::kPieceCap, detail::kSweepBatch,
+    detail::kMaxWalkSteps, detail::kSweepSlackX;
 using detail::kEdgeLower, detail::kEdgeNone, detail::kEdgeUpper, detail::kKindCoreReflex,
     detail::kKindNoCore, detail::kKindOuterReflex, detail::kKindUnbounded, detail::kShiftCm,
     detail::kShiftCp, detail::kShiftOm, detail::kShiftOp;
@@ -309,6 +306,120 @@ inline SweepIntervals sweep_intervals(double dy, double r2, unsigned kind, doubl
     c = c + 1 == cols ? 0 : c + 1;
   }
   return static_cast<std::uint64_t>(c1 - c0 + 1);
+}
+
+/// The interval of a sector table holding pseudo-angle v in [0, 4]: from
+/// the interval at v's bucket start, past every boundary at or below v.
+inline std::size_t locate_interval(const double* bounds, const std::uint32_t* bucket,
+                                   double bucket_scale, double bucket_last, std::size_t last,
+                                   double v) {
+  std::size_t i = bucket[static_cast<std::size_t>(std::min(v * bucket_scale, bucket_last))];
+  while (i < last && v >= bounds[i + 1]) {
+    ++i;
+  }
+  return i;
+}
+
+/// Every column of the unwrapped range [c0, c1] saturated (true if
+/// empty), by the row's saturated-column prefix counts `sat` over the row
+/// twice (ranges wrap); c0 lies in [-cols, 2 * cols) unless the range is
+/// empty, and a range of more than cols columns covers the row.
+inline bool all_saturated(const std::uint32_t* sat, std::int64_t cols, std::int64_t c0,
+                          std::int64_t c1) {
+  const std::int64_t width = std::min(c1 - c0 + 1, cols);
+  c0 += cols * (static_cast<std::int64_t>(c0 < 0) - static_cast<std::int64_t>(c0 >= cols));
+  return width <= 0 || static_cast<std::int64_t>(sat[c0 + width] - sat[c0]) == width;
+}
+
+/// The shift that moves an unwrapped column c0 in [-cols, 2 * cols) into
+/// [0, cols): a piece starting past the torus seam moves by one row.
+inline std::int64_t seam_shift(std::int64_t c0, std::int64_t cols) {
+  return c0 < 0 ? cols : (c0 >= cols ? -cols : 0);
+}
+
+/// The crossing walk of the row sweep (docs/ARCHITECTURE.md, "Row sweep")
+/// certifies a core sub-interval whose ends' viewed directions -(x, dy)
+/// have pseudo-angles pa_l (left end) and pa_r (right end), cut where the
+/// direction crosses a sector boundary, with a margin mu either side.  The
+/// direction turns monotonically along the row, so the interval index
+/// steps by one per crossing, from the interval holding one end to the one
+/// holding the other: up when the pseudo-angle rises (dy < 0), else down.
+/// An end at least kFastBand inside its interval's far boundary bounds its
+/// piece itself (a sub-interval inside one interval is one piece, with no
+/// crossing at all); an end nearer it is cut at that boundary's crossing
+/// as well.  `walk_ends` places the walk; `walk_pieces` cuts it.
+struct Walk {
+  std::size_t first = 0;  ///< the interval at the left end
+  std::size_t steps = 0;  ///< intervals visited
+  bool rise = false;
+  bool near_first = false;  ///< the left end is cut at its boundary's crossing too
+  bool near_last = false;   ///< the right end is
+};
+
+inline Walk walk_ends(const detail::SectorWalk& t, double dy, double pa_l, double pa_r) {
+  const bool rise = dy < 0.0;
+  const double v_lo = rise ? pa_l : pa_r;
+  const double v_hi = rise ? pa_r : pa_l;
+  const std::size_t last = t.intervals - 1;
+  const std::size_t i_lo =
+      locate_interval(t.bounds, t.bucket, t.bucket_scale, t.bucket_last, last, v_lo);
+  const std::size_t i_hi =
+      locate_interval(t.bounds, t.bucket, t.bucket_scale, t.bucket_last, last, v_hi);
+  const bool near_lo = v_lo - t.bounds[i_lo] < kFastBand;
+  const bool near_hi = t.bounds[i_hi + 1] - v_hi < kFastBand;
+  return {rise ? i_lo : i_hi, i_hi - i_lo + 1, rise, rise ? near_lo : near_hi,
+          rise ? near_hi : near_lo};
+}
+
+/// The walk's pieces on the columns [c_first, c_last], left to right:
+/// step s covers interval first -+ s up to the crossing x = dy * cot(b) of
+/// its boundaries, less a margin mu = mu_scale * (x^2 + dy^2) either side,
+/// and `emit(s, interval, c0, c1)` gets each non-empty one (unwrapped
+/// columns, j(x) = j0 + x * side as in `Cut::col_lo`).  A crossing beyond
+/// |x| = 1 lies beyond every chord: clamping it to -+1 keeps its side, and
+/// there mu <= 1e-3 (x^2 + dy^2), so |d| barely changes across the margin.
+/// A walked camera has |dy| >= kMinSweepDy, so |x -+ mu| < 1.002 and the
+/// column ends need no clamp (on the plane c_first >= 0 bounds the left
+/// one).  The batch kernel's piece stage computes the same values.
+template <class Emit>
+inline void walk_pieces(const detail::SectorWalk& t, const Walk& w, double j0, double dy,
+                        double mu_scale, double side, std::int64_t c_first, std::int64_t c_last,
+                        Emit&& emit) {
+  const double dy2 = dy * dy;
+  // The boundary before step s is first + s (rising) or first + 1 - s
+  // (falling), whose cot entry is s past this one.
+  const double* const cot =
+      t.cot + (w.rise ? w.first : std::size_t{t.fall} + t.intervals - 1 - w.first);
+  // The crossing of the boundary before step s, and its margin.
+  auto cross = [&](std::size_t s, double& m) {
+    const double x = std::min(std::max(dy * cot[s], -1.0), 1.0);
+    m = mu_scale * (x * x + dy2);
+    return x;
+  };
+  std::int64_t start = c_first;
+  if (w.near_first) [[unlikely]] {
+    double m = 0.0;
+    const double x = cross(0, m);
+    start = std::max(start, ceil_to_int(j0 + (x + m) * side));
+  }
+  for (std::size_t s = 0;; ++s) {
+    const bool last = s + 1 == w.steps;
+    std::int64_t end = c_last;
+    std::int64_t next = 0;
+    if (!last || w.near_last) {
+      double m = 0.0;
+      const double x = cross(s + 1, m);
+      end = std::min(end, floor_to_int(j0 + (x - m) * side));
+      next = ceil_to_int(j0 + (x + m) * side);
+    }
+    if (start <= end) {
+      emit(s, w.rise ? w.first + s : w.first - s, start, end);
+    }
+    if (last) {
+      break;
+    }
+    start = std::max(next, c_first);
+  }
 }
 
 /// Gap-bound bins of the stats path: the pseudo-angle range [0, 4) cut
@@ -628,16 +739,108 @@ BandScan band_scan_scalar(const double* sy, const double* r2, std::uint32_t begi
   return {end, added};
 }
 
+// The definition of the batch kernel's piece stage, which the kernel tests
+// check it against (the scalar kernel runs no piece stage: the sweep's
+// scalar pass walks every camera itself, with the same `walk_ends` and
+// `walk_pieces`).  Per camera, the skip test, then the crossing walk of a
+// certified, non-reflex camera's first core sub-interval when it visits at
+// most t.steps intervals; its pieces are kept when they leave no verify
+// gap (the sweep's scalar pass would verify one).  The pieces are packed
+// as the batch kernel packs them: per group of 4 walks (in camera order),
+// step by step, walks in order within a step.
+std::size_t sweep_pieces_scalar(const SweepBatch& sb, std::size_t count, const SectorWalk& t,
+                                const std::uint32_t* sat, SweepPieces& out) {
+  std::fill(std::begin(out.fallback), std::end(out.fallback), 0);
+  std::fill(std::begin(out.skip), std::end(out.skip), 0);
+  const std::int64_t cols = sb.side;
+  const auto side = static_cast<double>(sb.side);
+  auto field = [&sb](std::size_t fld, std::size_t b) { return sb.fields[fld * kBatchStride + b]; };
+  auto col = [&sb](std::size_t fld, std::size_t b) {
+    return static_cast<std::int64_t>(sb.cols[fld * kBatchStride + b]);
+  };
+  auto set_bit = [](std::uint64_t* words, std::size_t b) {
+    words[b / 64] |= std::uint64_t{1} << (b % 64);
+  };
+  // The walks: every camera that is not decided without one.
+  std::vector<std::pair<std::size_t, Walk>> walks;
+  for (std::size_t b = 0; b < count; ++b) {
+    const auto flags = static_cast<unsigned>(col(kColFlags, b));
+    const std::int64_t oc0 = col(kColOuter0, b);
+    const std::int64_t oc1 = col(kColOuter1, b);
+    if ((flags & kBatchReflex) != 0) {
+      set_bit(out.fallback, b);
+    } else if (sat != nullptr && all_saturated(sat, cols, oc0, oc1)) {
+      set_bit(out.skip, b);
+    } else if ((flags & kBatchCertify) == 0) {
+      set_bit(out.fallback, b);
+    } else if (col(kColSub0, b) > col(kColSub1, b)) {
+      if (oc0 <= oc1) {  // its outer columns are all verified
+        set_bit(out.fallback, b);
+      }
+    } else {
+      const Walk w = walk_ends(t, field(kBatchDy, b), field(kBatchPaLo, b), field(kBatchPaHi, b));
+      if (w.steps > t.steps) {
+        set_bit(out.fallback, b);
+      } else {
+        walks.emplace_back(b, w);
+      }
+    }
+  }
+  struct Piece {
+    std::int64_t interval = 0;
+    std::int64_t c0 = 0;
+    std::int64_t c1 = 0;
+    bool set = false;
+  };
+  std::size_t n_out = 0;
+  for (std::size_t g = 0; g < walks.size(); g += 4) {
+    Piece staged[kMaxWalkSteps][4] = {};  // by step, then walk
+    for (std::size_t lane = 0; lane < 4 && g + lane < walks.size(); ++lane) {
+      const auto& [b, w] = walks[g + lane];
+      std::int64_t cursor = col(kColOuter0, b);
+      bool gap = false;
+      walk_pieces(t, w, field(kBatchJ0, b), field(kBatchDy, b), field(kBatchMuScale, b), side,
+                  col(kColSub0, b), col(kColSub1, b),
+                  [&](std::size_t s, std::size_t i, std::int64_t c0, std::int64_t c1) {
+                    gap = gap || c0 > cursor;
+                    const std::int64_t shift = seam_shift(c0, cols);
+                    staged[s][lane] = {static_cast<std::int64_t>(i), c0 + shift, c1 + shift,
+                                       true};
+                    cursor = c1 + 1;
+                  });
+      if (gap || cursor <= col(kColOuter1, b)) {
+        set_bit(out.fallback, b);
+        for (auto& step : staged) {
+          step[lane].set = false;
+        }
+      }
+    }
+    for (const auto& step : staged) {
+      for (const Piece& p : step) {
+        if (p.set) {
+          out.interval[n_out] = static_cast<std::int32_t>(p.interval);
+          out.c0[n_out] = static_cast<std::int32_t>(p.c0);
+          out.c1[n_out] = static_cast<std::int32_t>(p.c1);
+          ++n_out;
+        }
+      }
+    }
+  }
+  return n_out;
+}
+
 // The scalar variant, and defensively a variant this build lacks
-// (resolve_kernel already rejects those), runs the scalar definitions.
+// (resolve_kernel already rejects those), runs the scalar definitions of
+// the band and interval stages, and no classify or piece stage: its
+// per-entry classify and the sweep's scalar pass do that work directly.
 Kernels kernels_for(KernelVariant v) {
   switch (v) {
 #if defined(FVC_KERNEL_AVX2)
     case KernelVariant::kAvx2:
-      return {&classify_avx2, &sweep_intervals_avx2, &band_scan_avx2};
+      return {&classify_avx2, &sweep_intervals_avx2, &band_scan_avx2, &sweep_pieces_avx2};
 #endif
     default:
-      return {nullptr, &sweep_intervals_scalar, &band_scan_scalar};
+      return {nullptr, &sweep_intervals_scalar, &band_scan_scalar, nullptr};
   }
 }
 
@@ -684,6 +887,7 @@ void GridEvalCounters::describe(obs::MetricsNode& node) const {
   node.add("sweep_pieces", static_cast<double>(sweep_pieces));
   node.add("sweep_verify", static_cast<double>(sweep_verify));
   node.add("sweep_skipped", static_cast<double>(sweep_skipped));
+  node.add("sweep_walk_fallback", static_cast<double>(sweep_walk_fallback));
   node.add("sweep_band_ns", static_cast<double>(sweep_band_ns));
   node.add("sweep_intervals_ns", static_cast<double>(sweep_intervals_ns));
   node.add("sweep_pieces_ns", static_cast<double>(sweep_pieces_ns));
@@ -757,13 +961,21 @@ void GridEvalEngine::build_sector_table() {
   }
   // Row-sweep crossings: a boundary outside the half a row's directions
   // sweep is crossed at x = -inf (the start of the sweep) or +inf (its end).
-  t.cot_rise.resize(b.size());
-  t.cot_fall.resize(b.size());
+  t.fall = b.size() + detail::kWalkPad;
+  t.cot.assign(2 * t.fall, 0.0);
   for (std::size_t i = 0; i < b.size(); ++i) {
     const geom::Vec2 v = pseudo_direction(b[i]);
     const double cot = v.y != 0.0 ? v.x / v.y : 0.0;
-    t.cot_rise[i] = b[i] <= 0.0 ? kInf : (b[i] >= 2.0 ? -kInf : cot);
-    t.cot_fall[i] = b[i] <= 2.0 ? kInf : (b[i] >= 4.0 ? -kInf : cot);
+    t.cot[i] = b[i] <= 0.0 ? kInf : (b[i] >= 2.0 ? -kInf : cot);
+    t.cot[t.fall + intervals - i] = b[i] <= 2.0 ? kInf : (b[i] >= 4.0 ? -kInf : cot);
+  }
+  t.bucket_records.resize(detail::kBucketRecord * k);
+  for (std::size_t i = 0; i < k; ++i) {
+    double* const r = t.bucket_records.data() + detail::kBucketRecord * i;
+    r[0] = static_cast<double>(t.bucket[i]);
+    r[1] = b[t.bucket[i] + 1];
+    r[2] = b[t.bucket[i]];
+    r[3] = t.bucket[i] + 2 < b.size() ? b[t.bucket[i] + 2] : 4.0;
   }
   // Arc bits per interval, from the oracle's own arc predicate at the
   // interval's midpoint.  The predicate is constant across an interval
@@ -813,14 +1025,24 @@ void GridEvalEngine::build_sector_table() {
 }
 
 std::size_t GridEvalEngine::SectorTable::locate(double v) const {
-  const std::size_t last = bounds.size() - 2;  // index of the last interval
-  std::size_t i = bucket[static_cast<std::size_t>(
-      std::min(v * bucket_scale, static_cast<double>(bucket.size() - 1)))];
-  while (i < last && v >= bounds[i + 1]) {
-    ++i;
-  }
-  return i;
+  return locate_interval(bounds.data(), bucket.data(), bucket_scale,
+                         static_cast<double>(bucket.size() - 1), bounds.size() - 2, v);
 }
+
+detail::SectorWalk GridEvalEngine::SectorTable::walk() const {
+  return {bounds.data(),
+          bucket.data(),
+          bucket_records.data(),
+          cot.data(),
+          bucket_scale,
+          static_cast<double>(bucket.size() - 1),
+          static_cast<std::uint32_t>(bounds.size() - 1),
+          static_cast<std::uint32_t>(fall),
+          static_cast<std::uint32_t>(
+              std::min((bounds.size() - 1) / 2 + 1, detail::kMaxWalkSteps))};
+}
+
+detail::SectorWalk GridEvalEngine::sector_walk() const { return sectors_.walk(); }
 
 void GridEvalEngine::CandSoA::resize(std::size_t n) {
   stride = n;
@@ -881,7 +1103,7 @@ void describe_kernel(KernelVariant active, obs::MetricsNode& node) {
 }
 
 void GridEvalEngine::compute_cells() {
-  if (net_->cameras().size() > static_cast<std::size_t>(~std::uint32_t{0})) {
+  if (net_->cameras().size() > kMaxCameras) {
     throw std::invalid_argument("GridEvalEngine: too many cameras");
   }
   // Cell sizing: correctness is set-based (every candidate span is a
@@ -1488,10 +1710,6 @@ void GridEvalEngine::sweep_row(std::size_t row, Predicates need,
     GridEvalScratch::RowSweep* sw;
     std::int32_t* diff;
     std::uint32_t* touched;
-    const SectorTable* table;
-    const double* bounds;
-    const double* cot_rise;
-    const double* cot_fall;
     std::size_t cols;
     std::int64_t cols_i;
     double side;
@@ -1499,25 +1717,23 @@ void GridEvalEngine::sweep_row(std::size_t row, Predicates need,
     std::uint64_t pieces = 0;
     std::uint64_t verify = 0;
 
-    void piece(std::size_t i, std::int64_t c0, std::int64_t c1) {
-      if (c0 < 0) {
-        c0 += cols_i;
-        c1 += cols_i;
-      } else if (c0 >= cols_i) {
-        c0 -= cols_i;
-        c1 -= cols_i;
-      }
+    // A piece with c0 in [0, cols) into interval i's counts; one running
+    // past the seam also counts from column 0 to c1 - cols.
+    void scatter(std::size_t i, std::int64_t c0, std::int64_t c1) {
       std::int32_t* const d = diff + i * (cols + 1);
       ++d[c0];
-      if (c1 < cols_i) {
+      if (c1 < cols_i) [[likely]] {
         --d[c1 + 1];
-      } else {  // wraps past the seam
-        --d[cols];
+      } else {
         ++d[0];
-        --d[c1 - cols_i + 1];
+        --d[c1 + 1 - cols_i];
       }
       touched[i] = 1;
       ++pieces;
+    }
+    void piece(std::size_t i, std::int64_t c0, std::int64_t c1) {
+      const std::int64_t shift = seam_shift(c0, cols_i);
+      scatter(i, c0 + shift, c1 + shift);
     }
     void verify_range(std::uint32_t slot, std::int64_t c0, std::int64_t c1) {
       if (c0 <= c1) [[unlikely]] {
@@ -1536,75 +1752,23 @@ void GridEvalEngine::sweep_row(std::size_t row, Predicates need,
       const std::int64_t c = floor_to_int(j0 + std::min(std::max(x, -4.0), 4.0) * side);
       return torus ? c : std::min<std::int64_t>(c, cols_i - 1);
     }
-    // The crossing walk: certify a core sub-interval whose ends' viewed
-    // directions -(x, dy) have pseudo-angles pa_l (left end) and pa_r
-    // (right end), and whose columns are [c_first, c_last], cut where the
-    // direction crosses a sector boundary, with a margin mu either side.
-    // The direction turns monotonically along the row, so the interval
-    // index steps by one per crossing, from the interval holding one end
-    // to the one holding the other.  An end at least kFastBand inside its
-    // interval's far boundary bounds its piece itself (a sub-interval
-    // inside one interval is one piece, with no crossing at all); an end
-    // nearer it is cut at that boundary's crossing as well.  A crossing
-    // beyond |x| = 1 lies beyond every chord: clamping it to -+1 keeps
-    // its side, and there mu <= 1e-3 (x^2 + dy^2), so |d| barely changes
-    // across the margin.
-    void walk(std::uint32_t slot, double j0, double dy, double mu_scale, double pa_l,
-              double pa_r, std::int64_t c_first, std::int64_t c_last, std::int64_t& cursor) {
-      const bool rise = dy < 0.0;  // the pseudo-angle rises along the row
-      const double v_lo = rise ? pa_l : pa_r;
-      const double v_hi = rise ? pa_r : pa_l;
-      const std::size_t i_lo = table->locate(v_lo);
-      const std::size_t i_hi = table->locate(v_hi);
-      const bool near_lo = v_lo - bounds[i_lo] < kFastBand;
-      const bool near_hi = bounds[i_hi + 1] - v_hi < kFastBand;
-      std::size_t i = rise ? i_lo : i_hi;
-      const std::size_t i_end = rise ? i_hi : i_lo;
-      const double dy2 = dy * dy;
-      const double* const cot = rise ? cot_rise : cot_fall;
-      auto cross = [dy, cot](std::size_t bound) {
-        return std::min(std::max(dy * cot[bound], -1.0), 1.0);
-      };
-      std::int64_t start = c_first;
-      if (rise ? near_lo : near_hi) [[unlikely]] {
-        const double x = cross(rise ? i : i + 1);
-        start = std::max(start, col_lo(j0, x + mu_scale * (x * x + dy2)));
-      }
-      const bool near_end = rise ? near_hi : near_lo;
-      for (;;) {
-        const bool last = i == i_end;
-        std::int64_t end = c_last;
-        std::int64_t next = 0;
-        if (!last || near_end) {
-          const double x = cross(rise ? i + 1 : i);
-          const double m = mu_scale * (x * x + dy2);
-          end = std::min(end, floor_to_int(j0 + (x - m) * side));
-          next = ceil_to_int(j0 + (x + m) * side);
-        }
-        if (start <= end) {
-          verify_range(slot, cursor, start - 1);
-          piece(i, start, end);
-          cursor = end + 1;
-        }
-        if (last) {
-          break;
-        }
-        start = std::max(next, c_first);
-        i = rise ? i + 1 : i - 1;
-      }
+    // A core sub-interval's pieces, by the crossing walk, and the columns
+    // from `cursor` on that no piece claims as verify pairs.  Returns
+    // whether the walk visits more intervals than the piece stage walks.
+    bool certify(const detail::SectorWalk& t, std::uint32_t slot, double j0, double dy,
+                 double mu_scale, double pa_l, double pa_r, std::int64_t c_first,
+                 std::int64_t c_last, std::int64_t& cursor) {
+      const Walk w = walk_ends(t, dy, pa_l, pa_r);
+      walk_pieces(t, w, j0, dy, mu_scale, side, c_first, c_last,
+                  [&](std::size_t, std::size_t i, std::int64_t start, std::int64_t end) {
+                    verify_range(slot, cursor, start - 1);
+                    piece(i, start, end);
+                    cursor = end + 1;
+                  });
+      return w.steps > t.steps;
     }
   };
-  Cut cut{&sw,
-          sw.diff.data(),
-          sw.touched.data(),
-          &t,
-          t.bounds.data(),
-          t.cot_rise.data(),
-          t.cot_fall.data(),
-          cols,
-          cols_i,
-          static_cast<double>(cols),
-          torus};
+  Cut cut{&sw, sw.diff.data(), sw.touched.data(), cols, cols_i, static_cast<double>(cols), torus};
 
   // Fold the pending difference arrays into the masks (word-major: word
   // w of column c at w * cols + c): the prefix sums of each touched
@@ -1669,14 +1833,6 @@ void GridEvalEngine::sweep_row(std::size_t row, Predicates need,
     skipping = sat[cols] != 0;
     return sat[cols] == cols;
   };
-  // Every column of the unwrapped range [c0, c1] saturated (true if
-  // empty); c0 lies in [-cols, 2 * cols), and a range of more than cols
-  // columns covers the row.
-  auto all_saturated = [sat, cols_i](std::int64_t c0, std::int64_t c1) {
-    const std::int64_t width = std::min(c1 - c0 + 1, cols_i);
-    c0 += cols_i * (static_cast<std::int64_t>(c0 < 0) - static_cast<std::int64_t>(c0 >= cols_i));
-    return width <= 0 || static_cast<std::int64_t>(sat[c0 + width] - sat[c0]) == width;
-  };
 
   const double* const f_r2 = cam_soa_.r2();
   std::uint32_t* const b_slot = sw.batch_slots.data();
@@ -1697,80 +1853,121 @@ void GridEvalEngine::sweep_row(std::size_t row, Predicates need,
   const detail::SweepBatch batch{b_slot,   sw.consts.data(), sw_batch, sw.batch_cols.data(),
                                  static_cast<std::int32_t>(cols), torus};
 
-  // Pass 2, per camera: pieces and verify pairs.
+  // Pass 2: the dispatched piece stage walks most cameras and packs their
+  // pieces, which only add to the difference arrays, so their order does
+  // not matter; the cameras it leaves to this scalar pass run in camera
+  // order, so the verify pairs keep it.  The scalar kernel has no piece
+  // stage (`detail::sweep_pieces_scalar` defines what the batch kernel
+  // computes): the scalar pass takes every camera.
+  const detail::SectorWalk walk = t.walk();
+  sw.batch_pieces.resize(3 * kPieceCap);
+  detail::SweepPieces packed{sw.batch_pieces.data(), sw.batch_pieces.data() + kPieceCap,
+                             sw.batch_pieces.data() + 2 * kPieceCap, {}, {}};
   std::uint64_t n_skipped = 0;
+  std::uint64_t n_fallback = 0;
   auto pieces_pass = [&](std::size_t count) {
-    for (std::size_t b = 0; b < count; ++b) {
-      const std::uint32_t slot = b_slot[b];
-      const auto flags = static_cast<unsigned>(b_flags[b]);
-      const double j0 = b_j0[b];
-      const double dy = b_dy[b];
-      const std::int64_t oc0 = b_oc0[b];
-      const std::int64_t oc1 = b_oc1[b];
-      if ((flags & kBatchReflex) == 0) [[likely]] {
-        if (skipping && all_saturated(oc0, oc1)) {
-          ++n_skipped;
-          continue;
-        }
+    if (kernels_.pieces != nullptr) {
+      const std::size_t n_pieces =
+          kernels_.pieces(batch, count, walk, skipping ? sat : nullptr, packed);
+      for (std::size_t k = 0; k < n_pieces; ++k) {
+        cut.scatter(static_cast<std::size_t>(packed.interval[k]), packed.c0[k], packed.c1[k]);
+      }
+      for (std::size_t w = 0; w < kSweepBatch / 64; ++w) {
+        n_skipped += static_cast<std::uint64_t>(std::popcount(packed.skip[w]));
+        n_fallback += static_cast<std::uint64_t>(std::popcount(packed.fallback[w]));
+      }
+    } else {
+      for (std::size_t w = 0; w < kSweepBatch / 64; ++w) {  // bits [0, count)
+        const std::size_t n = count > 64 * w ? std::min<std::size_t>(count - 64 * w, 64) : 0;
+        packed.fallback[w] = n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+      }
+    }
+    // The scalar pass, in camera order: a camera whose outer columns are
+    // all saturated is skipped; a reflex wedge gets both outer parts, each
+    // with both core sub-intervals walked; any other camera part 0's first
+    // core sub-interval, from pass 1.  The columns no piece claims are
+    // verified.  With no piece stage, `n_fallback` counts the cameras the
+    // stage would hand back (reflex, uncertified, too long a walk or a
+    // verify gap), so it reads the same under every kernel, which the
+    // sweep fuzz checks.
+    std::uint64_t back_rule = 0;
+    for (std::size_t w = 0; w < kSweepBatch / 64; ++w) {
+      for (std::uint64_t bits = packed.fallback[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t b = 64 * w + static_cast<std::size_t>(std::countr_zero(bits));
+        const std::uint32_t slot = b_slot[b];
+        const auto flags = static_cast<unsigned>(b_flags[b]);
+        const double j0 = b_j0[b];
+        const double dy = b_dy[b];
+        const std::int64_t oc0 = b_oc0[b];
+        const std::int64_t oc1 = b_oc1[b];
+        const bool certify = (flags & kBatchCertify) != 0;
         std::int64_t cursor = oc0;
         const std::int64_t sc0 = b_sc0[b];
         const std::int64_t sc1 = b_sc1[b];
-        if ((flags & kBatchCertify) != 0 && sc0 <= sc1) {
-          cut.walk(slot, j0, dy, b_mus[b], b_palo[b], b_pahi[b], sc0, sc1, cursor);
-        }
-        cut.verify_range(slot, cursor, oc1);
-        continue;
-      }
-      // A reflex wedge: both outer parts, each with both core
-      // sub-intervals walked.
-      const double* const f = sw_batch + b;
-      const double lo1 = f[kBatchLo1 * kBatchStride];
-      const double hi1 = f[kBatchHi1 * kBatchStride];
-      const double c_lo = f[kBatchCoreLo * kBatchStride];
-      const double c_hi = f[kBatchCoreHi * kBatchStride];
-      const double bl = f[kBatchBlindLo * kBatchStride];
-      const double bh = f[kBatchBlindHi * kBatchStride];
-      const bool two = lo1 <= hi1;
-      const std::int64_t pc0 = two ? cut.col_lo(j0, lo1) : 0;
-      const std::int64_t pc1 = two ? cut.col_hi(j0, hi1) : -1;
-      if (skipping && all_saturated(oc0, oc1) && all_saturated(pc0, pc1)) {
-        ++n_skipped;
-        continue;
-      }
-      // Part 0's first core sub-interval comes from pass 1; the others
-      // are cut here (pseudo-angles as in pass 1).
-      const double pa_base = dy < 0.0 ? 1.0 : 3.0;
-      const double pa_sign = dy < 0.0 ? 1.0 : -1.0;
-      const double ady = std::abs(dy);
-      auto pa = [&](double x) { return pa_base + pa_sign * (x / (std::abs(x) + ady)); };
-      const bool certify = (flags & kBatchCertify) != 0;
-      auto sub = [&](double l, double h, std::int64_t& cursor, std::int64_t c_last) {
-        if (certify && l <= h) {
-          const std::int64_t c0 = std::max(cut.col_lo(j0, l), cursor);
-          const std::int64_t c1 = std::min(cut.col_hi(j0, h), c_last);
-          if (c0 <= c1) {
-            cut.walk(slot, j0, dy, b_mus[b], pa(l), pa(h), c0, c1, cursor);
+        if ((flags & kBatchReflex) == 0) {
+          if (skipping && all_saturated(sat, cols_i, oc0, oc1)) {
+            ++n_skipped;
+            continue;
           }
+          const std::uint64_t verified = cut.verify;
+          bool back = !certify;
+          if (certify && sc0 <= sc1) {
+            back = cut.certify(walk, slot, j0, dy, b_mus[b], b_palo[b], b_pahi[b], sc0, sc1,
+                               cursor);
+          }
+          cut.verify_range(slot, cursor, oc1);
+          back_rule += static_cast<std::uint64_t>(back || cut.verify != verified);
+          continue;
         }
-      };
-      std::int64_t cursor = oc0;
-      const std::int64_t sc0 = b_sc0[b];
-      const std::int64_t sc1 = b_sc1[b];
-      if (certify && sc0 <= sc1) {
-        cut.walk(slot, j0, dy, b_mus[b], b_palo[b], b_pahi[b], sc0, sc1, cursor);
+        ++back_rule;
+        const double* const f = sw_batch + b;
+        const double lo1 = f[kBatchLo1 * kBatchStride];
+        const double hi1 = f[kBatchHi1 * kBatchStride];
+        const double c_lo = f[kBatchCoreLo * kBatchStride];
+        const double c_hi = f[kBatchCoreHi * kBatchStride];
+        const double bl = f[kBatchBlindLo * kBatchStride];
+        const double bh = f[kBatchBlindHi * kBatchStride];
+        const bool two = lo1 <= hi1;
+        const std::int64_t pc0 = two ? cut.col_lo(j0, lo1) : 0;
+        const std::int64_t pc1 = two ? cut.col_hi(j0, hi1) : -1;
+        if (skipping && all_saturated(sat, cols_i, oc0, oc1) &&
+            all_saturated(sat, cols_i, pc0, pc1)) {
+          ++n_skipped;
+          continue;
+        }
+        // The other sub-intervals are cut here (pseudo-angles as in pass 1).
+        const double pa_base = dy < 0.0 ? 1.0 : 3.0;
+        const double pa_sign = dy < 0.0 ? 1.0 : -1.0;
+        const double ady = std::abs(dy);
+        auto pa = [&](double x) { return pa_base + pa_sign * (x / (std::abs(x) + ady)); };
+        auto sub = [&](double l, double h, std::int64_t& at, std::int64_t c_last) {
+          if (certify && l <= h) {
+            const std::int64_t c0 = std::max(cut.col_lo(j0, l), at);
+            const std::int64_t c1 = std::min(cut.col_hi(j0, h), c_last);
+            if (c0 <= c1) {
+              cut.certify(walk, slot, j0, dy, b_mus[b], pa(l), pa(h), c0, c1, at);
+            }
+          }
+        };
+        if (certify && sc0 <= sc1) {
+          cut.certify(walk, slot, j0, dy, b_mus[b], b_palo[b], b_pahi[b], sc0, sc1, cursor);
+        }
+        const double lo0 = f[kBatchLo0 * kBatchStride];
+        const double hi0 = f[kBatchHi0 * kBatchStride];
+        sub(std::max(std::max(c_lo, lo0), bh), std::min(c_hi, hi0), cursor, oc1);
+        cut.verify_range(slot, cursor, oc1);
+        if (pc0 <= pc1) {
+          cursor = pc0;
+          const double clo = std::max(c_lo, lo1);
+          const double chi = std::min(c_hi, hi1);
+          sub(clo, std::min(chi, bl), cursor, pc1);
+          sub(std::max(clo, bh), chi, cursor, pc1);
+          cut.verify_range(slot, cursor, pc1);
+        }
       }
-      const double lo0 = f[kBatchLo0 * kBatchStride];
-      const double hi0 = f[kBatchHi0 * kBatchStride];
-      sub(std::max(std::max(c_lo, lo0), bh), std::min(c_hi, hi0), cursor, oc1);
-      cut.verify_range(slot, cursor, oc1);
-      if (pc0 <= pc1) {
-        cursor = pc0;
-        const double clo = std::max(c_lo, lo1);
-        const double chi = std::min(c_hi, hi1);
-        sub(clo, std::min(chi, bl), cursor, pc1);
-        sub(std::max(clo, bh), chi, cursor, pc1);
-        cut.verify_range(slot, cursor, pc1);
-      }
+    }
+    if (kernels_.pieces == nullptr) {
+      n_fallback += back_rule;
     }
   };
 
@@ -1901,6 +2098,7 @@ void GridEvalEngine::sweep_row(std::size_t row, Predicates need,
     ctr->sweep_pieces += cut.pieces;
     ctr->sweep_verify += cut.verify;
     ctr->sweep_skipped += n_skipped;
+    ctr->sweep_walk_fallback += n_fallback;
     ctr->sweep_band_ns += band_ns;
     ctr->sweep_intervals_ns += intervals_ns;
     ctr->sweep_pieces_ns += pieces_ns;

@@ -105,17 +105,24 @@ using ClassifyFn = ClassifyResult (*)(const CandSpans& c, std::size_t count,
                                       std::uint32_t* special);
 struct SweepBatch;
 struct BandScan;
+struct SectorWalk;
+struct SweepPieces;
 using SweepIntervalsFn = void (*)(const SweepBatch& b, std::size_t count);
 using BandScanFn = BandScan (*)(const double* sy, const double* r2, std::uint32_t begin,
                                 std::uint32_t end, double y, bool torus, std::uint32_t cap,
                                 std::uint32_t* slots, double* dy, double* r2_out);
+using SweepPiecesFn = std::size_t (*)(const SweepBatch& b, std::size_t count,
+                                      const SectorWalk& t, const std::uint32_t* sat,
+                                      SweepPieces& out);
 /// The batch kernels of one kernel variant (kernels_for there): the
-/// classify, null for the scalar variant (whose per-entry path runs
-/// instead), and the row sweep's two stages.
+/// classify and the row sweep's piece stage, null for the scalar variant
+/// (whose per-entry classify and scalar sweep pass run instead), and the
+/// row sweep's band and interval stages.
 struct Kernels {
   ClassifyFn classify = nullptr;
   SweepIntervalsFn intervals = nullptr;
   BandScanFn band = nullptr;
+  SweepPiecesFn pieces = nullptr;
 };
 }  // namespace detail
 
@@ -156,6 +163,11 @@ struct GridEvalCounters {
   std::uint64_t sweep_pieces = 0;       ///< certified pieces it added
   std::uint64_t sweep_verify = 0;       ///< (column, camera) verify pairs it added
   std::uint64_t sweep_skipped = 0;      ///< camera-rows left out on saturated columns
+  /// Camera-rows the piece stage leaves to the scalar pass: reflex,
+  /// uncertified, a walk longer than the stage's bound, or a verify gap.
+  /// The scalar kernel, which has no piece stage, counts them by that
+  /// rule in its scalar pass, so every kernel counts the same.
+  std::uint64_t sweep_walk_fallback = 0;
   /// The sweep's stage clocks (ns), read once per batch and checkpoint:
   /// the strip walk with its band compaction; the per-camera constants
   /// and the interval pass; the piece pass; checkpoints and the final
@@ -179,6 +191,7 @@ struct GridEvalCounters {
     sweep_pieces += other.sweep_pieces;
     sweep_verify += other.sweep_verify;
     sweep_skipped += other.sweep_skipped;
+    sweep_walk_fallback += other.sweep_walk_fallback;
     sweep_band_ns += other.sweep_band_ns;
     sweep_intervals_ns += other.sweep_intervals_ns;
     sweep_pieces_ns += other.sweep_pieces_ns;
@@ -278,6 +291,9 @@ struct GridEvalScratch {
     std::vector<std::uint32_t> batch_slots;
     std::vector<double> batch;
     std::vector<std::int32_t> batch_cols;
+    /// The batch's packed pieces from the piece stage: intervals, first
+    /// and last columns (`SweepPieces`, kPieceCap each).
+    std::vector<std::int32_t> batch_pieces;
   };
   RowSweep sweep;
 };
@@ -317,6 +333,10 @@ struct GridRowEvents {
   bool all_full_view = true;
   bool all_sufficient = true;
 };
+
+/// The most cameras an engine indexes: its pools address cameras with
+/// 32-bit slots, and its constructor rejects a larger network.
+inline constexpr std::size_t kMaxCameras = 0xFFFFFFFFU;
 
 /// The batched engine.  Holds a reference to the network; the network (and
 /// the grid's dimensions) must outlive the engine.
@@ -453,6 +473,10 @@ class GridEvalEngine {
 
   /// The kernel variant runtime dispatch selected for this engine.
   [[nodiscard]] KernelVariant kernel() const { return kernel_; }
+
+  /// The sector table as the row sweep's piece stage reads it, valid while
+  /// the engine lives (the kernel tests drive the stage with it).
+  [[nodiscard]] detail::SectorWalk sector_walk() const;
 
  private:
   /// Candidate records in structure-of-arrays layout: one parallel span
@@ -737,6 +761,8 @@ class GridEvalEngine {
     double bucket_scale = 0.0;
     /// The interval holding pseudo-angle v in [0, 4].
     [[nodiscard]] std::size_t locate(double v) const;
+    /// The walk view of this table (`detail::SectorWalk`).
+    [[nodiscard]] detail::SectorWalk walk() const;
     /// Per interval i (between bounds[i] and bounds[i + 1]): the mask
     /// words a certified direction there ORs, as CSR rows.
     std::vector<std::uint32_t> row_begin;
@@ -746,11 +772,16 @@ class GridEvalEngine {
     /// the viewed direction -(x, dy) of a camera at displacement dy from a
     /// row crosses it at x = dy * cot (the row sweep's cut points).  Along
     /// the row that direction's pseudo-angle rises through (0, 2) when
-    /// dy < 0 (`cot_rise`) and falls through (2, 4) when dy > 0
-    /// (`cot_fall`); a boundary outside that half holds -+inf, a crossing
-    /// before the start or after the end of the row.
-    std::vector<double> cot_rise;
-    std::vector<double> cot_fall;
+    /// dy < 0 (boundary i at cot[i]) and falls through (2, 4) when dy > 0
+    /// (boundary i at cot[fall + intervals - i]: a falling walk reads its
+    /// boundaries at ascending addresses too); a boundary outside that half
+    /// holds -+inf, a crossing before the start or after the end of the
+    /// row.  Each half is followed by kWalkPad zeros.
+    std::vector<double> cot;
+    std::size_t fall = 0;
+    /// Per bucket: its `bucket` interval i, bounds[i + 1], bounds[i] and
+    /// bounds[i + 2], as the piece stage reads them (`detail::SectorWalk`).
+    std::vector<double> bucket_records;
     std::size_t nec_words = 0;
     std::size_t suf_words = 0;
   };

@@ -21,18 +21,25 @@
 ///              The remainder tail (count % 4 != 0) never reaches this
 ///              kernel; the caller handles it with the same scalar
 ///              per-entry path.
-///   row sweep  The two straight-line stages of GridEvalEngine::sweep_row
+///   row sweep  The three batch stages of GridEvalEngine::sweep_row
 ///              (docs/ARCHITECTURE.md, "Row sweep"): the band compaction
 ///              (band_scan_batches: the strip walk's exact y prune, left-
-///              packing the band's cameras into the batch) and the interval
+///              packing the band's cameras into the batch), the interval
 ///              pass (sweep_intervals_batches: each batched camera's x-sets
 ///              on the row, their columns, the first core sub-interval's
-///              pseudo-angles and the crossing margin).  The scalar
-///              definitions are band_scan_scalar and sweep_intervals_scalar
-///              in grid_eval.cpp, and every lane computes bit for bit what
+///              pseudo-angles and the crossing margin) and the piece stage
+///              (sweep_pieces_batches: the skip test and the crossing walk,
+///              left-packing each walked camera's certified pieces).  The
+///              scalar definitions are band_scan_scalar,
+///              sweep_intervals_scalar and sweep_pieces_scalar in
+///              grid_eval.cpp, and every lane computes bit for bit what
 ///              they compute: the same IEEE operations in the same order,
-///              table lookups turned into selects, and int32 column ends
-///              computed exactly in double lanes.
+///              table lookups turned into selects or gathers, and int32
+///              column ends computed exactly in double lanes.  The scalar
+///              kernel runs the first two definitions; it has no piece
+///              stage (the sweep's scalar pass walks every camera with the
+///              same walk), so sweep_pieces_scalar is the reference the
+///              kernel tests hold the batch stage to.
 ///
 /// The vector instantiation lives in its own translation unit
 /// (grid_eval_kernel_avx2.cpp) so ISA-specific code can be
@@ -219,21 +226,90 @@ using BandScanFn = BandScan (*)(const double* sy, const double* r2, std::uint32_
                                 std::uint32_t end, double y, bool torus, std::uint32_t cap,
                                 std::uint32_t* slots, double* dy, double* r2_out);
 
+/// A core end whose pseudo-angle lies at least this far inside its sector
+/// interval's far boundary bounds its piece itself, with no crossing cut
+/// there (five bands, as the crossing margin keeps); a core inside one
+/// interval is then one piece.
+inline constexpr double kFastBand = 5e-9;
+/// The most sector intervals the piece stage walks for one camera (a
+/// table's own bound, `SectorWalk::steps`, may be lower); a longer walk
+/// takes the scalar pass.
+inline constexpr std::size_t kMaxWalkSteps = 16;
+/// Entries of a batch's piece buffer: kMaxWalkSteps pieces per camera, and
+/// the three a left-packing store writes past the last.
+inline constexpr std::size_t kPieceCap = kSweepBatch * kMaxWalkSteps + 4;
+
+/// The sector table's lookup records: per bucket, the interval i holding
+/// its start, bounds[i + 1], bounds[i] and bounds[i + 2] (4 past the last
+/// interval), so one lane reads a bucket's record as two pairs, and a
+/// direction past the bucket's first boundary needs no second lookup.
+inline constexpr std::size_t kBucketRecord = 4;
+/// Entries after each block of `SectorWalk::cot`, which a short walk reads
+/// past its end (the piece stage reads up to kMaxWalkSteps + 2 per walk).
+inline constexpr std::size_t kWalkPad = kMaxWalkSteps + 2;
+
+/// The engine's sector table as the piece stage reads it
+/// (`GridEvalEngine::sector_walk`).
+struct SectorWalk {
+  const double* bounds;          ///< boundary pseudo-angles, ascending, then 4
+  const std::uint32_t* bucket;   ///< the interval at each lookup bucket's start
+  const double* bucket_records;  ///< kBucketRecord doubles per bucket
+  /// Crossing cotangents, by boundary b: a walk whose pseudo-angle rises
+  /// along the row (dy < 0) reads cot[b], one whose pseudo-angle falls
+  /// reads cot[fall + intervals - b], so each walk reads its boundaries at
+  /// ascending addresses; each block is followed by kWalkPad zeros.
+  const double* cot;
+  double bucket_scale;  ///< buckets per pseudo-angle unit
+  double bucket_last;   ///< the last bucket's index
+  std::uint32_t intervals;
+  std::uint32_t fall;  ///< the falling walks' block
+  /// The most intervals the piece stage walks: a walk turns through less
+  /// than half a circle of directions, so with evenly spread boundaries it
+  /// visits at most intervals / 2 + 1 of them (5 at theta = pi/4, with 8
+  /// intervals), capped at kMaxWalkSteps.
+  std::uint32_t steps;
+};
+
+/// The piece stage's output on one batch: the certified pieces of the
+/// cameras it walked, packed (sector interval, first and last column,
+/// with a piece starting past the torus seam folded back by one row, so
+/// c0 lies in [0, cols)), and per camera b one bit (word b / 64, bit
+/// b % 64) in `fallback` when the caller's scalar pass must handle it, or
+/// in `skip` when all its outer columns are saturated.
+struct SweepPieces {
+  std::int32_t* interval;  ///< kPieceCap entries each
+  std::int32_t* c0;
+  std::int32_t* c1;
+  std::uint64_t fallback[kSweepBatch / 64];
+  std::uint64_t skip[kSweepBatch / 64];
+};
+
+/// The piece stage over batch entries [0, count), after the interval
+/// pass; `sat` is the row's saturated-column prefix counts while the sweep
+/// skips cameras, else null.  Returns the pieces written.
+using SweepPiecesFn = std::size_t (*)(const SweepBatch& b, std::size_t count,
+                                      const SectorWalk& t, const std::uint32_t* sat,
+                                      SweepPieces& out);
+
 /// The scalar definitions (grid_eval.cpp), which every vector lane matches.
 void sweep_intervals_scalar(const SweepBatch& b, std::size_t count);
 BandScan band_scan_scalar(const double* sy, const double* r2, std::uint32_t begin,
                           std::uint32_t end, double y, bool torus, std::uint32_t cap,
                           std::uint32_t* slots, double* dy, double* r2_out);
+std::size_t sweep_pieces_scalar(const SweepBatch& b, std::size_t count, const SectorWalk& t,
+                                const std::uint32_t* sat, SweepPieces& out);
 #if defined(FVC_KERNEL_AVX2)
 void sweep_intervals_avx2(const SweepBatch& b, std::size_t count);
 BandScan band_scan_avx2(const double* sy, const double* r2, std::uint32_t begin,
                         std::uint32_t end, double y, bool torus, std::uint32_t cap,
                         std::uint32_t* slots, double* dy, double* r2_out);
+std::size_t sweep_pieces_avx2(const SweepBatch& b, std::size_t count, const SectorWalk& t,
+                              const std::uint32_t* sat, SweepPieces& out);
 #endif
 
-/// The entry points of a kernel variant (grid_eval.cpp): its classify
-/// (none for kScalar) and its row-sweep stages (the scalar definitions for
-/// kScalar).
+/// The entry points of a kernel variant (grid_eval.cpp): its classify and
+/// piece stage (none for kScalar) and its band and interval stages (the
+/// scalar definitions for kScalar).
 struct Kernels;  // grid_eval.hpp
 [[nodiscard]] Kernels kernels_for(KernelVariant v);
 
@@ -547,6 +623,311 @@ inline void sweep_intervals_batches(const SweepBatch& sb, std::size_t count) {
       }
     }
   }
+}
+
+/// The piece stage of `sweep_pieces_scalar` (grid_eval.cpp), 4 lanes at a
+/// time, in passes over the batch that keep each pass's dependency chains
+/// short, so the table lookups of many cameras are in flight at once.
+///   Classify, per camera: the skip test (the outer columns' count in the
+///   saturated prefix counts, gathered at the range's ends), the cameras
+///   the stage walks (certified, not reflex, not skipped, with core
+///   columns), and both core ends' lookup buckets.  A camera it does not
+///   walk is decided here: skipped, or handed back when reflex, uncertified
+///   or left with outer columns to verify.
+///   Locate, per walked camera: both core ends' intervals (from their
+///   buckets' records, with `locate`'s step loop as a masked loop) and the
+///   near-boundary flags; a walk longer than t.steps intervals is handed
+///   back, and the others are left-packed into a list of walks, so the
+///   piece steps below run on full groups of walks.
+///   Cot entries, per walk: those of the t.steps + 1 boundaries it can
+///   reach, read as one run of the cot table.
+///   Pieces, per walk: up to t.steps steps, each packing at most one piece,
+///   its ends the floor and ceil columns of the crossings' margins, with
+///   the scalar walk's cursor, so a verify gap before, between or after the
+///   pieces shows.
+/// All in the same IEEE operations as the scalar walk, with integer values
+/// (interval indices, columns) held exactly in double lanes.  A walk with a
+/// verify gap is handed back and packs no piece: a group of walks in which
+/// one found a gap (rare: verify pairs are) re-packs its steps without it.
+/// The pieces are left-packed step by step, walks in camera order within a
+/// step; a group of walks takes as many steps as its longest.  A final
+/// partial group masks its missing lanes off (batch lanes past the count
+/// read batch padding, walks past the list hold no steps, and every table
+/// index either would use is replaced).
+template <class B>
+inline std::size_t sweep_pieces_batches(const SweepBatch& sb, std::size_t count,
+                                        const SectorWalk& t, const std::uint32_t* sat,
+                                        SweepPieces& out) {
+  static_assert(B::kWidth == 4, "sweep kernels are 4-wide");
+  constexpr std::size_t st = kBatchStride;
+  constexpr std::size_t kLen = kSweepBatch + 4;  // a list and a left-pack's overrun
+  // The boundaries a walk reads, in pairs.
+  const std::size_t cot_entries = (t.steps + 2) & ~std::size_t{1};
+  const B zero = B::broadcast(0.0);
+  const B one = B::broadcast(1.0);
+  const B minus_one = B::broadcast(-1.0);
+  const B two = B::broadcast(2.0);
+  const B cols = B::broadcast(static_cast<double>(sb.side));
+  const B scale = B::broadcast(t.bucket_scale);
+  const B bucket_last = B::broadcast(t.bucket_last);
+  const B last_interval = B::broadcast(static_cast<double>(t.intervals) - 1.0);
+  const B fall_base = B::broadcast(static_cast<double>(t.fall + t.intervals) - 1.0);
+  const B fast = B::broadcast(kFastBand);
+  const B max_steps = B::broadcast(static_cast<double>(t.steps));
+  const double lane_ids[4] = {0.0, 1.0, 2.0, 3.0};
+  const B lane = B::load(lane_ids);
+  // A column range starting past the seam moves back by one row.
+  auto fold = [&](B c0) {
+    return B::bit_and(B::cmp_lt(c0, zero), cols) - B::bit_and(B::cmp_ge(c0, cols), cols);
+  };
+  auto set_bits = [](std::uint64_t* words, std::size_t b, int lanes) {
+    words[b / 64] |= static_cast<std::uint64_t>(static_cast<unsigned>(lanes)) << (b % 64);
+  };
+  for (std::size_t w = 0; w < kSweepBatch / 64; ++w) {
+    out.fallback[w] = 0;
+    out.skip[w] = 0;
+  }
+  // Classify: per batch entry, the walked cameras, their core ends'
+  // pseudo-angles (0 on other lanes) and lookup buckets.
+  alignas(32) double walk_at[kLen];
+  alignas(32) double v_lo_at[kLen];
+  alignas(32) double v_hi_at[kLen];
+  alignas(16) std::int32_t bucket_lo[kLen];
+  alignas(16) std::int32_t bucket_hi[kLen];
+  for (std::size_t b = 0; b < count; b += B::kWidth) {
+    const B valid = B::cmp_lt(lane, B::broadcast(static_cast<double>(count - b)));
+    const double* const f = sb.fields + b;
+    const std::int32_t* const c = sb.cols + b;
+    const B flags = B::load_i32(c + kColFlags * st);
+    const B kept = B::bit_andnot(valid, B::cmp_ge(flags, two));  // not reflex
+    const B oc0 = B::load_i32(c + kColOuter0 * st);
+    const B oc1 = B::load_i32(c + kColOuter1 * st);
+    B skip = zero;
+    if (sat != nullptr) {
+      const B width = B::min(oc1 - oc0 + one, cols);
+      const B active = B::bit_and(kept, B::cmp_gt(width, zero));
+      const B at = B::select(active, oc0 + fold(oc0), zero);
+      const B run = B::gather_u32_at(sat, B::select(active, at + width, zero)) -
+                    B::gather_u32_at(sat, at);
+      skip = B::bit_andnot(kept, B::bit_andnot(active, B::cmp_eq(run, width)));
+    }
+    // Certified, not reflex, not skipped; walked when its first core
+    // sub-interval has columns, else it verifies its outer columns.
+    const B plain = B::bit_andnot(B::bit_and(valid, B::cmp_eq(flags, one)), skip);
+    const B walk = B::bit_and(
+        plain, B::cmp_le(B::load_i32(c + kColSub0 * st), B::load_i32(c + kColSub1 * st)));
+    const B verify = B::bit_andnot(B::bit_and(plain, B::cmp_le(oc0, oc1)), walk);
+    set_bits(out.skip, b, skip.movemask());
+    set_bits(out.fallback, b, B::bit_or(B::bit_andnot(valid, B::bit_or(plain, skip)), verify)
+                                  .movemask());
+    walk.store(walk_at + b);
+    const B rise = B::cmp_lt(B::load(f + kBatchDy * st), zero);
+    const B pa_l = B::load(f + kBatchPaLo * st);
+    const B pa_r = B::load(f + kBatchPaHi * st);
+    const B v_lo = B::bit_and(walk, B::select(rise, pa_l, pa_r));
+    const B v_hi = B::bit_and(walk, B::select(rise, pa_r, pa_l));
+    v_lo.store(v_lo_at + b);
+    v_hi.store(v_hi_at + b);
+    B::store_i32(bucket_lo + b, B::trunc(B::min(v_lo * scale, bucket_last)));
+    B::store_i32(bucket_hi + b, B::trunc(B::min(v_hi * scale, bucket_last)));
+  }
+  // Locate: the walks, left-packed in camera order.  Per walk, its batch
+  // entry, its steps, first interval, the step that ends at the right core
+  // end uncut (-1 if none), whether the first step starts past its
+  // crossing, where its cot entries start, and its batch fields.
+  alignas(16) std::uint32_t w_entry[kLen];
+  alignas(16) std::int32_t w_cot[kLen];
+  alignas(32) double w_steps[kLen];
+  alignas(32) double w_first[kLen];
+  alignas(32) double w_end_step[kLen];
+  alignas(32) double w_near_first[kLen];
+  alignas(32) double w_dy[kLen];
+  alignas(32) double w_j0[kLen];
+  alignas(32) double w_mu_scale[kLen];
+  alignas(32) double w_c_first[kLen];
+  alignas(32) double w_c_last[kLen];
+  alignas(32) double w_oc0[kLen];
+  alignas(32) double w_oc1[kLen];
+  std::size_t walks = 0;
+  for (std::size_t b = 0; b < count; b += B::kWidth) {
+    const B walk = B::load(walk_at + b);
+    if (walk.movemask() == 0) {
+      continue;
+    }
+    const B v_lo = B::load(v_lo_at + b);
+    const B v_hi = B::load(v_hi_at + b);
+    // `locate` from each end's bucket record: the interval at the bucket's
+    // start, or the next one past its first boundary, with the boundaries
+    // around it.
+    auto record = [&](B v, const std::int32_t* bucket, B& i, B& bound, B& next) {
+      const double* at[4];
+      for (std::size_t k = 0; k < 4; ++k) {
+        at[k] = t.bucket_records + std::ptrdiff_t{bucket[k]} * std::ptrdiff_t{kBucketRecord};
+      }
+      B i0;
+      B b1;
+      B b0;
+      B b2;
+      B::load_pair(at, 0, i0, b1);
+      B::load_pair(at, 2, b0, b2);
+      const B step = B::bit_and(B::cmp_lt(i0, last_interval), B::cmp_ge(v, b1));
+      i = i0 + B::bit_and(step, one);
+      bound = B::select(step, b1, b0);
+      next = B::select(step, b2, b1);
+    };
+    B i_lo;
+    B bound_lo;
+    B next_lo;
+    B i_hi;
+    B bound_hi;
+    B next_hi;
+    record(v_lo, bucket_lo + b, i_lo, bound_lo, next_lo);
+    record(v_hi, bucket_hi + b, i_hi, bound_hi, next_hi);
+    // The step loop, only for a bucket holding two boundaries below v.
+    for (;;) {
+      const B step_lo = B::bit_and(B::cmp_lt(i_lo, last_interval), B::cmp_ge(v_lo, next_lo));
+      const B step_hi = B::bit_and(B::cmp_lt(i_hi, last_interval), B::cmp_ge(v_hi, next_hi));
+      if (B::bit_or(step_lo, step_hi).movemask() == 0) [[likely]] {
+        break;
+      }
+      i_lo = i_lo + B::bit_and(step_lo, one);
+      bound_lo = B::select(step_lo, next_lo, bound_lo);
+      next_lo = B::gather_at(t.bounds + 1, i_lo);
+      i_hi = i_hi + B::bit_and(step_hi, one);
+      next_hi = B::gather_at(t.bounds + 1, i_hi);
+    }
+    const double* const f = sb.fields + b;
+    const std::int32_t* const c = sb.cols + b;
+    const B dy = B::load(f + kBatchDy * st);
+    const B rise = B::cmp_lt(dy, zero);
+    const B near_lo = B::cmp_lt(v_lo - bound_lo, fast);
+    const B near_hi = B::cmp_lt(next_hi - v_hi, fast);
+    const B steps = i_hi - i_lo + one;
+    const B over = B::bit_and(walk, B::cmp_gt(steps, max_steps));
+    set_bits(out.fallback, b, over.movemask());
+    const int m = B::bit_andnot(walk, over).movemask();
+    B::compress_index(w_entry + walks, static_cast<std::uint32_t>(b), m);
+    B::compress_store_i32(w_cot + walks, B::select(rise, i_lo, fall_base - i_hi), m);
+    B::compress_store(w_steps + walks, steps, m);
+    B::compress_store(w_first + walks, B::select(rise, i_lo, i_hi), m);
+    B::compress_store(w_end_step + walks,
+                      B::select(B::select(rise, near_hi, near_lo), minus_one, steps - one), m);
+    B::compress_store(w_near_first + walks, B::select(rise, near_lo, near_hi), m);
+    B::compress_store(w_dy + walks, dy, m);
+    B::compress_store(w_j0 + walks, B::load(f + kBatchJ0 * st), m);
+    B::compress_store(w_mu_scale + walks, B::load(f + kBatchMuScale * st), m);
+    B::compress_store(w_c_first + walks, B::load_i32(c + kColSub0 * st), m);
+    B::compress_store(w_c_last + walks, B::load_i32(c + kColSub1 * st), m);
+    B::compress_store(w_oc0 + walks, B::load_i32(c + kColOuter0 * st), m);
+    walks += B::compress_store(w_oc1 + walks, B::load_i32(c + kColOuter1 * st), m);
+  }
+  // The list's last group: lanes past its end walk no steps and read the
+  // cot table's first entries.
+  double* const lists[] = {w_steps, w_first, w_end_step, w_near_first, w_dy,  w_j0,
+                           w_mu_scale, w_c_first, w_c_last, w_oc0, w_oc1};
+  for (double* list : lists) {
+    zero.store(list + walks);
+  }
+  B::store_i32(w_cot + walks, zero);
+  // Cot entries: those of the boundaries before steps 0..t.steps (+1).
+  alignas(32) double cots[kMaxWalkSteps + 2][kLen];
+  for (std::size_t w = 0; w < walks; w += B::kWidth) {
+    const double* at[4];
+    for (std::size_t k = 0; k < 4; ++k) {
+      at[k] = t.cot + w_cot[w + k];
+    }
+    for (std::size_t k = 0; k < cot_entries; k += 2) {
+      B c0;
+      B c1;
+      B::load_pair(at, k, c0, c1);
+      c0.store(cots[k] + w);
+      c1.store(cots[k + 1] + w);
+    }
+  }
+  // Pieces.
+  std::size_t n_out = 0;
+  std::int32_t* const out_interval = out.interval;
+  std::int32_t* const out_c0 = out.c0;
+  std::int32_t* const out_c1 = out.c1;
+  for (std::size_t w = 0; w < walks; w += B::kWidth) {
+    const B steps = B::load(w_steps + w);
+    const B c_first = B::load(w_c_first + w);
+    const B c_last = B::load(w_c_last + w);
+    const B oc0 = B::load(w_oc0 + w);
+    const B oc1 = B::load(w_oc1 + w);
+    const B dy = B::load(w_dy + w);
+    const B dir = B::select(B::cmp_lt(dy, zero), one, minus_one);
+    const B j0 = B::load(w_j0 + w);
+    const B mu_scale = B::load(w_mu_scale + w);
+    const B dy2 = dy * dy;
+    const B end_step = B::load(w_end_step + w);
+    const B near_first = B::load(w_near_first + w);
+    // The group's longest walk, and whether one ends at a crossing (else
+    // the last step needs no crossing).
+    const double longest = steps.max_lane();
+    const auto group_steps = static_cast<std::size_t>(longest);
+    const bool cut_last =
+        B::bit_and(B::cmp_eq(steps, B::broadcast(longest)), B::cmp_eq(end_step, minus_one))
+            .movemask() != 0;
+    // The boundary before step k: its crossing, the first column past
+    // the crossing's margin, and the last one before it.
+    auto crossing = [&](std::size_t k, B& after, B& before) {
+      const B x = B::min(B::max(dy * B::load(cots[k] + w), minus_one), one);
+      const B m = mu_scale * (x * x + dy2);
+      after = B::ceil(j0 + (x + m) * cols);
+      before = B::floor(j0 + (x - m) * cols);
+    };
+    // The steps, packing each walk's pieces; a walk with a verify gap packs
+    // none, so a group in which one shows runs its steps again without it.
+    const std::size_t group_out = n_out;
+    B exclude = zero;
+    for (;;) {
+      B start = c_first;
+      B after = zero;
+      B before = zero;
+      if (near_first.movemask() != 0) [[unlikely]] {
+        crossing(0, after, before);
+        start = B::select(near_first, B::max(c_first, after), c_first);
+      }
+      B cursor = oc0;
+      B cut = zero;
+      B interval = B::load(w_first + w);
+      B sv = zero;
+      for (std::size_t k = 0; k < group_steps; ++k) {
+        const B on = B::cmp_gt(steps, sv);
+        B end = c_last;  // the last step's, uncut on every lane reaching it
+        if (k + 1 < group_steps || cut_last) {
+          crossing(k + 1, after, before);
+          end = B::select(B::cmp_eq(end_step, sv), c_last, B::min(c_last, before));
+        }
+        const B emitted = B::bit_and(on, B::cmp_le(start, end));
+        cut = B::bit_or(cut, B::bit_and(emitted, B::cmp_gt(start, cursor)));
+        cursor = B::select(emitted, end + one, cursor);
+        const int m = B::bit_andnot(emitted, exclude).movemask();
+        const B shift = fold(start);
+        B::compress_store_i32(out_interval + n_out, interval, m);
+        B::compress_store_i32(out_c0 + n_out, start + shift, m);
+        B::compress_store_i32(out_c1 + n_out, end + shift, m);
+        n_out += static_cast<std::size_t>(std::popcount(static_cast<unsigned>(m)));
+        start = B::max(c_first, after);
+        interval = interval + dir;
+        sv = sv + one;
+      }
+      const B gap = B::bit_and(B::cmp_gt(steps, zero), B::bit_or(cut, B::cmp_le(cursor, oc1)));
+      const int g = gap.movemask();
+      if (g == exclude.movemask()) [[likely]] {
+        break;
+      }
+      for (std::size_t k = 0; k < 4; ++k) {
+        if (((g >> k) & 1) != 0) {
+          set_bits(out.fallback, w_entry[w + k], 1);
+        }
+      }
+      n_out = group_out;
+      exclude = gap;
+    }
+  }
+  return n_out;
 }
 
 }  // namespace fvc::core::detail

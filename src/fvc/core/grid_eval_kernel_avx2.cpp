@@ -1,5 +1,5 @@
-/// The AVX2 batch kernels: the classify and the row sweep's band scan and
-/// interval pass.  This translation unit is the only one in the build
+/// The AVX2 batch kernels: the classify and the row sweep's band scan,
+/// interval pass and piece stage.  This translation unit is the only one in the build
 /// compiled with -mavx2 (see src/CMakeLists.txt): it must contain nothing
 /// but the kernel instantiations, and must not define any inline/template
 /// symbol another TU could also instantiate — otherwise the linker could
@@ -31,6 +31,11 @@ BandScan band_scan_avx2(const double* sy, const double* r2, std::uint32_t begin,
                       std::uint32_t end, double y, bool torus, std::uint32_t cap,
                       std::uint32_t* slots, double* dy, double* r2_out) {
   return band_scan_batches<simd::Avx2Batch>(sy, r2, begin, end, y, torus, cap, slots, dy, r2_out);
+}
+
+std::size_t sweep_pieces_avx2(const SweepBatch& b, std::size_t count, const SectorWalk& t,
+                              const std::uint32_t* sat, SweepPieces& out) {
+  return sweep_pieces_batches<simd::Avx2Batch>(b, count, t, sat, out);
 }
 
 }  // namespace fvc::core::detail

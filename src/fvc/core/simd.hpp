@@ -2,7 +2,7 @@
 /// \brief Portable fixed-width batch abstraction: 4 double lanes.
 ///
 /// The batch kernels of grid_eval_kernel.hpp (the classify, and the row
-/// sweep's band compaction and interval pass) are written once as
+/// sweep's band compaction, interval pass and piece stage) are written once as
 /// templates over a batch type with the static interface below, and
 /// instantiated in their own translation unit:
 ///
@@ -35,12 +35,17 @@
 ///               vmaxpd(b, a), which return their first operand when it
 ///               compares less (greater), else the second.  (An ISA whose
 ///               min and max order zeros must keep the select.)
+///   floor, ceil round toward -inf and +inf: for |x| < 2^62 the values
+///               of grid_eval.cpp's floor_to_int and ceil_to_int.
 ///   trunc       rounds toward zero.  For |x| < 2^31 that is the value of
 ///               `static_cast<std::int32_t>(x)`, up to the sign of a zero,
 ///               which neither a comparison nor the int32 store sees.
 ///   store_i32   converts lanes holding integers of magnitude below 2^31
 ///               to int32 (exactly) and stores them.
-///   gather      plain loads from strided slots, no arithmetic.
+///   gather      plain loads from strided slots, no arithmetic; the
+///               `_at` forms take their indices from integer-valued lanes,
+///               and load_pair reads two doubles at each of four addresses.
+///   load_i32    converts int32 to double, which is exact.
 ///   bits_eq     tests integer bit patterns stored in double lanes with an
 ///               integer compare, so the patterns may be denormals.
 ///
@@ -121,6 +126,13 @@ struct Avx2Batch {
   [[nodiscard]] static Avx2Batch trunc(Avx2Batch a) {
     return {_mm256_round_pd(a.v, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC)};
   }
+  /// Round toward -inf and +inf (vroundpd).
+  [[nodiscard]] static Avx2Batch floor(Avx2Batch a) {
+    return {_mm256_round_pd(a.v, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC)};
+  }
+  [[nodiscard]] static Avx2Batch ceil(Avx2Batch a) {
+    return {_mm256_round_pd(a.v, _MM_FROUND_TO_POS_INF | _MM_FROUND_NO_EXC)};
+  }
   /// Stores the lanes as int32 (vcvttpd2dq; the lanes hold integers).
   static void store_i32(std::int32_t* p, Avx2Batch a) {
     _mm_storeu_si128(reinterpret_cast<__m128i*>(p), _mm256_cvttpd_epi32(a.v));
@@ -134,6 +146,38 @@ struct Avx2Batch {
                                       _mm_set1_epi32(static_cast<int>(kStride)));
     const __m256d zero = _mm256_setzero_pd();
     return {_mm256_mask_i32gather_pd(zero, base, i, _mm256_cmp_pd(zero, zero, _CMP_EQ_OQ), 8)};
+  }
+  /// Lane k = base[idx[k]], for lanes holding integers in [0, 2^31)
+  /// (vcvttpd2dq, then vgatherdpd).
+  [[nodiscard]] static Avx2Batch gather_at(const double* base, Avx2Batch idx) {
+    const __m256d zero = _mm256_setzero_pd();
+    return {_mm256_mask_i32gather_pd(zero, base, _mm256_cvttpd_epi32(idx.v),
+                                     _mm256_cmp_pd(zero, zero, _CMP_EQ_OQ), 8)};
+  }
+  /// Lane k = base[idx[k]] as a double, for lanes holding integers in
+  /// [0, 2^31) and table entries below 2^31 (vpgatherdd, then vcvtdq2pd).
+  [[nodiscard]] static Avx2Batch gather_u32_at(const std::uint32_t* base, Avx2Batch idx) {
+    const __m128i zero = _mm_setzero_si128();
+    const __m128i g = _mm_mask_i32gather_epi32(zero, reinterpret_cast<const int*>(base),
+                                               _mm256_cvttpd_epi32(idx.v),
+                                               _mm_cmpeq_epi32(zero, zero), 4);
+    return {_mm256_cvtepi32_pd(g)};
+  }
+  /// Lane k of lo = at[k][j] and of hi = at[k][j + 1]: two lanes' pairs per
+  /// register (vinsertf128), then one unpack per column.  Cheaper than two
+  /// hardware gathers where those run slowly.
+  static void load_pair(const double* const (&at)[4], std::size_t j, Avx2Batch& lo,
+                        Avx2Batch& hi) {
+    const __m256d a = _mm256_insertf128_pd(_mm256_castpd128_pd256(_mm_loadu_pd(at[0] + j)),
+                                           _mm_loadu_pd(at[2] + j), 1);
+    const __m256d b = _mm256_insertf128_pd(_mm256_castpd128_pd256(_mm_loadu_pd(at[1] + j)),
+                                           _mm_loadu_pd(at[3] + j), 1);
+    lo = {_mm256_unpacklo_pd(a, b)};
+    hi = {_mm256_unpackhi_pd(a, b)};
+  }
+  /// Loads 4 int32 as doubles (vcvtdq2pd; exact).
+  [[nodiscard]] static Avx2Batch load_i32(const std::int32_t* p) {
+    return {_mm256_cvtepi32_pd(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)))};
   }
   /// Mask of the lanes whose bit pattern, masked by `mask`, is `value`.
   [[nodiscard]] static Avx2Batch bits_eq(Avx2Batch a, std::uint64_t mask, std::uint64_t value) {
@@ -184,6 +228,11 @@ struct Avx2Batch {
   }
 
   [[nodiscard]] int movemask() const { return _mm256_movemask_pd(v); }
+  /// The largest lane (lanes are not NaN).
+  [[nodiscard]] double max_lane() const {
+    const __m128d m = _mm_max_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd(v, 1));
+    return _mm_cvtsd_f64(_mm_max_sd(m, _mm_unpackhi_pd(m, m)));
+  }
 
   /// Left-pack via one 8x32 permute: double lane k is the 32-bit lane pair
   /// (2k, 2k+1), so a 16-entry table of float-lane permutations compresses
@@ -205,6 +254,16 @@ struct Avx2Batch {
     _mm256_storeu_pd(dst, _mm256_castps_pd(packed));
     return static_cast<std::size_t>(
         std::popcount(static_cast<unsigned>(mask)));
+  }
+
+  /// Left-pack the lanes set in `mask`, which hold integers of magnitude
+  /// below 2^31, as int32 (vcvttpd2dq, then one vpermilps by kPackLanes).
+  /// Writes all 4 entries of dst (garbage beyond the popcount).
+  static void compress_store_i32(std::int32_t* dst, Avx2Batch a, int mask) {
+    const __m128i lanes = _mm_load_si128(
+        reinterpret_cast<const __m128i*>(kPackLanes[static_cast<unsigned>(mask)]));
+    const __m128 packed = _mm_permutevar_ps(_mm_castsi128_ps(_mm256_cvttpd_epi32(a.v)), lanes);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst), _mm_castps_si128(packed));
   }
 
   /// Left-pack the lane indices base + k of the lanes set in `mask`.

@@ -1,6 +1,7 @@
 #include "fvc/sim/trial.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "fvc/core/full_view.hpp"
 #include "fvc/core/grid_eval.hpp"
@@ -21,6 +22,11 @@ core::DenseGrid TrialConfig::grid() const {
 void validate(const TrialConfig& cfg) {
   if (cfg.n < 3) {
     throw std::invalid_argument("TrialConfig: n must be >= 3");
+  }
+  if (cfg.n > core::kMaxCameras) {
+    throw std::invalid_argument("TrialConfig: n = " + std::to_string(cfg.n) +
+                                " exceeds " + std::to_string(core::kMaxCameras) +
+                                ", the most cameras the grid engine indexes");
   }
   core::validate_theta(cfg.theta);
   if (cfg.grid_side.has_value() && *cfg.grid_side == 0) {

@@ -34,7 +34,9 @@ struct TrialConfig {
   [[nodiscard]] core::DenseGrid grid() const;
 };
 
-/// Validate a config (n >= 3, theta in (0, pi]); throws on violation.
+/// Validate a config (3 <= n <= core::kMaxCameras, the most cameras the
+/// grid engine indexes; theta in (0, pi]); throws on violation, before
+/// anything is deployed.
 void validate(const TrialConfig& cfg);
 
 /// Deploy one network for this config and seed.

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace fvc::cli {
 namespace {
@@ -64,6 +65,19 @@ TEST(Commands, SimulateSmall) {
   EXPECT_EQ(code, 0);
   EXPECT_NE(out.find("grid full-view covered"), std::string::npos);
   EXPECT_NE(out.find("H_N"), std::string::npos);
+}
+
+TEST(Commands, SimulateRejectsAPopulationPastTheEngineLimit) {
+  // Rejected by the trial config's validation, before a deployment
+  // reserves room for that many cameras.
+  try {
+    (void)run({"simulate", "--n", "18446744073709549568", "--trials", "2"});
+    ADD_FAILURE() << "accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("n = 18446744073709549568 exceeds 4294967295"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Commands, Poisson) {

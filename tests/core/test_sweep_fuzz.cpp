@@ -7,9 +7,9 @@
 // exercised as well as its margins.  A failure names the (seed, index)
 // that replays it.  The engine counters of each configuration (the
 // sweep's work, the exact classifies, the points swept with no classify,
-// the atan2 calls) must be equal under every pin too: the pinned kernels
-// differ in speed only, so every skip, finish and checkpoint falls on the
-// same camera.
+// the atan2 calls, the cameras the piece stage left to the scalar pass)
+// must be equal under every pin too: the pinned kernels differ in speed
+// only, so every skip, finish and checkpoint falls on the same camera.
 
 #include <gtest/gtest.h>
 
@@ -36,6 +36,7 @@ void expect_same_work(const GridEvalCounters& got, const GridEvalCounters& want)
   EXPECT_EQ(got.sweep_pieces, want.sweep_pieces);
   EXPECT_EQ(got.sweep_verify, want.sweep_verify);
   EXPECT_EQ(got.sweep_skipped, want.sweep_skipped);
+  EXPECT_EQ(got.sweep_walk_fallback, want.sweep_walk_fallback);
   EXPECT_EQ(got.candidates_total, want.candidates_total);
   EXPECT_EQ(got.swept_points, want.swept_points);
   EXPECT_EQ(got.atan2_calls, want.atan2_calls);
@@ -104,6 +105,7 @@ TEST(SweepFuzz, RowAnswersMatchOraclesOnAdversarialConfigs) {
   EXPECT_GT(counters.sweep_skipped, 0U);
   EXPECT_GT(counters.sweep_pieces, 0U);
   EXPECT_GT(counters.sweep_verify, 0U);
+  EXPECT_GT(counters.sweep_walk_fallback, 0U);
 }
 
 }  // namespace

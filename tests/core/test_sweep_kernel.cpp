@@ -1,14 +1,20 @@
 // Lane equality of the row sweep's batch kernels (grid_eval_kernel.hpp):
-// under every supported kernel pin, the interval pass and the band
-// compaction the engine dispatches must write, bit for bit
-// (std::bit_cast), what the scalar definitions (`sweep_intervals_scalar`,
-// `band_scan_scalar`) write, on every output field and nothing past the
-// batch.  Inputs cover the seams of the pass: dy = +-0, |dy| at
-// kMinSweepDy and one ulp either side, outer half-chords at kMaxHalfChord
-// and one ulp either side, wedges from g = -1, 0, 1 and one ulp either
-// side, every clip-state and reflex combination, column ends past the +-4
-// clamp, the torus unwrap at dy = +-1/2, 10^5 random lanes, and batch
-// counts 1-9 so remainder lanes are covered.
+// under every supported kernel pin, the interval pass, the band
+// compaction and the piece stage the engine dispatches (the scalar kernel
+// has none) must write, bit for bit (std::bit_cast), what the scalar
+// definitions
+// (`sweep_intervals_scalar`, `band_scan_scalar`, `sweep_pieces_scalar`)
+// write, on every output field and nothing past the batch.  Inputs cover
+// the seams of the interval pass: dy = +-0, |dy| at kMinSweepDy and one
+// ulp either side, outer half-chords at kMaxHalfChord and one ulp either
+// side, wedges from g = -1, 0, 1 and one ulp either side, every
+// clip-state and reflex combination, column ends past the +-4 clamp, the
+// torus unwrap at dy = +-1/2, 10^5 random lanes, and batch counts 1-9 so
+// remainder lanes are covered; and those of the piece stage: core ends on
+// and next to sector boundaries, pieces across the torus seam and clamped
+// at the plane's ends, saturation patterns for the skip test, sector
+// tables from theta = pi down to 0.05 (whose long walks take the scalar
+// pass), and the same remainders.
 
 #include <gtest/gtest.h>
 
@@ -21,9 +27,13 @@
 #include <random>
 #include <vector>
 
+#include "fvc/core/camera.hpp"
 #include "fvc/core/cpu_features.hpp"
+#include "fvc/core/grid.hpp"
 #include "fvc/core/grid_eval.hpp"
 #include "fvc/core/grid_eval_kernel.hpp"
+#include "fvc/core/network.hpp"
+#include "fvc/geometry/space.hpp"
 #include "support/forced_kernel.hpp"
 
 namespace fvc::core {
@@ -337,6 +347,277 @@ TEST(SweepKernel, IntervalPassMatchesScalarOnRandomLanes) {
   torus.check(lanes, kSweepBatch);
   IntervalChecker plane(83, false);
   plane.check(lanes, kSweepBatch - 3);
+}
+
+/// A sector table from a real engine: the engine's `sector_walk`, valid
+/// while the engine lives.
+struct WalkTable {
+  explicit WalkTable(double theta)
+      : net({Camera{{0.5, 0.5}, 0.0, 0.1, 2.0, 0}}, fvc::geom::SpaceMode::kTorus),
+        engine(net, DenseGrid(8), theta) {}
+  Network net;
+  GridEvalEngine engine;
+};
+
+/// Saturated-column prefix counts over the row twice (`sat` of the piece
+/// stage), from a per-column pattern.
+std::vector<std::uint32_t> saturation(const std::vector<bool>& saturated) {
+  const std::size_t cols = saturated.size();
+  std::vector<std::uint32_t> sat(2 * cols + 1, 0);
+  for (std::size_t c = 0; c < 2 * cols; ++c) {
+    sat[c + 1] = sat[c] + static_cast<std::uint32_t>(saturated[c % cols]);
+  }
+  return sat;
+}
+
+/// The piece stage of every pinned variant that has one (the scalar
+/// kernel has none) against the scalar definition, on batches the scalar
+/// interval pass prepared from `lanes`: the piece count, the packed pieces
+/// and the fallback and skip bits, bitwise.  Batch entries past the count
+/// hold junk, as a partial batch's padding may.
+class PieceChecker {
+ public:
+  PieceChecker(const SectorWalk& walk, std::int32_t side, bool torus)
+      : walk_(walk), side_(side), torus_(torus) {}
+
+  void check(const std::vector<Lane>& lanes, std::size_t count,
+             const std::vector<std::uint32_t>* sat) {
+    const std::uint32_t* const sat_p = sat != nullptr ? sat->data() : nullptr;
+    for (std::size_t at = 0; at < lanes.size(); at += count) {
+      const std::size_t n = std::min(count, lanes.size() - at);
+      prepare(lanes, at, n);
+      const SweepBatch batch{slots_.data(), consts_.data(), fields_.data(), cols_.data(), side_,
+                             torus_};
+      const std::size_t want = run(&sweep_pieces_scalar, batch, n, sat_p, want_);
+      tally(n, want);
+      for (const KernelVariant v : supported_kernels()) {
+        const ForcedKernel pin(v);
+        const Kernels kernel = kernels_for(resolve_kernel());
+        if (kernel.pieces == nullptr) {
+          continue;
+        }
+        SCOPED_TRACE(testing::Message() << "kernel=" << kernel_name(v) << " lanes " << at
+                                        << ".." << at + n << " side=" << side_
+                                        << " torus=" << torus_ << " sat=" << (sat != nullptr));
+        const std::size_t got = run(kernel.pieces, batch, n, sat_p, got_);
+        ASSERT_EQ(got, want);
+        for (std::size_t k = 0; k < want; ++k) {
+          ASSERT_EQ(got_.interval[k], want_.interval[k]) << "piece " << k;
+          ASSERT_EQ(got_.c0[k], want_.c0[k]) << "piece " << k;
+          ASSERT_EQ(got_.c1[k], want_.c1[k]) << "piece " << k;
+        }
+        for (std::size_t w = 0; w < kSweepBatch / 64; ++w) {
+          ASSERT_EQ(got_.bits.fallback[w], want_.bits.fallback[w]) << "fallback word " << w;
+          ASSERT_EQ(got_.bits.skip[w], want_.bits.skip[w]) << "skip word " << w;
+        }
+      }
+    }
+  }
+
+  /// What the scalar definition produced over every check.
+  struct Seen {
+    std::size_t pieces = 0;
+    std::size_t wrapped = 0;         ///< pieces running past the torus seam
+    std::size_t skipped = 0;
+    std::size_t fallback = 0;
+    std::size_t plain_fallback = 0;  ///< certified non-reflex lanes sent back
+  };
+  [[nodiscard]] const Seen& seen() const { return seen_; }
+
+ private:
+  struct Out {
+    std::vector<std::int32_t> buf;
+    SweepPieces bits{};
+    const std::int32_t* interval = nullptr;
+    const std::int32_t* c0 = nullptr;
+    const std::int32_t* c1 = nullptr;
+  };
+
+  void prepare(const std::vector<Lane>& lanes, std::size_t at, std::size_t n) {
+    slots_.assign(kBatchStride, 0);
+    consts_.assign((n + 3) * kConstStride, 0.0);
+    fields_.assign(kBatchFields * kBatchStride, std::bit_cast<double>(kJunk));
+    cols_.assign(kColFields * kBatchStride, 0x5A5A5A5A);
+    const double side = static_cast<double>(side_);
+    for (std::size_t b = 0; b < n; ++b) {
+      const Lane& l = lanes[at + b];
+      slots_[b] = static_cast<std::uint32_t>(b + 3);
+      double* const k = consts_.data() + std::size_t{slots_[b]} * kConstStride;
+      std::copy(l.record, l.record + kConstStride, k);
+      // A camera's column origin sx * side - 1/2 lies in [-1/2, side - 1/2]
+      // (which keeps its outer columns within a row of the seam).
+      if (k[kConstJ0] < -0.5 || k[kConstJ0] > side - 0.5) {
+        const double u = k[kConstJ0] + 0.5;
+        k[kConstJ0] = u - side * std::floor(u / side) - 0.5;
+      }
+      fields_[kBatchDy * kBatchStride + b] = l.dy;
+      fields_[kBatchR2 * kBatchStride + b] = l.r2;
+    }
+    sweep_intervals_scalar(
+        {slots_.data(), consts_.data(), fields_.data(), cols_.data(), side_, torus_}, n);
+  }
+
+  std::size_t run(SweepPiecesFn pieces, const SweepBatch& batch, std::size_t n,
+                  const std::uint32_t* sat, Out& out) const {
+    out.buf.assign(3 * kPieceCap, 0x3C3C3C3C);
+    out.bits = {out.buf.data(), out.buf.data() + kPieceCap, out.buf.data() + 2 * kPieceCap,
+                {~0ULL, ~0ULL}, {~0ULL, ~0ULL}};
+    out.interval = out.bits.interval;
+    out.c0 = out.bits.c0;
+    out.c1 = out.bits.c1;
+    return pieces(batch, n, walk_, sat, out.bits);
+  }
+
+  void tally(std::size_t n, std::size_t pieces) {
+    seen_.pieces += pieces;
+    for (std::size_t k = 0; k < pieces; ++k) {
+      seen_.wrapped += static_cast<std::size_t>(want_.c1[k] >= side_);
+    }
+    for (std::size_t b = 0; b < n; ++b) {
+      const bool skip = ((want_.bits.skip[b / 64] >> (b % 64)) & 1U) != 0;
+      const bool back = ((want_.bits.fallback[b / 64] >> (b % 64)) & 1U) != 0;
+      seen_.skipped += static_cast<std::size_t>(skip);
+      seen_.fallback += static_cast<std::size_t>(back);
+      seen_.plain_fallback += static_cast<std::size_t>(
+          back && cols_[kColFlags * kBatchStride + b] == static_cast<int>(kBatchCertify));
+    }
+  }
+
+  static constexpr std::uint64_t kJunk = 0x7FF4DEADBEEF0000ULL;
+  SectorWalk walk_;
+  std::int32_t side_;
+  bool torus_;
+  std::vector<std::uint32_t> slots_;
+  std::vector<double> consts_;
+  std::vector<double> fields_;
+  std::vector<std::int32_t> cols_;
+  Out want_;
+  Out got_;
+  Seen seen_;
+};
+
+/// Saturation patterns for a row of `side` columns: none saturated, all,
+/// and random ones at about a half and nine in ten.
+std::vector<std::vector<std::uint32_t>> saturations(std::mt19937_64& rng, std::size_t side) {
+  std::vector<std::vector<std::uint32_t>> out;
+  for (const double p : {0.0, 1.0, 0.5, 0.9}) {
+    std::vector<bool> pattern(side);
+    for (std::size_t c = 0; c < side; ++c) {
+      pattern[c] = unit(rng) < p;
+    }
+    out.push_back(saturation(pattern));
+  }
+  return out;
+}
+
+/// Lanes aimed at the walk's seams: wedge edges along an axis or a
+/// diagonal (sector boundaries at theta = pi/4, so core ends land on or
+/// next to a boundary and the near-boundary cuts run), chords across the
+/// torus seam or past the plane's ends, and dy at kMinSweepDy.
+std::vector<Lane> walk_seam_lanes(std::mt19937_64& rng, std::int32_t side) {
+  std::vector<Lane> lanes;
+  const double s = static_cast<double>(side);
+  const double j0s[] = {-0.5, -0.5 + 1e-12, 0.0, 0.5, s - 0.5, s - 0.5 - 1e-12, s * unit(rng)};
+  const double slopes[] = {0.0, 1.0, -1.0, 0.5, -2.0, 1e-3};
+  for (const double j0 : j0s) {
+    for (const double cm : slopes) {
+      for (const double cp : slopes) {
+        for (const double dy : {0.05, -0.05, kMinSweepDy, -kMinSweepDy, 0.2, -0.013}) {
+          Lane l;
+          l.record[kConstJ0] = j0;
+          l.record[kConstCm] = cm;
+          l.record[kConstCp] = cp;
+          l.record[kConstOm] = cm * 1.001;
+          l.record[kConstOp] = cp * 0.999;
+          const unsigned kind = (kEdgeLower << kShiftCm) | (kEdgeUpper << kShiftCp) |
+                                (kEdgeLower << kShiftOm) | (kEdgeUpper << kShiftOp);
+          l.record[kConstKind] = std::bit_cast<double>(std::uint64_t{kind});
+          const double r = 0.02 + 0.45 * unit(rng);
+          l.r2 = std::max(r * r, dy * dy);
+          l.dy = dy;
+          lanes.push_back(l);
+        }
+      }
+    }
+  }
+  std::shuffle(lanes.begin(), lanes.end(), rng);
+  return lanes;
+}
+
+TEST(SweepKernel, PiecePassMatchesScalarOnRandomLanes) {
+  std::mt19937_64 rng(2405);
+  const std::vector<Lane> lanes = random_lanes(rng, 40000);
+  const WalkTable table(0.7853981633974483);
+  for (const bool torus : {true, false}) {
+    PieceChecker checker(table.engine.sector_walk(), 83, torus);
+    checker.check(lanes, kSweepBatch, nullptr);
+    for (const auto& sat : saturations(rng, 83)) {
+      checker.check(lanes, kSweepBatch - 3, &sat);
+    }
+    ASSERT_FALSE(testing::Test::HasFailure());
+    // Not vacuous: pieces, seam wraps on the torus, skips and fallbacks.
+    EXPECT_GT(checker.seen().pieces, lanes.size());
+    EXPECT_EQ(checker.seen().wrapped > 0, torus);
+    EXPECT_GT(checker.seen().skipped, 0U);
+    EXPECT_GT(checker.seen().fallback, 0U);
+  }
+}
+
+TEST(SweepKernel, PiecePassMatchesScalarOnSeams) {
+  std::mt19937_64 rng(2406);
+  std::vector<Lane> lanes = seam_lanes(rng);
+  for (const double theta : {0.7853981633974483, 3.141592653589793 / 12.0, 0.3 * 3.141592653589793,
+                             3.141592653589793}) {
+    const WalkTable table(theta);
+    for (const bool torus : {true, false}) {
+      for (const std::int32_t side : {1, 7, 83}) {
+        std::vector<Lane> all = lanes;
+        const std::vector<Lane> walks = walk_seam_lanes(rng, side);
+        all.insert(all.end(), walks.begin(), walks.end());
+        PieceChecker checker(table.engine.sector_walk(), side, torus);
+        checker.check(all, kSweepBatch, nullptr);
+        for (const auto& sat : saturations(rng, static_cast<std::size_t>(side))) {
+          checker.check(all, kSweepBatch, &sat);
+        }
+        ASSERT_FALSE(testing::Test::HasFailure()) << "theta=" << theta;
+        EXPECT_GT(checker.seen().pieces, 0U);
+        if (torus && side > 1) {
+          EXPECT_GT(checker.seen().wrapped, 0U);
+        }
+      }
+    }
+  }
+}
+
+TEST(SweepKernel, PiecePassMatchesScalarOnEveryRemainder) {
+  std::mt19937_64 rng(2407);
+  std::vector<Lane> lanes = seam_lanes(rng);
+  const std::vector<Lane> walks = walk_seam_lanes(rng, 48);
+  lanes.insert(lanes.end(), walks.begin(), walks.end());
+  const WalkTable table(0.7853981633974483);
+  PieceChecker checker(table.engine.sector_walk(), 48, true);
+  const std::vector<std::vector<std::uint32_t>> sats = saturations(rng, 48);
+  for (std::size_t count = 1; count <= 9; ++count) {
+    checker.check(lanes, count, nullptr);
+    checker.check(lanes, count, &sats[2]);
+    ASSERT_FALSE(testing::Test::HasFailure()) << "batch count " << count;
+  }
+}
+
+TEST(SweepKernel, PiecePassSendsLongWalksToTheScalarPass) {
+  // theta = 0.05: a few hundred sector intervals, so a wide core near the
+  // row crosses far more than kMaxWalkSteps of them.
+  std::mt19937_64 rng(2408);
+  const std::vector<Lane> lanes = random_lanes(rng, 20000);
+  const WalkTable table(0.05);
+  ASSERT_GT(table.engine.sector_walk().intervals, 100U);
+  for (const bool torus : {true, false}) {
+    PieceChecker checker(table.engine.sector_walk(), 83, torus);
+    checker.check(lanes, kSweepBatch, nullptr);
+    ASSERT_FALSE(testing::Test::HasFailure());
+    EXPECT_GT(checker.seen().plain_fallback, lanes.size() / 50);
+    EXPECT_GT(checker.seen().pieces, 0U);
+  }
 }
 
 /// Band scans of pool slots [begin, end) at row y under every pinned

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "fvc/core/region_coverage.hpp"
 #include "fvc/geometry/angle.hpp"
@@ -40,6 +41,25 @@ TEST(TrialConfig, Validation) {
   cfg.grid_side = 0;
   EXPECT_THROW(validate(cfg), std::invalid_argument);
   EXPECT_NO_THROW(validate(base_config()));
+}
+
+TEST(TrialConfig, ValidationBoundsThePopulationBeforeDeploying) {
+  TrialConfig cfg = base_config();
+  cfg.n = core::kMaxCameras;
+  EXPECT_NO_THROW(validate(cfg));
+  for (const std::size_t n : {core::kMaxCameras + 1, std::size_t{18446744073709549568ULL}}) {
+    cfg.n = n;
+    try {
+      validate(cfg);
+      ADD_FAILURE() << "n = " << n << " accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("n = " + std::to_string(n)), std::string::npos) << msg;
+      EXPECT_NE(msg.find(std::to_string(core::kMaxCameras)), std::string::npos) << msg;
+    }
+    // deploy validates first, so it throws before reserving n cameras.
+    EXPECT_THROW((void)deploy(cfg, 1), std::invalid_argument);
+  }
 }
 
 TEST(Deploy, UniformProducesExactCount) {

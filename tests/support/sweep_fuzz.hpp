@@ -15,7 +15,12 @@
 /// * cameras snapped onto grid rows, columns and points, within 1e-6 or
 ///   1e-9 of a row, on the torus wrap, coincident with another camera, or
 ///   aimed so that a field-of-view edge passes through a grid point;
-/// * dense networks on coarse grids, whose rows saturate.
+/// * dense networks on coarse grids, whose rows saturate;
+/// * long walks: cameras with a wide field of view just off a row, on
+///   fine sector tables (theta down to 0.01), whose certified core crosses
+///   more sector boundaries than the piece stage's kWalkSteps;
+/// * cameras by the torus seam with chords across it, so certified pieces
+///   wrap the seam.
 ///
 /// New adversarial cases belong here, as another placement or draw.
 
@@ -62,6 +67,9 @@ inline FuzzConfig fuzz_config(std::uint64_t seed, std::uint64_t index) {
   constexpr double kThetas[] = {kPi / 4.0, kPi / 12.0, 0.3 * kPi, 0.7 * kPi, kPi,
                                 0.05,      0.02,       kPi / 2.0, 2.0 * kPi / 3.0};
   cfg.theta = below(3) == 0 ? uniform(0.02, kPi) : pick(kThetas);
+  if (below(8) == 0) {  // a fine sector table: long walks
+    cfg.theta = uniform(0.01, 0.06);
+  }
 
   constexpr double kFovs[] = {kTwoPi, kPi,  kPi + 1e-4, kPi - 1e-4, 1.5 * kPi,
                               1e-5,   2.0,  1.0,        4.0,        0.5};
@@ -93,7 +101,7 @@ inline FuzzConfig fuzz_config(std::uint64_t seed, std::uint64_t index) {
     c.radius = radius();
     c.fov = fov();
     const geom::Vec2 g = grid_point();
-    switch (below(11)) {
+    switch (below(13)) {
       case 0:  // on a grid row: dy == 0 there
         c.position.y = g.y;
         break;
@@ -133,6 +141,19 @@ inline FuzzConfig fuzz_config(std::uint64_t seed, std::uint64_t index) {
       case 9:  // looking along a sector boundary (an axis or a diagonal)
         c.orientation = 0.25 * kPi * static_cast<double>(below(8));
         break;
+      case 10: {  // a long walk: a wide core from just off a row
+        c.position.y = g.y + (below(2) == 0 ? 1.0 : -1.0) * uniform(2e-5, 2e-3);
+        c.fov = uniform(0.5 * kPi, kTwoPi);
+        c.radius = uniform(0.1, 0.45);
+        break;
+      }
+      case 11: {  // by the torus seam, its chord across it
+        c.position.x = below(2) == 0 ? uniform(0.0, 0.02) : uniform(0.98, 1.0);
+        c.position.y = g.y + uniform(-0.01, 0.01);
+        c.radius = uniform(0.08, 0.3);
+        c.fov = uniform(1.0, kTwoPi);
+        break;
+      }
       default:
         break;
     }
