@@ -152,6 +152,11 @@ const std::vector<CommandSpec>& command_table() {
         {"candidates", "K", "12", "candidate orientations per camera"},
         {"save", "FILE", "", "save the re-aimed deployment to FILE"},
         {"load", "FILE", "", "load the deployment from FILE"}}},
+      {"experiment",
+       "run one experiment of EXPERIMENTS.md with its fixed seeds; exit 1 "
+       "when a shape check fails",
+       &cmd_experiment,
+       {{"id", "ID", "", "experiment ID (FIG7 ... CLUSTER); omit to list them"}}},
       {"serve",
        "hot-engine coverage query daemon speaking fvc.query/1 over a local "
        "socket (SIGINT drains and exits 130)",

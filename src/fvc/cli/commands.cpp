@@ -546,6 +546,23 @@ int cmd_repair(CommandContext& ctx) {
   return result.success ? kExitSuccess : kExitFailure;
 }
 
+int report_experiment(const experiments::Experiment& e, std::ostream& out) {
+  return experiments::print_report(e, e.run(), out) ? kExitSuccess : kExitFailure;
+}
+
+int cmd_experiment(CommandContext& ctx) {
+  const std::string id = ctx.args().get_string("id", "");
+  if (const experiments::Experiment* e = experiments::find_experiment(id)) {
+    return report_experiment(*e, ctx.out());
+  }
+  ctx.out() << (id.empty() ? "experiment needs --id" : "unknown experiment: " + id)
+            << "\nexperiments:\n";
+  for (const experiments::Experiment& e : experiments::experiment_table()) {
+    ctx.out() << "  " << e.id << "  " << e.title << "\n";
+  }
+  return kExitFailure;
+}
+
 int cmd_aim(CommandContext& ctx) {
   const Args& args = ctx.args();
   std::ostream& out = ctx.out();

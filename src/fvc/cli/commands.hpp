@@ -15,6 +15,7 @@
 #include "fvc/cli/args.hpp"
 #include "fvc/cli/command_context.hpp"
 #include "fvc/cli/exit_codes.hpp"
+#include "fvc/experiments/experiments.hpp"
 
 namespace fvc::cli {
 
@@ -64,6 +65,13 @@ int cmd_repair(CommandContext& ctx);
 
 /// One-shot orientation optimization of a deployment.
 int cmd_aim(CommandContext& ctx);
+
+/// Run one registered experiment of EXPERIMENTS.md by --id and print its
+/// report; with no --id, or an unknown one, list the IDs and fail.
+int cmd_experiment(CommandContext& ctx);
+
+/// Run `e` and print its report; kExitFailure when any shape check fails.
+int report_experiment(const experiments::Experiment& e, std::ostream& out);
 
 /// Hot-engine coverage query daemon over a local socket (fvc.query/1).
 int cmd_serve(CommandContext& ctx);

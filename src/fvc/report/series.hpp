@@ -1,5 +1,5 @@
 /// \file series.hpp
-/// \brief Named numeric series + CSV emission, so each figure bench can dump
+/// \brief Named numeric series + CSV emission, so each experiment can dump
 /// machine-readable data alongside its ASCII table.
 
 #pragma once

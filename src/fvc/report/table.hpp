@@ -1,6 +1,6 @@
 /// \file table.hpp
-/// \brief ASCII table printer shared by the experiment binaries, so every
-/// bench emits the paper's rows in a uniform, diffable format.
+/// \brief ASCII table printer shared by the experiments and the CLI, so
+/// every report emits the paper's rows in a uniform, diffable format.
 
 #pragma once
 

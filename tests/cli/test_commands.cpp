@@ -166,6 +166,38 @@ TEST(Commands, AimSaveProducesLoadableFleet) {
   std::remove(path.c_str());
 }
 
+TEST(Commands, ExperimentRunsARegisteredId) {
+  const auto [code, out] = run({"experiment", "--id", "FIG7"});
+  EXPECT_EQ(code, kExitSuccess);
+  EXPECT_NE(out.find("=== FIG7: "), std::string::npos);
+  EXPECT_NE(out.find("Overall: OK"), std::string::npos);
+}
+
+TEST(Commands, ExperimentWithAFailedCheckPrintsMismatchAndFails) {
+  const experiments::Experiment fake{"FAKE", "one check fails", [] {
+                                       experiments::Report r;
+                                       r.checks = {{"holds", true}, {"does not hold", false}};
+                                       return r;
+                                     }};
+  std::ostringstream out;
+  EXPECT_EQ(report_experiment(fake, out), kExitFailure);
+  EXPECT_NE(out.str().find("  * does not hold -> MISMATCH\n"), std::string::npos);
+  EXPECT_NE(out.str().find("Overall: MISMATCH (1 of 2 checks fail)"), std::string::npos);
+}
+
+TEST(Commands, ExperimentWithoutAKnownIdListsTheIdsAndFails) {
+  const auto [code, out] = run({"experiment", "--id", "NOPE"});
+  EXPECT_EQ(code, kExitFailure);
+  EXPECT_NE(out.find("unknown experiment: NOPE"), std::string::npos);
+  for (const experiments::Experiment& e : experiments::experiment_table()) {
+    EXPECT_NE(out.find("  " + std::string(e.id) + "  "), std::string::npos) << e.id;
+  }
+  const auto [bare_code, bare_out] = run({"experiment"});
+  EXPECT_EQ(bare_code, kExitFailure);
+  EXPECT_NE(bare_out.find("experiment needs --id"), std::string::npos);
+  EXPECT_NE(bare_out.find("  CLUSTER  "), std::string::npos);
+}
+
 TEST(Commands, DeterministicForFixedSeed) {
   const auto a = run({"simulate", "--n", "120", "--radius", "0.3", "--trials", "5",
                       "--grid-side", "8", "--seed", "9"});

@@ -121,6 +121,7 @@ TEST(MetricsJson, EveryCommandEmitsAValidDocument) {
       {"track", "--n", "150", "--radius", "0.25", "--walks", "3"},
       {"repair", "--n", "120", "--radius", "0.2", "--grid-side", "8"},
       {"aim", "--n", "100", "--radius", "0.2", "--fov", "1.5", "--grid-side", "8"},
+      {"experiment", "--id", "FIG7"},
   };
   // serve blocks until cancelled and top needs a live daemon, so both are
   // exercised separately below; the +2 keeps this guard demanding an
