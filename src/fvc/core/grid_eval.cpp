@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "fvc/core/candidate_index.hpp"
+#include "fvc/core/grid_eval_internal.hpp"
 #include "fvc/core/grid_eval_kernel.hpp"
 #include "fvc/core/round_half_away.hpp"
 #include "fvc/geometry/angle.hpp"
@@ -54,51 +55,6 @@ inline double ccw_from_normalized(double from, double to) {
   return d;
 }
 
-/// Diamond pseudo-angle of a nonzero vector: a monotone map of its polar
-/// angle [0, 2*pi) onto [0, 4), one unit per quadrant (y/(|x|+|y|) in the
-/// first).  Its slope against the angle lies in [1/2, 1], so a pseudo-angle
-/// difference never exceeds the angle difference, and the computed value
-/// is within 1e-15 of the exact one.  Signed zeros land on the same value
-/// as unsigned ones (axis directions give exactly 0, 1, 2 and 3).
-inline double pseudo_angle(double x, double y) {
-  const double ax = std::abs(x);
-  const double ay = std::abs(y);
-  // Quadrant q = 0..3 counter-clockwise from +x, plus the fraction of it
-  // swept: |y| / (|x| + |y|) in the even quadrants, 1 minus that in the
-  // odd ones.  Written as 2 * (lower + odd) -/+ frac, with no select, so
-  // directions arriving in random quadrants cost no branch mispredicts.
-  const bool lower = y < 0.0;
-  const bool odd = (lower & (x >= 0.0)) | (!lower & (x <= 0.0));
-  const int odd_i = static_cast<int>(odd);
-  const double frac = ay / (ax + ay);
-  return static_cast<double>(2 * (static_cast<int>(lower) + odd_i)) +
-         static_cast<double>(1 - 2 * odd_i) * frac;
-}
-
-/// A vector whose pseudo-angle is `t` in [0, 4) (the inverse map, up to
-/// scale).
-inline geom::Vec2 pseudo_direction(double t) {
-  const double q = std::floor(t);
-  const double u = t - q;
-  if (q < 1.0) {
-    return {1.0 - u, u};
-  }
-  if (q < 2.0) {
-    return {-u, 1.0 - u};
-  }
-  if (q < 3.0) {
-    return {u - 1.0, -u};
-  }
-  return {u, u - 1.0};
-}
-
-/// Boundary band of the occupancy decision, in pseudo-angle units: a
-/// direction farther than this from every arc boundary is at least 1e-9
-/// rad inside its interval, six orders of magnitude beyond the combined
-/// rounding of the oracle's atan2 direction, the arc arithmetic and the
-/// pseudo-angles (each ~1e-15).
-constexpr double kOccupancyBand = 1e-9;
-
 /// Row-sweep margins and degeneracy limits (docs/ARCHITECTURE.md, "Row
 /// sweep"; the interval pass's own are in grid_eval_kernel.hpp).  Each
 /// margin sits orders of magnitude above the rounding it absorbs, so a
@@ -124,6 +80,12 @@ constexpr std::size_t kMaxSweepCells = std::size_t{1} << 20;
 constexpr std::size_t kFinishRatio = 32;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// The helpers shared with grid_eval_stats.cpp (grid_eval_internal.hpp).
+using detail::ceil_to_int, detail::classify_scalar, detail::EntryClass, detail::floor_to_int,
+    detail::kOccupancyBand, detail::max_gap_sorted, detail::pseudo_angle,
+    detail::pseudo_direction, detail::reserve_point,
+    detail::SortedGap, detail::words_full;
 
 // The row sweep's shared limits, kind bits and batch layout
 // (grid_eval_kernel.hpp).
@@ -191,16 +153,6 @@ inline double unwrap_dy(double y, double sy, bool torus) {
     }
   }
   return dy;
-}
-
-/// floor and ceil to an integer without a libm call (|v| far below 2^62).
-inline std::int64_t floor_to_int(double v) {
-  const auto t = static_cast<std::int64_t>(v);
-  return t - static_cast<std::int64_t>(static_cast<double>(t) > v);
-}
-inline std::int64_t ceil_to_int(double v) {
-  const auto t = static_cast<std::int64_t>(v);
-  return t + static_cast<std::int64_t>(static_cast<double>(t) < v);
 }
 
 /// One camera's x-sets along a grid row at y displacement dy (see
@@ -422,92 +374,6 @@ inline void walk_pieces(const detail::SectorWalk& t, const Walk& w, double j0, d
   }
 }
 
-/// Gap-bound bins of the stats path: the pseudo-angle range [0, 4) cut
-/// into kGapBins equal bins (a direction's bin is floor(v * kGapBinScale),
-/// wrapping 4 to 0), held as a bitmap in `GridEvalScratch::gap_bins`.
-constexpr std::size_t kGapBins = 256;
-constexpr double kGapBinScale = static_cast<double>(kGapBins) / 4.0;
-
-/// Widening of the gap bounds: far above the error of the bin-angle table,
-/// the pseudo-angles, the bound arithmetic and the oracle's rounded
-/// `fl(atan2 + pi)` directions and gap differences (each ~1e-15 rad).
-constexpr double kGapSlack = 1e-9;
-
-/// Viewed direction of each gap-bin boundary: bin b spans the directions
-/// [A[b], A[b + 1]], with A[0] == 0 and A[kGapBins] == 2*pi.
-const std::array<double, kGapBins + 1>& gap_bin_angles() {
-  static const std::array<double, kGapBins + 1> table = [] {
-    std::array<double, kGapBins + 1> a{};
-    for (std::size_t b = 0; b < kGapBins; ++b) {
-      const geom::Vec2 v = pseudo_direction(static_cast<double>(b) / kGapBinScale);
-      a[b] = geom::normalize_angle(std::atan2(v.y, v.x));
-    }
-    a[kGapBins] = geom::kTwoPi;
-    return a;
-  }();
-  return table;
-}
-
-static_assert(std::tuple_size_v<decltype(GridEvalScratch::gap_bins)> * 64 == kGapBins);
-
-/// An interval holding a point's max gap.
-struct GapBounds {
-  double lo = 0.0;
-  double hi = 0.0;
-};
-
-/// Bounds on the max circular gap of the directions binned in `bins` (at
-/// least one bin set), given the bin-boundary angles `a`.  The directions
-/// of consecutive occupied bins x < y (and the wrap pair, last to first)
-/// are consecutive around the circle, so the gap between them lies in
-/// [a[y] - a[x + 1], a[y + 1] - a[x]]; a gap inside one bin is at most its
-/// width, below the upper bound of the pair the bin starts.  The max gap
-/// is the largest of these gaps, hence at least the largest lower bound
-/// and at most the largest upper bound.  Both are widened by kGapSlack.
-inline GapBounds gap_bounds(const std::array<std::uint64_t, kGapBins / 64>& bins,
-                            const double* a) {
-  std::size_t first = kGapBins;
-  std::size_t prev = 0;
-  double lo = 0.0;
-  double hi = 0.0;
-  for (std::size_t w = 0; w < bins.size(); ++w) {
-    for (std::uint64_t word = bins[w]; word != 0; word &= word - 1) {
-      const std::size_t b = 64 * w + static_cast<std::size_t>(std::countr_zero(word));
-      if (first == kGapBins) {
-        first = b;
-      } else {
-        lo = std::max(lo, a[b] - a[prev + 1]);
-        hi = std::max(hi, a[b + 1] - a[prev]);
-      }
-      prev = b;
-    }
-  }
-  lo = std::max(lo, a[first] + geom::kTwoPi - a[prev + 1]);
-  hi = std::max(hi, a[first + 1] + geom::kTwoPi - a[prev]);
-  return {lo - kGapSlack, hi + kGapSlack};
-}
-
-/// Size the per-point classify buffers for a span of `count` candidates.
-void reserve_point(GridEvalScratch& scratch, std::size_t count) {
-  if (scratch.dxs.size() < count) {
-    scratch.dxs.resize(count);
-    scratch.dys.resize(count);
-    scratch.special.resize(count);
-    scratch.pseudo.resize(count);
-  }
-}
-
-/// True when mask words [lo, hi) equal the full words.
-inline bool words_full(const std::uint64_t* mask, const std::uint64_t* full,
-                       std::size_t lo, std::size_t hi) {
-  for (std::size_t w = lo; w < hi; ++w) {
-    if (mask[w] != full[w]) {
-      return false;
-    }
-  }
-  return true;
-}
-
 /// `sectors_all_hit` of the scalar oracle, over precomputed arcs and the
 /// sorted angle buffer.  Arc containment is closed on both endpoints, as in
 /// `geom::angle_in_arc` (width is clamped to [0, 2*pi] by construction, so
@@ -541,33 +407,6 @@ inline bool arcs_all_hit(std::span<const double> sorted_dirs,
   return true;
 }
 
-/// Largest circular gap of an already-sorted, normalized angle buffer.
-/// Replicates `geom::max_circular_gap_info` (which normalizes — a no-op on
-/// [0, 2*pi) inputs — sorts a copy, and scans) without the copy.
-struct SortedGap {
-  double width = geom::kTwoPi;
-  double after = 0.0;
-  bool has_after = false;
-};
-
-inline SortedGap max_gap_sorted(std::span<const double> sorted_dirs) {
-  if (sorted_dirs.empty()) {
-    return {};
-  }
-  SortedGap g;
-  g.width = geom::kTwoPi - (sorted_dirs.back() - sorted_dirs.front());
-  g.after = sorted_dirs.back();
-  g.has_after = true;
-  for (std::size_t i = 0; i + 1 < sorted_dirs.size(); ++i) {
-    const double gap = sorted_dirs[i + 1] - sorted_dirs[i];
-    if (gap > g.width) {
-      g.width = gap;
-      g.after = sorted_dirs[i];
-    }
-  }
-  return g;
-}
-
 inline FullViewResult full_view_from_sorted(std::span<const double> sorted_dirs,
                                             double theta) {
   FullViewResult res;
@@ -583,67 +422,6 @@ inline FullViewResult full_view_from_sorted(std::span<const double> sorted_dirs,
     }
   }
   return res;
-}
-
-/// One candidate's scalar classification against a point.
-struct EntryClass {
-  double dx = 0.0;  ///< unwrapped displacement point - camera
-  double dy = 0.0;
-  double n2 = 0.0;  ///< squared distance
-  bool covered = false;
-  bool band_hit = false;  ///< decided by the exact-arithmetic fallback
-};
-
-/// The engine's scalar classify: the one definition of its coverage
-/// arithmetic, which the lane template in grid_eval_kernel.hpp replicates
-/// operation for operation.  Displacement via the per-point torus unwrap
-/// (the subtraction, `d -= round(d)`, and the d >= 0.5 boundary fixup are
-/// `geom::wrap_delta` bit-for-bit; wrap_delta's d < -0.5 fixup is dead
-/// code, since a round-to-nearest remainder lies in [-0.5, +0.5]), hence
-/// bit-identical to geom::displacement; then the radius test on the
-/// squared distance and the trig-free field-of-view classifier — the
-/// real-math condition
-///     angular_distance(angle(d), orientation) <= fov/2
-///       <=>  dot(d, u) >= |d| * cos(fov/2)        (u = unit orientation)
-///       <=>  dot*|dot| >= q * |d|^2               (x*|x| is monotone)
-/// decided outside a 1e-9 relative band around the threshold.  Inside the
-/// band the scalar oracle's exact arithmetic decides (a point at the
-/// camera itself is covered), so the covered SET always matches `covers`.
-template <class View>
-inline EntryClass classify_scalar(const View& view, std::size_t e, const geom::Vec2& p,
-                                  bool torus, std::span<const Camera> cams) {
-  EntryClass c;
-  c.dx = p.x - view.sx()[e];
-  c.dy = p.y - view.sy()[e];
-  if (torus) {
-    c.dx -= detail::round_half_away(c.dx);
-    if (c.dx >= 0.5) {
-      c.dx -= 1.0;
-    }
-    c.dy -= detail::round_half_away(c.dy);
-    if (c.dy >= 0.5) {
-      c.dy -= 1.0;
-    }
-  }
-  c.n2 = c.dx * c.dx + c.dy * c.dy;
-  const double dot = c.dx * view.cu()[e] + c.dy * view.su()[e];
-  const double lhs = dot * std::abs(dot);
-  const double rhs = view.q()[e] * c.n2;
-  const double band = 1e-9 * c.n2;
-  const bool in_radius = c.n2 <= view.r2()[e];
-  const bool omni = std::bit_cast<std::uint64_t>(view.omni()[e]) != 0;
-  c.covered = in_radius & (omni | (lhs - rhs > band));
-  c.band_hit = in_radius & !omni & (std::abs(lhs - rhs) <= band);
-  if (c.band_hit) [[unlikely]] {
-    if (c.n2 == 0.0) {
-      c.covered = true;  // point coincides with the camera
-    } else {
-      const Camera& cam = cams[view.ids[e]];
-      c.covered = geom::angular_distance(std::atan2(c.dy, c.dx), cam.orientation) <=
-                  0.5 * cam.fov;
-    }
-  }
-  return c;
 }
 
 }  // namespace
@@ -831,16 +609,17 @@ std::size_t sweep_pieces_scalar(const SweepBatch& sb, std::size_t count, const S
 
 // The scalar variant, and defensively a variant this build lacks
 // (resolve_kernel already rejects those), runs the scalar definitions of
-// the band and interval stages, and no classify or piece stage: its
+// the band, interval and pair stages, and no classify or piece stage: its
 // per-entry classify and the sweep's scalar pass do that work directly.
 Kernels kernels_for(KernelVariant v) {
   switch (v) {
 #if defined(FVC_KERNEL_AVX2)
     case KernelVariant::kAvx2:
-      return {&classify_avx2, &sweep_intervals_avx2, &band_scan_avx2, &sweep_pieces_avx2};
+      return {&classify_avx2, &sweep_intervals_avx2, &band_scan_avx2, &sweep_pieces_avx2,
+              &stats_pairs_avx2};
 #endif
     default:
-      return {nullptr, &sweep_intervals_scalar, &band_scan_scalar, nullptr};
+      return {nullptr, &sweep_intervals_scalar, &band_scan_scalar, nullptr, &stats_pairs_scalar};
   }
 }
 
@@ -891,7 +670,16 @@ void GridEvalCounters::describe(obs::MetricsNode& node) const {
   node.add("sweep_band_ns", static_cast<double>(sweep_band_ns));
   node.add("sweep_intervals_ns", static_cast<double>(sweep_intervals_ns));
   node.add("sweep_pieces_ns", static_cast<double>(sweep_pieces_ns));
+  node.add("sweep_scatter_ns", static_cast<double>(sweep_scatter_ns));
   node.add("sweep_checkpoint_ns", static_cast<double>(sweep_checkpoint_ns));
+  node.add("stats_rows", static_cast<double>(stats_rows));
+  node.add("stats_camera_rows", static_cast<double>(stats_camera_rows));
+  node.add("stats_pairs", static_cast<double>(stats_pairs));
+  node.add("stats_replays", static_cast<double>(stats_replays));
+  node.add("stats_sweep_ns", static_cast<double>(stats_sweep_ns));
+  node.add("stats_pairs_ns", static_cast<double>(stats_pairs_ns));
+  node.add("stats_points_ns", static_cast<double>(stats_points_ns));
+  node.add("stats_exact_ns", static_cast<double>(stats_exact_ns));
   node.histogram("candidates_per_point").merge(candidates_per_point);
 }
 
@@ -997,6 +785,8 @@ void GridEvalEngine::build_sector_table() {
   t.row_begin.assign(1, 0);
   t.bits.clear();
   t.bits.reserve(3 * intervals);  // typical: one word of each mask
+  t.dense.clear();
+  t.dense.reserve(words * intervals);
   std::vector<std::uint64_t> row(words);
   for (std::size_t i = 0; i < intervals; ++i) {
     const geom::Vec2 v = pseudo_direction(0.5 * (b[i] + b[i + 1]));
@@ -1021,6 +811,7 @@ void GridEvalEngine::build_sector_table() {
       }
     }
     t.row_begin.push_back(static_cast<std::uint32_t>(t.bits.size()));
+    t.dense.insert(t.dense.end(), row.begin(), row.end());
   }
 }
 
@@ -1499,40 +1290,35 @@ void GridEvalEngine::occupy_exact(double d, std::uint64_t* mask) const {
   }
 }
 
-template <bool kBinned>
-std::uint64_t GridEvalEngine::occupy_directions(GridEvalScratch& scratch, std::size_t m0,
-                                                std::size_t m) const {
+bool GridEvalEngine::occupy_direction(double v, double dx, double dy,
+                                      std::uint64_t* mask) const {
   const SectorTable& t = sectors_;
+  const std::size_t i = t.locate(v);
+  if (v - t.bounds[i] <= kOccupancyBand || t.bounds[i + 1] - v <= kOccupancyBand) [[unlikely]] {
+    const double a = std::atan2(dy, dx) + geom::kPi;
+    occupy_exact(a >= geom::kTwoPi ? 0.0 : a, mask);
+    return true;
+  }
+  for (std::uint32_t r = t.row_begin[i]; r < t.row_begin[i + 1]; ++r) {
+    mask[t.bits[r].word] |= t.bits[r].bits;
+  }
+  return false;
+}
+
+std::uint64_t GridEvalEngine::occupy_directions(GridEvalScratch& scratch, std::size_t m) const {
   std::uint64_t* const mask = scratch.masks.data();
   const double* const xs = scratch.dxs.data();
   const double* const ys = scratch.dys.data();
-  const double* const bounds = t.bounds.data();
   std::uint64_t exact = 0;
   // Pseudo-angles first, in a loop with independent iterations, then the
   // table lookups.  The viewed direction is the angle of the point ->
   // camera vector.
   double* const pa = scratch.pseudo.data();
-  for (std::size_t j = m0; j < m; ++j) {
-    pa[j - m0] = pseudo_angle(-xs[j], -ys[j]);
+  for (std::size_t j = 0; j < m; ++j) {
+    pa[j] = pseudo_angle(-xs[j], -ys[j]);
   }
-  for (std::size_t j = m0; j < m; ++j) {
-    const double v = pa[j - m0];
-    if constexpr (kBinned) {
-      const std::size_t b =
-          static_cast<std::size_t>(v * kGapBinScale) & (kGapBins - 1);  // 4 wraps to 0
-      scratch.gap_bins[b / 64] |= std::uint64_t{1} << (b % 64);
-    }
-    const std::size_t i = t.locate(v);
-    if (v - bounds[i] <= kOccupancyBand || bounds[i + 1] - v <= kOccupancyBand)
-        [[unlikely]] {
-      const double a = std::atan2(ys[j], xs[j]) + geom::kPi;
-      occupy_exact(a >= geom::kTwoPi ? 0.0 : a, mask);
-      ++exact;
-      continue;
-    }
-    for (std::uint32_t r = t.row_begin[i]; r < t.row_begin[i + 1]; ++r) {
-      mask[t.bits[r].word] |= t.bits[r].bits;
-    }
+  for (std::size_t j = 0; j < m; ++j) {
+    exact += static_cast<std::uint64_t>(occupy_direction(pa[j], xs[j], ys[j], mask));
   }
   return exact;
 }
@@ -1556,7 +1342,7 @@ GridEvalEngine::Predicates GridEvalEngine::decide_point(
   if (zeros != 0) {
     occupy_exact(0.0, mask);
   }
-  const std::uint64_t exact = occupy_directions<false>(scratch, 0, m);
+  const std::uint64_t exact = occupy_directions(scratch, m);
   Predicates d;
   d.necessary = words_full(mask, full, 0, wn);
   d.sufficient = words_full(mask, full, wn, wn + ws);
@@ -1584,7 +1370,7 @@ GridEvalEngine::Predicates GridEvalEngine::decide_point(
 }
 
 void GridEvalEngine::sweep_constants(const std::uint32_t* slots, std::size_t count,
-                                     GridEvalScratch::RowSweep& sw) const {
+                                     std::uint8_t* ready, double* consts) const {
   const auto side = static_cast<double>(grid_.side());
   const double* const f_sx = cam_soa_.sx();
   const double* const f_cu = cam_soa_.cu();
@@ -1602,11 +1388,13 @@ void GridEvalEngine::sweep_constants(const std::uint32_t* slots, std::size_t cou
   Wedge outer_w;
   for (std::size_t b = 0; b < count; ++b) {
     const std::uint32_t slot = slots[b];
-    if (sw.ready[slot] != 0) {
+    if (ready != nullptr && ready[slot] != 0) {
       continue;
     }
-    sw.ready[slot] = 1;
-    double* const k = sw.consts.data() + std::size_t{slot} * kConstStride;
+    double* const k = consts + (ready != nullptr ? std::size_t{slot} : b) * kConstStride;
+    if (ready != nullptr) {
+      ready[slot] = 1;
+    }
     k[kConstJ0] = f_sx[slot] * side - 0.5;
     k[kConstCm] = k[kConstCp] = k[kConstOm] = k[kConstOp] = 0.0;
     if (std::bit_cast<std::uint64_t>(f_om[slot]) != 0) {
@@ -1863,12 +1651,28 @@ void GridEvalEngine::sweep_row(std::size_t row, Predicates need,
   sw.batch_pieces.resize(3 * kPieceCap);
   detail::SweepPieces packed{sw.batch_pieces.data(), sw.batch_pieces.data() + kPieceCap,
                              sw.batch_pieces.data() + 2 * kPieceCap, {}, {}};
+  // Stage clocks, read once per batch and checkpoint on metered scans only.
+  GridEvalCounters* const ctr = scratch.counters;
+  std::uint64_t t_mark = ctr != nullptr ? obs::monotonic_ns() : 0;
+  std::uint64_t band_ns = 0;
+  std::uint64_t intervals_ns = 0;
+  std::uint64_t pieces_ns = 0;
+  std::uint64_t scatter_ns = 0;
+  std::uint64_t checkpoint_ns = 0;
+  auto lap = [&](std::uint64_t& stage) {
+    if (ctr != nullptr) [[unlikely]] {
+      const std::uint64_t t = obs::monotonic_ns();
+      stage += t - t_mark;
+      t_mark = t;
+    }
+  };
   std::uint64_t n_skipped = 0;
   std::uint64_t n_fallback = 0;
   auto pieces_pass = [&](std::size_t count) {
     if (kernels_.pieces != nullptr) {
       const std::size_t n_pieces =
           kernels_.pieces(batch, count, walk, skipping ? sat : nullptr, packed);
+      lap(pieces_ns);
       for (std::size_t k = 0; k < n_pieces; ++k) {
         cut.scatter(static_cast<std::size_t>(packed.interval[k]), packed.c0[k], packed.c1[k]);
       }
@@ -1999,27 +1803,13 @@ void GridEvalEngine::sweep_row(std::size_t row, Predicates need,
   std::size_t next_check = (need.full_view || need.sufficient ? 4 : 2) * cols - 1;
   bool saturated = false;
   bool stopped = false;
-  // Stage clocks, read once per batch and checkpoint on metered scans only.
-  GridEvalCounters* const ctr = scratch.counters;
-  std::uint64_t t_mark = ctr != nullptr ? obs::monotonic_ns() : 0;
-  std::uint64_t band_ns = 0;
-  std::uint64_t intervals_ns = 0;
-  std::uint64_t pieces_ns = 0;
-  std::uint64_t checkpoint_ns = 0;
-  auto lap = [&](std::uint64_t& stage) {
-    if (ctr != nullptr) [[unlikely]] {
-      const std::uint64_t t = obs::monotonic_ns();
-      stage += t - t_mark;
-      t_mark = t;
-    }
-  };
   auto run_batch = [&] {
     lap(band_ns);
-    sweep_constants(b_slot, fill, sw);
+    sweep_constants(b_slot, fill, sw.ready.data(), sw.consts.data());
     kernels_.intervals(batch, fill);
     lap(intervals_ns);
     pieces_pass(fill);
-    lap(pieces_ns);
+    lap(scatter_ns);
     processed += fill;
     fill = 0;
   };
@@ -2102,6 +1892,7 @@ void GridEvalEngine::sweep_row(std::size_t row, Predicates need,
     ctr->sweep_band_ns += band_ns;
     ctr->sweep_intervals_ns += intervals_ns;
     ctr->sweep_pieces_ns += pieces_ns;
+    ctr->sweep_scatter_ns += scatter_ns;
     ctr->sweep_checkpoint_ns += checkpoint_ns;
   }
   // Bucket the verify pairs by column (camera order within a column).
@@ -2181,7 +1972,7 @@ GridEvalEngine::Predicates GridEvalEngine::decide_swept(std::size_t row, std::si
     if (zeros != 0) {
       occupy_exact(0.0, scratch.masks.data());
     }
-    exact = occupy_directions<false>(scratch, 0, m);
+    exact = occupy_directions(scratch, m);
     d.necessary = words_full(mask, full, 0, wn);
     d.sufficient = words_full(mask, full, wn, wn + ws);
     d.full_view = words_full(mask, full, wn + ws, words);
@@ -2324,94 +2115,6 @@ bool GridEvalEngine::point_necessary(std::size_t row, std::size_t col,
 bool GridEvalEngine::point_sufficient(std::size_t row, std::size_t col,
                                       GridEvalScratch& scratch) const {
   return arcs_all_hit(sorted_directions(row, col, scratch), sufficient_arcs_);
-}
-
-GridRowStats GridEvalEngine::row_stats(std::size_t row, GridEvalScratch& scratch) const {
-  return block_stats(row, row + 1, scratch);
-}
-
-GridRowStats GridEvalEngine::block_stats(std::size_t row_begin, std::size_t row_end,
-                                         GridEvalScratch& scratch) const {
-  GridRowStats acc;
-  for (std::size_t row = row_begin; row < row_end; ++row) {
-    for (std::size_t col = 0; col < cols(); ++col) {
-      const geom::Vec2 p = grid_.point(row, col);
-      stats_point(p, point_view(row, p, scratch), row == row_begin && col == 0, acc,
-                  scratch);
-    }
-  }
-  return acc;
-}
-
-void GridEvalEngine::stats_point(const geom::Vec2& p, const CandView& view, bool first,
-                                 GridRowStats& acc, GridEvalScratch& scratch) const {
-  const SectorTable& t = sectors_;
-  const std::size_t wn = t.nec_words;
-  const std::size_t ws = t.suf_words;
-  const std::size_t words = wn + 2 * ws;
-  const std::uint64_t* const full = t.full.data();
-  scratch.masks.assign(words, 0);
-  scratch.gap_bins.fill(0);
-  scratch.angles.clear();
-  const std::size_t cnt = view.count;
-  reserve_point(scratch, cnt);
-  std::size_t m = 0;
-  classify_range(p, view, 0, cnt, scratch, m);
-  const std::size_t zeros = scratch.angles.size();  // cameras at the point
-  if (zeros != 0) {
-    occupy_exact(0.0, scratch.masks.data());
-    scratch.gap_bins[0] |= 1;
-  }
-  const std::uint64_t exact = occupy_directions<true>(scratch, 0, m);
-  const std::uint64_t* const mask = scratch.masks.data();
-  const std::size_t count = m + zeros;
-  acc.covered_1 += static_cast<std::size_t>(count != 0);
-  acc.k_covered_ok += static_cast<std::size_t>(count >= implied_k_);
-  acc.necessary_ok += static_cast<std::size_t>(words_full(mask, full, 0, wn));
-  acc.sufficient_ok += static_cast<std::size_t>(words_full(mask, full, wn, wn + ws));
-  const double two_theta = 2.0 * theta_;
-  // With at most one direction the oracle's gap is 2*pi - (d - d) = 2*pi.
-  double gap = geom::kTwoPi;
-  bool full_view = count != 0 && gap <= two_theta;
-  bool gap_known = true;
-  bool sorted_path = false;
-  if (count >= 2) {
-    const bool certified = words_full(mask, full, wn + ws, words);
-    const GapBounds b = gap_bounds(scratch.gap_bins, gap_bin_angles().data());
-    const bool open = !certified && b.lo <= two_theta && two_theta < b.hi;
-    sorted_path = open || first || b.lo <= acc.min_max_gap || b.hi >= acc.max_max_gap;
-    if (sorted_path) {
-      emit_directions(scratch, m);
-      sort_directions(scratch);
-      gap = max_gap_sorted(scratch.angles).width;
-      full_view = gap <= two_theta;
-    } else {
-      full_view = certified || b.hi <= two_theta;
-      gap_known = false;
-    }
-  }
-  acc.full_view_ok += static_cast<std::size_t>(full_view);
-  if (first) {
-    acc.min_max_gap = acc.max_max_gap = gap;
-  } else if (gap_known) {
-    acc.min_max_gap = std::min(acc.min_max_gap, gap);
-    acc.max_max_gap = std::max(acc.max_max_gap, gap);
-  }
-  if (GridEvalCounters* const ctr = scratch.counters; ctr != nullptr) [[unlikely]] {
-    ++ctr->points;
-    ctr->candidates_total += cnt;
-    ctr->candidates_per_point.add(cnt);
-    ctr->directions_total += count;
-    ctr->atan2_calls += exact;
-    ctr->occupancy_points += static_cast<std::uint64_t>(!sorted_path && exact == 0);
-  }
-}
-
-RegionCoverageStats GridEvalEngine::evaluate(GridEvalScratch& scratch) const {
-  const obs::TraceScope scope("engine.evaluate", obs::TraceCategory::kEngine,
-                              "points", grid_.size(), "kernel_lanes",
-                              kernel_lanes(kernel_));
-  return block_stats(0, rows(), scratch).region(grid_.size());
 }
 
 GridRowEvents GridEvalEngine::row_events(std::size_t row, GridEvalScratch& scratch,

@@ -32,14 +32,18 @@
 ///      the band compaction that fills the batch run in the dispatched
 ///      batch kernel) and a piece pass, and stops spending work on
 ///      columns whose needed words are already full (column saturation).
-///      The stats path (`block_stats`, `row_stats`, `evaluate`) classifies
-///      every candidate of a point and also bins the directions into a
-///      pseudo-angle bitmap that bounds the point's max gap (see
-///      `stats_point`).  Either takes
-///      the exact path — one atan2 per covering camera, an in-place sort,
-///      the oracle's gap scan — only for a point whose full view the masks
-///      and bounds leave open, or whose max gap could set a new extreme of
-///      the scan.  The per-point accessors (`eval_point`, `point_*`,
+///      The stats path (`block_stats`, `row_stats`, `evaluate`) sweeps
+///      each row once too (`stats_sweep`, grid_eval_stats.cpp): each band
+///      camera's outer columns, from the same band compaction and interval
+///      pass, go through a dispatched pair stage that classifies the
+///      camera at those columns only (lanes over columns) and scatters
+///      each covered pair into its column's count, occupancy masks and a
+///      pseudo-angle bitmap that bounds the point's max gap, plus a list
+///      of the column's covering cameras; it builds no row slice.  Either
+///      path takes the exact path — one atan2 per covering camera, an
+///      in-place sort, the oracle's gap scan — only for a point whose full
+///      view the masks and bounds leave open, or whose max gap could set a
+///      new extreme of the scan (see `stats_decide_row`).  The per-point accessors (`eval_point`, `point_*`,
 ///      `sorted_directions`) report a point's own max gap and always take
 ///      the exact path.
 ///   3. *Lane-parallel classify* — candidate records are stored as
@@ -58,10 +62,9 @@
 ///      to `sim::parallel_for_blocked` via `block_stats` and merge the
 ///      per-block results in block order (`sim::evaluate_region_parallel`),
 ///      which keeps results bit-identical for any thread count and grain.
-///      The index piggybacks on this shape: each worker's scratch caches
-///      the current row's candidate slice, built once per (engine, row)
-///      and reused across the row's points and across the blocks a worker
-///      claims.
+///      The per-point accessors piggyback on this shape: each worker's
+///      scratch caches the current row's candidate slice, built once per
+///      (engine, row) and reused across the row's points.
 ///
 /// Determinism contract: for a fixed (network, grid, theta) every method is
 /// a pure function of its arguments, and every result is **bit-identical**
@@ -114,15 +117,20 @@ using BandScanFn = BandScan (*)(const double* sy, const double* r2, std::uint32_
 using SweepPiecesFn = std::size_t (*)(const SweepBatch& b, std::size_t count,
                                       const SectorWalk& t, const std::uint32_t* sat,
                                       SweepPieces& out);
+struct PairRuns;
+struct PairRow;
+struct PairCounts;
+using StatsPairsFn = PairCounts (*)(const PairRuns& runs, const PairRow& row);
 /// The batch kernels of one kernel variant (kernels_for there): the
 /// classify and the row sweep's piece stage, null for the scalar variant
 /// (whose per-entry classify and scalar sweep pass run instead), and the
-/// row sweep's band and interval stages.
+/// row sweep's band and interval stages and the stats path's pair stage.
 struct Kernels {
   ClassifyFn classify = nullptr;
   SweepIntervalsFn intervals = nullptr;
   BandScanFn band = nullptr;
   SweepPiecesFn pieces = nullptr;
+  StatsPairsFn pairs = nullptr;
 };
 }  // namespace detail
 
@@ -132,13 +140,18 @@ struct Kernels {
 /// the kernel pays one pointer test per grid *point*, never per
 /// candidate, and results are unchanged either way (counting does not
 /// touch the arithmetic).  `candidates_per_point` holds one observation
-/// per point: the candidates the kernel classified there.  On the stats
-/// path (`row_stats`, `evaluate`, `block_stats`) and the per-point sorted
-/// path (`eval_point`, the `point_*` accessors) every candidate of the
-/// index's span (a superset of the covering set) is classified and every
-/// covering direction consumed, so the histogram describes the spans,
-/// `candidates_total` is the span total and `directions_total` the
-/// covering-set total.  On the boolean path (`row_events`, `row_all_*`)
+/// per point: the candidates the kernel classified there.  On the
+/// per-point sorted path (`eval_point`, the `point_*` accessors) every
+/// candidate of the index's span (a superset of the covering set) is
+/// classified and every covering direction consumed, so the histogram
+/// describes the spans, `candidates_total` is the span total and
+/// `directions_total` the covering-set total.  On the stats path
+/// (`row_stats`, `evaluate`, `block_stats`) the stats row sweep classifies
+/// each band camera at its outer columns only, so the histogram and
+/// `candidates_total` count the exact pair classifies made at a point
+/// (the pair stage's, at the point's column), `directions_total` is still
+/// the covering-set total, and the `stats_*` counters hold the sweep's
+/// own work.  On the boolean path (`row_events`, `row_all_*`)
 /// the row sweep certifies most covering cameras without a classify, so
 /// the histogram and `candidates_total` count the exact classifies only
 /// (a point's verify-list entries, none once its certified words settle
@@ -170,12 +183,30 @@ struct GridEvalCounters {
   std::uint64_t sweep_walk_fallback = 0;
   /// The sweep's stage clocks (ns), read once per batch and checkpoint:
   /// the strip walk with its band compaction; the per-camera constants
-  /// and the interval pass; the piece pass; checkpoints and the final
-  /// flush.
+  /// and the interval pass; the dispatched piece stage; the difference-
+  /// array scatter of its pieces plus the scalar pass; checkpoints and the
+  /// final flush.
   std::uint64_t sweep_band_ns = 0;
   std::uint64_t sweep_intervals_ns = 0;
   std::uint64_t sweep_pieces_ns = 0;
+  std::uint64_t sweep_scatter_ns = 0;
   std::uint64_t sweep_checkpoint_ns = 0;
+  /// The stats path's row sweep (`block_stats`): rows swept, (camera, row)
+  /// pairs it computed outer columns for, (camera, column) pairs the pair
+  /// stage classified, and pairs it left to the scalar replay (special
+  /// lanes and directions inside the boundary band).
+  std::uint64_t stats_rows = 0;
+  std::uint64_t stats_camera_rows = 0;
+  std::uint64_t stats_pairs = 0;
+  std::uint64_t stats_replays = 0;
+  /// Its stage clocks (ns), read once per batch and row on metered scans:
+  /// the strip walk, constants and interval pass; the pair stage and the
+  /// replay; the point pass (counts, masks, gap bounds, the covering
+  /// lists); the in-order exact-gap pass.
+  std::uint64_t stats_sweep_ns = 0;
+  std::uint64_t stats_pairs_ns = 0;
+  std::uint64_t stats_points_ns = 0;
+  std::uint64_t stats_exact_ns = 0;
   obs::LogHistogram candidates_per_point;
 
   void merge(const GridEvalCounters& other) {
@@ -195,7 +226,16 @@ struct GridEvalCounters {
     sweep_band_ns += other.sweep_band_ns;
     sweep_intervals_ns += other.sweep_intervals_ns;
     sweep_pieces_ns += other.sweep_pieces_ns;
+    sweep_scatter_ns += other.sweep_scatter_ns;
     sweep_checkpoint_ns += other.sweep_checkpoint_ns;
+    stats_rows += other.stats_rows;
+    stats_camera_rows += other.stats_camera_rows;
+    stats_pairs += other.stats_pairs;
+    stats_replays += other.stats_replays;
+    stats_sweep_ns += other.stats_sweep_ns;
+    stats_pairs_ns += other.stats_pairs_ns;
+    stats_points_ns += other.stats_points_ns;
+    stats_exact_ns += other.stats_exact_ns;
     candidates_per_point.merge(other.candidates_per_point);
   }
 
@@ -218,10 +258,6 @@ struct GridEvalScratch {
   /// covered directions.
   std::vector<std::uint64_t> masks;
   std::vector<double> pseudo;
-  /// Gap-bound bitmap of the stats path: bit b is set when a covering
-  /// direction's pseudo-angle lies in bin b of 256 (see
-  /// GridEvalEngine::block_stats).
-  std::array<std::uint64_t, 4> gap_bins{};
   /// Optional metrics destination; null (the default) disables counting.
   GridEvalCounters* counters = nullptr;
 
@@ -235,8 +271,9 @@ struct GridEvalScratch {
   /// grid row's y band, bucketed by extended x cell (ghost columns
   /// replicate near-seam cameras so every per-point window is one
   /// contiguous, duplicate-free range).  Built lazily, keyed by
-  /// (engine generation, row) so a scratch can serve many engines and a
-  /// worker revisits a row's slice for free across block_stats blocks.
+  /// (engine generation, row) so a scratch can serve many engines; only
+  /// the per-point accessors (`point_*`, `sorted_directions`,
+  /// `point_candidate_count`) and `decide_point` read it.
   struct RowSlice {
     std::uint64_t engine_gen = 0;  ///< 0 = empty (generations start at 1)
     std::size_t row = 0;
@@ -296,6 +333,49 @@ struct GridEvalScratch {
     std::vector<std::int32_t> batch_pieces;
   };
   RowSweep sweep;
+
+  /// Row sweep of the stats path (GridEvalEngine::stats_sweep): per grid
+  /// column a record of its covering count, gap-bin bitmap and occupancy
+  /// masks (detail::kRecCount..kRecMasks), and the covering pairs, from
+  /// which `stats_decide_row` builds a CSR list of the pool slots of the
+  /// covering cameras of each point that may take the exact path; rebuilt
+  /// for every row.
+  struct StatsSweep {
+    std::vector<std::uint64_t> columns;
+    std::vector<std::uint32_t> offsets;  ///< per column CSR into `list`
+    std::vector<std::uint32_t> list;     ///< covering pool slots
+    /// Covering (column, pool slot) pairs before bucketing, and the pairs
+    /// the pair stage leaves to the scalar replay.
+    std::vector<std::uint32_t> pair_col;
+    std::vector<std::uint32_t> pair_slot;
+    std::size_t pairs = 0;
+    std::vector<std::int32_t> pair_bin;       ///< one batch's, with the pairs' intervals
+    std::vector<std::int32_t> pair_interval;
+    std::vector<std::uint32_t> replay_col;
+    std::vector<std::uint32_t> replay_slot;
+    std::vector<double> px;  ///< grid x per unwrapped column (detail::PairRow::px)
+    /// One batch of the band's cameras: pool slots, batch-local constants
+    /// (indexed through `batch_index`, 0, 1, 2, ...) and the interval
+    /// pass's fields, then the camera-runs of their outer columns.
+    std::vector<std::uint32_t> batch_slots;
+    std::vector<std::uint32_t> batch_index;
+    std::vector<double> consts;
+    std::vector<double> batch;
+    std::vector<std::int32_t> batch_cols;
+    std::vector<std::uint32_t> run_slot;
+    std::vector<double> run_dy;
+    std::vector<std::int32_t> run_c0;
+    std::vector<std::int32_t> run_c1;
+    /// The point pass's per-column results for the exact-gap pass: gap
+    /// bounds and flags; and, on metered scans, the pair classifies and
+    /// the boundary-band atan2 calls per column.
+    std::vector<double> gap_lo;
+    std::vector<double> gap_hi;
+    std::vector<std::uint8_t> flags;
+    std::vector<std::int32_t> tried;  ///< as differences over columns
+    std::vector<std::uint32_t> exact;
+  };
+  StatsSweep stats;
 };
 
 /// Predicate aggregates over one grid row (the engine's unit of batching).
@@ -378,9 +458,10 @@ class GridEvalEngine {
   /// serial scan's reduction exactly (the blocked scheduler's bit-identity
   /// contract; see sim/parallel_region.hpp).  One engine call per block
   /// keeps the parallel scan's callback cost at one indirection per block
-  /// rather than per row.  Each point is decided by `stats_point`, which
-  /// computes a point's exact max gap only when it could move the block's
-  /// running extremes, so the result is the same for any partition.
+  /// rather than per row.  Each row is swept once (`stats_sweep`) and its
+  /// points decided in order (`stats_decide_row`), which computes a
+  /// point's exact max gap only when it could move the block's running
+  /// extremes, so the result is the same for any partition.
   /// \pre row_begin < row_end <= rows()
   [[nodiscard]] GridRowStats block_stats(std::size_t row_begin, std::size_t row_end,
                                          GridEvalScratch& scratch) const;
@@ -622,16 +703,18 @@ class GridEvalEngine {
     bool sufficient = false;
   };
 
-  /// The occupancy step of both scans, for the compacted displacements
-  /// [m0, m) of `scratch.dxs/dys`: each direction's pseudo-angle locates
-  /// its interval in `sectors_`, whose arc bits it ORs into
-  /// `scratch.masks`; a direction inside the boundary band takes
-  /// `occupy_exact` on its exact viewed direction instead.  With `kBinned`
-  /// it also sets its bin in `scratch.gap_bins`.  Returns the number of
-  /// band directions (each one atan2).
-  template <bool kBinned>
-  std::uint64_t occupy_directions(GridEvalScratch& scratch, std::size_t m0,
-                                  std::size_t m) const;
+  /// The occupancy step of the boolean scans, for the compacted
+  /// displacements [0, m) of `scratch.dxs/dys`: each direction's
+  /// pseudo-angle locates its interval in `sectors_`, whose arc bits it ORs
+  /// into `scratch.masks`; a direction inside the boundary band takes
+  /// `occupy_exact` on its exact viewed direction instead.  Returns the
+  /// number of band directions (each one atan2).
+  std::uint64_t occupy_directions(GridEvalScratch& scratch, std::size_t m) const;
+
+  /// The occupancy step of one direction (dx, dy) with pseudo-angle `v`
+  /// into `mask`; true when it lies inside the boundary band and took
+  /// `occupy_exact` (one atan2).  Shared with the stats sweep's replay.
+  bool occupy_direction(double v, double dx, double dy, std::uint64_t* mask) const;
 
   /// The oracle's arc predicate on an exact viewed direction `d`: ORs the
   /// necessary and sufficient bits of the arcs holding `d` into `mask`,
@@ -682,10 +765,12 @@ class GridEvalEngine {
   /// docs/ARCHITECTURE.md, "Row sweep".  \pre sweep_ok_
   void sweep_row(std::size_t row, Predicates need, GridEvalScratch& scratch) const;
 
-  /// Fill `sw`'s per-camera sweep constants (see `RowSweep::consts`) for
-  /// the cameras at the `count` pool slots `slots` not yet `ready`.
-  void sweep_constants(const std::uint32_t* slots, std::size_t count,
-                       GridEvalScratch::RowSweep& sw) const;
+  /// Fill the per-camera sweep constants (see `RowSweep::consts`) of the
+  /// cameras at the `count` pool slots `slots`: with `ready`, the records
+  /// by pool slot of those not yet ready (marking them); without, record b
+  /// for slots[b].
+  void sweep_constants(const std::uint32_t* slots, std::size_t count, std::uint8_t* ready,
+                       double* consts) const;
 
   /// `decide_point` at grid point (row, col) = `p` from the swept masks:
   /// the column's verify entries go through the exact classify and
@@ -701,20 +786,39 @@ class GridEvalEngine {
   [[nodiscard]] Predicates decide(std::size_t row, std::size_t col, Predicates need,
                                   GridEvalScratch& scratch) const;
 
-  /// Fold grid point `p` into the block accumulator `acc` (`first`: the
-  /// block's first point).  Every candidate is classified, and the
-  /// counts and both sector conditions come from the occupancy masks, as
-  /// in `decide_point`.  The directions are also binned by pseudo-angle:
-  /// consecutive occupied bins bound the point's max gap to [lo, hi]
-  /// (widened by a slack far above every rounding involved).  A point
-  /// with at most one direction has a max gap of exactly 2*pi.  Any other
-  /// point takes the exact atan2 -> sort -> max-gap path only when full
-  /// view is still open (certified mask not full and [lo, hi] holds
-  /// 2*theta) or when it could set a new extreme: it is the first point,
-  /// lo <= the running min, or hi >= the running max.  A pruned point
-  /// provably leaves both extremes unchanged.
-  void stats_point(const geom::Vec2& p, const CandView& view, bool first,
-                   GridRowStats& acc, GridEvalScratch& scratch) const;
+  /// The stats path's row sweep (grid_eval_stats.cpp): fills
+  /// `scratch.stats` with each column's covering count, occupancy masks
+  /// (as `decide_point` forms them), gap-bin bitmap and covering list.
+  /// The band's cameras, compacted past the exact y prune, go through in
+  /// batches: `sweep_constants` and the dispatched interval pass give each
+  /// camera's outer column set (one range, two for a reflex wedge: every
+  /// column where the classify could return covered or a band hit, as in
+  /// `sweep_row`), and the dispatched pair stage classifies the camera at
+  /// those columns only, scattering each covered pair into its column.
+  /// Special pairs and directions inside the boundary band take
+  /// `stats_replay`.
+  void stats_sweep(std::size_t row, GridEvalScratch& scratch) const;
+
+  /// The scalar path of one (column, pool slot) pair of `stats_sweep`:
+  /// `classify_scalar`, then, when covered, the column's count, covering
+  /// list, gap bin and masks, with `occupy_exact` for a camera at the point
+  /// or a direction inside the boundary band.
+  void stats_replay(std::uint32_t col, std::uint32_t slot, const geom::Vec2& p,
+                    GridEvalScratch& scratch, std::size_t& n_pairs) const;
+
+  /// Fold the swept row's points into the block accumulator `acc`, in
+  /// column order (`first`: the row holds the block's first point).  The
+  /// counts and both sector conditions come from the occupancy masks.  The
+  /// directions' gap bins bound each point's max gap to [lo, hi] (widened
+  /// by a slack far above every rounding involved).  A point with at most
+  /// one direction has a max gap of exactly 2*pi.  Any other point takes
+  /// the exact atan2 -> sort -> max-gap path, over its covering list, only
+  /// when full view is still open (certified mask not full and [lo, hi]
+  /// holds 2*theta) or when it could set a new extreme: it is the first
+  /// point, lo <= the running min, or hi >= the running max.  A pruned
+  /// point provably leaves both extremes unchanged.
+  void stats_decide_row(std::size_t row, bool first, GridRowStats& acc,
+                        GridEvalScratch& scratch) const;
 
   /// True when predicate `pred` holds at every point of `row`, stopping
   /// at the first point where it fails.
@@ -767,6 +871,8 @@ class GridEvalEngine {
     /// words a certified direction there ORs, as CSR rows.
     std::vector<std::uint32_t> row_begin;
     std::vector<Bits> bits;
+    /// The same bits dense: every mask word of interval i at i * words.
+    std::vector<std::uint64_t> dense;
     std::vector<std::uint64_t> full;  ///< every bit of each mask word
     /// Per boundary: vx / vy of a direction v with that pseudo-angle, so
     /// the viewed direction -(x, dy) of a camera at displacement dy from a

@@ -307,9 +307,88 @@ std::size_t sweep_pieces_avx2(const SweepBatch& b, std::size_t count, const Sect
                               const std::uint32_t* sat, SweepPieces& out);
 #endif
 
+// ---- stats path pair stage -------------------------------------------------
+
+/// Boundary band of the occupancy decision, in pseudo-angle units: a
+/// direction farther than this from every arc boundary is at least 1e-9
+/// rad inside its interval, six orders of magnitude beyond the combined
+/// rounding of the oracle's atan2 direction, the arc arithmetic and the
+/// pseudo-angles (each ~1e-15).
+inline constexpr double kOccupancyBand = 1e-9;
+
+/// Gap-bound bins of the stats path: the pseudo-angle range [0, 4) cut
+/// into kGapBins equal bins (a direction's bin is floor(v * kGapBinScale),
+/// wrapping 4 to 0).
+inline constexpr std::size_t kGapBins = 256;
+inline constexpr double kGapBinScale = static_cast<double>(kGapBins) / 4.0;
+
+/// The stats row sweep's per-column record (`PairRow::columns`, kRecMasks
+/// plus the sector table's mask words each, uint64): the covering count,
+/// the gap-bin bitmap (kGapBins / 64 words) and the occupancy mask words.
+enum : std::size_t { kRecCount = 0, kRecBins = 1, kRecMasks = 1 + kGapBins / 64 };
+
+/// The pair stage's input: per camera-run, the camera's pool slot, its y
+/// displacement from the row (the band compaction's, which is the
+/// classify's), and one range of its outer columns [c0, c1] (unwrapped, in
+/// [-cols, 2 * cols), fewer than cols + 1 of them, distinct mod cols).
+struct PairRuns {
+  const std::uint32_t* slot;
+  const double* dy;
+  const std::int32_t* c0;
+  const std::int32_t* c1;
+  std::size_t count;
+};
+
+/// One row of the pair stage: the pool, the grid, the sector table, and
+/// the accumulators it scatters into.
+struct PairRow {
+  CandSpans pool;  ///< the engine's pool fields, indexed by pool slot
+  /// Grid x of unwrapped column c at px[c + cols], c in [-cols, 2 * cols),
+  /// with 4 entries of padding after.
+  const double* px;
+  std::int32_t cols;
+  bool torus;
+  SectorWalk table;
+  /// Per sector interval, the `words` mask words a direction there ORs.
+  const std::uint64_t* interval_words;
+  std::size_t words;
+  std::uint64_t* columns;  ///< kRecMasks + words per column
+  /// The covering pairs the stage scatters, appended (column, pool slot),
+  /// with their gap bins and sector intervals, and the pairs it leaves to
+  /// the caller's scalar replay; each with room for the runs' columns
+  /// plus 4.
+  std::uint32_t* pair_col;
+  std::uint32_t* pair_slot;
+  std::int32_t* pair_bin;
+  std::int32_t* pair_interval;
+  std::uint32_t* replay_col;
+  std::uint32_t* replay_slot;
+};
+
+/// What a pair stage appended.
+struct PairCounts {
+  std::size_t pairs = 0;
+  std::size_t replay = 0;
+};
+
+/// The pair stage (GridEvalEngine::block_stats): for each run and each of
+/// its columns, the kernel's classify of the camera at the column's grid
+/// point.  A covered pair that is not special and whose direction lies
+/// outside the boundary band is appended to the covering pairs with its
+/// gap bin and sector interval, and then adds one to its column's count,
+/// sets its gap bin and ORs its interval's mask words; a special pair (a band hit or a camera at the point) or
+/// a covered one inside the band is appended to the replay list instead.
+/// Pairs are appended in run order, columns ascending within a run.
+using StatsPairsFn = PairCounts (*)(const PairRuns& runs, const PairRow& row);
+
+PairCounts stats_pairs_scalar(const PairRuns& runs, const PairRow& row);
+#if defined(FVC_KERNEL_AVX2)
+PairCounts stats_pairs_avx2(const PairRuns& runs, const PairRow& row);
+#endif
+
 /// The entry points of a kernel variant (grid_eval.cpp): its classify and
-/// piece stage (none for kScalar) and its band and interval stages (the
-/// scalar definitions for kScalar).
+/// piece stage (none for kScalar) and its band, interval and pair stages
+/// (the scalar definitions for kScalar).
 struct Kernels;  // grid_eval.hpp
 [[nodiscard]] Kernels kernels_for(KernelVariant v);
 
@@ -928,6 +1007,156 @@ inline std::size_t sweep_pieces_batches(const SweepBatch& sb, std::size_t count,
     }
   }
   return n_out;
+}
+
+/// The pair stage of `stats_pairs_scalar` (grid_eval_stats.cpp), with lanes
+/// over the columns of one run: per lane the classify of classify_batches
+/// (with dy * dy and dy * su, the same for every lane, formed once per
+/// run), then for a covered lane that is not special the pseudo-angle of
+/// its viewed direction -(dx, dy) as `pseudo_angle` computes it (quadrant
+/// selects in place of its integer arithmetic, exact on these values), its
+/// gap bin, and its sector interval by `locate` (the bucket record and the
+/// masked step loop of the piece stage), with the boundary-band test.
+/// Lanes past the run's end are masked off, and a masked lane's
+/// pseudo-angle is zeroed before any table index is formed.  The scatter
+/// into the column records is scalar, lane by lane in column order.
+template <class B>
+inline PairCounts stats_pairs_batches(const PairRuns& runs, const PairRow& row) {
+  static_assert(B::kWidth == 4, "pair kernels are 4-wide");
+  const SectorWalk& t = row.table;
+  const B zero = B::broadcast(0.0);
+  const B one = B::broadcast(1.0);
+  const B minus_one = B::broadcast(-1.0);
+  const B two = B::broadcast(2.0);
+  const B half = B::broadcast(0.5);
+  const B eps = B::broadcast(1e-9);
+  const B occupancy_band = B::broadcast(kOccupancyBand);
+  const B bin_scale = B::broadcast(kGapBinScale);
+  const B scale = B::broadcast(t.bucket_scale);
+  const B bucket_last = B::broadcast(t.bucket_last);
+  const B last_interval = B::broadcast(static_cast<double>(t.intervals) - 1.0);
+  const B cols = B::broadcast(static_cast<double>(row.cols));
+  const double lane_ids[4] = {0.0, 1.0, 2.0, 3.0};
+  const B lane = B::load(lane_ids);
+  const std::size_t rec = kRecMasks + row.words;
+  const double* const px = row.px + row.cols;
+  PairCounts out;
+  alignas(16) std::int32_t col_at[4];
+  alignas(16) std::int32_t bucket_at[4];
+  for (std::size_t r = 0; r < runs.count; ++r) {
+    const std::uint32_t slot = runs.slot[r];
+    const double dy_s = runs.dy[r];
+    const B sx = B::broadcast(row.pool.sx[slot]);
+    const B r2 = B::broadcast(row.pool.r2[slot]);
+    const B cu = B::broadcast(row.pool.cu[slot]);
+    const B q = B::broadcast(row.pool.q[slot]);
+    const B omni = B::broadcast(row.pool.omni[slot]);
+    const B dy2 = B::broadcast(dy_s * dy_s);
+    const B dysu = B::broadcast(dy_s * row.pool.su[slot]);
+    // The viewed direction's y, -dy, and its share of the pseudo-angle.
+    const B y = B::neg(B::broadcast(dy_s));
+    const B ay = B::abs(y);
+    const B lower = B::cmp_lt(y, zero);
+    const std::int32_t c1 = runs.c1[r];
+    for (std::int32_t c = runs.c0[r]; c <= c1; c += 4) {
+      const B valid = B::cmp_lt(lane, B::broadcast(static_cast<double>(c1 - c + 1)));
+      B dx = B::load(px + c) - sx;
+      if (row.torus) {
+        dx = dx - B::round_nearest(dx);
+        dx = B::select(B::cmp_ge(dx, half), dx - one, dx);
+      }
+      const B n2 = dx * dx + dy2;
+      const B dot = dx * cu + dysu;
+      const B diff = dot * B::abs(dot) - q * n2;
+      const B band = eps * n2;
+      const B in_radius = B::bit_and(valid, B::cmp_le(n2, r2));
+      const B covered = B::bit_and(in_radius, B::bit_or(omni, B::cmp_gt(diff, band)));
+      const B band_hit =
+          B::bit_and(B::bit_andnot(in_radius, omni), B::cmp_le(B::abs(diff), band));
+      const B special = B::bit_or(band_hit, B::bit_and(covered, B::cmp_eq(n2, zero)));
+      const B clean = B::bit_andnot(covered, special);
+      const int clean_m = clean.movemask();
+      const int special_m = special.movemask();
+      if ((clean_m | special_m) == 0) {
+        continue;
+      }
+      const B x = B::neg(dx);
+      const B ax = B::abs(x);
+      const B odd = B::bit_or(B::bit_and(lower, B::cmp_ge(x, zero)),
+                              B::bit_andnot(B::cmp_le(x, zero), lower));
+      const B frac = ay / (ax + ay);
+      const B v = B::bit_and(clean, (B::bit_and(lower, two) + B::bit_and(odd, two)) +
+                                        B::select(odd, minus_one, one) * frac);
+      B::store_i32(bucket_at, B::trunc(B::min(v * scale, bucket_last)));
+      // `locate`, from the bucket record, then the step loop.
+      const double* at[4];
+      for (std::size_t k = 0; k < 4; ++k) {
+        at[k] = t.bucket_records + std::ptrdiff_t{bucket_at[k]} * std::ptrdiff_t{kBucketRecord};
+      }
+      B i0;
+      B b1;
+      B b0;
+      B b2;
+      B::load_pair(at, 0, i0, b1);
+      B::load_pair(at, 2, b0, b2);
+      B step = B::bit_and(B::cmp_lt(i0, last_interval), B::cmp_ge(v, b1));
+      B i = i0 + B::bit_and(step, one);
+      B bound = B::select(step, b1, b0);
+      B next = B::select(step, b2, b1);
+      for (;;) {
+        step = B::bit_and(B::cmp_lt(i, last_interval), B::cmp_ge(v, next));
+        if (step.movemask() == 0) [[likely]] {
+          break;
+        }
+        i = i + B::bit_and(step, one);
+        bound = B::select(step, next, bound);
+        next = B::gather_at(t.bounds + 1, i);
+      }
+      const B near = B::bit_or(B::cmp_le(v - bound, occupancy_band),
+                               B::cmp_le(next - v, occupancy_band));
+      const int keep = B::bit_andnot(clean, near).movemask();
+      const int replay = special_m | (clean_m & ~keep);
+      const B col = B::broadcast(static_cast<double>(c)) + lane;
+      const B wrapped =
+          col + B::bit_and(B::cmp_lt(col, zero), cols) - B::bit_and(B::cmp_ge(col, cols), cols);
+      // Left-packed, then scattered below (the packing stores have long
+      // retired by then).
+      B::compress_store_i32(row.pair_bin + out.pairs, B::trunc(v * bin_scale), keep);
+      B::compress_store_i32(row.pair_interval + out.pairs, i, keep);
+      B::compress_store_i32(reinterpret_cast<std::int32_t*>(row.pair_col) + out.pairs, wrapped,
+                            keep);
+      for (std::size_t k = 0; k < 4; ++k) {
+        row.pair_slot[out.pairs + k] = slot;
+      }
+      out.pairs += static_cast<std::size_t>(std::popcount(static_cast<unsigned>(keep)));
+      if (replay == 0) [[likely]] {
+        continue;
+      }
+      B::store_i32(col_at, wrapped);
+      for (int m = replay; m != 0; m &= m - 1) {
+        const int k = std::countr_zero(static_cast<unsigned>(m));
+        row.replay_col[out.replay] = static_cast<std::uint32_t>(col_at[k]);
+        row.replay_slot[out.replay] = slot;
+        ++out.replay;
+      }
+    }
+  }
+  // The scatter.
+  std::uint64_t* const columns = row.columns;
+  const std::uint64_t* const interval_words = row.interval_words;
+  const std::size_t words = row.words;
+  for (std::size_t k = 0; k < out.pairs; ++k) {
+    std::uint64_t* const cr = columns + std::size_t{row.pair_col[k]} * rec;
+    const auto b = static_cast<std::uint32_t>(row.pair_bin[k]) & (kGapBins - 1);
+    ++cr[kRecCount];
+    cr[kRecBins + b / 64] |= std::uint64_t{1} << (b % 64);
+    const std::uint64_t* const iw =
+        interval_words + static_cast<std::size_t>(row.pair_interval[k]) * words;
+    for (std::size_t w = 0; w < words; ++w) {
+      cr[kRecMasks + w] |= iw[w];
+    }
+  }
+  return out;
 }
 
 }  // namespace fvc::core::detail

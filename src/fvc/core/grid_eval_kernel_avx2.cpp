@@ -1,8 +1,9 @@
-/// The AVX2 batch kernels: the classify and the row sweep's band scan,
-/// interval pass and piece stage.  This translation unit is the only one in the build
-/// compiled with -mavx2 (see src/CMakeLists.txt): it must contain nothing
-/// but the kernel instantiations, and must not define any inline/template
-/// symbol another TU could also instantiate — otherwise the linker could
+/// The AVX2 batch kernels: the classify, the row sweep's band scan,
+/// interval pass and piece stage, and the stats path's pair stage.  This
+/// translation unit is the only one in the build compiled with -mavx2 (see
+/// src/CMakeLists.txt): it must contain nothing but the kernel
+/// instantiations, and must not define any inline/template symbol another
+/// TU could also instantiate — otherwise the linker could
 /// fold a baseline caller onto AVX2 code and fault on pre-AVX2 hosts.  Its
 /// exported symbols, the *_avx2 entry points, are reached only after
 /// runtime dispatch (cpu_features.hpp) confirms AVX2.
@@ -36,6 +37,10 @@ BandScan band_scan_avx2(const double* sy, const double* r2, std::uint32_t begin,
 std::size_t sweep_pieces_avx2(const SweepBatch& b, std::size_t count, const SectorWalk& t,
                               const std::uint32_t* sat, SweepPieces& out) {
   return sweep_pieces_batches<simd::Avx2Batch>(b, count, t, sat, out);
+}
+
+PairCounts stats_pairs_avx2(const PairRuns& runs, const PairRow& row) {
+  return stats_pairs_batches<simd::Avx2Batch>(runs, row);
 }
 
 }  // namespace fvc::core::detail

@@ -285,8 +285,11 @@ Report occlusion() {
     if (i > 0) {
       q2_decreasing = q2_decreasing && col_q2[i] <= col_q2[i - 1] + 0.02;
     }
-    q4_above_q2 = q4_above_q2 && col_q4[i] >= col_q2[i] - 0.02;
+    // No slack: the q = 4 fleet is never below the q = 2 fleet, and at the
+    // densest field (100 obstacles, the last row) strictly above it.
+    q4_above_q2 = q4_above_q2 && col_q4[i] >= col_q2[i];
   }
+  q4_above_q2 = q4_above_q2 && col_q4.back() > col_q2.back();
   r.checks = {
       {"coverage degrades with obstacle count", q2_decreasing},
       {"bigger CSA margin is more robust", q4_above_q2},

@@ -12,7 +12,9 @@
 // with no, one, or two coincident covering cameras, and cameras at the
 // point.  `evaluate`, the fold of `block_stats` over every row partition,
 // and `api::Session::query_region` must all equal `evaluate_region_scalar`
-// bit for bit under every supported kernel pin.
+// bit for bit under every supported kernel pin.  A second generator aims
+// at the seams of the stats row sweep's outer column sets (see
+// `SweepSeamsMatchTheOracleUnderEveryKernel`).
 
 #include <gtest/gtest.h>
 
@@ -332,6 +334,169 @@ TEST(RegionStats, WrapDirectionsMatchTheOracle) {
       SCOPED_TRACE(testing::Message() << "reach=" << reach << " theta=" << theta);
       GridEvalCounters counters;
       expect_stats_paths_match(net, theta, counters);
+    }
+  }
+}
+
+// The seams of the stats row sweep's outer column sets: every scan path
+// must equal the oracle on a grid of `side` under every kernel pin, and
+// the sweep counters must be equal across pins.
+void expect_sweep_seam(const Network& net, std::size_t side, double theta) {
+  const DenseGrid grid(side);
+  const RegionCoverageStats want = evaluate_region_scalar(net, grid, theta);
+  GridEvalCounters first;
+  bool have_first = false;
+  for (const KernelVariant variant : supported_kernels()) {
+    const ForcedKernel pin(variant);
+    SCOPED_TRACE(testing::Message() << "kernel=" << kernel_name(variant) << " side=" << side
+                                    << " theta=" << theta << " cameras=" << net.size());
+    const GridEvalEngine engine(net, grid, theta);
+    GridEvalScratch scratch;
+    GridEvalCounters counters;
+    scratch.counters = &counters;
+    expect_bitwise_equal(want, engine.evaluate(scratch));
+    // Every row its own block, then two blocks split in the middle.
+    GridRowStats acc;
+    for (std::size_t r = 0; r < side; ++r) {
+      acc.fold(engine.block_stats(r, r + 1, scratch), r == 0);
+    }
+    expect_bitwise_equal(want, acc.region(grid.size()));
+    if (side > 1) {
+      GridRowStats halves = engine.block_stats(0, side / 2, scratch);
+      halves.fold(engine.block_stats(side / 2, side, scratch), false);
+      expect_bitwise_equal(want, halves.region(grid.size()));
+    }
+    if (net.mode() == geom::SpaceMode::kTorus) {  // a Session serves the torus
+      api::SessionConfig cfg;
+      cfg.cameras.assign(net.cameras().begin(), net.cameras().end());
+      cfg.theta = theta;
+      cfg.grid_side = side;
+      cfg.tile_rows = 2;
+      cfg.threads = 2;
+      api::Session session(std::move(cfg));
+      expect_bitwise_equal(want, session.query_region(0.0, 1.0).stats);
+    }
+    if (!have_first) {
+      first = counters;
+      have_first = true;
+    } else {
+      EXPECT_EQ(counters.stats_rows, first.stats_rows);
+      EXPECT_EQ(counters.stats_camera_rows, first.stats_camera_rows);
+      EXPECT_EQ(counters.stats_pairs, first.stats_pairs);
+      EXPECT_EQ(counters.stats_replays, first.stats_replays);
+      EXPECT_EQ(counters.candidates_total, first.candidates_total);
+      EXPECT_EQ(counters.atan2_calls, first.atan2_calls);
+      EXPECT_EQ(counters.occupancy_points, first.occupancy_points);
+    }
+  }
+}
+
+Camera seam_camera(geom::Vec2 pos, double orientation, double radius, double fov) {
+  Camera c;
+  c.position = pos;
+  c.orientation = geom::normalize_angle(orientation);
+  c.radius = radius;
+  c.fov = fov;
+  return c;
+}
+
+TEST(RegionStats, SweepSeamsMatchTheOracleUnderEveryKernel) {
+  stats::Pcg32 rng = stats::make_child_rng(1619, 0);
+  auto uniform = [&rng](double lo, double hi) { return stats::uniform_in(rng, lo, hi); };
+  constexpr std::size_t kSeamSide = 16;
+  const DenseGrid grid(kSeamSide);
+  auto row_y = [&](std::size_t r) { return grid.point(r, 0).y; };
+  auto col_x = [&](std::size_t c) { return grid.point(0, c).x; };
+  for (const geom::SpaceMode mode : {geom::SpaceMode::kTorus, geom::SpaceMode::kPlane}) {
+    SCOPED_TRACE(testing::Message() << "plane=" << (mode == geom::SpaceMode::kPlane));
+    // |dy| below the sweep's 1e-5 (whole chords verified), on a row, and
+    // just either side of the limit.
+    {
+      std::vector<Camera> cams;
+      for (const double off : {0.0, 3e-6, -7e-6, 1e-5, -1e-5, 1.1e-5}) {
+        for (const double fov : {kTwoPi, 2.0, 4.0}) {
+          cams.push_back(seam_camera({uniform(0.0, 1.0), row_y(3) + off}, uniform(0.0, kTwoPi),
+                                     uniform(0.05, 0.3), fov));
+        }
+      }
+      expect_sweep_seam(Network(cams, mode), kSeamSide, kPi / 4.0);
+    }
+    // Outer half-chords of 0.49 and more: the whole row on the torus, the
+    // plane's ends clamped.
+    {
+      std::vector<Camera> cams;
+      for (const double radius : {0.49, 0.495, 0.6, 0.8}) {
+        cams.push_back(seam_camera({uniform(0.0, 1.0), row_y(5) + 1e-3}, uniform(0.0, kTwoPi),
+                                   radius, uniform(0.5, kTwoPi)));
+      }
+      expect_sweep_seam(Network(cams, mode), kSeamSide, kPi / 4.0);
+    }
+    // Outer ranges across the torus seam and past the plane's ends.
+    {
+      std::vector<Camera> cams;
+      for (int i = 0; i < 12; ++i) {
+        const double x = i % 2 == 0 ? uniform(0.0, 0.03) : uniform(0.97, 1.0);
+        cams.push_back(seam_camera({x, uniform(0.0, 1.0)}, uniform(0.0, kTwoPi),
+                                   uniform(0.1, 0.3), i % 3 == 0 ? kTwoPi : uniform(1.0, 5.0)));
+      }
+      expect_sweep_seam(Network(cams, mode), kSeamSide, kPi / 3.0);
+    }
+    // Reflex wedges (fov 3.5 and 4.0): two outer parts per row.
+    {
+      std::vector<Camera> cams;
+      for (int i = 0; i < 24; ++i) {
+        cams.push_back(seam_camera({uniform(0.0, 1.0), uniform(0.0, 1.0)}, uniform(0.0, kTwoPi),
+                                   uniform(0.1, 0.35), i % 2 == 0 ? 3.5 : 4.0));
+      }
+      expect_sweep_seam(Network(cams, mode), kSeamSide, kPi / 4.0);
+    }
+    // Cameras on grid points, and field-of-view edges through grid points.
+    {
+      std::vector<Camera> cams;
+      for (int i = 0; i < 16; ++i) {
+        const geom::Vec2 g = grid.point(stats::uniform_below(rng, kSeamSide),
+                                        stats::uniform_below(rng, kSeamSide));
+        if (i % 2 == 0) {
+          cams.push_back(seam_camera(g, uniform(0.0, kTwoPi), uniform(0.1, 0.3),
+                                     i % 4 == 0 ? kTwoPi : 2.0));
+        } else {
+          const geom::Vec2 pos{uniform(0.0, 1.0), uniform(0.0, 1.0)};
+          const double fov = uniform(0.5, 3.0);
+          const double to_g = std::atan2(g.y - pos.y, g.x - pos.x);
+          cams.push_back(seam_camera(pos, to_g + (i % 4 == 1 ? 0.5 : -0.5) * fov,
+                                     std::hypot(g.x - pos.x, g.y - pos.y) + 0.05, fov));
+        }
+      }
+      expect_sweep_seam(Network(cams, mode), kSeamSide, kPi / 4.0);
+    }
+    // Rows where every point takes the exact gap: the same ring at every
+    // point of row 8, each ring's max gap 2 * theta within rounding, so
+    // full view stays open at every point of the row.
+    {
+      const double theta = kPi / 4.0;
+      std::vector<Camera> cams;
+      for (std::size_t c = 0; c < kSeamSide; ++c) {
+        const geom::Vec2 p{col_x(c), row_y(8)};
+        for (int k = 0; k < 4; ++k) {
+          const double dir = 2.0 * theta * k + 0.1;
+          const double rho = 0.3 / static_cast<double>(kSeamSide);
+          cams.push_back(camera_at(p, {rho * std::cos(dir), rho * std::sin(dir)}, kTwoPi));
+        }
+      }
+      expect_sweep_seam(Network(cams, mode), kSeamSide, theta);
+    }
+    // theta = 0.05 (a fine sector table, several mask words) and a grid of
+    // side 1.
+    {
+      std::vector<Camera> cams;
+      for (int i = 0; i < 40; ++i) {
+        cams.push_back(seam_camera({uniform(0.0, 1.0), uniform(0.0, 1.0)}, uniform(0.0, kTwoPi),
+                                   uniform(0.05, 0.5), i % 2 == 0 ? kTwoPi : uniform(0.5, 6.0)));
+      }
+      const Network net(cams, mode);
+      expect_sweep_seam(net, kSeamSide, 0.05);
+      expect_sweep_seam(net, 1, kPi / 4.0);
+      expect_sweep_seam(net, 1, 0.05);
     }
   }
 }

@@ -10,15 +10,23 @@
 // the atan2 calls, the cameras the piece stage left to the scalar pass)
 // must be equal under every pin too: the pinned kernels differ in speed
 // only, so every skip, finish and checkpoint falls on the same camera.
+// The same stream drives the stats path (`StatsPathMatchesTheOracle...`):
+// `evaluate`, `block_stats` over a random row partition and
+// `api::Session::query_region` must equal `evaluate_region_scalar` bit for
+// bit under every pin, with the stats sweep's counters equal across pins.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "fvc/api/session.hpp"
 #include "fvc/core/full_view.hpp"
 #include "fvc/core/grid_eval.hpp"
+#include "fvc/core/region_coverage.hpp"
+#include "fvc/stats/rng.hpp"
 #include "support/forced_kernel.hpp"
 #include "support/point_booleans.hpp"
 #include "support/sweep_fuzz.hpp"
@@ -106,6 +114,81 @@ TEST(SweepFuzz, RowAnswersMatchOraclesOnAdversarialConfigs) {
   EXPECT_GT(counters.sweep_pieces, 0U);
   EXPECT_GT(counters.sweep_verify, 0U);
   EXPECT_GT(counters.sweep_walk_fallback, 0U);
+}
+
+bool same_stats(const RegionCoverageStats& a, const RegionCoverageStats& b) {
+  return a.total_points == b.total_points && a.covered_1 == b.covered_1 &&
+         a.necessary_ok == b.necessary_ok && a.full_view_ok == b.full_view_ok &&
+         a.sufficient_ok == b.sufficient_ok && a.k_covered_ok == b.k_covered_ok &&
+         std::bit_cast<std::uint64_t>(a.min_max_gap) == std::bit_cast<std::uint64_t>(b.min_max_gap) &&
+         std::bit_cast<std::uint64_t>(a.max_max_gap) == std::bit_cast<std::uint64_t>(b.max_max_gap);
+}
+
+TEST(SweepFuzz, StatsPathMatchesTheOracleOnAdversarialConfigs) {
+  const std::vector<KernelVariant> kernels = testsupport::supported_kernels();
+  GridEvalCounters counters;  // every configuration under the first pin
+  for (std::uint64_t index = 0; index < kConfigs; ++index) {
+    const testsupport::FuzzConfig cfg = testsupport::fuzz_config(kSeed, index);
+    const std::size_t side = cfg.grid.side();
+    const RegionCoverageStats want = evaluate_region_scalar(cfg.net, cfg.grid, cfg.theta);
+    // A random row partition, the same under every pin.
+    std::vector<std::size_t> cuts;
+    for (std::size_t r = 1; r < side; ++r) {
+      if (stats::mix64(index, r) % 3 == 0) {
+        cuts.push_back(r);
+      }
+    }
+    cuts.push_back(side);
+    GridEvalCounters first;
+    for (const KernelVariant variant : kernels) {
+      const testsupport::ForcedKernel pin(variant);
+      SCOPED_TRACE(testing::Message()
+                   << "replay: fuzz_config(" << kSeed << ", " << index
+                   << ") kernel=" << kernel_name(variant) << " theta=" << cfg.theta
+                   << " side=" << side << " cameras=" << cfg.net.size());
+      const GridEvalEngine engine(cfg.net, cfg.grid, cfg.theta);
+      GridEvalScratch scratch;
+      GridEvalCounters config_counters;
+      scratch.counters = &config_counters;
+      ASSERT_TRUE(same_stats(engine.evaluate(scratch), want));
+      GridRowStats acc;
+      std::size_t begin = 0;
+      for (const std::size_t end : cuts) {
+        acc.fold(engine.block_stats(begin, end, scratch), begin == 0);
+        begin = end;
+      }
+      ASSERT_TRUE(same_stats(acc.region(cfg.grid.size()), want));
+      if (cfg.net.mode() == geom::SpaceMode::kTorus && index % 4 == 0) {
+        api::SessionConfig scfg;
+        scfg.cameras.assign(cfg.net.cameras().begin(), cfg.net.cameras().end());
+        scfg.theta = cfg.theta;
+        scfg.grid_side = side;
+        scfg.tile_rows = 1 + index % 3;
+        scfg.threads = 2;
+        api::Session session(std::move(scfg));
+        ASSERT_TRUE(same_stats(session.query_region(0.0, 1.0).stats, want));
+      }
+      if (variant == kernels.front()) {
+        first = config_counters;
+        counters.merge(config_counters);
+      } else {
+        EXPECT_EQ(config_counters.stats_rows, first.stats_rows);
+        EXPECT_EQ(config_counters.stats_camera_rows, first.stats_camera_rows);
+        EXPECT_EQ(config_counters.stats_pairs, first.stats_pairs);
+        EXPECT_EQ(config_counters.stats_replays, first.stats_replays);
+        EXPECT_EQ(config_counters.candidates_total, first.candidates_total);
+        EXPECT_EQ(config_counters.directions_total, first.directions_total);
+        EXPECT_EQ(config_counters.atan2_calls, first.atan2_calls);
+        EXPECT_EQ(config_counters.occupancy_points, first.occupancy_points);
+        EXPECT_EQ(config_counters.trig_fallbacks, first.trig_fallbacks);
+        ASSERT_FALSE(testing::Test::HasFailure());
+      }
+    }
+  }
+  // Not vacuous: the pair stage ran and left pairs to the scalar replay.
+  EXPECT_GT(counters.stats_pairs, 0U);
+  EXPECT_GT(counters.stats_replays, 0U);
+  EXPECT_GT(counters.atan2_calls, 0U);
 }
 
 }  // namespace

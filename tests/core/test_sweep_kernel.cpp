@@ -14,7 +14,8 @@
 // and next to sector boundaries, pieces across the torus seam and clamped
 // at the plane's ends, saturation patterns for the skip test, sector
 // tables from theta = pi down to 0.05 (whose long walks take the scalar
-// pass), and the same remainders.
+// pass), and the same remainders.  The stats path's pair stage
+// (`stats_pairs_scalar`) is held to the same standard.
 
 #include <gtest/gtest.h>
 
@@ -686,6 +687,124 @@ TEST(SweepKernel, BandCompactionMatchesScalarOnRandomStrips) {
     const double y = (static_cast<double>(rng() % 64) + 0.5) / 64.0;
     check_band(sy, r2, y, round % 2 == 0, 6);
     ASSERT_FALSE(testing::Test::HasFailure());
+  }
+}
+
+/// The stats path's pair stage: `count` cameras, each with one run of
+/// columns, through every pinned variant's stage against
+/// `stats_pairs_scalar`: the counts, the packed covering pairs (column,
+/// slot, gap bin, interval), the replay pairs and every column record,
+/// bitwise.  Cameras sit on grid points, on the torus seam and near rows,
+/// with omni, convex and reflex lenses; runs cross the seam.
+void check_pairs(double theta, std::int32_t cols, bool torus, std::mt19937_64& rng) {
+  const WalkTable table(theta);
+  const SectorWalk walk = table.engine.sector_walk();
+  const std::size_t words = 3;
+  std::vector<std::uint64_t> interval_words(words * walk.intervals);
+  for (std::uint64_t& w : interval_words) {
+    w = rng();
+  }
+  const std::size_t n = 200;
+  std::vector<double> sx(n), sy(n), r2(n), cu(n), su(n), q(n), omni(n);
+  std::vector<std::uint32_t> slot(n);
+  std::vector<double> dy(n);
+  std::vector<std::int32_t> c0(n), c1(n);
+  const double y = (3.0 + 0.5) / static_cast<double>(cols);
+  auto grid_x = [cols](std::int64_t c) {
+    return (static_cast<double>(c) + 0.5) / static_cast<double>(cols);
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const double fovs[] = {2.0 * 3.141592653589793, 2.0, 1.0, 4.0, 3.5};
+    const double fov = fovs[rng() % 5];
+    const double o = unit(rng) * 6.283185307179586;
+    sx[i] = rng() % 4 == 0 ? grid_x(static_cast<std::int64_t>(rng() % cols)) : unit(rng);
+    if (rng() % 8 == 0) {
+      sx[i] = rng() % 2 == 0 ? 0.0 : std::nextafter(1.0, 0.0);
+    }
+    sy[i] = rng() % 4 == 0 ? y : y + (unit(rng) - 0.5) * 0.2;
+    r2[i] = std::pow(0.02 + unit(rng) * 0.3, 2.0);
+    const bool is_omni = fov >= 6.0;
+    cu[i] = is_omni ? 0.0 : std::cos(o);
+    su[i] = is_omni ? 0.0 : std::sin(o);
+    const double ch = std::cos(0.5 * fov);
+    q[i] = ch * std::abs(ch);
+    omni[i] = is_omni ? std::bit_cast<double>(~std::uint64_t{0}) : 0.0;
+    slot[i] = static_cast<std::uint32_t>(i);
+    double d = y - sy[i];
+    if (torus) {
+      d -= std::round(d);
+      if (d >= 0.5) {
+        d -= 1.0;
+      }
+    }
+    dy[i] = d;
+    const auto len = static_cast<std::int32_t>(rng() % static_cast<std::uint64_t>(cols));
+    // Unwrapped runs start in [-cols / 2, cols) and end before 2 * cols.
+    const std::int32_t lo =
+        torus ? static_cast<std::int32_t>(rng() % static_cast<std::uint64_t>(cols + cols / 2)) -
+                    cols / 2
+              : static_cast<std::int32_t>(rng() % static_cast<std::uint64_t>(cols));
+    c0[i] = lo;
+    c1[i] = torus ? lo + len : std::min(lo + len, cols - 1);
+  }
+  std::vector<double> px(3 * static_cast<std::size_t>(cols) + 4, 0.0);
+  for (std::int32_t c = 0; c < 3 * cols; ++c) {
+    px[static_cast<std::size_t>(c)] = grid_x(c % cols);
+  }
+  const std::size_t cap = n * static_cast<std::size_t>(cols) + 4;
+  struct Out {
+    std::vector<std::uint64_t> columns;
+    std::vector<std::uint32_t> pair_col, pair_slot, replay_col, replay_slot;
+    std::vector<std::int32_t> pair_bin, pair_interval;
+    PairCounts counts;
+  };
+  auto run = [&](StatsPairsFn fn) {
+    Out o;
+    o.columns.assign((kRecMasks + words) * static_cast<std::size_t>(cols), 0);
+    o.pair_col.assign(cap, 0);
+    o.pair_slot.assign(cap, 0);
+    o.pair_bin.assign(cap, 0);
+    o.pair_interval.assign(cap, 0);
+    o.replay_col.assign(cap, 0);
+    o.replay_slot.assign(cap, 0);
+    const PairRow row{{sx.data(), sy.data(), r2.data(), cu.data(), su.data(), q.data(), omni.data()},
+                      px.data(), cols, torus, walk, interval_words.data(), words,
+                      o.columns.data(), o.pair_col.data(), o.pair_slot.data(), o.pair_bin.data(),
+                      o.pair_interval.data(), o.replay_col.data(), o.replay_slot.data()};
+    o.counts = fn({slot.data(), dy.data(), c0.data(), c1.data(), n}, row);
+    return o;
+  };
+  const Out want = run(&stats_pairs_scalar);
+  EXPECT_GT(want.counts.pairs, 0U);
+  for (const KernelVariant v : supported_kernels()) {
+    const ForcedKernel pin(v);
+    SCOPED_TRACE(testing::Message() << "kernel=" << kernel_name(v) << " theta=" << theta
+                                    << " cols=" << cols << " torus=" << torus);
+    const Out got = run(kernels_for(resolve_kernel()).pairs);
+    ASSERT_EQ(got.counts.pairs, want.counts.pairs);
+    ASSERT_EQ(got.counts.replay, want.counts.replay);
+    for (std::size_t k = 0; k < want.counts.pairs; ++k) {
+      ASSERT_EQ(got.pair_col[k], want.pair_col[k]) << k;
+      ASSERT_EQ(got.pair_slot[k], want.pair_slot[k]) << k;
+      ASSERT_EQ(got.pair_bin[k] & 255, want.pair_bin[k] & 255) << k;
+      ASSERT_EQ(got.pair_interval[k], want.pair_interval[k]) << k;
+    }
+    for (std::size_t k = 0; k < want.counts.replay; ++k) {
+      ASSERT_EQ(got.replay_col[k], want.replay_col[k]) << k;
+      ASSERT_EQ(got.replay_slot[k], want.replay_slot[k]) << k;
+    }
+    ASSERT_EQ(got.columns, want.columns);
+  }
+}
+
+TEST(SweepKernel, PairStageMatchesScalar) {
+  std::mt19937_64 rng(2909);
+  for (const double theta : {3.141592653589793 / 4.0, 0.05, 3.141592653589793}) {
+    for (const std::int32_t cols : {1, 2, 7, 64}) {
+      for (const bool torus : {true, false}) {
+        check_pairs(theta, cols, torus, rng);
+      }
+    }
   }
 }
 
