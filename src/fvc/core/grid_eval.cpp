@@ -23,17 +23,17 @@ namespace fvc::core {
 
 namespace {
 
-/// Absolute ceiling on index cells per side, bounding the strip table and
-/// the row slices' x-cell offsets for degenerate radii.  Far above any
+/// Absolute ceiling on index cells per side, bounding the strip table for
+/// degenerate radii.  Far above any
 /// radius the sizing rule meets in practice (it binds only below
 /// max_radius ~ 5e-5); the per-grid 4 * side cap binds first on real
 /// configurations.
 constexpr std::size_t kAbsoluteMaxCells = 65535;
 
-/// Unique id per engine instance; keys the per-scratch stream row slices
-/// so a scratch can be handed from one engine to another (rebuilds, trial
-/// loops) without serving a stale slice.  Starts at 1: a default
-/// RowSlice's generation 0 never matches.
+/// Unique id per engine instance; keys the per-scratch row caches
+/// (`RowSweep`, the accessors' `StatsSweep`) so a scratch can be handed
+/// from one engine to another (rebuilds, trial loops) without serving a
+/// stale row.  Starts at 1: a default cache's generation 0 never matches.
 std::uint64_t next_generation() {
   static std::atomic<std::uint64_t> counter{0};
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -378,14 +378,17 @@ inline void walk_pieces(const detail::SectorWalk& t, const Walk& w, double j0, d
 /// sorted angle buffer.  Arc containment is closed on both endpoints, as in
 /// `geom::angle_in_arc` (width is clamped to [0, 2*pi] by construction, so
 /// the oracle's width >= 2*pi fast path coincides with the comparison).
-/// Exactness of the two-candidate test: split the directions at the arc
+/// Exactness of the three-candidate test: split the directions at the arc
 /// start s.  For d >= s the predicate value is fl(d - s), monotone in d, so
-/// if any such d hits then the FIRST d >= s hits; for d < s it is
-/// fl(fl(d - s) + 2*pi), also monotone, so if any such d hits then the
-/// smallest direction hits.  Testing those two candidates with the exact
-/// predicate therefore decides existence.  Partition arcs have ascending
-/// starts, so the first-candidate cursor advances monotonically and the
-/// whole check is one merged sweep.
+/// if any such d hits then the FIRST d >= s hits.  For d < s it is
+/// fl(fl(d - s) + 2*pi), also monotone, but a value that rounds up to 2*pi
+/// wraps to 0 and hits: so the d < s that hit are the smallest ones (value
+/// <= width) and the largest ones (value 2*pi, only for d within an ulp
+/// of s), and testing the smallest direction and the LAST d < s covers
+/// both.  Testing those three candidates with the exact predicate
+/// therefore decides existence.  Partition arcs have ascending starts, so
+/// the cursor advances monotonically and the whole check is one merged
+/// sweep.
 inline bool arcs_all_hit(std::span<const double> sorted_dirs,
                          std::span<const geom::Arc> arcs) {
   if (sorted_dirs.empty()) {
@@ -399,7 +402,8 @@ inline bool arcs_all_hit(std::span<const double> sorted_dirs,
     }
     const bool hit = (idx < sorted_dirs.size() &&
                       ccw_from_normalized(arc.start, sorted_dirs[idx]) <= arc.width) ||
-                     ccw_from_normalized(arc.start, front) <= arc.width;
+                     ccw_from_normalized(arc.start, front) <= arc.width ||
+                     (idx > 0 && ccw_from_normalized(arc.start, sorted_dirs[idx - 1]) <= arc.width);
     if (!hit) {
       return false;
     }
@@ -498,7 +502,7 @@ void sweep_intervals_scalar(const SweepBatch& sb, std::size_t count) {
 }
 
 // The band compaction as the scalar kernel runs it: the exact y prune of
-// `for_each_in_y_band` as a branch-free compaction (a pruned camera's
+// `candidates(p)` as a branch-free compaction (a pruned camera's
 // write is overwritten).
 BandScan band_scan_scalar(const double* sy, const double* r2, std::uint32_t begin,
                           std::uint32_t end, double y, bool torus, std::uint32_t cap,
@@ -920,8 +924,7 @@ void GridEvalEngine::build_index() {
   max_r_ = net_->max_radius();
   const auto sd = static_cast<double>(cells_);
   // Cameras are binned ONCE by position — no replication, so the build is
-  // O(n) and entry count equals the camera count.  Candidate windows are
-  // materialised per grid row into the scratch's slice (build_row_slice).
+  // O(n) and entry count equals the camera count.
   strip_offsets_.assign(cells_ + 1, 0);
   strip_entries_.resize(n);
   std::vector<std::uint32_t> strip(n);
@@ -935,11 +938,11 @@ void GridEvalEngine::build_index() {
     strip_offsets_[s + 1] += strip_offsets_[s];
   }
   // The scatter also writes each camera's fused-kernel record to its pool
-  // slot, so the pool is in y-strip order: a row slice reads the slot
+  // slot, so the pool is in y-strip order: a band walk reads the slot
   // ranges of the few strips its band spans instead of gathering through
   // random camera ids.  Cameras are scattered in camera order, so a strip's
-  // slots stay in camera-id order, and every slice and candidate list holds
-  // the same cameras in the same order whatever the pool layout.  The omni
+  // slots stay in camera-id order, and every candidate list holds the
+  // same cameras in the same order whatever the pool layout.  The omni
   // marker is an all-bits-set double so the lane kernel can OR it straight
   // into its comparison masks; it is never used arithmetically.
   const double omni_mask = std::bit_cast<double>(~std::uint64_t{0});
@@ -974,25 +977,6 @@ void GridEvalEngine::build_index() {
     f_q[slot] = q;
     f_om[slot] = omni ? omni_mask : 0.0;
   }
-  // Slice window geometry.  The per-point x window is the real interval
-  // [px - R, px + R] padded by one cell per side; the pad (>= 1/cells_)
-  // swallows every floor-rounding discrepancy between the kernel's wrapped
-  // fl displacement and the real-valued window, so any camera the kernel
-  // can accept lies inside the window.  On the torus, `ghost_` extra cell
-  // columns per slice side hold a second image of near-seam cameras; a
-  // window then never contains both images of one camera (they are exactly
-  // cells_ ext-cells apart, and the window is at most 2*ghost_ + 1 <
-  // cells_ cells wide) — unless the band is too wide, in which case
-  // `whole_row_` degrades every window to the whole slice (still
-  // duplicate-free: one image per camera).
-  ghost_ = static_cast<std::ptrdiff_t>(std::floor(max_r_ * sd)) + 2;
-  whole_row_ = 2.0 * max_r_ + 2.0 / sd >= 1.0 ||
-               static_cast<std::ptrdiff_t>(cells_) <= 2 * ghost_ + 2;
-  if (mode_ == geom::SpaceMode::kPlane) {
-    // No wraparound coverage: windows clamp to [0, cells_) instead.
-    ghost_ = 0;
-    whole_row_ = false;
-  }
 }
 
 GridEvalEngine::StripBand GridEvalEngine::y_band(double y) const {
@@ -1000,13 +984,24 @@ GridEvalEngine::StripBand GridEvalEngine::y_band(double y) const {
   const auto sd = static_cast<double>(cells_);
   // The strips whose cameras could be within max_r_ of y (padded one strip
   // per side; the per-camera prune decides exactly).
-  std::ptrdiff_t s_lo = static_cast<std::ptrdiff_t>(std::floor((y - max_r_) * sd)) - 1;
-  std::ptrdiff_t s_hi = static_cast<std::ptrdiff_t>(std::floor((y + max_r_) * sd)) + 1;
+  const double lo = std::floor((y - max_r_) * sd) - 1.0;
+  const double hi = std::floor((y + max_r_) * sd) + 1.0;
   if (mode_ == geom::SpaceMode::kTorus) {
-    return {s_lo, std::min(s_hi - s_lo + 1, s_count)};
+    // Past kExactIndexCoord (candidate_index.hpp) the kernel's y - sy no
+    // longer places a camera by its strip; below it, it and the band ends
+    // (y -+ max_r) * cells round by under 2^-12 of a strip, far inside the
+    // one-strip pad, so every camera the kernel can accept lies in the band.
+    if (!(std::abs(y) <= kExactIndexCoord && max_r_ <= kExactIndexCoord)) {
+      return {0, s_count};
+    }
+    const auto s_lo = static_cast<std::ptrdiff_t>(lo);
+    return {s_lo, std::min(static_cast<std::ptrdiff_t>(hi) - s_lo + 1, s_count)};
   }
-  s_lo = std::clamp<std::ptrdiff_t>(s_lo, 0, s_count - 1);
-  s_hi = std::clamp<std::ptrdiff_t>(s_hi, 0, s_count - 1);
+  // On the plane a strip past either end holds no camera: clamp, then cast
+  // (fmax / fmin also map a NaN end to a valid strip).
+  const double last = static_cast<double>(s_count - 1);
+  const auto s_lo = static_cast<std::ptrdiff_t>(std::fmin(std::fmax(lo, 0.0), last));
+  const auto s_hi = static_cast<std::ptrdiff_t>(std::fmin(std::fmax(hi, 0.0), last));
   return {s_lo, s_hi - s_lo + 1};
 }
 
@@ -1022,143 +1017,28 @@ double GridEvalEngine::band_dy(double y, double sy) const {
   return unwrap_dy(y, sy, mode_ == geom::SpaceMode::kTorus);
 }
 
-template <class Fn>
-void GridEvalEngine::for_each_in_y_band(double y, Fn&& fn) const {
+GridEvalEngine::BandSlots GridEvalEngine::band_slots(double y) const {
   const StripBand band = y_band(y);
-  const double* const cam_sy = cam_soa_.sy();
-  const double* const cam_r2 = cam_soa_.r2();
-  for (std::ptrdiff_t k = 0; k < band.span; ++k) {
-    const std::size_t s = band_strip(band, k, false);
-    const std::uint32_t lo = strip_offsets_[s];
-    const std::uint32_t hi = strip_offsets_[s + 1];
-    for (std::uint32_t e = lo; e < hi; ++e) {
-      // Exact y prune, using the kernel's own displacement sequence: the
-      // fused distance test satisfies fl(fl(dx^2) + fl(dy^2)) >= fl(dy^2)
-      // (rounding is monotone, fl(dx^2) >= 0), so fl(dy^2) > r^2 implies
-      // the kernel rejects this camera at every point at this y — dropping
-      // it cannot change any covered set.
-      const double dy = band_dy(y, cam_sy[e]);
-      if (dy * dy > cam_r2[e]) {
-        continue;
-      }
-      if (!fn(e, dy)) {
-        return;
-      }
-    }
+  const std::size_t s0 = band_strip(band, 0, false);
+  const std::size_t s1 = s0 + static_cast<std::size_t>(band.span);  // band.span <= cells_
+  BandSlots b;
+  if (s1 <= cells_) {
+    b.ranges[0] = {strip_offsets_[s0], strip_offsets_[s1]};
+  } else {  // the band wraps the torus
+    b.ranges[0] = {strip_offsets_[s0], strip_offsets_[cells_]};
+    b.ranges[1] = {strip_offsets_[0], strip_offsets_[s1 - cells_]};
   }
+  return b;
 }
 
-void GridEvalEngine::gather_y_band(double y, std::vector<std::uint32_t>& out) const {
-  for_each_in_y_band(y, [&out](std::uint32_t e, double) {
-    out.push_back(e);
-    return true;
-  });
-}
-
-void GridEvalEngine::build_row_slice(std::size_t row, GridEvalScratch& scratch) const {
-  GridEvalScratch::RowSlice& sl = scratch.slice;
-  const double py = grid_.point(row, 0).y;
-  const auto s_count = static_cast<std::ptrdiff_t>(cells_);
-  const auto sd = static_cast<double>(cells_);
-  const bool torus = mode_ == geom::SpaceMode::kTorus;
-  // 1. The pool slots of the cameras whose disc can reach the row's y.
-  std::vector<std::uint32_t>& surv = sl.survivors;
-  surv.clear();
-  gather_y_band(py, surv);
-  // 2. Bucket survivors by extended x cell (main image + at most one ghost
-  //    image per seam side) so every point window is one contiguous,
-  //    duplicate-free range.
-  const std::ptrdiff_t g = (torus && !whole_row_) ? ghost_ : 0;
-  const std::size_t ecells = whole_row_ ? 1 : cells_ + static_cast<std::size_t>(2 * g);
-  sl.offsets.assign(ecells + 1, 0);
-  const double* const cam_sx = cam_soa_.sx();
-  auto xcell_of = [&](std::uint32_t slot) {
-    return static_cast<std::ptrdiff_t>(std::min<std::size_t>(
-        static_cast<std::size_t>(std::max(cam_sx[slot], 0.0) * sd), cells_ - 1));
-  };
-  if (whole_row_) {
-    sl.offsets[1] = static_cast<std::uint32_t>(surv.size());
-    sl.ids.assign(surv.begin(), surv.end());
-  } else {
-    for (const std::uint32_t slot : surv) {
-      const std::ptrdiff_t cx = xcell_of(slot);
-      ++sl.offsets[static_cast<std::size_t>(cx + g) + 1];
-      if (g != 0 && cx < g) {
-        ++sl.offsets[static_cast<std::size_t>(cx + g + s_count) + 1];
-      }
-      if (g != 0 && cx >= s_count - g) {
-        ++sl.offsets[static_cast<std::size_t>(cx + g - s_count) + 1];
-      }
-    }
-    for (std::size_t b = 0; b < ecells; ++b) {
-      sl.offsets[b + 1] += sl.offsets[b];
-    }
-    sl.ids.resize(sl.offsets[ecells]);
-    sl.cursors.assign(sl.offsets.begin(), sl.offsets.end() - 1);
-    for (const std::uint32_t slot : surv) {
-      const std::ptrdiff_t cx = xcell_of(slot);
-      sl.ids[sl.cursors[static_cast<std::size_t>(cx + g)]++] = slot;
-      if (g != 0 && cx < g) {
-        sl.ids[sl.cursors[static_cast<std::size_t>(cx + g + s_count)]++] = slot;
-      }
-      if (g != 0 && cx >= s_count - g) {
-        sl.ids[sl.cursors[static_cast<std::size_t>(cx + g - s_count)]++] = slot;
-      }
-    }
+std::size_t GridEvalEngine::classify_band(const geom::Vec2& p, GridEvalScratch& scratch,
+                                          std::size_t& m) const {
+  const BandSlots b = band_slots(p.y);
+  reserve_point(scratch, m + b.size());
+  for (const auto& [begin, end] : b.ranges) {
+    classify_range(p, begin, end, scratch, m);
   }
-  // 3. Copy the slice's compact SoA out of the band's strips of the pool.
-  sl.stride = sl.ids.size();
-  copy_records(sl.ids, sl.soa);
-  sl.engine_gen = generation_;
-  sl.row = row;
-}
-
-void GridEvalEngine::copy_records(std::vector<std::uint32_t>& ids,
-                                  std::vector<double>& soa) const {
-  // Field by field: sequential writes, and reads that run forward through
-  // the few strips a band spans.
-  const std::size_t total = ids.size();
-  soa.resize(7 * total);
-  for (std::size_t f = 0; f < 7; ++f) {
-    double* const dst = soa.data() + f * total;
-    const double* const src = cam_soa_.data.data() + f * cam_soa_.stride;
-    for (std::size_t w = 0; w < total; ++w) {
-      dst[w] = src[ids[w]];
-    }
-  }
-  for (std::uint32_t& id : ids) {
-    id = strip_entries_[id];
-  }
-}
-
-GridEvalEngine::CandView GridEvalEngine::point_view(std::size_t row,
-                                                    const geom::Vec2& p,
-                                                    GridEvalScratch& scratch) const {
-  GridEvalScratch::RowSlice& sl = scratch.slice;
-  if (sl.engine_gen != generation_ || sl.row != row) {
-    build_row_slice(row, scratch);
-  }
-  std::size_t lo = 0;
-  std::size_t hi = 0;
-  if (whole_row_) {
-    hi = sl.ids.size();
-  } else {
-    const auto sd = static_cast<double>(cells_);
-    std::ptrdiff_t xlo =
-        static_cast<std::ptrdiff_t>(std::floor((p.x - max_r_) * sd)) - 1;
-    std::ptrdiff_t xhi =
-        static_cast<std::ptrdiff_t>(std::floor((p.x + max_r_) * sd)) + 1;
-    if (mode_ == geom::SpaceMode::kPlane) {
-      xlo = std::clamp<std::ptrdiff_t>(xlo, 0, static_cast<std::ptrdiff_t>(cells_) - 1);
-      xhi = std::clamp<std::ptrdiff_t>(xhi, 0, static_cast<std::ptrdiff_t>(cells_) - 1);
-    } else {
-      xlo += ghost_;
-      xhi += ghost_;
-    }
-    lo = sl.offsets[static_cast<std::size_t>(xlo)];
-    hi = sl.offsets[static_cast<std::size_t>(xhi) + 1];
-  }
-  return {sl.soa.data() + lo, sl.stride, sl.ids.data() + lo, hi - lo};
+  return b.size();
 }
 
 std::span<const std::uint32_t> GridEvalEngine::candidates(const geom::Vec2& p) const {
@@ -1167,23 +1047,29 @@ std::span<const std::uint32_t> GridEvalEngine::candidates(const geom::Vec2& p) c
   // still a duplicate-free superset, each camera is binned exactly once.
   static thread_local std::vector<std::uint32_t> buf;
   buf.clear();
-  gather_y_band(p.y, buf);
-  for (std::uint32_t& id : buf) {
-    id = strip_entries_[id];
+  const double* const cam_sy = cam_soa_.sy();
+  const double* const cam_r2 = cam_soa_.r2();
+  for (const auto& [begin, end] : band_slots(p.y).ranges) {
+    for (std::uint32_t e = begin; e < end; ++e) {
+      // Exact y prune, using the kernel's own displacement sequence: the
+      // fused distance test satisfies fl(fl(dx^2) + fl(dy^2)) >= fl(dy^2)
+      // (rounding is monotone, fl(dx^2) >= 0), so fl(dy^2) > r^2 implies
+      // the kernel rejects this camera at every point at this y — dropping
+      // it cannot change any covered set.
+      const double dy = band_dy(p.y, cam_sy[e]);
+      if (dy * dy <= cam_r2[e]) {
+        buf.push_back(strip_entries_[e]);
+      }
+    }
   }
   return {buf.data(), buf.size()};
 }
 
-std::size_t GridEvalEngine::point_candidate_count(std::size_t row, std::size_t col,
-                                                  GridEvalScratch& scratch) const {
-  return point_view(row, grid_.point(row, col), scratch).count;
-}
-
-void GridEvalEngine::classify_entry(const CandView& view, std::size_t e,
-                                    const geom::Vec2& p, GridEvalScratch& scratch,
-                                    std::size_t& m) const {
+void GridEvalEngine::classify_entry(std::size_t e, const geom::Vec2& p,
+                                    GridEvalScratch& scratch, std::size_t& m) const {
   const EntryClass c =
-      classify_scalar(view, e, p, mode_ == geom::SpaceMode::kTorus, net_->cameras());
+      classify_scalar(cam_soa_, e, p, mode_ == geom::SpaceMode::kTorus,
+                      net_->cameras(), strip_entries_.data());
   if (c.band_hit && scratch.counters != nullptr) [[unlikely]] {
     ++scratch.counters->trig_fallbacks;
   }
@@ -1197,8 +1083,7 @@ void GridEvalEngine::classify_entry(const CandView& view, std::size_t e,
   m += static_cast<std::size_t>(c.covered);
 }
 
-void GridEvalEngine::classify_range(const geom::Vec2& p, const CandView& view,
-                                    std::size_t begin, std::size_t end,
+void GridEvalEngine::classify_range(const geom::Vec2& p, std::size_t begin, std::size_t end,
                                     GridEvalScratch& scratch, std::size_t& m) const {
   std::size_t e = begin;
   // Lane-parallel classify over whole lane groups of the range.  Lanes the
@@ -1207,21 +1092,21 @@ void GridEvalEngine::classify_range(const geom::Vec2& p, const CandView& view,
   // classification (and counters) exactly as the scalar kernel would.
   // The kernel's full-width left-pack writes stay inside dxs/dys: m never
   // exceeds the entries classified so far (at most one displacement per
-  // entry), and those plus this range fit in the span.
+  // entry), and those plus this range fit in the buffers.
   if (kernels_.classify != nullptr) {
     const std::size_t vec_n = (end - begin) & ~std::size_t{3};
     if (vec_n != 0) {
-      const detail::CandSpans spans{view.sx() + begin, view.sy() + begin,
-                                    view.r2() + begin, view.cu() + begin,
-                                    view.su() + begin, view.q() + begin,
-                                    view.omni() + begin};
+      const CandSoA& f = cam_soa_;
+      const detail::CandSpans spans{f.sx() + begin, f.sy() + begin, f.r2() + begin,
+                                    f.cu() + begin, f.su() + begin, f.q() + begin,
+                                    f.omni() + begin};
       const detail::ClassifyResult res =
           kernels_.classify(spans, vec_n, p.x, p.y, mode_ == geom::SpaceMode::kTorus,
                     scratch.dxs.data() + m, scratch.dys.data() + m,
                     scratch.special.data());
       m += res.covered;
       for (std::size_t j = 0; j < res.special; ++j) {
-        classify_entry(view, begin + scratch.special[j], p, scratch, m);
+        classify_entry(begin + scratch.special[j], p, scratch, m);
       }
       e = begin + vec_n;
     }
@@ -1229,7 +1114,7 @@ void GridEvalEngine::classify_range(const geom::Vec2& p, const CandView& view,
   // Scalar path: the whole range (scalar variant), or the remainder tail
   // (vector variants).
   for (; e < end; ++e) {
-    classify_entry(view, e, p, scratch, m);
+    classify_entry(e, p, scratch, m);
   }
 }
 
@@ -1251,26 +1136,6 @@ void GridEvalEngine::emit_directions(GridEvalScratch& scratch, std::size_t m) {
   }
   if (scratch.counters != nullptr) [[unlikely]] {
     scratch.counters->atan2_calls += m;
-  }
-}
-
-void GridEvalEngine::gather_directions(const geom::Vec2& p, const CandView& view,
-                                       GridEvalScratch& scratch) const {
-  const std::size_t cnt = view.count;
-  // Metrics are per point (one pointer test), never per candidate.
-  GridEvalCounters* const ctr = scratch.counters;
-  const std::size_t out_before = scratch.angles.size();
-  if (ctr != nullptr) [[unlikely]] {
-    ++ctr->points;
-    ctr->candidates_total += cnt;
-    ctr->candidates_per_point.add(cnt);
-  }
-  reserve_point(scratch, cnt);
-  std::size_t m = 0;
-  classify_range(p, view, 0, cnt, scratch, m);
-  emit_directions(scratch, m);
-  if (ctr != nullptr) [[unlikely]] {
-    ctr->directions_total += scratch.angles.size() - out_before;
   }
 }
 
@@ -1323,9 +1188,8 @@ std::uint64_t GridEvalEngine::occupy_directions(GridEvalScratch& scratch, std::s
   return exact;
 }
 
-GridEvalEngine::Predicates GridEvalEngine::decide_point(
-    const geom::Vec2& p, const CandView& view, Predicates need,
-    GridEvalScratch& scratch) const {
+GridEvalEngine::Predicates GridEvalEngine::decide_point(const geom::Vec2& p, Predicates need,
+                                                        GridEvalScratch& scratch) const {
   const SectorTable& t = sectors_;
   const std::size_t wn = t.nec_words;
   const std::size_t ws = t.suf_words;
@@ -1333,11 +1197,9 @@ GridEvalEngine::Predicates GridEvalEngine::decide_point(
   const std::uint64_t* const full = t.full.data();
   scratch.masks.assign(words, 0);
   std::uint64_t* const mask = scratch.masks.data();
-  const std::size_t cnt = view.count;
-  reserve_point(scratch, cnt);
   scratch.angles.clear();
   std::size_t m = 0;
-  classify_range(p, view, 0, cnt, scratch, m);
+  const std::size_t cnt = classify_band(p, scratch, m);
   const std::size_t zeros = scratch.angles.size();  // cameras at the point
   if (zeros != 0) {
     occupy_exact(0.0, mask);
@@ -1777,7 +1639,7 @@ void GridEvalEngine::sweep_row(std::size_t row, Predicates need,
 
   // The band's cameras, strips from the row outwards, alternating sides
   // (so on dense rows long chords on both sides come first): the exact y
-  // prune of `for_each_in_y_band`, as the dispatched kernel's band
+  // prune of `candidates(p)`, as the dispatched kernel's band
   // compaction (`detail::band_scan_scalar` defines it), fills batches,
   // cut at the checkpoints, and each batch runs both passes.
   //
@@ -1917,8 +1779,7 @@ void GridEvalEngine::sweep_row(std::size_t row, Predicates need,
   sw.need = need_bits;
 }
 
-GridEvalEngine::Predicates GridEvalEngine::decide_swept(std::size_t row, std::size_t col,
-                                                        const geom::Vec2& p,
+GridEvalEngine::Predicates GridEvalEngine::decide_swept(std::size_t col, const geom::Vec2& p,
                                                         Predicates need,
                                                         GridEvalScratch& scratch) const {
   const SectorTable& t = sectors_;
@@ -1958,15 +1819,13 @@ GridEvalEngine::Predicates GridEvalEngine::decide_swept(std::size_t row, std::si
     // The cameras near a boundary of their certified core (and those the
     // sweep did not reach): the exact classify and occupancy step, on top
     // of the certified bits.
-    const CandView pool{cam_soa_.data.data(), cam_soa_.stride, strip_entries_.data(),
-                        cam_soa_.stride};
     reserve_point(scratch, v1 - v0 + rest);
     scratch.angles.clear();
     for (std::uint32_t k = v0; k < v1; ++k) {
-      classify_entry(pool, sw.verify[k], p, scratch, m);
+      classify_entry(sw.verify[k], p, scratch, m);
     }
     for (std::size_t r = 0; r < sw.rest.size() && rest != 0; r += 2) {
-      classify_range(p, pool, sw.rest[r], sw.rest[r + 1], scratch, m);
+      classify_range(p, sw.rest[r], sw.rest[r + 1], scratch, m);
     }
     zeros = scratch.angles.size();  // cameras at the point
     if (zeros != 0) {
@@ -1983,9 +1842,10 @@ GridEvalEngine::Predicates GridEvalEngine::decide_swept(std::size_t row, std::si
     ctr->directions_total += m + zeros;
     ctr->atan2_calls += exact;
   }
-  // Full view still open: the sorted path needs every covering direction.
+  // Full view still open: the sorted path needs every covering direction,
+  // from the band's pool slots in place.
   if (need.full_view && !d.full_view && (d.necessary || !need.necessary)) {
-    return decide_point(p, point_view(row, p, scratch), need, scratch);
+    return decide_point(p, need, scratch);
   }
   if (ctr != nullptr) [[unlikely]] {
     ++ctr->points;
@@ -2001,33 +1861,24 @@ GridEvalEngine::Predicates GridEvalEngine::decide(std::size_t row, std::size_t c
                                                   GridEvalScratch& scratch) const {
   const geom::Vec2 p = grid_.point(row, col);
   if (sweep_ok_) {
-    return decide_swept(row, col, p, need, scratch);
+    return decide_swept(col, p, need, scratch);
   }
-  return decide_point(p, point_view(row, p, scratch), need, scratch);
-}
-
-std::size_t GridEvalEngine::covered_count_at_least(const geom::Vec2& p,
-                                                   const CandView& view,
-                                                   std::size_t k) const {
-  // Coverage-count variant of gather_directions: same covered set, no
-  // atan2 on the fast path, early exit at k.
-  const std::span<const Camera> cams = net_->cameras();
-  const bool torus = mode_ == geom::SpaceMode::kTorus;
-  std::size_t count = 0;
-  for (std::size_t e = 0; e < view.count && count < k; ++e) {
-    count += static_cast<std::size_t>(classify_scalar(view, e, p, torus, cams).covered);
-  }
-  return count;
+  return decide_point(p, need, scratch);
 }
 
 std::span<const double> GridEvalEngine::sorted_directions(std::size_t row,
                                                           std::size_t col,
                                                           GridEvalScratch& scratch) const {
-  scratch.angles.clear();
-  const geom::Vec2 p = grid_.point(row, col);
-  const CandView view = point_view(row, p, scratch);
-  gather_directions(p, view, scratch);
-  sort_directions(scratch);
+  stats_point_row(row, scratch);
+  const GridEvalScratch::StatsSweep& st = scratch.stats;
+  list_directions(row, col, scratch);
+  if (GridEvalCounters* const ctr = scratch.counters; ctr != nullptr) [[unlikely]] {
+    const auto tried = static_cast<std::uint64_t>(st.tried[col]);
+    ++ctr->points;
+    ctr->candidates_total += tried;
+    ctr->candidates_per_point.add(tried);
+    ctr->directions_total += scratch.angles.size();
+  }
   return scratch.angles;
 }
 
@@ -2076,23 +1927,18 @@ void GridEvalEngine::sort_directions(GridEvalScratch& scratch) {
   }
 }
 
-GridEvalEngine::CandView GridEvalEngine::arbitrary_view(
-    const geom::Vec2& p, GridEvalScratch& scratch) const {
-  // The strip walk of `candidates(p)` — an exact y prune, still a
-  // duplicate-free superset of the covering set — whose records are copied
-  // out of the pool, so the classify pipeline sees the exact bits
-  // `build_index` wrote.
-  scratch.point_ids.clear();
-  gather_y_band(p.y, scratch.point_ids);
-  copy_records(scratch.point_ids, scratch.point_soa);
-  const std::size_t n = scratch.point_ids.size();
-  return {scratch.point_soa.data(), n, scratch.point_ids.data(), n};
-}
-
 PointEval GridEvalEngine::eval_point(const geom::Vec2& p,
                                      GridEvalScratch& scratch) const {
   scratch.angles.clear();
-  gather_directions(p, arbitrary_view(p, scratch), scratch);
+  std::size_t m = 0;
+  const std::size_t slots = classify_band(p, scratch, m);
+  emit_directions(scratch, m);
+  if (GridEvalCounters* const ctr = scratch.counters; ctr != nullptr) [[unlikely]] {
+    ++ctr->points;
+    ctr->candidates_total += slots;
+    ctr->candidates_per_point.add(slots);
+    ctr->directions_total += scratch.angles.size();
+  }
   sort_directions(scratch);
   const std::span<const double> dirs = scratch.angles;
   PointEval res;
@@ -2175,14 +2021,21 @@ bool GridEvalEngine::row_all_k_covered(std::size_t row, std::size_t k,
   if (k == 0) {
     return true;
   }
+  stats_point_row(row, scratch);
+  const GridEvalScratch::StatsSweep& st = scratch.stats;
+  const std::size_t rec = detail::kRecMasks + sectors_.nec_words + 2 * sectors_.suf_words;
   for (std::size_t col = 0; col < cols(); ++col) {
-    const geom::Vec2 p = grid_.point(row, col);
-    const CandView view = point_view(row, p, scratch);
-    if (covered_count_at_least(p, view, k) < k) {
+    if (st.columns[col * rec + detail::kRecCount] < k) {
       return false;
     }
   }
   return true;
+}
+
+std::size_t GridEvalEngine::point_candidate_count(std::size_t row, std::size_t col,
+                                                  GridEvalScratch& scratch) const {
+  stats_point_row(row, scratch);
+  return static_cast<std::size_t>(scratch.stats.tried[col]);
 }
 
 }  // namespace fvc::core

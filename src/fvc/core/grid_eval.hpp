@@ -11,11 +11,10 @@
 ///
 ///   1. *Candidate indexing* — one pass over the cameras bins them by y
 ///      strip (candidate_index.hpp) and writes their kernel records into a
-///      pool in strip order; each grid row then materialises a compacted
-///      slice of the cameras that can reach it, copied from the few pool
-///      strips its band spans and bucketed by x cell, so "which cameras
-///      might cover this point?" is one contiguous span per grid point.
-///      Every span is a superset of the covering set, so results never
+///      pool in strip order, so the cameras that might cover any point at
+///      height y are the pool slots of the few strips its band spans: at
+///      most two contiguous slot ranges (`band_slots`), read in place.
+///      Every band is a superset of the covering set, so results never
 ///      depend on the index.
 ///   2. *Fused kernel* — covering cameras' displacements are compacted
 ///      into reusable scratch buffers with zero per-point heap allocations
@@ -39,13 +38,15 @@
 ///      camera at those columns only (lanes over columns) and scatters
 ///      each covered pair into its column's count, occupancy masks and a
 ///      pseudo-angle bitmap that bounds the point's max gap, plus a list
-///      of the column's covering cameras; it builds no row slice.  Either
-///      path takes the exact path — one atan2 per covering camera, an
-///      in-place sort, the oracle's gap scan — only for a point whose full
-///      view the masks and bounds leave open, or whose max gap could set a
-///      new extreme of the scan (see `stats_decide_row`).  The per-point accessors (`eval_point`, `point_*`,
-///      `sorted_directions`) report a point's own max gap and always take
-///      the exact path.
+///      of the column's covering cameras.  Either path takes the exact
+///      path — one atan2 per covering camera, an in-place sort, the
+///      oracle's gap scan — only for a point whose full view the masks and
+///      bounds leave open, or whose max gap could set a new extreme of the
+///      scan (see `stats_decide_row`).  The per-point accessors report a
+///      point's own max gap and always take the exact path: the grid-point
+///      ones (`point_*`, `sorted_directions`) over the covering list of
+///      their row's stats sweep, `eval_point` (and a boolean point the
+///      masks leave open) over the band's pool slots, classified in place.
 ///   3. *Lane-parallel classify* — candidate records are stored as
 ///      structure-of-arrays spans and classified 4 lanes at a time by an
 ///      explicitly vectorized kernel (grid_eval_kernel.hpp) selected by
@@ -62,9 +63,9 @@
 ///      to `sim::parallel_for_blocked` via `block_stats` and merge the
 ///      per-block results in block order (`sim::evaluate_region_parallel`),
 ///      which keeps results bit-identical for any thread count and grain.
-///      The per-point accessors piggyback on this shape: each worker's
-///      scratch caches the current row's candidate slice, built once per
-///      (engine, row) and reused across the row's points.
+///      The grid-point accessors piggyback on this shape: each worker's
+///      scratch caches the current row's stats sweep, made once per
+///      (engine, row) and read by the row's points.
 ///
 /// Determinism contract: for a fixed (network, grid, theta) every method is
 /// a pure function of its arguments, and every result is **bit-identical**
@@ -140,22 +141,23 @@ struct Kernels {
 /// the kernel pays one pointer test per grid *point*, never per
 /// candidate, and results are unchanged either way (counting does not
 /// touch the arithmetic).  `candidates_per_point` holds one observation
-/// per point: the candidates the kernel classified there.  On the
-/// per-point sorted path (`eval_point`, the `point_*` accessors) every
-/// candidate of the index's span (a superset of the covering set) is
-/// classified and every covering direction consumed, so the histogram
-/// describes the spans, `candidates_total` is the span total and
+/// per point: the candidates the kernel classified there.  On
+/// `eval_point` every pool slot of the point's y band (a superset of the
+/// covering set) is classified and every covering direction consumed, so
+/// the histogram and `candidates_total` count band slots and
 /// `directions_total` the covering-set total.  On the stats path
-/// (`row_stats`, `evaluate`, `block_stats`) the stats row sweep classifies
-/// each band camera at its outer columns only, so the histogram and
-/// `candidates_total` count the exact pair classifies made at a point
-/// (the pair stage's, at the point's column), `directions_total` is still
-/// the covering-set total, and the `stats_*` counters hold the sweep's
-/// own work.  On the boolean path (`row_events`, `row_all_*`)
+/// (`row_stats`, `evaluate`, `block_stats`) and the grid-point accessors
+/// that read its sweep (`sorted_directions`, `point_*`) the stats row
+/// sweep classifies each band camera at its outer columns only, so the
+/// histogram and `candidates_total` count the exact pair classifies made
+/// at a point (the pair stage's, at the point's column),
+/// `directions_total` is still the covering-set total, and the `stats_*`
+/// counters hold the sweep's own work (once per row swept, whichever
+/// caller swept it).  On the boolean path (`row_events`, `row_all_*`)
 /// the row sweep certifies most covering cameras without a classify, so
 /// the histogram and `candidates_total` count the exact classifies only
 /// (a point's verify-list entries, none once its certified words settle
-/// it, or its whole span when it falls back to the sorted path) and
+/// it, or its band's pool slots when it falls back to the sorted path) and
 /// `directions_total` the covering directions those classifies returned;
 /// `swept_points` counts the points decided with no classify at all, and
 /// the `sweep_*` counters the sweep's own work.  `atan2_calls` counts the
@@ -261,31 +263,6 @@ struct GridEvalScratch {
   /// Optional metrics destination; null (the default) disables counting.
   GridEvalCounters* counters = nullptr;
 
-  /// Arbitrary-point candidate view: the compacted SoA records of the
-  /// candidates near one off-lattice point, copied out of the engine's
-  /// strip-ordered pool, plus the parallel camera ids.  `eval_point` materialises these.
-  std::vector<double> point_soa;
-  std::vector<std::uint32_t> point_ids;
-
-  /// Row slice: the compacted SoA of cameras whose disc can reach one
-  /// grid row's y band, bucketed by extended x cell (ghost columns
-  /// replicate near-seam cameras so every per-point window is one
-  /// contiguous, duplicate-free range).  Built lazily, keyed by
-  /// (engine generation, row) so a scratch can serve many engines; only
-  /// the per-point accessors (`point_*`, `sorted_directions`,
-  /// `point_candidate_count`) and `decide_point` read it.
-  struct RowSlice {
-    std::uint64_t engine_gen = 0;  ///< 0 = empty (generations start at 1)
-    std::size_t row = 0;
-    std::vector<double> soa;             ///< 7 field blocks, `stride` each
-    std::size_t stride = 0;              ///< == total slice entries
-    std::vector<std::uint32_t> ids;      ///< camera ids parallel to soa
-    std::vector<std::uint32_t> offsets;  ///< per extended-x-cell CSR
-    std::vector<std::uint32_t> cursors;  ///< build scratch: scatter cursors
-    std::vector<std::uint32_t> survivors;  ///< build scratch: y-band pool slots
-  };
-  RowSlice slice;
-
   /// Row sweep of the boolean scans (GridEvalEngine::sweep_row): per grid
   /// column, the occupancy mask words of the cameras certified to cover
   /// it, and the pool slots of the cameras that need the exact classify
@@ -337,10 +314,14 @@ struct GridEvalScratch {
   /// Row sweep of the stats path (GridEvalEngine::stats_sweep): per grid
   /// column a record of its covering count, gap-bin bitmap and occupancy
   /// masks (detail::kRecCount..kRecMasks), and the covering pairs, from
-  /// which `stats_decide_row` builds a CSR list of the pool slots of the
-  /// covering cameras of each point that may take the exact path; rebuilt
-  /// for every row.
+  /// which `stats_lists` builds a CSR list of the pool slots of each
+  /// column's covering cameras.  `block_stats` rebuilds it for every row;
+  /// the grid-point accessors (`sorted_directions`, `point_*`,
+  /// `row_all_k_covered`, `point_candidate_count`) read it, keyed by
+  /// (engine generation, row), which only their own sweeps set.
   struct StatsSweep {
+    std::uint64_t engine_gen = 0;  ///< 0 = no accessor sweep held
+    std::size_t row = 0;
     std::vector<std::uint64_t> columns;
     std::vector<std::uint32_t> offsets;  ///< per column CSR into `list`
     std::vector<std::uint32_t> list;     ///< covering pool slots
@@ -367,12 +348,13 @@ struct GridEvalScratch {
     std::vector<std::int32_t> run_c0;
     std::vector<std::int32_t> run_c1;
     /// The point pass's per-column results for the exact-gap pass: gap
-    /// bounds and flags; and, on metered scans, the pair classifies and
-    /// the boundary-band atan2 calls per column.
+    /// bounds and flags.  Per column, the pair classifies (on metered
+    /// scans and accessor sweeps) and, on metered scans, the boundary-band
+    /// atan2 calls.
     std::vector<double> gap_lo;
     std::vector<double> gap_hi;
     std::vector<std::uint8_t> flags;
-    std::vector<std::int32_t> tried;  ///< as differences over columns
+    std::vector<std::uint32_t> tried;
     std::vector<std::uint32_t> exact;
   };
   StatsSweep stats;
@@ -431,8 +413,11 @@ class GridEvalEngine {
   [[nodiscard]] double theta() const { return theta_; }
 
   /// Gather the viewed directions of cameras covering grid point
-  /// (row, col) into `scratch.angles`, sorted ascending.  The returned span
-  /// aliases the scratch buffer and is invalidated by the next call.
+  /// (row, col) into `scratch.angles`, sorted ascending: the row's stats
+  /// sweep (`stats_sweep`, cached in `scratch.stats` per row) lists the
+  /// point's covering cameras, whose directions take the oracle's
+  /// arithmetic.  The returned span aliases the scratch buffer and is
+  /// invalidated by the next call.
   std::span<const double> sorted_directions(std::size_t row, std::size_t col,
                                             GridEvalScratch& scratch) const;
 
@@ -487,21 +472,22 @@ class GridEvalEngine {
   [[nodiscard]] bool row_all_sufficient(std::size_t row, GridEvalScratch& scratch) const;
   [[nodiscard]] bool row_all_full_view(std::size_t row, GridEvalScratch& scratch) const;
 
-  /// True when every point of the row is covered by at least `k` cameras.
-  /// Counts coverage only (no angle gathering), with per-point early exit.
+  /// True when every point of the row is covered by at least `k` cameras:
+  /// the covering counts of the row's stats sweep (no angle gathering).
   [[nodiscard]] bool row_all_k_covered(std::size_t row, std::size_t k,
                                        GridEvalScratch& scratch) const;
 
-  /// All three predicates at an arbitrary point `p` in [0, 1]^2 — one
-  /// candidate gather and one sort feed the gap scan and both sector
-  /// conditions.  Bit-identical to the scalar oracles
+  /// All three predicates at an arbitrary finite point `p` — one classify
+  /// of the pool's y band in place and one sort feed the gap scan and both
+  /// sector conditions.  Bit-identical to the scalar oracles
   /// (`full_view_covered`, `meets_necessary_condition`,
-  /// `meets_sufficient_condition`) at the same point: the candidate span
-  /// is a duplicate-free superset of the covering set for *any* point
-  /// (not just cell centers), the per-entry classify replicates the
-  /// oracle's IEEE operation sequence, and the predicates are functions
-  /// of the covered direction set alone.  This is the serve daemon's
-  /// batched point-query path (api::Session::query_points).
+  /// `meets_sufficient_condition`) at the same point: the band's strip
+  /// slots are a duplicate-free superset of the covering set for *any*
+  /// point (not just cell centers; every strip when |y| is too large for
+  /// the strip arithmetic, see `y_band`), the per-entry classify
+  /// replicates the oracle's IEEE operation sequence, and the predicates
+  /// are functions of the covered direction set alone.  This is the serve
+  /// daemon's batched point-query path (api::Session::query_points).
   [[nodiscard]] PointEval eval_point(const geom::Vec2& p,
                                      GridEvalScratch& scratch) const;
 
@@ -511,14 +497,16 @@ class GridEvalEngine {
   /// call on the same thread.
   [[nodiscard]] std::span<const std::uint32_t> candidates(const geom::Vec2& p) const;
 
-  /// Exact candidate-span width the index hands the kernel for
-  /// grid point (row, col) — the per-point cost the candidates-per-point
-  /// budget gates (tools/bench_scale).
+  /// The pair classifies the row's stats sweep makes at grid point
+  /// (row, col): the band cameras whose outer column set holds the point's
+  /// column, at least its covering count — the per-point cost of the
+  /// stats path's scan that the candidates-per-point budget gates
+  /// (tools/bench_scale).
   [[nodiscard]] std::size_t point_candidate_count(std::size_t row, std::size_t col,
                                                   GridEvalScratch& scratch) const;
 
-  /// Index resolution per side (diagnostics / tests): the y strips and
-  /// the row slices' x cells, sized by the radius-derived rule.
+  /// Index resolution per side (diagnostics / tests): the y strips,
+  /// sized by the radius-derived rule.
   [[nodiscard]] std::size_t cells_per_side() const { return cells_; }
 
   /// The sizing rule's pre-cap target, and whether the cap bit (so a
@@ -527,8 +515,7 @@ class GridEvalEngine {
   [[nodiscard]] bool cells_clamped() const { return cells_clamped_; }
 
   /// Heap bytes held by the candidate index (strip offsets + entries +
-  /// the SoA pool, 4 * (cells + 1) + 60 * cameras; row slices are per
-  /// scratch).
+  /// the SoA pool, 4 * (cells + 1) + 60 * cameras).
   [[nodiscard]] std::size_t index_bytes() const;
 
   /// Wall time spent building the candidate index in the constructor (the
@@ -536,7 +523,7 @@ class GridEvalEngine {
   [[nodiscard]] std::uint64_t build_ns() const { return build_ns_; }
 
   /// Candidate-bin shape, computed on demand.  Bins are the index's y
-  /// strips (row slices are per scratch and transient).
+  /// strips.
   struct BinOccupancy {
     std::size_t cells = 0;         ///< total bins
     std::size_t entries = 0;       ///< (bin, camera) entries
@@ -593,26 +580,6 @@ class GridEvalEngine {
     // NOLINTEND(readability-identifier-naming)
   };
 
-  /// A resolved candidate span for one point: SoA field pointers
-  /// pre-offset to the span start (field f at `base + f * stride`), plus
-  /// the parallel camera ids the exact-arithmetic fallback needs.  This is
-  /// the seam between the index and the classify/gather pipeline.
-  struct CandView {
-    const double* base = nullptr;
-    std::size_t stride = 0;
-    const std::uint32_t* ids = nullptr;
-    std::size_t count = 0;
-    // NOLINTBEGIN(readability-identifier-naming) — span accessors
-    [[nodiscard]] const double* sx() const { return base; }
-    [[nodiscard]] const double* sy() const { return base + stride; }
-    [[nodiscard]] const double* r2() const { return base + 2 * stride; }
-    [[nodiscard]] const double* cu() const { return base + 3 * stride; }
-    [[nodiscard]] const double* su() const { return base + 4 * stride; }
-    [[nodiscard]] const double* q() const { return base + 5 * stride; }
-    [[nodiscard]] const double* omni() const { return base + 6 * stride; }
-    // NOLINTEND(readability-identifier-naming)
-  };
-
   /// Sizing: cells_ / cells_target_ / cells_clamped_ from the
   /// radius-derived rule (candidate_index.hpp).
   void compute_cells();
@@ -620,17 +587,10 @@ class GridEvalEngine {
   /// Bin the cameras into y strips and fill the SoA pool in strip order.
   void build_index();
 
-  /// Call fn(slot, dy) for the pool slots of the cameras whose y distance
-  /// to `y` passes the kernel's exact y prune, with dy the kernel's own y
-  /// displacement, until fn returns false — the strip walk shared by row
-  /// slices, `arbitrary_view` and `candidates(p)` (the row sweep walks the
-  /// same strips with the same prune, batched).  Strips and the slots
-  /// within a strip are visited in order.
-  template <class Fn>
-  void for_each_in_y_band(double y, Fn&& fn) const;
-
   /// The y strips a band walk at `y` visits: `span` strips from `lo`
-  /// (mod cells_ on the torus), padded one strip per side.
+  /// (mod cells_ on the torus), padded one strip per side; every strip
+  /// on the torus when |y| is too large for the strip arithmetic to hold
+  /// the kernel's displacements (kExactIndexCoord, candidate_index.hpp).
   struct StripBand {
     std::ptrdiff_t lo = 0;
     std::ptrdiff_t span = 0;
@@ -643,57 +603,48 @@ class GridEvalEngine {
   /// The kernel's own y displacement y - sy (torus-wrapped as it wraps).
   [[nodiscard]] double band_dy(double y, double sy) const;
 
-  /// Append the slots `for_each_in_y_band` visits to `out`.
-  void gather_y_band(double y, std::vector<std::uint32_t>& out) const;
+  /// The pool slots of the strips of `y_band(y)`: the pool is in strip
+  /// order, so they are the [begin, end) ranges `ranges[0]` and, when the
+  /// band wraps the torus, `ranges[1]` (else empty).
+  struct BandSlots {
+    std::array<std::array<std::uint32_t, 2>, 2> ranges{};
+    [[nodiscard]] std::size_t size() const {
+      return ranges[0][1] - ranges[0][0] + ranges[1][1] - ranges[1][0];
+    }
+  };
+  [[nodiscard]] BandSlots band_slots(double y) const;
 
-  /// Copy the pool records at the slots in `ids` into `soa` (seven field
-  /// blocks of `ids.size()` doubles each), then rewrite `ids` in place to
-  /// the slots' camera ids.
-  void copy_records(std::vector<std::uint32_t>& ids, std::vector<double>& soa) const;
+  /// Classify the pool slots of `p`'s y band in place (`classify_range`
+  /// over `band_slots(p.y)`), starting at m; returns the slots classified.
+  std::size_t classify_band(const geom::Vec2& p, GridEvalScratch& scratch,
+                            std::size_t& m) const;
 
-  /// Span resolution for grid point `p` on `row`: materialises (or reuses)
-  /// the row slice in `scratch`.
-  [[nodiscard]] CandView point_view(std::size_t row, const geom::Vec2& p,
-                                    GridEvalScratch& scratch) const;
-  void build_row_slice(std::size_t row, GridEvalScratch& scratch) const;
-
-  /// Row-independent span resolution for `eval_point`: compacts the
-  /// `candidates(p)` ids into `scratch.point_soa` / `scratch.point_ids`
-  /// (no row slice — an off-lattice y has no grid row).
-  [[nodiscard]] CandView arbitrary_view(const geom::Vec2& p,
-                                        GridEvalScratch& scratch) const;
-
-  /// In-place sort of `scratch.angles` (the tail of `sorted_directions`,
-  /// shared by every exact path): insertion sort for small buffers, a
-  /// 32-bucket counting presort for mid-sized ones, std::sort above.
+  /// In-place sort of `scratch.angles` (shared by every exact path):
+  /// insertion sort for small buffers, a 32-bucket counting presort for
+  /// mid-sized ones, std::sort above.
   static void sort_directions(GridEvalScratch& scratch);
 
-  /// The scalar per-entry classify path: classifies view entry `e`
+  /// The scalar per-entry classify path: classifies pool slot `e`
   /// against `p` (via the engine's one scalar classify definition),
   /// appending immediate directions (zero-distance hits) to
   /// `scratch.angles` and compacting covered displacements into
   /// `scratch.dxs/dys` at m.  Shared by the scalar kernel loop, the
   /// vectorized kernel's remainder tail, and its special-lane replay.
-  void classify_entry(const CandView& view, std::size_t e, const geom::Vec2& p,
-                      GridEvalScratch& scratch, std::size_t& m) const;
+  void classify_entry(std::size_t e, const geom::Vec2& p, GridEvalScratch& scratch,
+                      std::size_t& m) const;
 
-  /// Classify view entries [begin, end): covered displacements are
+  /// Classify pool slots [begin, end) in place: covered displacements are
   /// compacted into `scratch.dxs/dys` at m (advancing it), zero-distance
   /// hits append direction 0 to `scratch.angles`.  Lane groups go through
   /// the dispatched vector kernel, special lanes and the remainder tail
-  /// through `classify_entry`.  \pre dxs/dys/special hold >= view.count
-  void classify_range(const geom::Vec2& p, const CandView& view, std::size_t begin,
-                      std::size_t end, GridEvalScratch& scratch, std::size_t& m) const;
+  /// through `classify_entry`.  \pre dxs/dys/special hold >= m + (end -
+  /// begin) entries
+  void classify_range(const geom::Vec2& p, std::size_t begin, std::size_t end,
+                      GridEvalScratch& scratch, std::size_t& m) const;
 
   /// Append the viewed directions of the m compacted displacements to
   /// `scratch.angles` (the oracle's `normalize_angle(atan2 + pi)`).
   static void emit_directions(GridEvalScratch& scratch, std::size_t m);
-
-  /// Fused gather: viewed directions of all covering cameras into
-  /// `scratch.angles` (unsorted); the allocation-free core of
-  /// `sorted_directions`.
-  void gather_directions(const geom::Vec2& p, const CandView& view,
-                         GridEvalScratch& scratch) const;
 
   /// The three point predicates: which ones a boolean scan still needs
   /// at a point, or `decide_point`'s answer to them.
@@ -722,7 +673,8 @@ class GridEvalEngine {
   void occupy_exact(double d, std::uint64_t* mask) const;
 
   /// Sector-occupancy decision of the needed predicates at point `p` from
-  /// its whole candidate span: every candidate is classified, and each
+  /// its y band: every pool slot of the band is classified in place
+  /// (`classify_band`), and each
   /// covered displacement's viewed direction is located in `sectors_` by
   /// pseudo-angle and ORs its interval's arc bits into three masks —
   /// necessary (2*theta arcs), sufficient (theta arcs), and *certified*
@@ -737,8 +689,7 @@ class GridEvalEngine {
   /// needed are unspecified, and so is full_view when a needed necessary
   /// bit is false.  The fallback of `decide_swept`, and the whole boolean
   /// path when the engine cannot sweep (`sweep_ok_`).
-  [[nodiscard]] Predicates decide_point(const geom::Vec2& p, const CandView& view,
-                                        Predicates need,
+  [[nodiscard]] Predicates decide_point(const geom::Vec2& p, Predicates need,
                                         GridEvalScratch& scratch) const;
 
   /// Sweep `row` once for the boolean scans that need the predicates
@@ -772,13 +723,12 @@ class GridEvalEngine {
   void sweep_constants(const std::uint32_t* slots, std::size_t count, std::uint8_t* ready,
                        double* consts) const;
 
-  /// `decide_point` at grid point (row, col) = `p` from the swept masks:
-  /// the column's verify entries go through the exact classify and
-  /// occupancy step, so the masks cover exactly the covering set; only a
-  /// point whose full view they leave open takes `decide_point`.
-  /// \pre sweep_row(row) ran on `scratch`
-  [[nodiscard]] Predicates decide_swept(std::size_t row, std::size_t col,
-                                        const geom::Vec2& p, Predicates need,
+  /// `decide_point` at grid point `p` in column `col` of the swept row
+  /// from its masks: the column's verify entries go through the exact
+  /// classify and occupancy step, so the masks cover exactly the covering
+  /// set; only a point whose full view they leave open takes
+  /// `decide_point`.  \pre sweep_row ran on `scratch` for p's row
+  [[nodiscard]] Predicates decide_swept(std::size_t col, const geom::Vec2& p, Predicates need,
                                         GridEvalScratch& scratch) const;
 
   /// The boolean scans' per-point decision at (row, col): `decide_swept`,
@@ -788,7 +738,9 @@ class GridEvalEngine {
 
   /// The stats path's row sweep (grid_eval_stats.cpp): fills
   /// `scratch.stats` with each column's covering count, occupancy masks
-  /// (as `decide_point` forms them), gap-bin bitmap and covering list.
+  /// (as `decide_point` forms them), gap-bin bitmap and covering pairs,
+  /// and with `tally` (metered scans and accessor sweeps) each column's
+  /// pair classifies.
   /// The band's cameras, compacted past the exact y prune, go through in
   /// batches: `sweep_constants` and the dispatched interval pass give each
   /// camera's outer column set (one range, two for a reflex wedge: every
@@ -796,8 +748,25 @@ class GridEvalEngine {
   /// `sweep_row`), and the dispatched pair stage classifies the camera at
   /// those columns only, scattering each covered pair into its column.
   /// Special pairs and directions inside the boundary band take
-  /// `stats_replay`.
-  void stats_sweep(std::size_t row, GridEvalScratch& scratch) const;
+  /// `stats_replay`.  Clears the accessor key of `scratch.stats`.
+  void stats_sweep(std::size_t row, GridEvalScratch& scratch, bool tally) const;
+
+  /// Bucket the swept row's covering pairs by column into the CSR
+  /// covering lists (`StatsSweep::offsets`, `list`).
+  void stats_lists(GridEvalScratch& scratch) const;
+
+  /// The grid-point accessors' row: `stats_sweep` with its tally and
+  /// `stats_lists`, unless `scratch.stats` already holds `row` for this
+  /// engine.
+  void stats_point_row(std::size_t row, GridEvalScratch& scratch) const;
+
+  /// The exact path's directions at grid point (row, col) of the swept
+  /// row, sorted into `scratch.angles`: each listed covering camera's
+  /// displacement by `classify_scalar`'s own arithmetic (no radius or
+  /// field-of-view test: every listed camera covers the point), direction
+  /// 0 for a camera at the point, and the oracle's `atan2 + pi` for the
+  /// rest.  \pre `stats_lists` ran on the row
+  void list_directions(std::size_t row, std::size_t col, GridEvalScratch& scratch) const;
 
   /// The scalar path of one (column, pool slot) pair of `stats_sweep`:
   /// `classify_scalar`, then, when covered, the column's count, covering
@@ -828,12 +797,6 @@ class GridEvalEngine {
   /// Build `sectors_` from the two arc partitions.
   void build_sector_table();
 
-  /// Covering-camera count with early exit at `k` (no angle computation on
-  /// the fast path).
-  [[nodiscard]] std::size_t covered_count_at_least(const geom::Vec2& p,
-                                                   const CandView& view,
-                                                   std::size_t k) const;
-
   const Network* net_ = nullptr;
   DenseGrid grid_;
   double theta_ = 0.0;
@@ -842,7 +805,7 @@ class GridEvalEngine {
   geom::SpaceMode mode_ = geom::SpaceMode::kTorus;
   KernelVariant kernel_ = KernelVariant::kScalar;
   detail::Kernels kernels_;  ///< the batch kernels of `kernel_`
-  std::uint64_t generation_ = 0;  ///< process-unique; keys scratch row slices
+  std::uint64_t generation_ = 0;  ///< process-unique; keys scratch row caches
   std::vector<geom::Arc> necessary_arcs_;   ///< 2*theta partition, start 0
   std::vector<geom::Arc> sufficient_arcs_;  ///< theta partition, start 0
 
@@ -898,14 +861,11 @@ class GridEvalEngine {
   bool cells_clamped_ = false;
 
   // Cameras binned once by y strip (no replication), their records pooled
-  // in strip order, camera order within a strip; row slices are
-  // materialised per scratch and hold camera ids.
+  // in strip order, camera order within a strip.
   std::vector<std::uint32_t> strip_offsets_;  ///< size cells_ + 1 (slot CSR)
   std::vector<std::uint32_t> strip_entries_;  ///< size n: pool slot -> camera id
   CandSoA cam_soa_;                           ///< per pool slot (stride = n)
-  double max_r_ = 0.0;        ///< net max radius (slice band half-height)
-  std::ptrdiff_t ghost_ = 0;  ///< ghost x cells per slice side (torus)
-  bool whole_row_ = false;    ///< degenerate: window spans the whole axis
+  double max_r_ = 0.0;  ///< net max radius (y band half-height)
   /// The sweep's per-interval column counts fit its size cap (false only
   /// when the sector table times the grid side is huge: tiny theta).
   bool sweep_ok_ = false;

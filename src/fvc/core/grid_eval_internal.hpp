@@ -140,9 +140,11 @@ struct EntryClass {
 /// decided outside a 1e-9 relative band around the threshold.  Inside the
 /// band the scalar oracle's exact arithmetic decides (a point at the
 /// camera itself is covered), so the covered SET always matches `covers`.
+/// `ids[e]` is the camera id of record e, which that fallback reads.
 template <class View>
 inline EntryClass classify_scalar(const View& view, std::size_t e, const geom::Vec2& p,
-                                  bool torus, std::span<const Camera> cams) {
+                                  bool torus, std::span<const Camera> cams,
+                                  const std::uint32_t* ids) {
   EntryClass c;
   c.dx = p.x - view.sx()[e];
   c.dy = p.y - view.sy()[e];
@@ -169,7 +171,7 @@ inline EntryClass classify_scalar(const View& view, std::size_t e, const geom::V
     if (c.n2 == 0.0) {
       c.covered = true;  // point coincides with the camera
     } else {
-      const Camera& cam = cams[view.ids[e]];
+      const Camera& cam = cams[ids[e]];
       c.covered = geom::angular_distance(std::atan2(c.dy, c.dx), cam.orientation) <=
                   0.5 * cam.fov;
     }

@@ -183,10 +183,8 @@ PairCounts stats_pairs_scalar(const PairRuns& runs, const PairRow& row) {
 void GridEvalEngine::stats_replay(std::uint32_t col, std::uint32_t slot, const geom::Vec2& p,
                                   GridEvalScratch& scratch, std::size_t& n_pairs) const {
   GridEvalScratch::StatsSweep& st = scratch.stats;
-  const CandView pool{cam_soa_.data.data(), cam_soa_.stride, strip_entries_.data(),
-                      cam_soa_.stride};
   const detail::EntryClass c = detail::classify_scalar(
-      pool, slot, p, mode_ == geom::SpaceMode::kTorus, net_->cameras());
+      cam_soa_, slot, p, mode_ == geom::SpaceMode::kTorus, net_->cameras(), strip_entries_.data());
   GridEvalCounters* const ctr = scratch.counters;
   if (c.band_hit && ctr != nullptr) [[unlikely]] {
     ++ctr->trig_fallbacks;
@@ -216,8 +214,9 @@ void GridEvalEngine::stats_replay(std::uint32_t col, std::uint32_t slot, const g
   }
 }
 
-void GridEvalEngine::stats_sweep(std::size_t row, GridEvalScratch& scratch) const {
+void GridEvalEngine::stats_sweep(std::size_t row, GridEvalScratch& scratch, bool tally) const {
   GridEvalScratch::StatsSweep& st = scratch.stats;
+  st.engine_gen = 0;
   const SectorTable& t = sectors_;
   const std::size_t cols = grid_.side();
   const auto cols_i = static_cast<std::int64_t>(cols);
@@ -247,8 +246,10 @@ void GridEvalEngine::stats_sweep(std::size_t row, GridEvalScratch& scratch) cons
     st.run_c1.resize(2 * kSweepBatch);
   }
   GridEvalCounters* const ctr = scratch.counters;
-  if (ctr != nullptr) [[unlikely]] {
+  if (tally) [[unlikely]] {
     st.tried.assign(cols + 1, 0);
+  }
+  if (ctr != nullptr) [[unlikely]] {
     st.exact.assign(cols, 0);
   }
   std::uint64_t t_mark = ctr != nullptr ? obs::monotonic_ns() : 0;
@@ -365,7 +366,7 @@ void GridEvalEngine::stats_sweep(std::size_t row, GridEvalScratch& scratch) cons
     camera_rows += fill;
     pair_classifies += total;
     replays += got.replay;
-    if (ctr != nullptr) [[unlikely]] {  // pair classifies per column, as differences
+    if (tally) [[unlikely]] {  // pair classifies per column, as differences
       for (std::size_t r = 0; r < runs; ++r) {
         const std::uint32_t c0 = wrap_column(st.run_c0[r], cols_i);
         const std::size_t end = c0 + static_cast<std::size_t>(st.run_c1[r] - st.run_c0[r]) + 1;
@@ -383,7 +384,7 @@ void GridEvalEngine::stats_sweep(std::size_t row, GridEvalScratch& scratch) cons
   };
 
   // The band's cameras, strip by strip: the exact y prune of
-  // `for_each_in_y_band`, as the dispatched band compaction, fills batches.
+  // `candidates(p)`, as the dispatched band compaction, fills batches.
   const StripBand band = y_band(y);
   const double* const cam_sy = cam_soa_.sy();
   const double* const cam_r2 = cam_soa_.r2();
@@ -410,6 +411,11 @@ void GridEvalEngine::stats_sweep(std::size_t row, GridEvalScratch& scratch) cons
   }
 
   st.pairs = n_pairs;
+  if (tally) [[unlikely]] {  // the differences' prefix sums: per column
+    for (std::size_t c = 1; c < cols; ++c) {
+      st.tried[c] += st.tried[c - 1];
+    }
+  }
   if (ctr != nullptr) [[unlikely]] {
     ++ctr->stats_rows;
     ctr->stats_camera_rows += camera_rows;
@@ -460,22 +466,7 @@ void GridEvalEngine::stats_decide_row(std::size_t row, bool first, GridRowStats&
     }
     st.flags[c] = flags;
   }
-  // The covering lists, bucketed by column from the pairs: the counts are
-  // the list lengths.
-  std::vector<std::uint32_t>& off = st.offsets;
-  off.resize(cols + 1);
-  off[0] = 0;
-  for (std::size_t c = 0; c < cols; ++c) {
-    off[c + 1] = off[c] + static_cast<std::uint32_t>(st.columns[c * rec + kRecCount]);
-  }
-  st.list.resize(st.pairs);
-  for (std::size_t k = 0; k < st.pairs; ++k) {
-    st.list[off[st.pair_col[k]]++] = st.pair_slot[k];
-  }
-  for (std::size_t c = cols; c > 0; --c) {  // off[c] now ends column c: shift back
-    off[c] = off[c - 1];
-  }
-  off[0] = 0;
+  stats_lists(scratch);
   std::uint64_t points_ns = 0;
   if (ctr != nullptr) [[unlikely]] {
     const std::uint64_t now = obs::monotonic_ns();
@@ -485,10 +476,6 @@ void GridEvalEngine::stats_decide_row(std::size_t row, bool first, GridRowStats&
 
   // The exact-gap pass, in column order: a point takes the exact path over
   // its covering list when full view is open or it could set an extreme.
-  const double* const cam_sx = cam_soa_.sx();
-  const double* const cam_sy = cam_soa_.sy();
-  const bool torus = mode_ == geom::SpaceMode::kTorus;
-  std::int64_t tried = 0;  // metered: the prefix sum of `st.tried`
   for (std::size_t c = 0; c < cols; ++c) {
     const std::uint64_t count = st.columns[c * rec + kRecCount];
     const std::uint8_t flags = st.flags[c];
@@ -502,38 +489,7 @@ void GridEvalEngine::stats_decide_row(std::size_t row, bool first, GridRowStats&
       sorted_path = (flags & kPointOpen) != 0 || first_point || st.gap_lo[c] <= acc.min_max_gap ||
                     st.gap_hi[c] >= acc.max_max_gap;
       if (sorted_path) {
-        // The covering list's displacements, by `classify_scalar`'s own
-        // arithmetic (every listed camera covers the point, so no radius
-        // or field-of-view test): a camera at the point gives direction 0.
-        const geom::Vec2 p = grid_.point(row, c);
-        const std::uint32_t l0 = st.offsets[c];
-        const std::uint32_t l1 = st.offsets[c + 1];
-        reserve_point(scratch, l1 - l0);
-        scratch.angles.clear();
-        std::size_t m = 0;
-        for (std::uint32_t k = l0; k < l1; ++k) {
-          double dx = p.x - cam_sx[st.list[k]];
-          double dy = p.y - cam_sy[st.list[k]];
-          if (torus) {
-            dx -= detail::round_half_away(dx);
-            if (dx >= 0.5) {
-              dx -= 1.0;
-            }
-            dy -= detail::round_half_away(dy);
-            if (dy >= 0.5) {
-              dy -= 1.0;
-            }
-          }
-          if (dx * dx + dy * dy == 0.0) {
-            scratch.angles.push_back(0.0);
-            continue;
-          }
-          scratch.dxs[m] = dx;
-          scratch.dys[m] = dy;
-          ++m;
-        }
-        emit_directions(scratch, m);
-        sort_directions(scratch);
+        list_directions(row, c, scratch);
         gap = max_gap_sorted(scratch.angles).width;
         full_view = gap <= two_theta;
       } else {
@@ -549,8 +505,7 @@ void GridEvalEngine::stats_decide_row(std::size_t row, bool first, GridRowStats&
       acc.max_max_gap = std::max(acc.max_max_gap, gap);
     }
     if (ctr != nullptr) [[unlikely]] {
-      tried += st.tried[c];
-      const auto classified = static_cast<std::uint64_t>(tried);
+      const auto classified = static_cast<std::uint64_t>(st.tried[c]);
       ++ctr->points;
       ctr->candidates_total += classified;
       ctr->candidates_per_point.add(classified);
@@ -564,6 +519,75 @@ void GridEvalEngine::stats_decide_row(std::size_t row, bool first, GridRowStats&
   }
 }
 
+void GridEvalEngine::stats_lists(GridEvalScratch& scratch) const {
+  GridEvalScratch::StatsSweep& st = scratch.stats;
+  const std::size_t cols = grid_.side();
+  const std::size_t rec = kRecMasks + sectors_.nec_words + 2 * sectors_.suf_words;
+  // The counts are the list lengths.
+  std::vector<std::uint32_t>& off = st.offsets;
+  off.resize(cols + 1);
+  off[0] = 0;
+  for (std::size_t c = 0; c < cols; ++c) {
+    off[c + 1] = off[c] + static_cast<std::uint32_t>(st.columns[c * rec + kRecCount]);
+  }
+  st.list.resize(st.pairs);
+  for (std::size_t k = 0; k < st.pairs; ++k) {
+    st.list[off[st.pair_col[k]]++] = st.pair_slot[k];
+  }
+  for (std::size_t c = cols; c > 0; --c) {  // off[c] now ends column c: shift back
+    off[c] = off[c - 1];
+  }
+  off[0] = 0;
+}
+
+void GridEvalEngine::stats_point_row(std::size_t row, GridEvalScratch& scratch) const {
+  GridEvalScratch::StatsSweep& st = scratch.stats;
+  if (st.engine_gen == generation_ && st.row == row) {
+    return;
+  }
+  stats_sweep(row, scratch, true);
+  stats_lists(scratch);
+  st.engine_gen = generation_;
+  st.row = row;
+}
+
+void GridEvalEngine::list_directions(std::size_t row, std::size_t col,
+                                     GridEvalScratch& scratch) const {
+  const GridEvalScratch::StatsSweep& st = scratch.stats;
+  const geom::Vec2 p = grid_.point(row, col);
+  const double* const cam_sx = cam_soa_.sx();
+  const double* const cam_sy = cam_soa_.sy();
+  const bool torus = mode_ == geom::SpaceMode::kTorus;
+  const std::uint32_t l0 = st.offsets[col];
+  const std::uint32_t l1 = st.offsets[col + 1];
+  reserve_point(scratch, l1 - l0);
+  scratch.angles.clear();
+  std::size_t m = 0;
+  for (std::uint32_t k = l0; k < l1; ++k) {
+    double dx = p.x - cam_sx[st.list[k]];
+    double dy = p.y - cam_sy[st.list[k]];
+    if (torus) {
+      dx -= detail::round_half_away(dx);
+      if (dx >= 0.5) {
+        dx -= 1.0;
+      }
+      dy -= detail::round_half_away(dy);
+      if (dy >= 0.5) {
+        dy -= 1.0;
+      }
+    }
+    if (dx * dx + dy * dy == 0.0) {  // a camera at the point
+      scratch.angles.push_back(0.0);
+      continue;
+    }
+    scratch.dxs[m] = dx;
+    scratch.dys[m] = dy;
+    ++m;
+  }
+  emit_directions(scratch, m);
+  sort_directions(scratch);
+}
+
 GridRowStats GridEvalEngine::row_stats(std::size_t row, GridEvalScratch& scratch) const {
   return block_stats(row, row + 1, scratch);
 }
@@ -572,7 +596,7 @@ GridRowStats GridEvalEngine::block_stats(std::size_t row_begin, std::size_t row_
                                          GridEvalScratch& scratch) const {
   GridRowStats acc;
   for (std::size_t row = row_begin; row < row_end; ++row) {
-    stats_sweep(row, scratch);
+    stats_sweep(row, scratch, scratch.counters != nullptr);
     stats_decide_row(row, row == row_begin, acc, scratch);
   }
   return acc;

@@ -9,11 +9,13 @@
 
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "fvc/core/candidate_index.hpp"
 #include "fvc/geometry/vec2.hpp"
 
 namespace fvc::core {
@@ -33,11 +35,19 @@ class SpatialIndex {
   [[nodiscard]] std::size_t cells_per_side() const { return cells_; }
 
   /// Invoke `fn(index)` for every stored point whose *cell* is within the
-  /// 3x3 neighbourhood of `p`'s cell.  Candidates may be farther than the
-  /// query radius; the caller performs the exact distance/coverage test.
+  /// 3x3 neighbourhood of `p`'s cell, or for every stored point when a
+  /// coordinate of `p` lies beyond kExactIndexCoord (candidate_index.hpp).
+  /// Candidates may be farther than the query radius; the caller performs
+  /// the exact distance/coverage test.
   template <typename Fn>
   void for_each_candidate(const geom::Vec2& p, Fn&& fn) const {
     if (entries_.empty()) {
+      return;
+    }
+    if (!(std::abs(p.x) <= kExactIndexCoord && std::abs(p.y) <= kExactIndexCoord)) {
+      for (const std::uint32_t i : entries_) {
+        fn(static_cast<std::size_t>(i));
+      }
       return;
     }
     const auto c = static_cast<std::ptrdiff_t>(cells_);

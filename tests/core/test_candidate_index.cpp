@@ -187,10 +187,10 @@ TEST(CandidateIndex, BitIdenticalAcrossFamiliesIndexesAndKernels) {
   }
 }
 
-// The parallel scan reuses one engine (and its row-slice scratch) across
-// blocks; every (threads, grain) combination must still fold to the
-// scalar oracle's result bitwise.  Threads 3 with grain 1 maximises slice
-// rebuilds (rows interleave across workers); grain 0 is the default.
+// The parallel scan shares one engine across per-worker scratches; every
+// (threads, grain) combination must still fold to the scalar oracle's
+// result bitwise.  Threads 3 with grain 1 interleaves rows across
+// workers; grain 0 is the default.
 TEST(CandidateIndex, ParallelScansBitIdenticalAcrossThreadsAndGrains) {
   const DenseGrid grid(16);
   const double theta = kPi / 3.0;
@@ -210,6 +210,34 @@ TEST(CandidateIndex, ParallelScansBitIdenticalAcrossThreadsAndGrains) {
   }
 }
 
+// `point_candidate_count` is the pair classifies the row's stats sweep
+// makes at a grid point: at least the point's covering count, at most the
+// cameras of its y band (`candidates(p)`), and, summed over a row, what a
+// metered `row_stats` counts.
+void expect_candidate_counts(const GridEvalEngine& engine, const Network& net,
+                             const DenseGrid& grid, const std::string& what) {
+  GridEvalScratch scratch;
+  for (std::size_t row = 0; row < grid.side(); ++row) {
+    GridEvalCounters counters;
+    GridEvalScratch metered;
+    metered.counters = &counters;
+    (void)engine.row_stats(row, metered);
+    std::uint64_t sum = 0;
+    for (std::size_t col = 0; col < grid.side(); ++col) {
+      const geom::Vec2 p = grid.point(row, col);
+      std::size_t covering = 0;
+      for (const Camera& c : net.cameras()) {
+        covering += static_cast<std::size_t>(covers(c, p, net.mode()));
+      }
+      const std::size_t width = engine.point_candidate_count(row, col, scratch);
+      EXPECT_LE(covering, width) << what << " row=" << row << " col=" << col;
+      EXPECT_LE(width, engine.candidates(p).size()) << what << " row=" << row << " col=" << col;
+      sum += width;
+    }
+    EXPECT_EQ(sum, counters.candidates_total) << what << " row=" << row;
+  }
+}
+
 // candidates(p) must be a duplicate-free superset of the cameras covering
 // p — the structural half of the bit-identity argument (the kernel's exact
 // tests do the rest).
@@ -218,7 +246,6 @@ TEST(CandidateIndex, CandidatesAreDuplicateFreeSupersets) {
   for (const Family fam : kFamilies) {
     const Network net = deploy_family(fam, 5);
     const GridEvalEngine engine(net, grid, kPi / 4.0);
-    GridEvalScratch scratch;
     for (std::size_t row = 0; row < grid.side(); ++row) {
       for (std::size_t col = 0; col < grid.side(); ++col) {
         const geom::Vec2 p = grid.point(row, col);
@@ -233,11 +260,10 @@ TEST(CandidateIndex, CandidatesAreDuplicateFreeSupersets) {
                 << "covering camera " << i << " missing, family=" << family_name(fam);
           }
         }
-        // The kernel-facing span is at least as selective a superset.
-        const std::size_t width = engine.point_candidate_count(row, col, scratch);
-        EXPECT_LE(width, net.size());
       }
     }
+    // The stats sweep's per-point classifies are at least as selective.
+    expect_candidate_counts(engine, net, grid, family_name(fam));
   }
 }
 
@@ -291,8 +317,8 @@ TEST(CandidateIndex, ResolutionExceedsHistoricalClamp) {
 // --- Pool order ---------------------------------------------------------
 //
 // The engine pools its per-camera kernel records in y-strip order (camera
-// order within a strip) and translates pool slots back to camera ids for
-// row slices, point views and `candidates(p)`.  These networks put camera
+// order within a strip) and translates pool slots back to camera ids where
+// a camera is read: the band fallback and `candidates(p)`.  These networks put camera
 // order against strip order, so any slot read as a camera id (or the
 // reverse) changes a result.
 
@@ -416,7 +442,7 @@ TEST(CandidateIndex, PoolOrderIsInvisible) {
   nets.emplace_back("empty", Network());
   // r = 3 sizes the index to a single strip (cells_ == 1).
   nets.emplace_back("one-strip", uniform_radius(3.0, 12, 0));
-  // r = 0.45 makes every torus window the whole row slice (whole_row_).
+  // r = 0.45: every torus band spans every strip.
   nets.emplace_back("whole-row", uniform_radius(0.45, 30, 1));
 
   for (const KernelVariant kernel : supported_kernels()) {
@@ -436,13 +462,52 @@ TEST(CandidateIndex, PoolOrderIsInvisible) {
   EXPECT_EQ(GridEvalEngine(Network(), grid, theta).cells_per_side(), 1u);
   EXPECT_EQ(GridEvalEngine(nets[nets.size() - 2].second, grid, theta).cells_per_side(),
             1u);
-  // A whole-row window hands every point the slice's full y band.
+  // Where every band spans every strip, the stats sweep still classifies
+  // each camera at its outer columns only.
   const Network& wide = nets.back().second;
-  const GridEvalEngine engine(wide, grid, theta);
-  GridEvalScratch scratch;
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    EXPECT_EQ(engine.point_candidate_count(i / kPoolSide, i % kPoolSide, scratch),
-              engine.candidates(grid.point(i)).size());
+  expect_candidate_counts(GridEvalEngine(wide, grid, theta), wide, grid, "whole-row");
+}
+
+// Off-lattice points at any finite y: far from the unit square the
+// kernel's y - sy drops sy (from |y| ~ 1e16 on, every camera sits at
+// dy = 0) and the strip index of y overflows its integer, so the torus
+// band takes every strip there and the plane band clamps.  `eval_point`
+// and `candidates(p)` must still match the oracles, in both modes and
+// under every kernel pin.
+TEST(CandidateIndex, FarOffPointsMatchTheOracles) {
+  stats::Pcg32 rng = stats::make_child_rng(8107, 0);
+  const HeterogeneousProfile profile(
+      std::vector<CameraGroupSpec>{{0.5, 0.2, 2.0}, {0.5, 0.25, kTwoPi}});
+  const Network base = deploy::deploy_uniform_network(profile, 300, rng);
+  const double theta = kPi / 4.0;
+  const double ys[] = {1.3, -0.7, 1e9, -1e9, 1e16, -1e16, 1e20, -1e20, 1e300, -1e300};
+  for (const geom::SpaceMode mode : {geom::SpaceMode::kTorus, geom::SpaceMode::kPlane}) {
+    const Network net = with_mode(base, mode);
+    for (const KernelVariant kernel : supported_kernels()) {
+      const ForcedKernel pin_kernel(kernel);
+      const GridEvalEngine engine(net, DenseGrid(16), theta);
+      GridEvalScratch scratch;
+      for (const double y : ys) {
+        const geom::Vec2 p{0.4, y};
+        const std::string at = std::string(mode == geom::SpaceMode::kTorus ? "torus" : "plane") +
+                               " kernel=" + std::string(kernel_name(kernel)) +
+                               " y=" + std::to_string(y);
+        expect_point_matches(engine, net, p, theta, scratch, at);
+        const std::span<const std::uint32_t> cand = engine.candidates(p);
+        std::vector<std::uint32_t> sorted(cand.begin(), cand.end());
+        std::sort(sorted.begin(), sorted.end());
+        ASSERT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end()) << at;
+        std::size_t covering = 0;
+        for (std::uint32_t c = 0; c < net.size(); ++c) {
+          if (covers(net.cameras()[c], p, mode)) {
+            ++covering;
+            EXPECT_TRUE(std::binary_search(sorted.begin(), sorted.end(), c))
+                << at << " camera=" << c;
+          }
+        }
+        EXPECT_EQ(engine.eval_point(p, scratch).full_view.covering_count, covering) << at;
+      }
+    }
   }
 }
 

@@ -14,12 +14,22 @@
 // `evaluate`, `block_stats` over a random row partition and
 // `api::Session::query_region` must equal `evaluate_region_scalar` bit for
 // bit under every pin, with the stats sweep's counters equal across pins.
+// And it drives the per-point accessors (`PointAccessorsMatch...`): the
+// grid-point ones (`sorted_directions`, `point_*`, `row_all_k_covered`),
+// which read the row's stats sweep, at every grid point, and `eval_point`,
+// which classifies the pool's y band in place, at off-lattice points on
+// strip boundaries, on the torus seam and at random, all against the
+// scalar oracles bit for bit under every pin.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "fvc/api/session.hpp"
@@ -189,6 +199,149 @@ TEST(SweepFuzz, StatsPathMatchesTheOracleOnAdversarialConfigs) {
   EXPECT_GT(counters.stats_pairs, 0U);
   EXPECT_GT(counters.stats_replays, 0U);
   EXPECT_GT(counters.atan2_calls, 0U);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// The oracle's answers at one point.
+struct PointWant {
+  std::vector<double> dirs;  ///< sorted viewed directions
+  FullViewResult full_view;
+  bool necessary = false;
+  bool sufficient = false;
+};
+
+// The network overloads of the oracles, with one gather of the directions.
+PointWant point_want(const Network& net, const geom::Vec2& p, double theta) {
+  PointWant w;
+  w.dirs = net.viewed_directions(p);
+  w.full_view = full_view_covered(w.dirs, theta);
+  w.necessary = meets_necessary_condition(w.dirs, theta);
+  w.sufficient = meets_sufficient_condition(w.dirs, theta);
+  std::sort(w.dirs.begin(), w.dirs.end());
+  return w;
+}
+
+void expect_full_view(const FullViewResult& got, const FullViewResult& want) {
+  ASSERT_EQ(got.covered, want.covered);
+  ASSERT_EQ(bits(got.max_gap), bits(want.max_gap));
+  ASSERT_EQ(got.covering_count, want.covering_count);
+  ASSERT_EQ(got.witness_unsafe_direction.has_value(), want.witness_unsafe_direction.has_value());
+  if (want.witness_unsafe_direction.has_value()) {
+    ASSERT_EQ(bits(*got.witness_unsafe_direction), bits(*want.witness_unsafe_direction));
+  }
+}
+
+// Off-lattice probe points of a configuration whose index has `cells`
+// strips: on strip boundaries and one ulp either side, on the torus seam
+// (0, 1, and just outside [0, 1]), and at random.
+std::vector<geom::Vec2> off_lattice_points(std::size_t cells, std::uint64_t index) {
+  std::uint64_t draw = 0;
+  auto unit = [&]() {
+    return static_cast<double>(stats::mix64(index, draw++) >> 11) * 0x1.0p-53;
+  };
+  std::vector<geom::Vec2> pts;
+  const auto sd = static_cast<double>(cells);
+  for (const std::size_t k : {std::size_t{0}, std::size_t{1}, cells / 2, cells - 1, cells}) {
+    const double y = static_cast<double>(k) / sd;
+    for (const double v : {std::nextafter(y, -1.0), y, std::nextafter(y, 2.0)}) {
+      pts.push_back({unit(), v});
+    }
+  }
+  const double below1 = std::nextafter(1.0, 0.0);
+  const double tiny = -std::numeric_limits<double>::denorm_min();
+  pts.insert(pts.end(), {{0.0, 0.0}, {below1, below1}, {1.0, 1.0}, {tiny, unit()},
+                         {unit(), tiny}, {1.0, unit()}, {unit(), 1.0}, {below1, 0.0}});
+  for (int i = 0; i < 4; ++i) {
+    pts.push_back({unit(), unit()});
+  }
+  return pts;
+}
+
+TEST(SweepFuzz, PointAccessorsMatchTheOraclesOnAdversarialConfigs) {
+  const std::vector<KernelVariant> kernels = testsupport::supported_kernels();
+  GridEvalCounters counters;  // every configuration under the first pin
+  for (std::uint64_t index = 0; index < kConfigs; ++index) {
+    const testsupport::FuzzConfig cfg = testsupport::fuzz_config(kSeed, index);
+    const std::size_t side = cfg.grid.side();
+    std::vector<PointWant> want;
+    std::vector<std::size_t> row_min_count(side, ~std::size_t{0});
+    for (std::size_t row = 0; row < side; ++row) {
+      for (std::size_t col = 0; col < side; ++col) {
+        want.push_back(point_want(cfg.net, cfg.grid.point(row, col), cfg.theta));
+        row_min_count[row] = std::min(row_min_count[row], want.back().full_view.covering_count);
+      }
+    }
+    const std::vector<geom::Vec2> off = off_lattice_points(
+        GridEvalEngine(cfg.net, cfg.grid, cfg.theta).cells_per_side(), index);
+    std::vector<PointWant> off_want;
+    for (const geom::Vec2& p : off) {
+      off_want.push_back(point_want(cfg.net, p, cfg.theta));
+    }
+    GridEvalCounters first;
+    for (const KernelVariant variant : kernels) {
+      const testsupport::ForcedKernel pin(variant);
+      const GridEvalEngine engine(cfg.net, cfg.grid, cfg.theta);
+      GridEvalScratch scratch;
+      GridEvalCounters config_counters;
+      scratch.counters = &config_counters;
+      for (std::size_t row = 0; row < side; ++row) {
+        SCOPED_TRACE(testing::Message()
+                     << "replay: fuzz_config(" << kSeed << ", " << index
+                     << ") kernel=" << kernel_name(variant) << " theta=" << cfg.theta
+                     << " side=" << side << " cameras=" << cfg.net.size() << " row=" << row);
+        for (std::size_t col = 0; col < side; ++col) {
+          SCOPED_TRACE(testing::Message() << "col=" << col);
+          const PointWant& w = want[row * side + col];
+          const std::span<const double> dirs = engine.sorted_directions(row, col, scratch);
+          ASSERT_EQ(dirs.size(), w.dirs.size());
+          for (std::size_t j = 0; j < dirs.size(); ++j) {
+            ASSERT_EQ(bits(dirs[j]), bits(w.dirs[j])) << "dir=" << j;
+          }
+          expect_full_view(engine.point_full_view(row, col, scratch), w.full_view);
+          ASSERT_EQ(engine.point_necessary(row, col, scratch), w.necessary);
+          ASSERT_EQ(engine.point_sufficient(row, col, scratch), w.sufficient);
+          ASSERT_GE(engine.point_candidate_count(row, col, scratch), w.full_view.covering_count);
+        }
+        for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+          ASSERT_EQ(engine.row_all_k_covered(row, k, scratch), row_min_count[row] >= k)
+              << "k=" << k;
+        }
+        // A stats scan on the same scratch replaces its sweep: the next
+        // row's accessors must sweep again, not read this row's lists.
+        (void)engine.row_stats(side - 1 - row, scratch);
+      }
+      for (std::size_t i = 0; i < off.size(); ++i) {
+        SCOPED_TRACE(testing::Message() << "replay: fuzz_config(" << kSeed << ", " << index
+                                        << ") kernel=" << kernel_name(variant) << " point=("
+                                        << off[i].x << ", " << off[i].y << ")");
+        const PointEval got = engine.eval_point(off[i], scratch);
+        expect_full_view(got.full_view, off_want[i].full_view);
+        ASSERT_EQ(got.necessary, off_want[i].necessary);
+        ASSERT_EQ(got.sufficient, off_want[i].sufficient);
+      }
+      if (variant == kernels.front()) {
+        first = config_counters;
+        counters.merge(config_counters);
+      } else {
+        SCOPED_TRACE(testing::Message() << "counters: fuzz_config(" << kSeed << ", " << index
+                                        << ") kernel=" << kernel_name(variant));
+        EXPECT_EQ(config_counters.points, first.points);
+        EXPECT_EQ(config_counters.candidates_total, first.candidates_total);
+        EXPECT_EQ(config_counters.directions_total, first.directions_total);
+        EXPECT_EQ(config_counters.atan2_calls, first.atan2_calls);
+        EXPECT_EQ(config_counters.trig_fallbacks, first.trig_fallbacks);
+        EXPECT_EQ(config_counters.stats_rows, first.stats_rows);
+        EXPECT_EQ(config_counters.stats_pairs, first.stats_pairs);
+        EXPECT_EQ(config_counters.stats_replays, first.stats_replays);
+        ASSERT_FALSE(testing::Test::HasFailure());
+      }
+    }
+  }
+  // Not vacuous: the accessors' sweeps left pairs to the scalar replay,
+  // and band hits took the exact-arithmetic fallback.
+  EXPECT_GT(counters.stats_replays, 0U);
+  EXPECT_GT(counters.trig_fallbacks, 0U);
 }
 
 }  // namespace

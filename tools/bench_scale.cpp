@@ -11,11 +11,13 @@
 /// cell comes from a metered pass taken outside the timed reps, so the
 /// timings stay those of the unmetered hot path.
 ///
-/// Per config the record also captures the candidate index: its build
-/// time, its heap footprint, and the candidate-span distribution the
-/// engine hands the kernel (`point_candidate_count` over every grid
-/// point): mean and p99 candidates per point.  The p99 is what the CI
-/// budget gate holds steady, catching a sizing-rule regression.
+/// Per config the record also captures the candidate index (its build
+/// time and heap footprint) and the per-point classify cost of the scan:
+/// `point_candidate_count` over every grid point, the exact pair
+/// classifies the stats row sweep makes there (the band cameras whose
+/// outer column set holds the point's column), as mean and p99.  The p99
+/// is what the CI budget gate holds steady, catching an index sizing or
+/// outer-interval regression.
 ///
 /// The deployment radius is scaled ~ 1/sqrt(n) so the expected candidate
 /// count per grid point stays constant across the ladder: the sweep then
@@ -216,8 +218,8 @@ int main(int argc, char** argv) {
     std::printf("config: grid=%zux%zu n=%zu (r=%.4f/%.4f)\n", rec.side, rec.side,
                 rec.n, rec.radius_omni, rec.radius_sector);
 
-    // Index shape: build wall time, heap bytes, and the candidate-span
-    // distribution the kernel sees (mean + p99 over every grid point).
+    // Index shape: build wall time, heap bytes, and the pair classifies
+    // the stats sweep makes per point (mean + p99 over every grid point).
     {
       const auto t0 = Clock::now();
       const core::GridEvalEngine engine(net, grid, theta);
