@@ -138,13 +138,7 @@ Report k_full_view() {
       const core::Network net =
           sim::deploy(cfg, stats::mix64(0xAF50 + static_cast<std::uint64_t>(q * 100), t));
       // One pass: the grid's minimum full-view degree determines all k.
-      std::size_t min_degree = 1000000;
-      std::vector<double> dirs;
-      cfg.grid().for_each([&](std::size_t, const geom::Vec2& p) {
-        net.viewed_directions_into(p, dirs);
-        min_degree = std::min(
-            min_degree, core::min_direction_multiplicity(dirs, theta).min_multiplicity);
-      });
+      const std::size_t min_degree = core::min_full_view_degree(net, cfg.grid(), theta);
       for (std::size_t i = 0; i < ks.size(); ++i) {
         hits[i] += min_degree >= ks[i] ? 1 : 0;
       }
