@@ -37,9 +37,8 @@
 /// The engine behind a session is an ordinary GridEvalEngine, so the
 /// metrics node exported at construction carries the candidate index's
 /// resolution (`cells_target` / `cells_clamped`) and heap footprint
-/// (`index_bytes`).  Tile evaluation uses per-worker scratches, so the
-/// index's row-slice cache works the same under serve as in batch scans;
-/// point queries never touch a row slice.
+/// (`index_bytes`).  Tile evaluation uses per-worker scratches, as batch
+/// scans do; point queries classify their y band's pool slots in place.
 
 #pragma once
 
@@ -183,7 +182,7 @@ class Session {
   TileCache cache_;
   /// Reused by `query_points` (the session is externally serialized, so
   /// one scratch suffices); engine rebuilds don't invalidate it — the
-  /// buffers are sized on use and the row-slice cache keys by engine
+  /// buffers are sized on use and its row caches key by engine
   /// generation.
   core::GridEvalScratch point_scratch_;
 };

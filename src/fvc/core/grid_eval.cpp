@@ -73,7 +73,7 @@ constexpr double kWedgeMargin = 2e-9;
 /// kMaxHalfChord cases).
 constexpr double kMinEdgeY = 1e-9;
 /// Cap on the sweep's per-interval column counts (intervals x (columns +
-/// 1)); engines above it decide every point from its whole span.
+/// 1)); engines above it decide every point from its whole y band.
 constexpr std::size_t kMaxSweepCells = std::size_t{1} << 20;
 /// A camera's pass through the row sweep costs about this many exact
 /// vector classifies of one band slot at one point (see `sweep_row`).
@@ -852,8 +852,7 @@ GridEvalEngine::BinOccupancy GridEvalEngine::occupancy() const {
     }
     occ.max_per_cell = std::max(occ.max_per_cell, count);
   };
-  // Bins are the y strips: the build-time structure (row slices are
-  // per-scratch and transient).
+  // Bins are the y strips.
   occ.cells = cells_;
   occ.entries = strip_entries_.size();
   for (std::size_t s = 0; s < cells_; ++s) {
@@ -901,12 +900,12 @@ void GridEvalEngine::compute_cells() {
   if (net_->cameras().size() > kMaxCameras) {
     throw std::invalid_argument("GridEvalEngine: too many cameras");
   }
-  // Cell sizing: correctness is set-based (every candidate span is a
-  // superset of the covering cameras), so the cell count only trades build
-  // cost against candidate-list tightness.  Cells of about a third of the
-  // sensing radius keep the per-point candidate list within ~1.5x of the
-  // true in-radius count; the caps bound construction cost on tiny grids
-  // and degenerate radii.
+  // Cell sizing: correctness is set-based (every y band is a superset of
+  // the covering cameras), so the cell count only trades build cost
+  // against band tightness.  Strips of about a third of the sensing
+  // radius keep a band's padding past the radius to about a strip per
+  // side; the caps bound construction cost on tiny grids and degenerate
+  // radii.
   const double r = std::max(net_->max_radius(), kMinSizingRadius);
   cells_target_ = static_cast<std::size_t>(std::ceil(kCellsPerRadius / r));
   const std::size_t cap = std::min<std::size_t>(

@@ -68,7 +68,7 @@ inline geom::Vec2 pseudo_direction(double t) {
   return {u, u - 1.0};
 }
 
-/// Size the per-point classify buffers for a span of `count` candidates.
+/// Size the per-point classify buffers for `count` candidates.
 inline void reserve_point(GridEvalScratch& scratch, std::size_t count) {
   if (scratch.dxs.size() < count) {
     scratch.dxs.resize(count);

@@ -48,10 +48,8 @@ core::RegionCoverageStats scan_rows(const core::GridEvalEngine& engine,
   parallel_for_blocked(
       rows, plan.workers, plan.grain,
       [&](std::size_t begin, std::size_t end, std::size_t worker) {
-        // The scratch also carries the candidate index's row-slice cache,
-        // keyed by (engine generation, row): each row's candidate slice is
-        // built once per worker and reused across the row's points and
-        // across blocks, with no cross-thread sharing.
+        // One scratch per worker thread: the stats sweep's per-row buffers
+        // are reused across rows and blocks, with no cross-thread sharing.
         thread_local core::GridEvalScratch scratch;
         scratch.counters =
             counter_slots != nullptr ? &(*counter_slots)[worker] : nullptr;
