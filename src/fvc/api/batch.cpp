@@ -1,18 +1,17 @@
 #include "fvc/api/batch.hpp"
 
-#include <chrono>
 #include <stdexcept>
+#include <utility>
 
 namespace fvc::api {
 
-void PointBatcher::evaluate(const double* xs, const double* ys, std::size_t n,
-                            PointAnswer* out, std::string& digest_hex) {
+std::string PointBatcher::evaluate(const double* xs, const double* ys, std::size_t n,
+                                   PointAnswer* out) {
   Waiter w;
   w.xs = xs;
   w.ys = ys;
   w.n = n;
   w.out = out;
-  w.digest = &digest_hex;
 
   std::unique_lock<std::mutex> lk(mutex_);
   queue_.push_back(&w);
@@ -29,42 +28,24 @@ void PointBatcher::evaluate(const double* xs, const double* ys, std::size_t n,
   if (w.failed) {
     throw std::runtime_error(w.error);
   }
+  return std::move(w.digest);
 }
 
 void PointBatcher::run_round(std::unique_lock<std::mutex>& lk) {
   leader_active_ = true;
-  if (cfg_.window_us > 0 && queue_.size() >= 2) {
-    // Group-commit window: this round is coalescing anyway, so linger
-    // briefly for stragglers.  A lone waiter never waits here — the
-    // straight-through path below keeps single-client latency flat.
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::microseconds(cfg_.window_us);
-    std::size_t pending = 0;
-    for (const Waiter* q : queue_) {
-      pending += q->n;
-    }
-    while (pending < cfg_.max_points &&
-           cv_.wait_until(lk, deadline) != std::cv_status::timeout) {
-      pending = 0;
-      for (const Waiter* q : queue_) {
-        pending += q->n;
-      }
-    }
-  }
-
   // Drain FIFO up to the points budget; the head waiter is always taken
   // (a single oversized `points` array still runs, alone).
   std::vector<Waiter*> round;
   std::size_t total_points = 0;
   while (!queue_.empty()) {
     Waiter* head = queue_.front();
-    if (!round.empty() && total_points + head->n > cfg_.max_points) {
+    if (!round.empty() && total_points + head->n > kMaxPoints) {
       break;
     }
     queue_.pop_front();
     round.push_back(head);
     total_points += head->n;
-    if (total_points >= cfg_.max_points) {
+    if (total_points >= kMaxPoints) {
       break;
     }
   }
@@ -105,7 +86,7 @@ void PointBatcher::run_round(std::unique_lock<std::mutex>& lk) {
       for (std::size_t i = 0; i < w->n; ++i) {
         w->out[i] = round_answers_[off + i];
       }
-      *w->digest = digest;
+      w->digest = digest;
     } else {
       w->failed = true;
       w->error = failure;

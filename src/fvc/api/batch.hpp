@@ -7,17 +7,16 @@
 /// answer in one fused pass.  `PointBatcher` coalesces them: a handler
 /// thread with point work enqueues a waiter; whichever waiter finds no
 /// round in progress elects itself *leader*, drains the queue (up to
-/// `max_points`), evaluates every queued point with ONE
+/// `kMaxPoints`), evaluates every queued point with ONE
 /// `Session::query_points` call under the session mutex, scatters the
 /// answers back, and wakes the *followers*, which were blocked on their
-/// waiter's completion flag.
+/// waiter's completion flag.  It is the daemon's only route for point
+/// work.
 ///
-/// Latency contract: when a single request is pending the leader drains
-/// a queue of one and evaluates immediately — the straight-through path;
-/// single-client latency pays one mutex/condvar pair over the unbatched
-/// daemon, not a window.  `window_us` (default 0: off) only ever delays
-/// a leader that already has company, letting an extra poll-tick of
-/// arrivals pile in before the kernel pass.
+/// Latency contract: a leader never lingers.  When a single request is
+/// pending it drains a queue of one and evaluates immediately, paying
+/// one mutex/condvar pair; coalescing comes from the waiters that pile
+/// up while the previous round holds the session mutex.
 ///
 /// Bit-identity contract: batching changes *scheduling*, never results.
 /// `Session::query_points` answers each point through
@@ -45,7 +44,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <mutex>
 #include <string>
@@ -63,34 +61,23 @@ namespace fvc::api {
 /// outlive the batcher).
 class PointBatcher {
  public:
-  struct Config {
-    /// Max points per kernel round.  A round always takes at least one
-    /// waiter, even when that waiter alone exceeds the budget (a
-    /// `points` array is never split across rounds).
-    std::size_t max_points = 256;
-    /// Leader linger when a round already has >= 2 waiters: wait up to
-    /// this long for more arrivals before evaluating.  0 = drain
-    /// immediately (the default; coalescing still happens because
-    /// waiters pile up while the previous round computes).
-    std::uint64_t window_us = 0;
-  };
+  /// Max points per kernel round.  A round always takes at least one
+  /// waiter, even when that waiter alone exceeds the budget (a `points`
+  /// array is never split across rounds).
+  static constexpr std::size_t kMaxPoints = 256;
 
-  PointBatcher(Session& session, std::mutex& session_mutex, Config cfg,
-               obs::ServeStats* stats)
-      : session_(session),
-        session_mutex_(session_mutex),
-        cfg_(cfg),
-        stats_(stats) {}
+  PointBatcher(Session& session, std::mutex& session_mutex, obs::ServeStats* stats)
+      : session_(session), session_mutex_(session_mutex), stats_(stats) {}
 
   PointBatcher(const PointBatcher&) = delete;
   PointBatcher& operator=(const PointBatcher&) = delete;
 
   /// Evaluate `n` points, blocking until some round (possibly led by
   /// this thread) answers them.  On return `out[0..n)` holds the
-  /// answers and `digest_hex` the deployment digest the round ran
+  /// answers; the result is the deployment digest the round ran
   /// against.  \throws std::runtime_error when the round failed.
-  void evaluate(const double* xs, const double* ys, std::size_t n,
-                PointAnswer* out, std::string& digest_hex);
+  [[nodiscard]] std::string evaluate(const double* xs, const double* ys, std::size_t n,
+                                     PointAnswer* out);
 
  private:
   struct Waiter {
@@ -98,20 +85,19 @@ class PointBatcher {
     const double* ys = nullptr;
     std::size_t n = 0;
     PointAnswer* out = nullptr;
-    std::string* digest = nullptr;
+    std::string digest;
     bool done = false;
     bool failed = false;
     std::string error;
   };
 
-  /// Lead one round: optionally linger, drain the queue, run the kernel
-  /// pass outside `lk` (under the session mutex), publish the answers.
+  /// Lead one round: drain the queue, run the kernel pass outside `lk`
+  /// (under the session mutex), publish the answers.
   /// Called with `lk` held; returns with it held.
   void run_round(std::unique_lock<std::mutex>& lk);
 
   Session& session_;
   std::mutex& session_mutex_;
-  const Config cfg_;
   obs::ServeStats* const stats_;
 
   std::mutex mutex_;

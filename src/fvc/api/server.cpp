@@ -38,9 +38,8 @@ std::string error_response(std::string_view message) {
   return w.finish();
 }
 
-/// The `point` answer body.  Shared by the classic per-request path and
-/// the batcher path so both emit byte-identical responses (the golden
-/// protocol transcripts pin this exact layout).
+/// The `point` answer body (the golden protocol transcripts pin this
+/// exact layout).
 std::string point_response(const std::string& digest, const PointAnswer& ans) {
   JsonObjectWriter w;
   w.add_bool("ok", true);
@@ -160,21 +159,6 @@ std::string handle_what_if(Session& session, const WireObject& req) {
   return w.finish();
 }
 
-/// The session's tile-cache counters packaged for the telemetry mirror.
-/// Callers hold the session mutex.
-obs::CacheMirror cache_mirror_of(const Session& session) {
-  const TileCacheStats& cs = session.cache_stats();
-  obs::CacheMirror m;
-  m.hits = cs.hits;
-  m.misses = cs.misses;
-  m.evictions = cs.evictions;
-  m.carried_forward = cs.carried_forward;
-  m.tiles = session.cache().size();
-  m.capacity = session.cache().capacity();
-  m.bytes = session.cache().approx_bytes();
-  return m;
-}
-
 std::string handle_stats(Session& session, obs::ServeStats& stats) {
   // Refresh the cache mirror first (we hold the session mutex), so the
   // snapshot's occupancy is current, then advance the delta baseline —
@@ -227,34 +211,14 @@ std::string handle_stats(Session& session, obs::ServeStats& stats) {
   return w.finish();
 }
 
-/// Dispatch one *parsed* request.  Callers own parsing (so a serve loop
-/// that already parsed to route through the batcher never parses twice)
-/// and error handling (thrown WireError/std::exception become ok:false
-/// upstream).  Classification lands in `type_out` from the op actually
-/// dispatched.
-std::string handle_parsed(Session& session, const WireObject& req,
+/// Dispatch one *parsed* request other than point work (`answer_request`
+/// owns parsing, point work and error handling: thrown
+/// WireError/std::exception become ok:false there).  Classification
+/// lands in `type_out` from the op actually dispatched.
+std::string handle_parsed(Session& session, const std::string& op, const WireObject& req,
                           obs::ServeStats* stats, obs::ReqType* type_out) {
-  const auto classify = [type_out](obs::ReqType type) {
-    if (type_out != nullptr) {
-      *type_out = type;
-    }
-  };
-  const std::string& op = get_string(req, "op");
-  if (op == "point") {
-    classify(obs::ReqType::kPoint);
-    const PointAnswer ans =
-        session.query_point(get_number(req, "x"), get_number(req, "y"));
-    return point_response(session.digest_hex(), ans);
-  }
-  if (op == "points") {
-    classify(obs::ReqType::kBatch);
-    const auto [xs, ys] = points_coords(req);
-    std::vector<PointAnswer> answers(xs->size());
-    session.query_points(xs->data(), ys->data(), xs->size(), answers.data());
-    return points_response(session.digest_hex(), answers);
-  }
   if (op == "region") {
-    classify(obs::ReqType::kRegion);
+    *type_out = obs::ReqType::kRegion;
     const RegionAnswer ans =
         session.query_region(get_number(req, "y_lo"), get_number(req, "y_hi"));
     JsonObjectWriter w;
@@ -265,18 +229,18 @@ std::string handle_parsed(Session& session, const WireObject& req,
     return w.finish();
   }
   if (op == "what_if") {
-    classify(obs::ReqType::kWhatIf);
+    *type_out = obs::ReqType::kWhatIf;
     return handle_what_if(session, req);
   }
   if (op == "stats") {
-    classify(obs::ReqType::kStats);
+    *type_out = obs::ReqType::kStats;
     if (stats == nullptr) {
       return error_response("stats not available");
     }
     return handle_stats(session, *stats);
   }
   if (op == "info") {
-    classify(obs::ReqType::kInfo);
+    *type_out = obs::ReqType::kInfo;
     const TileCacheStats& cs = session.cache_stats();
     JsonObjectWriter w;
     w.add_bool("ok", true);
@@ -297,19 +261,68 @@ std::string handle_parsed(Session& session, const WireObject& req,
   return error_response("unknown op '" + op + "'");
 }
 
-}  // namespace
-
-std::string handle_query(Session& session, std::string_view body,
-                         obs::ServeStats* stats, obs::ReqType* type_out) {
-  if (type_out != nullptr) {
-    *type_out = obs::ReqType::kOther;  // until an op actually dispatches
-  }
+/// Parse one request body and answer it: `point` and `points` through
+/// `eval(xs, ys, n, out)`, which fills `out[0..n)` and returns the digest
+/// the answers ran against, every other op through `dispatch(op, req)`.
+/// `handle_query` evaluates on the session, the serve loop through the
+/// batcher: one engine path and one response layout for both.  Never
+/// throws (failures become ok:false).
+template <class Eval, class Dispatch>
+std::string answer_request(std::string_view body, obs::ReqType* type_out, Eval&& eval,
+                           Dispatch&& dispatch) {
+  *type_out = obs::ReqType::kOther;  // until an op actually dispatches
   try {
     const WireObject req = parse_flat_object(body);
-    return handle_parsed(session, req, stats, type_out);
+    const std::string& op = get_string(req, "op");
+    if (op == "point") {
+      *type_out = obs::ReqType::kPoint;
+      const double x = get_number(req, "x");
+      const double y = get_number(req, "y");
+      PointAnswer ans;
+      const std::string digest = eval(&x, &y, std::size_t{1}, &ans);
+      return point_response(digest, ans);
+    }
+    if (op == "points") {
+      *type_out = obs::ReqType::kBatch;
+      const auto [xs, ys] = points_coords(req);
+      std::vector<PointAnswer> answers(xs->size());
+      const std::string digest = eval(xs->data(), ys->data(), xs->size(), answers.data());
+      return points_response(digest, answers);
+    }
+    return dispatch(op, req);
   } catch (const std::exception& e) {
     return error_response(e.what());
   }
+}
+
+}  // namespace
+
+obs::CacheMirror cache_mirror_of(const Session& session) {
+  const TileCacheStats& cs = session.cache_stats();
+  obs::CacheMirror m;
+  m.hits = cs.hits;
+  m.misses = cs.misses;
+  m.evictions = cs.evictions;
+  m.carried_forward = cs.carried_forward;
+  m.tiles = session.cache().size();
+  m.capacity = session.cache().capacity();
+  m.bytes = session.cache().approx_bytes();
+  return m;
+}
+
+std::string handle_query(Session& session, std::string_view body,
+                         obs::ServeStats* stats, obs::ReqType* type_out) {
+  obs::ReqType unused = obs::ReqType::kOther;
+  obs::ReqType* const type = type_out != nullptr ? type_out : &unused;
+  return answer_request(
+      body, type,
+      [&session](const double* xs, const double* ys, std::size_t n, PointAnswer* out) {
+        session.query_points(xs, ys, n, out);
+        return session.digest_hex();
+      },
+      [&session, stats, type](const std::string& op, const WireObject& req) {
+        return handle_parsed(session, op, req, stats, type);
+      });
 }
 
 std::string handle_query(Session& session, std::string_view body) {
@@ -320,10 +333,13 @@ namespace {
 
 /// Shared state of one daemon run.
 struct ServeState {
-  Session* session = nullptr;
-  obs::ServeStats* stats = nullptr;  ///< null = no telemetry recording
-  PointBatcher* batcher = nullptr;   ///< null = batching disabled
+  ServeState(Session& s, obs::ServeStats* st)
+      : session(s), stats(st), batcher(s, session_mutex, st) {}
+
+  Session& session;
+  obs::ServeStats* const stats;  ///< null = no telemetry recording
   std::mutex session_mutex;
+  PointBatcher batcher;  ///< the route of every point op
   std::atomic<bool> draining{false};
   std::atomic<std::uint64_t> requests{0};
   std::atomic<std::uint64_t> errors{0};
@@ -332,48 +348,26 @@ struct ServeState {
 /// 4 bytes of length prefix per frame, counted into the byte totals.
 constexpr std::uint64_t kFrameOverhead = 4;
 
-/// Answer one request body for the serve loop.  With a batcher, point
-/// work coalesces into group-commit rounds (the batcher takes the
-/// session mutex itself); everything else — and everything when batching
-/// is off — serializes under the session mutex through the classic path.
-/// Mirrors handle_query's classification contract exactly.
+/// Answer one request body for the serve loop.  Point work coalesces
+/// into group-commit rounds (the batcher takes the session mutex
+/// itself); everything else serializes under the session mutex.
 std::string serve_one(ServeState& state, std::string_view body,
                       obs::ReqType* type_out) {
-  *type_out = obs::ReqType::kOther;  // until an op actually dispatches
-  try {
-    const WireObject req = parse_flat_object(body);
-    if (state.batcher != nullptr) {
-      const std::string& op = get_string(req, "op");
-      if (op == "point") {
-        *type_out = obs::ReqType::kPoint;
-        const double x = get_number(req, "x");
-        const double y = get_number(req, "y");
-        PointAnswer ans;
-        std::string digest;
-        state.batcher->evaluate(&x, &y, 1, &ans, digest);
-        return point_response(digest, ans);
-      }
-      if (op == "points") {
-        *type_out = obs::ReqType::kBatch;
-        const auto [xs, ys] = points_coords(req);
-        std::vector<PointAnswer> answers(xs->size());
-        std::string digest;
-        state.batcher->evaluate(xs->data(), ys->data(), xs->size(),
-                                answers.data(), digest);
-        return points_response(digest, answers);
-      }
-    }
-    const std::lock_guard<std::mutex> lock(state.session_mutex);
-    std::string response = handle_parsed(*state.session, req, state.stats, type_out);
-    if (state.stats != nullptr) {
-      // Republish the cache mirror while the mutex still orders the
-      // writes — mirror values then never move backwards.
-      state.stats->note_cache(cache_mirror_of(*state.session));
-    }
-    return response;
-  } catch (const std::exception& e) {
-    return error_response(e.what());
-  }
+  return answer_request(
+      body, type_out,
+      [&state](const double* xs, const double* ys, std::size_t n, PointAnswer* out) {
+        return state.batcher.evaluate(xs, ys, n, out);
+      },
+      [&state, type_out](const std::string& op, const WireObject& req) {
+        const std::lock_guard<std::mutex> lock(state.session_mutex);
+        std::string response = handle_parsed(state.session, op, req, state.stats, type_out);
+        if (state.stats != nullptr) {
+          // Republish the cache mirror while the mutex still orders the
+          // writes — mirror values then never move backwards.
+          state.stats->note_cache(cache_mirror_of(state.session));
+        }
+        return response;
+      });
 }
 
 void client_loop(ServeState& state, ScopedFd fd) {
@@ -437,17 +431,7 @@ struct ClientSlot {
 ServeReport serve(Session& session, const ServerConfig& cfg,
                   obs::CancellationToken& cancel) {
   const ScopedFd listener = unix_listen(cfg.socket_path, cfg.backlog);
-  ServeState state;
-  state.session = &session;
-  state.stats = cfg.stats;
-  std::optional<PointBatcher> batcher;
-  if (cfg.batch_max > 0) {
-    PointBatcher::Config bcfg;
-    bcfg.max_points = cfg.batch_max;
-    bcfg.window_us = cfg.batch_window_us;
-    batcher.emplace(session, state.session_mutex, bcfg, cfg.stats);
-    state.batcher = &*batcher;
-  }
+  ServeState state(session, cfg.stats);
   if (state.stats != nullptr) {
     // Seed the mirror so a stats poll before any traffic still reports
     // the cache's real capacity and (empty) occupancy.

@@ -9,13 +9,12 @@
 /// concurrent clients deterministic: every request sees a consistent
 /// deployment digest, and interleaved what-if edits cannot tear a query.
 ///
-/// Point work additionally rides a group-commit batcher (batch.hpp):
-/// concurrent `point` / `points` requests coalesce into single
-/// SIMD-kernel rounds instead of paying one session-mutex hand-off and
-/// one engine dispatch each.  Disable with `batch_max = 0` (every op
-/// then takes the classic per-request path through `handle_query`).
-/// Batching never changes answers — only scheduling (see batch.hpp for
-/// the bit-identity argument).
+/// Point work rides a group-commit batcher (batch.hpp): concurrent
+/// `point` / `points` requests coalesce into single SIMD-kernel rounds
+/// instead of paying one session-mutex hand-off and one engine dispatch
+/// each.  Batching never changes answers — only scheduling (see
+/// batch.hpp for the bit-identity argument): both the batcher and
+/// `handle_query` answer points through `Session::query_points`.
 ///
 /// Shutdown is cooperative: the accept loop polls the cancellation token
 /// (the CLI's SIGINT trampoline trips it), stops accepting, then drains —
@@ -62,13 +61,6 @@ struct ServerConfig {
   /// ok:false).  Not owned; must outlive serve().
   obs::ServeStats* stats = nullptr;
   std::vector<PeriodicTask> ticks;  ///< periodic tasks (see PeriodicTask)
-  /// Max points per group-commit kernel round (see batch.hpp).  0
-  /// disables the batcher entirely: every op takes the classic
-  /// per-request path — the honest unbatched baseline for benchmarks.
-  std::size_t batch_max = 256;
-  /// Leader linger (µs) once a round has >= 2 waiters; 0 drains
-  /// immediately.  A lone request never waits on the window.
-  std::uint64_t batch_window_us = 0;
 };
 
 /// Accounting the daemon reports after draining.
@@ -82,9 +74,15 @@ struct ServeReport {
   std::uint64_t peak_threads = 0;
 };
 
+/// The session's tile-cache counters packaged for the telemetry mirror
+/// (`obs::ServeStats::note_cache`).  Callers hold the session mutex.
+[[nodiscard]] obs::CacheMirror cache_mirror_of(const Session& session);
+
 /// Answer one fvc.query/1 request body against `session`, returning the
 /// response body.  Pure request->response logic, shared by the daemon
 /// and the protocol tests; never throws (failures become ok:false).
+/// `point` and `points` run `Session::query_points`, the engine path the
+/// daemon's batcher runs, so the golden transcripts pin served bytes.
 /// `stats` backs the `stats` verb (null answers it ok:false) and is
 /// *only read* here — recording happens in the serve loop, after the
 /// handler returns, so a `stats` snapshot never counts the request that

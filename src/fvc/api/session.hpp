@@ -12,7 +12,9 @@
 /// deployment —
 ///   * `query_point` runs the scalar oracles (`full_view_covered`,
 ///     `meets_necessary_condition`, `meets_sufficient_condition`), the
-///     same calls a fresh CLI process makes;
+///     same calls a fresh CLI process makes; `query_points`, which the
+///     serve layer answers every point op through, is bit-identical to
+///     it;
 ///   * `query_region` folds `GridEvalEngine::block_stats` tiles in row
 ///     order, replaying the serial reduction exactly (the contract of
 ///     sim/parallel_region.hpp), whether a tile came from the cache or
@@ -79,8 +81,8 @@ struct SessionConfig {
   obs::ProgressFn progress;
 };
 
-/// Answer to a point query: the three predicates plus diagnostics, all
-/// from the scalar oracles.
+/// Answer to a point query: the three predicates plus diagnostics,
+/// bit-identical to the scalar oracles'.
 struct PointAnswer {
   bool covered = false;     ///< exact full-view coverage (Definition 1)
   bool necessary = false;   ///< Section III sector condition
@@ -123,7 +125,9 @@ class Session {
   /// telemetry plane and the CLI's end-of-run table.
   [[nodiscard]] const TileCacheStats& cache_stats() const { return cache_.stats(); }
 
-  /// Scalar-oracle point query at (x, y) in [0, 1]^2.
+  /// Scalar-oracle point query at (x, y) in [0, 1]^2.  The reference
+  /// that the tests and perfbench's serve mirror compare served answers
+  /// against; the serve layer itself answers through `query_points`.
   [[nodiscard]] PointAnswer query_point(double x, double y);
 
   /// Batched point queries: answer `n` points in one pass through the
@@ -132,8 +136,9 @@ class Session {
   /// allocations after warm-up) into `out[0..n)`.  Every answer is
   /// bit-identical to `query_point` at the same coordinates; the scalar
   /// oracle path above stays as the differential reference.  This is the
-  /// serve daemon's group-commit target: one call amortises dispatch
-  /// over a whole batch of concurrent clients' points.
+  /// serve layer's only point path: the daemon's group-commit rounds
+  /// amortise one call over a whole batch of concurrent clients' points,
+  /// and `handle_query` answers `point` with n = 1.
   void query_points(const double* xs, const double* ys, std::size_t n,
                     PointAnswer* out);
 

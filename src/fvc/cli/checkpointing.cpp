@@ -6,8 +6,6 @@
 #include <stdexcept>
 
 #include "fvc/report/table.hpp"
-#include "fvc/sim/monte_carlo.hpp"
-#include "fvc/sim/phase_scan.hpp"
 #include "fvc/stats/summary.hpp"
 
 namespace fvc::cli {
@@ -112,15 +110,7 @@ const io::Checkpoint& CheckpointSession::checkpoint() {
   return cp_;
 }
 
-namespace {
-
-void render_simulate(std::ostream& out, const io::Checkpoint& cp) {
-  std::vector<sim::TrialEvents> events;
-  events.reserve(cp.units.size());
-  for (const io::CheckpointUnit& unit : cp.units) {
-    events.push_back(sim::decode_trial_events(unit.payload));
-  }
-  const sim::GridEventsEstimate est = sim::aggregate_grid_events(events);
+void print_simulate_table(std::ostream& out, const sim::GridEventsEstimate& est) {
   report::Table t({"event", "probability", "95% CI"});
   const auto row = [&](const char* name, const sim::EventEstimate& e) {
     const auto ci = e.wilson();
@@ -132,15 +122,34 @@ void render_simulate(std::ostream& out, const io::Checkpoint& cp) {
   t.print(out);
 }
 
-void render_phase(std::ostream& out, const io::Checkpoint& cp) {
+void print_phase_table(std::ostream& out, const std::vector<sim::PhasePoint>& points) {
   report::Table t({"q", "P(H_N)", "P(full view)", "P(H_S)"});
-  for (const io::CheckpointUnit& unit : cp.units) {
-    const sim::PhasePoint pt = sim::decode_phase_point(unit.index, unit.payload);
+  for (const sim::PhasePoint& pt : points) {
     t.add_row({report::fmt(pt.q, 2), report::fmt(pt.events.necessary.p(), 3),
                report::fmt(pt.events.full_view.p(), 3),
                report::fmt(pt.events.sufficient.p(), 3)});
   }
   t.print(out);
+}
+
+namespace {
+
+void render_simulate(std::ostream& out, const io::Checkpoint& cp) {
+  std::vector<sim::TrialEvents> events;
+  events.reserve(cp.units.size());
+  for (const io::CheckpointUnit& unit : cp.units) {
+    events.push_back(sim::decode_trial_events(unit.payload));
+  }
+  print_simulate_table(out, sim::aggregate_grid_events(events));
+}
+
+void render_phase(std::ostream& out, const io::Checkpoint& cp) {
+  std::vector<sim::PhasePoint> points;
+  points.reserve(cp.units.size());
+  for (const io::CheckpointUnit& unit : cp.units) {
+    points.push_back(sim::decode_phase_point(unit.index, unit.payload));
+  }
+  print_phase_table(out, points);
 }
 
 void render_threshold(std::ostream& out, const io::Checkpoint& cp) {

@@ -22,6 +22,8 @@
 
 #include "fvc/cli/args.hpp"
 #include "fvc/io/checkpoint.hpp"
+#include "fvc/sim/monte_carlo.hpp"
+#include "fvc/sim/phase_scan.hpp"
 #include "fvc/sim/shard.hpp"
 
 namespace fvc::cli {
@@ -100,6 +102,15 @@ class CheckpointSession {
   std::vector<std::uint64_t> pending_;
   std::size_t unflushed_ = 0;
 };
+
+/// The `simulate` report table: each grid event's probability and its
+/// 95% Wilson interval.  The plain run and the checkpoint report both
+/// print it.
+void print_simulate_table(std::ostream& out, const sim::GridEventsEstimate& est);
+
+/// The `phase` report table: one row per scanned q.  The plain run and
+/// the checkpoint report both print it.
+void print_phase_table(std::ostream& out, const std::vector<sim::PhasePoint>& points);
 
 /// Render the command report for a (possibly merged, possibly partial)
 /// checkpoint document, dispatching on `cp.kind`: "simulate" folds trial

@@ -171,11 +171,6 @@ const std::vector<CommandSpec>& command_table() {
         {"grid-side", "M", "64", "region-query evaluation grid side"},
         {"tile-rows", "K", "8", "grid rows per cached tile"},
         {"cache-tiles", "C", "1024", "tile cache capacity (entries)"},
-        {"batch-max", "P", "256",
-         "max points per group-commit batch round (0 disables batching)"},
-        {"batch-window-us", "US", "0",
-         "batch leader linger once >= 2 requests are queued (0: drain "
-         "immediately)"},
         {"metrics-every", "MS", "",
          "with --metrics: also flush the report atomically every MS ms"},
         {"prom", "FILE", "",

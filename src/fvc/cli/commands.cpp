@@ -159,18 +159,9 @@ int cmd_simulate(CommandContext& ctx) {
   options.metrics = ctx.metrics_child("estimate");
   const CheckpointOptions ckpt = checkpoint_options_from(args);
   if (!ckpt.unit_driven()) {
-    const auto est = sim::estimate_grid_events(cfg, trials, seed,
-                                               sim::default_thread_count(), options);
-    report::Table t({"event", "probability", "95% CI"});
-    const auto row = [&](const char* name, const sim::EventEstimate& e) {
-      const auto ci = e.wilson();
-      t.add_row({name, report::fmt(e.p(), 3),
-                 report::fmt_interval(ci.lo, ci.hi, 3)});
-    };
-    row("grid meets necessary condition (H_N)", est.necessary);
-    row("grid full-view covered", est.full_view);
-    row("grid meets sufficient condition (H_S)", est.sufficient);
-    t.print(ctx.out());
+    print_simulate_table(ctx.out(),
+                         sim::estimate_grid_events(cfg, trials, seed,
+                                                   sim::default_thread_count(), options));
     return kExitSuccess;
   }
   // Sharded / checkpointed / resumed: drive the run through an explicit
@@ -288,13 +279,7 @@ int cmd_phase(CommandContext& ctx) {
     render_checkpoint_report(ctx.out(), session->checkpoint());
     return kExitSuccess;
   }
-  report::Table t({"q", "P(H_N)", "P(full view)", "P(H_S)"});
-  for (const auto& pt : points) {
-    t.add_row({report::fmt(pt.q, 2), report::fmt(pt.events.necessary.p(), 3),
-               report::fmt(pt.events.full_view.p(), 3),
-               report::fmt(pt.events.sufficient.p(), 3)});
-  }
-  t.print(ctx.out());
+  print_phase_table(ctx.out(), points);
   return kExitSuccess;
 }
 
@@ -631,22 +616,6 @@ int cmd_serve(CommandContext& ctx) {
   api::ServerConfig cfg;
   cfg.socket_path = socket_path;
   cfg.stats = &stats;
-  cfg.batch_max = args.get_size("batch-max", 256);
-  cfg.batch_window_us = args.get_size("batch-window-us", 0);
-  // The tile-cache mirror refresh for the periodic Prometheus export;
-  // runs under the session mutex like every tick (see PeriodicTask).
-  const auto refresh_cache_mirror = [&session, &stats] {
-    const api::TileCacheStats& cs = session.cache_stats();
-    obs::CacheMirror m;
-    m.hits = cs.hits;
-    m.misses = cs.misses;
-    m.evictions = cs.evictions;
-    m.carried_forward = cs.carried_forward;
-    m.tiles = session.cache().size();
-    m.capacity = session.cache().capacity();
-    m.bytes = session.cache().approx_bytes();
-    stats.note_cache(m);
-  };
   if (metrics_every_ms > 0) {
     const std::string metrics_path = args.get_string("metrics", "");
     cfg.ticks.push_back(
@@ -655,8 +624,10 @@ int cmd_serve(CommandContext& ctx) {
          }});
   }
   if (!prom_path.empty()) {
-    cfg.ticks.push_back({prom_every_ms, [&stats, &refresh_cache_mirror, prom_path] {
-                           refresh_cache_mirror();
+    // Runs under the session mutex like every tick (see PeriodicTask),
+    // which the cache mirror's refresh needs.
+    cfg.ticks.push_back({prom_every_ms, [&stats, &session, prom_path] {
+                           stats.note_cache(api::cache_mirror_of(session));
                            // The export must not move a stats poller's
                            // deltas, so it never advances the baseline.
                            obs::write_prometheus_file_atomic(
@@ -678,7 +649,7 @@ int cmd_serve(CommandContext& ctx) {
   }();
   if (!prom_path.empty()) {
     // Final export so the file reflects the whole run, drain included.
-    refresh_cache_mirror();
+    stats.note_cache(api::cache_mirror_of(session));
     obs::write_prometheus_file_atomic(prom_path,
                                       stats.snapshot(/*advance_baseline=*/false));
   }

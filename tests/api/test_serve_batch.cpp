@@ -1,7 +1,7 @@
 /// Group-commit batching tests: the `points` wire verb, batched-vs-
-/// sequential bit-identity under concurrent clients, batch-budget edge
-/// cases, drain-mid-batch flushing, and the serve-loop lifecycle fixes
-/// (poll_readable error revents, handler-thread reaping).
+/// scalar-oracle bit-identity under concurrent clients, the fixed round
+/// budget's edge cases, drain-mid-batch flushing, and the serve-loop
+/// lifecycle fixes (poll_readable error revents, handler-thread reaping).
 
 #include "fvc/api/server.hpp"
 
@@ -13,11 +13,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "fvc/api/batch.hpp"
 #include "fvc/api/client.hpp"
 #include "fvc/api/session.hpp"
 #include "fvc/api/socket_io.hpp"
@@ -94,18 +96,15 @@ api::Client connect_with_retry(const std::string& path) {
   }
 }
 
-/// A live daemon with caller-chosen batch knobs, drained on destruction.
+/// A live daemon, drained on destruction.
 class BatchServeFixture {
  public:
   BatchServeFixture(api::Session& session, const char* tag,
-                    std::size_t batch_max, std::uint64_t batch_window_us,
                     obs::ServeStats* stats = nullptr)
       : path_(unique_socket_path(tag)) {
     api::ServerConfig cfg;
     cfg.socket_path = path_;
     cfg.stats = stats;
-    cfg.batch_max = batch_max;
-    cfg.batch_window_us = batch_window_us;
     thread_ = std::thread([this, &session, cfg] {
       report_ = api::serve(session, cfg, token_);
     });
@@ -246,8 +245,8 @@ TEST(PointsVerb, MaxSizeRequestFitsTheFrameBudget) {
 // --- Batched daemon: concurrency, bit-identity, telemetry ------------------
 
 /// N concurrent clients mixing `point`, `points`, and (no-op) `what_if`
-/// rounds against a batching daemon: every answer must equal the one a
-/// fresh unbatched session computes for the same coordinates.
+/// rounds against the daemon: every answer must equal the scalar oracle
+/// of a fresh session at the same coordinates.
 TEST(BatchServe, ConcurrentAnswersAreBitIdenticalToUnbatched) {
   api::Session session(lattice_config());
   obs::ServeStats stats;
@@ -255,8 +254,7 @@ TEST(BatchServe, ConcurrentAnswersAreBitIdenticalToUnbatched) {
   constexpr std::size_t kRounds = 24;
   std::vector<std::vector<std::string>> replies(kClients);
   {
-    BatchServeFixture daemon(session, "batch_ident", /*batch_max=*/64,
-                             /*batch_window_us=*/200, &stats);
+    BatchServeFixture daemon(session, "batch_ident", &stats);
     std::vector<std::thread> workers;
     for (std::size_t c = 0; c < kClients; ++c) {
       workers.emplace_back([&, c] {
@@ -287,7 +285,7 @@ TEST(BatchServe, ConcurrentAnswersAreBitIdenticalToUnbatched) {
       t.join();
     }
   }
-  // Replay every round against a fresh, unbatched session.
+  // Replay every round through the scalar oracle of a fresh session.
   api::Session oracle(lattice_config());
   std::uint64_t expected_points = 0;
   for (std::size_t c = 0; c < kClients; ++c) {
@@ -330,53 +328,65 @@ TEST(BatchServe, ConcurrentAnswersAreBitIdenticalToUnbatched) {
   EXPECT_EQ(snap.batch_points, expected_points);
 }
 
-/// A tight batch budget still answers everything: arrays bigger than
-/// `batch_max` run alone, smaller waiters never starve.
+/// The fixed round budget still answers everything: `points` arrays
+/// bigger than `PointBatcher::kMaxPoints` run alone, and the small
+/// requests queued behind them never starve.
 TEST(BatchServe, TinyBatchBudgetStillAnswersEverything) {
-  api::Session session(lattice_config());
-  BatchServeFixture daemon(session, "batch_budget", /*batch_max=*/2,
-                           /*batch_window_us=*/0);
+  constexpr std::size_t kClients = 4;  // the last one sends 2-point arrays
+  constexpr std::size_t kRounds = 6;
+  std::vector<std::vector<double>> xs(kClients);
+  std::vector<std::vector<double>> ys(kClients);
+  std::vector<std::vector<api::PointAnswer>> want(kClients);
   api::Session oracle(lattice_config());
-  std::vector<std::thread> workers;
-  std::atomic<int> failures{0};
-  for (int c = 0; c < 3; ++c) {
-    workers.emplace_back([&, c] {
-      api::Client client = connect_with_retry(daemon.path());
-      // 5 points per request, over a 2-point budget: the head waiter is
-      // taken whole every round.
-      const std::vector<double> xs = {0.1 + 0.01 * c, 0.3, 0.5, 0.7, 0.9};
-      const std::vector<double> ys = {0.2, 0.4 + 0.01 * c, 0.6, 0.8, 0.95};
-      for (int r = 0; r < 10; ++r) {
-        const std::vector<api::PointAnswer> got =
-            parse_points_response(client.request(api::points_request(xs, ys)));
-        if (got.size() != xs.size()) {
-          failures.fetch_add(1);
+  for (std::size_t c = 0; c < kClients; ++c) {
+    const std::size_t n =
+        c + 1 < kClients ? api::PointBatcher::kMaxPoints + 1 + 37 * c : 2;
+    for (std::size_t i = 0; i < n; ++i) {
+      xs[c].push_back(std::fmod(0.0078125 * static_cast<double>(i) + 0.1 * c, 1.0));
+      ys[c].push_back(std::fmod(0.02734375 * static_cast<double>(i) + 0.3 * c, 1.0));
+      want[c].push_back(oracle.query_point(xs[c].back(), ys[c].back()));
+    }
+  }
+  api::Session session(lattice_config());
+  obs::ServeStats stats;
+  std::vector<std::vector<std::string>> replies(kClients);
+  {
+    BatchServeFixture daemon(session, "batch_budget", &stats);
+    std::vector<std::thread> workers;
+    for (std::size_t c = 0; c < kClients; ++c) {
+      workers.emplace_back([&, c] {
+        api::Client client = connect_with_retry(daemon.path());
+        for (std::size_t r = 0; r < kRounds; ++r) {
+          replies[c].push_back(client.request(api::points_request(xs[c], ys[c])));
         }
+      });
+    }
+    for (std::thread& t : workers) {
+      t.join();
+    }
+  }
+  for (std::size_t c = 0; c < kClients; ++c) {
+    ASSERT_EQ(replies[c].size(), kRounds);
+    for (const std::string& reply : replies[c]) {
+      const std::vector<api::PointAnswer> got = parse_points_response(reply);
+      ASSERT_EQ(got.size(), want[c].size()) << "client " << c;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        expect_same_answer(got[i], want[c][i], i);
       }
-    });
+    }
   }
-  for (std::thread& t : workers) {
-    t.join();
-  }
-  EXPECT_EQ(failures.load(), 0);
-  // Spot-check one answer set against the oracle.
-  api::Client client = connect_with_retry(daemon.path());
-  const std::vector<double> xs = {0.25, 0.75};
-  const std::vector<double> ys = {0.25, 0.75};
-  const std::vector<api::PointAnswer> got =
-      parse_points_response(client.request(api::points_request(xs, ys)));
-  ASSERT_EQ(got.size(), 2u);
-  for (std::size_t i = 0; i < 2; ++i) {
-    expect_same_answer(got[i], oracle.query_point(xs[i], ys[i]), i);
-  }
+  // No request shares a round with an oversized one, and a client waits
+  // for each answer before sending again: one round per request.
+  const obs::ServeStatsSnapshot snap = stats.snapshot(false);
+  EXPECT_EQ(snap.batch_rounds, kClients * kRounds);
+  EXPECT_EQ(snap.batched_requests, 0u);
 }
 
 /// Draining mid-batch flushes every in-flight waiter with an answer —
 /// a client never sees EOF in place of a response it was owed.
 TEST(BatchServe, DrainMidBatchFlushesWaitersWithAnswers) {
   api::Session session(lattice_config());
-  auto daemon = std::make_unique<BatchServeFixture>(
-      session, "batch_drain", /*batch_max=*/64, /*batch_window_us=*/5000);
+  auto daemon = std::make_unique<BatchServeFixture>(session, "batch_drain");
   std::vector<std::thread> workers;
   std::atomic<int> truncated{0};
   std::atomic<bool> stop{false};
@@ -411,24 +421,6 @@ TEST(BatchServe, DrainMidBatchFlushesWaitersWithAnswers) {
     t.join();
   }
   EXPECT_EQ(truncated.load(), 0);
-}
-
-/// batch_max = 0 disables the batcher: the daemon still answers `points`
-/// (through the classic serialized path).
-TEST(BatchServe, DisabledBatcherStillServesPointsVerb) {
-  api::Session session(lattice_config());
-  BatchServeFixture daemon(session, "batch_off", /*batch_max=*/0,
-                           /*batch_window_us=*/0);
-  api::Client client = connect_with_retry(daemon.path());
-  const std::vector<double> xs = {0.25, 0.8};
-  const std::vector<double> ys = {0.3, 0.9};
-  const std::vector<api::PointAnswer> got =
-      parse_points_response(client.request(api::points_request(xs, ys)));
-  ASSERT_EQ(got.size(), 2u);
-  api::Session oracle(lattice_config());
-  for (std::size_t i = 0; i < 2; ++i) {
-    expect_same_answer(got[i], oracle.query_point(xs[i], ys[i]), i);
-  }
 }
 
 // --- Lifecycle fixes -------------------------------------------------------
@@ -474,8 +466,7 @@ TEST(BatchServe, SequentialConnectionsKeepThreadCountBounded) {
   constexpr std::size_t kConnections = 24;
   api::ServeReport report;
   {
-    BatchServeFixture daemon(session, "thread_reap", /*batch_max=*/64,
-                             /*batch_window_us=*/0);
+    BatchServeFixture daemon(session, "thread_reap");
     for (std::size_t i = 0; i < kConnections; ++i) {
       api::Client client = connect_with_retry(daemon.path());
       const std::string reply = client.request("{\"op\":\"info\"}");

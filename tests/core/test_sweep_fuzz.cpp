@@ -19,7 +19,11 @@
 // which read the row's stats sweep, at every grid point, and `eval_point`,
 // which classifies the pool's y band in place, at off-lattice points on
 // strip boundaries, on the torus seam and at random, all against the
-// scalar oracles bit for bit under every pin.
+// scalar oracles bit for bit under every pin.  On the torus configurations
+// it also drives the serve layer's point path (`SessionPointPath...`):
+// `api::Session::query_points` and `handle_query`'s `points` op at every
+// grid point and at the same off-lattice points, against
+// `Session::query_point` bit for bit under every pin.
 
 #include <gtest/gtest.h>
 
@@ -32,7 +36,10 @@
 #include <span>
 #include <vector>
 
+#include "fvc/api/client.hpp"
+#include "fvc/api/server.hpp"
 #include "fvc/api/session.hpp"
+#include "fvc/api/wire.hpp"
 #include "fvc/core/full_view.hpp"
 #include "fvc/core/grid_eval.hpp"
 #include "fvc/core/region_coverage.hpp"
@@ -134,6 +141,17 @@ bool same_stats(const RegionCoverageStats& a, const RegionCoverageStats& b) {
          std::bit_cast<std::uint64_t>(a.max_max_gap) == std::bit_cast<std::uint64_t>(b.max_max_gap);
 }
 
+// The Session over a torus configuration, as the stats test builds it.
+api::Session fuzz_session(const testsupport::FuzzConfig& cfg, std::uint64_t index) {
+  api::SessionConfig scfg;
+  scfg.cameras.assign(cfg.net.cameras().begin(), cfg.net.cameras().end());
+  scfg.theta = cfg.theta;
+  scfg.grid_side = cfg.grid.side();
+  scfg.tile_rows = 1 + index % 3;
+  scfg.threads = 2;
+  return api::Session(std::move(scfg));
+}
+
 TEST(SweepFuzz, StatsPathMatchesTheOracleOnAdversarialConfigs) {
   const std::vector<KernelVariant> kernels = testsupport::supported_kernels();
   GridEvalCounters counters;  // every configuration under the first pin
@@ -169,13 +187,7 @@ TEST(SweepFuzz, StatsPathMatchesTheOracleOnAdversarialConfigs) {
       }
       ASSERT_TRUE(same_stats(acc.region(cfg.grid.size()), want));
       if (cfg.net.mode() == geom::SpaceMode::kTorus && index % 4 == 0) {
-        api::SessionConfig scfg;
-        scfg.cameras.assign(cfg.net.cameras().begin(), cfg.net.cameras().end());
-        scfg.theta = cfg.theta;
-        scfg.grid_side = side;
-        scfg.tile_rows = 1 + index % 3;
-        scfg.threads = 2;
-        api::Session session(std::move(scfg));
+        api::Session session = fuzz_session(cfg, index);
         ASSERT_TRUE(same_stats(session.query_region(0.0, 1.0).stats, want));
       }
       if (variant == kernels.front()) {
@@ -342,6 +354,125 @@ TEST(SweepFuzz, PointAccessorsMatchTheOraclesOnAdversarialConfigs) {
   // and band hits took the exact-arithmetic fallback.
   EXPECT_GT(counters.stats_replays, 0U);
   EXPECT_GT(counters.trig_fallbacks, 0U);
+}
+
+void expect_same_answer(const api::PointAnswer& got, const api::PointAnswer& want) {
+  ASSERT_EQ(got.covered, want.covered);
+  ASSERT_EQ(got.necessary, want.necessary);
+  ASSERT_EQ(got.sufficient, want.sufficient);
+  ASSERT_EQ(bits(got.max_gap), bits(want.max_gap));
+  ASSERT_EQ(got.covering_count, want.covering_count);
+}
+
+TEST(SweepFuzz, SessionPointPathMatchesQueryPointOnAdversarialConfigs) {
+  const std::vector<KernelVariant> kernels = testsupport::supported_kernels();
+  std::size_t configs = 0;
+  std::size_t covered = 0;
+  for (std::uint64_t index = 0; index < kConfigs; ++index) {
+    const testsupport::FuzzConfig cfg = testsupport::fuzz_config(kSeed, index);
+    if (cfg.net.mode() != geom::SpaceMode::kTorus || index % 4 != 0) {
+      continue;  // the configurations the stats test serves through a Session
+    }
+    ++configs;
+    const std::size_t side = cfg.grid.side();
+    std::vector<double> xs;
+    std::vector<double> ys;
+    for (std::size_t i = 0; i < cfg.grid.size(); ++i) {
+      xs.push_back(cfg.grid.point(i).x);
+      ys.push_back(cfg.grid.point(i).y);
+    }
+    for (const geom::Vec2& p : off_lattice_points(
+             GridEvalEngine(cfg.net, cfg.grid, cfg.theta).cells_per_side(), index)) {
+      xs.push_back(p.x);
+      ys.push_back(p.y);
+    }
+    const std::size_t n = xs.size();
+    std::vector<api::PointAnswer> want(n);
+    {
+      api::Session reference = fuzz_session(cfg, index);
+      for (std::size_t i = 0; i < n; ++i) {
+        want[i] = reference.query_point(xs[i], ys[i]);
+        covered += want[i].covered ? 1 : 0;
+      }
+    }
+    for (const KernelVariant variant : kernels) {
+      const testsupport::ForcedKernel pin(variant);
+      api::Session session = fuzz_session(cfg, index);
+      std::vector<api::PointAnswer> got(n);
+      session.query_points(xs.data(), ys.data(), n, got.data());
+      const api::WireObject resp =
+          api::parse_flat_object(api::handle_query(session, api::points_request(xs, ys)));
+      ASSERT_TRUE(api::get_bool(resp, "ok"));
+      const std::vector<double>& wire_covered = api::get_numbers(resp, "covered");
+      const std::vector<double>& wire_necessary = api::get_numbers(resp, "necessary");
+      const std::vector<double>& wire_sufficient = api::get_numbers(resp, "sufficient");
+      const std::vector<double>& wire_gap = api::get_numbers(resp, "max_gap");
+      const std::vector<double>& wire_count = api::get_numbers(resp, "covering_count");
+      ASSERT_EQ(wire_covered.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        SCOPED_TRACE(testing::Message()
+                     << "replay: fuzz_config(" << kSeed << ", " << index
+                     << ") kernel=" << kernel_name(variant) << " theta=" << cfg.theta
+                     << " side=" << side << " point=(" << xs[i] << ", " << ys[i] << ")");
+        expect_same_answer(got[i], want[i]);
+        api::PointAnswer wire;
+        wire.covered = wire_covered[i] != 0.0;
+        wire.necessary = wire_necessary[i] != 0.0;
+        wire.sufficient = wire_sufficient[i] != 0.0;
+        wire.max_gap = wire_gap[i];
+        wire.covering_count = static_cast<std::size_t>(wire_count[i]);
+        expect_same_answer(wire, want[i]);
+      }
+    }
+  }
+  // Not vacuous: many configurations, and points both covered and not.
+  EXPECT_GT(configs, 500U);
+  EXPECT_GT(covered, 0U);
+}
+
+// A camera at the dyadic Pythagorean offset (-3/16, 4/16) from a grid
+// point with radius 5/16: d^2 == r^2 holds exactly, so the closed disc
+// covers the point, and one ulp less radius does not.  The counts are
+// absolute, not a comparison with the oracle, so a change to the oracle's
+// boundary fails here as well as in the differential tests.
+TEST(SweepFuzz, ExactBoundaryCameraCoversItsGridPoint) {
+  const DenseGrid grid(8);
+  constexpr std::size_t kRow = 2;
+  constexpr std::size_t kCol = 5;
+  const geom::Vec2 g = grid.point(kRow, kCol);  // (11/16, 5/16)
+  const double theta = geom::kPi / 4.0;
+  for (const double radius : {0.3125, std::nextafter(0.3125, 0.0)}) {
+    const std::size_t want = radius == 0.3125 ? 1 : 0;
+    Camera cam;
+    cam.position = {g.x - 0.1875, g.y + 0.25};
+    cam.orientation = 0.0;
+    cam.radius = radius;
+    cam.fov = geom::kTwoPi;
+    for (const geom::SpaceMode mode : {geom::SpaceMode::kTorus, geom::SpaceMode::kPlane}) {
+      SCOPED_TRACE(testing::Message() << "radius=" << radius << " torus="
+                                      << (mode == geom::SpaceMode::kTorus));
+      const Network net({cam}, mode);
+      EXPECT_EQ(full_view_covered(net, g, theta).covering_count, want);
+      for (const KernelVariant variant : testsupport::supported_kernels()) {
+        const testsupport::ForcedKernel pin(variant);
+        const GridEvalEngine engine(net, grid, theta);
+        GridEvalScratch scratch;
+        EXPECT_EQ(engine.point_full_view(kRow, kCol, scratch).covering_count, want);
+        EXPECT_EQ(engine.eval_point(g, scratch).full_view.covering_count, want);
+        if (mode == geom::SpaceMode::kTorus) {
+          api::SessionConfig scfg;
+          scfg.cameras = {cam};
+          scfg.theta = theta;
+          scfg.grid_side = grid.side();
+          api::Session session(std::move(scfg));
+          api::PointAnswer ans;
+          session.query_points(&g.x, &g.y, 1, &ans);
+          EXPECT_EQ(ans.covering_count, want);
+          EXPECT_EQ(session.query_point(g.x, g.y).covering_count, want);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -20,7 +20,10 @@
 ///   fine sector tables (theta down to 0.01), whose certified core crosses
 ///   more sector boundaries than the piece stage's kWalkSteps;
 /// * cameras by the torus seam with chords across it, so certified pieces
-///   wrap the seam.
+///   wrap the seam;
+/// * on grids of a power-of-two side, cameras at the offset (3/16, 4/16)
+///   from a grid point with radius 5/16, so d^2 == r^2 holds exactly in
+///   floating point and the closed disc's edge decides coverage.
 ///
 /// New adversarial cases belong here, as another placement or draw.
 
@@ -101,7 +104,7 @@ inline FuzzConfig fuzz_config(std::uint64_t seed, std::uint64_t index) {
     c.radius = radius();
     c.fov = fov();
     const geom::Vec2 g = grid_point();
-    switch (below(13)) {
+    switch (below(14)) {
       case 0:  // on a grid row: dy == 0 there
         c.position.y = g.y;
         break;
@@ -154,6 +157,20 @@ inline FuzzConfig fuzz_config(std::uint64_t seed, std::uint64_t index) {
         c.fov = uniform(1.0, kTwoPi);
         break;
       }
+      case 12:  // the disc's edge exactly on a grid point
+        if ((side & (side - 1)) == 0) {
+          // The grid point is dyadic, so every step is exact.  The offset
+          // points inward: the camera stays in [0, 1]^2 on both spaces.
+          double ox = 0.1875;
+          double oy = 0.25;
+          if (below(2) == 0) {
+            std::swap(ox, oy);
+          }
+          c.position = {g.x < 0.5 ? g.x + ox : g.x - ox, g.y < 0.5 ? g.y + oy : g.y - oy};
+          c.radius = 0.3125;
+          c.orientation = std::atan2(g.y - c.position.y, g.x - c.position.x);
+        }
+        break;
       default:
         break;
     }
